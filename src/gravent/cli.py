@@ -102,11 +102,12 @@ def _spec_from_config(cfg: dict, quad: QuadConfig) -> SweepSpec:
         fixed_kwargs[variable] = _PLACEHOLDERS[variable]
     else:
         fixed_kwargs[variable] = float(cfg["hi"])  # any valid radius; overwritten per row
+    samples = cfg.get("samples")
     return SweepSpec(
         variable=variable,
         lo=float(cfg["lo"]),
         hi=float(cfg["hi"]),
-        samples=int(cfg.get("samples") or 400),
+        samples=400 if samples is None else int(samples),
         fixed=OrbitParams(**fixed_kwargs),
         bell=bell_state(cfg.get("bell") or "chi1"),
         quad=quad,
@@ -337,7 +338,7 @@ def _cmd_validate(args) -> int:
     dev = max(abs(theta_zeros(0.16)[0] - 1.2424428900898052),
               abs(theta_zeros(0.265)[0] - 0.5697224362268005),
               abs(theta_zeros(0.265)[1] - 0.9302775637731995))
-    check("angle zeros against quadratic roots", dev < 1e-10,
+    check("angle zeros against quadratic roots", dev < 1e-14,
           f"max deviation {dev:.3e}")
 
     print(f"{'ALL CHECKS PASSED' if failures == 0 else f'{failures} CHECK(S) FAILED'}")

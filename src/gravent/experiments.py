@@ -2,11 +2,14 @@
 
 A sweep varies one of (q, tau_ratio, z) while the remaining orbit
 parameters stay fixed, running each grid point through the
-angle -> moments -> density matrix -> concurrence -> entanglement
-pipeline.  Failures are recorded per row (horizon, domain, quadrature
-non-convergence) instead of aborting the sweep; with the opt-in
-stationary-phase convention those rows report zero moments and zero
-entanglement, implementing the rapid-oscillation limit near horizons.
+angle -> moments -> concurrence K = C^2 + S^2 -> entanglement pipeline.
+K is the concurrence of every Bell input; the reduced density matrices
+and Wootters' concurrence serve only as oracles in
+oracle_equivalence_report.  Failures are recorded per row (horizon,
+domain, quadrature non-convergence) instead of aborting the sweep; with
+the opt-in stationary-phase convention those rows report zero moments
+and zero entanglement, implementing the rapid-oscillation limit near
+horizons.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .entanglement import (
     reduced_density_closed,
 )
 from .errors import AssertionFailure, ConvergenceError, DomainError, HorizonError
-from .spacetime import ChargedBlackHole, HORIZON_TOL, outer_horizon
+from .spacetime import ChargedBlackHole, outer_horizon
 from .wigner import (
     OrbitParams,
     kruskal_rate,
@@ -51,6 +54,8 @@ class SweepSpec:
 
     `fixed` supplies every orbit parameter; its value for the swept
     variable is a placeholder that the grid overwrites row by row.
+    `bell` is recorded in the output metadata only: every Bell input has
+    the same concurrence C^2 + S^2.
     """
 
     variable: str
@@ -129,8 +134,7 @@ def sweep_point(spec: SweepSpec, x: float,
             return SweepRow(x, 0.0, 0.0, 0.0, 0.0, flags + ("stationary-phase",))
         return SweepRow(x, math.nan, math.nan, math.nan, math.nan, flags)
     flags = ("reduced-tolerance",) if moments.residual >= spec.quad.tol else ()
-    rho = reduced_density_closed(spec.bell, moments)
-    conc = wootters_concurrence(rho)
+    conc = moments.C * moments.C + moments.S * moments.S
     e = entanglement_of_formation(min(conc, 1.0))
     return SweepRow(x, moments.C, moments.S, conc, e, flags)
 
@@ -300,6 +304,8 @@ def oracle_equivalence_report(draws: int = 100, seed: int = 20240808,
     """
     from .entanglement import BELL_STATES, density_matrix_diagnostics
 
+    if draws < 1:
+        raise DomainError(f"draws must be >= 1, got {draws}")
     rng = np.random.default_rng(seed)
     report = {
         "draws": draws,
@@ -366,10 +372,11 @@ def frame_comparison(r_grid, q: float, p: float) -> list[FrameRateRow]:
     for r in np.asarray(r_grid, dtype=float):
         flags: list[str] = []
         kr = float(kruskal_rate(r, q, p))
-        if r - 1.0 < HORIZON_TOL:
+        try:
+            sr = float(schwarzschild_rate(r, q, p))
+        except HorizonError:
             rows.append(FrameRateRow(float(r), math.nan, kr, ("static-divergent",)))
             continue
-        sr = float(schwarzschild_rate(r, q, p))
         if abs(sr) > 1e3:
             flags.append("static-divergent")
         if abs(sr) < 1e-12:

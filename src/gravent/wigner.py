@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import brentq
 
 from .errors import DomainError, HorizonError
 from .spacetime import ChargedBlackHole, HORIZON_TOL, metric_potentials, outer_horizon
@@ -101,6 +100,12 @@ def circular_orbit_state(model, z: float, q: float) -> CircularOrbitState:
     return CircularOrbitState(gamma=gamma, q0=gamma, q3=q, a1=a1)
 
 
+def _rate_factor(model, z: float) -> float:
+    """e^{-B} (A' - 1/z), the radial factor of the circular-orbit generator."""
+    _, b, a_prime = metric_potentials(model, z)
+    return math.exp(-b) * (a_prime - 1.0 / z)
+
+
 def lambda_circular(model, z: float, q: float) -> np.ndarray:
     """4x4 boost-rotation generator of the circular orbit.
 
@@ -109,9 +114,8 @@ def lambda_circular(model, z: float, q: float) -> np.ndarray:
         lam[1,3] = -lam[3,1] = -gamma^3 v e^{-B} (A' - 1/z),  v = q/gamma.
     lam @ ETA is antisymmetric, as for any Lorentz-algebra element.
     """
-    _, b, a_prime = metric_potentials(model, z)
     gamma = math.sqrt(q * q + 1.0)
-    fac = math.exp(-b) * (a_prime - 1.0 / z)
+    fac = _rate_factor(model, z)
     lam = np.zeros((4, 4))
     lam[0, 1] = lam[1, 0] = gamma * q * q * fac          # gamma (gamma^2-1)
     lam[1, 3] = -q * (q * q + 1.0) * fac                 # -gamma^3 v = -gamma^2 q
@@ -125,8 +129,7 @@ def wigner_rate_w13(model, z: float, q: float, p) -> float | np.ndarray:
     w13 = -e^{-B} (A' - 1/z) M(q, p); all other independent components
     vanish for equatorial circular motion.
     """
-    _, b, a_prime = metric_potentials(model, z)
-    return -math.exp(-b) * (a_prime - 1.0 / z) * momentum_factor(q, p)
+    return -_rate_factor(model, z) * momentum_factor(q, p)
 
 
 def wigner_rate_matrix(model, z: float, q: float, p: float) -> np.ndarray:
@@ -138,34 +141,36 @@ def wigner_rate_matrix(model, z: float, q: float, p: float) -> np.ndarray:
     return w
 
 
+def _charged_prefactor(z: float, xi2: float) -> float:
+    """(2z^2 - 3z + 4 xi2) / (2 z^2 sqrt(z^2 - z + xi2)), the radial factor of Theta.
+
+    Raises HorizonError on or inside the horizons, where z^2 - z + xi2 -> 0
+    and the factor diverges, and for z <= 0.
+    """
+    s = z * z - z + xi2
+    if z <= 0 or s <= 0 or s / (z * z) < HORIZON_TOL:
+        raise HorizonError(
+            f"radial factor singular on or inside the horizons (z={z}, xi2={xi2})"
+        )
+    return (2 * z * z - 3 * z + 4 * xi2) / (2 * z * z * math.sqrt(s))
+
+
 def theta_circular(params: OrbitParams, p) -> float | np.ndarray:
     """Accumulated rotation angle for the charged hole, closed form.
 
     Vanishes identically in p when q = 0, tau = 0, or 2z^2 - 3z + 4 xi2 = 0;
     diverges toward the horizons, where z^2 - z + xi2 -> 0.
     """
-    z, xi2 = params.z, params.xi2
-    s = z * z - z + xi2
-    if s <= 0 or s / (z * z) < HORIZON_TOL:
-        raise HorizonError(
-            f"Theta is imaginary on or inside the horizons (z={z}, xi2={xi2})"
-        )
-    prefactor = (2 * z * z - 3 * z + 4 * xi2) / (2 * z * z * math.sqrt(s))
+    prefactor = _charged_prefactor(params.z, params.xi2)
     return TAU_S * params.tau_ratio * prefactor * momentum_factor(params.q, p)
-
-
-def _theta_radial_prefactor(z: float, xi2: float) -> float:
-    # z-dependence of Theta with momentum and time factored out
-    s = z * z - z + xi2
-    return (2 * z * z - 3 * z + 4 * xi2) / (2 * z * z * math.sqrt(s))
 
 
 def theta_zeros(xi2: float) -> list[float]:
     """Orbit radii where the rotation angle vanishes for every momentum.
 
-    Real roots of 2z^2 - 3z + 4 xi2 = 0 (empty for xi2 > 9/32), keeping
-    only radii outside the outer horizon.  Analytic roots are verified
-    against a bracketed root-finder on the angle's radial prefactor.
+    The real roots (3 -+ sqrt(9 - 32 xi2)) / 4 of 2z^2 - 3z + 4 xi2 = 0
+    (empty for xi2 > 9/32), keeping only radii outside the outer horizon.
+    The closed form is returned as is; no root-finder refines it.
     """
     if xi2 < 0:
         raise DomainError(f"xi2 must be >= 0, got {xi2}")
@@ -176,32 +181,10 @@ def theta_zeros(xi2: float) -> list[float]:
         roots = [0.75]
     else:
         d = math.sqrt(disc)
-        roots = sorted([(3.0 - d) / 4.0, (3.0 + d) / 4.0])
+        roots = [(3.0 - d) / 4.0, (3.0 + d) / 4.0]
     zp = outer_horizon(xi2)
     floor = zp if zp is not None else 0.0
-    accessible = [r for r in roots if r > floor]
-    if disc == 0:
-        return accessible  # tangential zero, no sign change to bracket
-
-    polished = []
-    for root in accessible:
-        half_gap = 0.5 * math.sqrt(disc) / 2.0
-        eps = min(1e-3, 0.5 * half_gap, 0.5 * (root - floor))
-        try:
-            refined = brentq(
-                lambda z: _theta_radial_prefactor(z, xi2),
-                root - eps,
-                root + eps,
-                xtol=1e-12,
-            )
-        except ValueError:
-            refined = root
-        if abs(refined - root) > 1e-10:
-            raise DomainError(
-                f"root verification failed for xi2={xi2}: {refined} vs {root}"
-            )
-        polished.append(refined)
-    return polished
+    return [r for r in roots if r > floor]
 
 
 def lambda_radial(model, z: float, v: float) -> tuple[np.ndarray, np.ndarray]:
@@ -259,13 +242,11 @@ def product_integral(rate_fn, tau_i: float, tau_f: float, steps: int) -> np.ndar
 def schwarzschild_rate(r: float, q: float, p) -> float | np.ndarray:
     """Static-frame rotation rate around the uncharged hole.
 
-    ((1 - 3/(2r)) / (r sqrt(1 - 1/r))) M(q, p): zero on the circle
-    r = 3/2, divergent toward the horizon r = 1.
+    The xi2 = 0 case of Theta's radial factor, (1 - 3/(2r)) / (r sqrt(1 - 1/r)),
+    times M(q, p): zero on the circle r = 3/2, divergent toward the
+    horizon r = 1, HorizonError for r <= 1.
     """
-    if r - 1.0 < HORIZON_TOL:
-        raise HorizonError(f"static frame rate singular at r={r} (horizon r=1)")
-    prefactor = (1.0 - 1.5 / r) / (r * math.sqrt(1.0 - 1.0 / r))
-    return prefactor * momentum_factor(q, p)
+    return _charged_prefactor(r, 0.0) * momentum_factor(q, p)
 
 
 def kruskal_rate(r: float, q: float, p) -> float | np.ndarray:

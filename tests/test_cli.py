@@ -1,11 +1,19 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 
-from gravent import EmptyDataError, emit_csv, emit_json, emit_svg
-from gravent.cli import main, preset_config
+import gravent
+from gravent import EmptyDataError, emit_csv, emit_json, emit_svg, figure_preset
+from gravent.cli import main, preset_config, render_sweep
+
+DEMO_OUT = Path(__file__).resolve().parents[1] / "demos" / "out"
 
 Z1_016 = 1.2424428900898052
 
@@ -247,3 +255,43 @@ def test_validate_command(capsys):
     assert code == 0
     assert "ALL CHECKS PASSED" in out
     assert out.count("PASS") >= 8
+
+
+def test_sweep_rejects_zero_samples(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--variable", "z", "--lo", "1.0",
+                             "--hi", "3.0", "--samples", "0")
+    assert code == 1
+    assert "samples must be >= 2" in err
+    assert out == ""
+
+
+def test_validate_rejects_zero_draws(capsys):
+    code, out, err = run_cli(capsys, "validate", "--draws", "0")
+    assert code == 1
+    assert "draws must be >= 1" in err
+    assert "PASS" not in out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_figure_matches_committed_output(n, fmt):
+    # demos/out/ holds `gravent figure N --stationary-phase` at the default
+    # quadrature settings; any byte that moves is a behaviour change
+    expected = (DEMO_OUT / f"figure{n}.{fmt}").read_bytes().decode("utf-8")
+    got = render_sweep(figure_preset(n), True, fmt)
+    lines = zip_longest(got.splitlines(keepends=True),
+                        expected.splitlines(keepends=True))
+    for i, (new, old) in enumerate(lines, 1):
+        if new != old:
+            pytest.fail(f"figure{n}.{fmt} differs from demos/out at line {i}: "
+                        f"got {new!r}, committed {old!r}")
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = str(Path(gravent.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, gravent, gravent.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

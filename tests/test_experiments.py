@@ -12,6 +12,7 @@ from gravent import (
     MomentumDistribution,
     OrbitParams,
     SweepSpec,
+    TrigMoments,
     figure_preset,
     find_entanglement_minima,
     frame_comparison,
@@ -19,8 +20,10 @@ from gravent import (
     radial_invariance_check,
     random_orbit_params,
     resolve_sweep,
+    reduced_density_closed,
     run_sweep,
     sweep_point,
+    wootters_concurrence,
 )
 
 
@@ -125,6 +128,28 @@ def test_bell_state_independence():
             assert a.C == b.C and a.S == b.S
             assert abs(a.concurrence - b.concurrence) < 1e-10
             assert abs(a.E - b.E) < 1e-10
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_preset_rows_report_moment_norm_as_concurrence(n):
+    # sweeps report K = C^2 + S^2 directly; Wootters on the closed-form rho
+    # is the oracle, sampled on every 10th computed row (near-horizon rows
+    # with small K included).  C*C, not C**2: libm's pow is not correctly
+    # rounded and differs from the product in the last bit on some rows.
+    computed = [row for row in run_sweep(figure_preset(n)) if math.isfinite(row.C)]
+    assert computed
+    for row in computed:
+        assert row.concurrence == row.C * row.C + row.S * row.S
+    for row in computed[::10]:
+        moments = TrigMoments(row.C, row.S)
+        for chi in BELL_STATES:
+            conc = wootters_concurrence(reduced_density_closed(chi, moments))
+            assert abs(conc - row.concurrence) < 1e-12, (n, row.x, chi.tag)
+
+
+def test_oracle_report_rejects_zero_draws():
+    with pytest.raises(DomainError):
+        oracle_equivalence_report(draws=0)
 
 
 def test_find_minima_fig4_like_range():

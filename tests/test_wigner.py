@@ -163,6 +163,12 @@ def test_theta_zeros_values():
     assert theta_zeros(0.0) == pytest.approx([1.5], abs=1e-10)
 
 
+def test_theta_zeros_are_roots_of_the_quadratic():
+    for xi2 in np.linspace(0.0, 9.0 / 32.0, 2001):
+        for z in theta_zeros(float(xi2)):
+            assert abs(2 * z * z - 3 * z + 4 * xi2) <= 1e-14, (xi2, z)
+
+
 def test_lambda_radial_pure_boost():
     model = ChargedBlackHole(0.0)
     lam, rate = lambda_radial(model, 3.0, 0.5)
