@@ -47,6 +47,7 @@ from .wigner import (
     rotation_matrix,
     schwarzschild_rate,
     spin_rep,
+    theta_amplitude,
     theta_circular,
     theta_zeros,
     wigner_rate_matrix,
@@ -62,6 +63,7 @@ from .entanglement import (
     MomentumDistribution,
     QuadConfig,
     TrigMoments,
+    batch_trig_moments,
     bell_state,
     binary_entropy,
     density_matrix_diagnostics,

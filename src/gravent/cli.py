@@ -60,12 +60,19 @@ _FIXED_DEFAULTS = {"xi2": 0.0, "z": 2.0, "q": 0.6, "beta": 1.0, "tau_ratio": 5.0
 _PLACEHOLDERS = {"q": 0.0, "tau_ratio": 0.0}
 
 
+class _UsageError(Exception):
+    pass
+
+
 def quad_from_env() -> QuadConfig:
     """Default quadrature settings, honoring GRAVENT_QUAD_NODES."""
     cap = os.environ.get("GRAVENT_QUAD_NODES")
     if cap is None:
         return DEFAULT_QUAD
-    cap = int(cap)
+    try:
+        cap = int(cap)
+    except ValueError:
+        raise _UsageError(f"GRAVENT_QUAD_NODES must be an integer, got {cap!r}") from None
     return QuadConfig(max_nodes=cap, start_nodes=min(64, cap // 2))
 
 
@@ -103,11 +110,14 @@ def _spec_from_config(cfg: dict, quad: QuadConfig) -> SweepSpec:
     else:
         fixed_kwargs[variable] = float(cfg["hi"])  # any valid radius; overwritten per row
     samples = cfg.get("samples")
+    samples = 400 if samples is None else samples
+    if isinstance(samples, bool) or not isinstance(samples, int):
+        raise _UsageError(f"samples must be an integer, got {samples!r}")
     return SweepSpec(
         variable=variable,
         lo=float(cfg["lo"]),
         hi=float(cfg["hi"]),
-        samples=400 if samples is None else int(samples),
+        samples=samples,
         fixed=OrbitParams(**fixed_kwargs),
         bell=bell_state(cfg.get("bell") or "chi1"),
         quad=quad,
@@ -166,10 +176,6 @@ def _load_config(path: str | None) -> dict:
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
     return cfg
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _merged_sweep_config(args, allow_config=True) -> dict:
@@ -335,11 +341,19 @@ def _cmd_validate(args) -> int:
     check("frame transform preserves the Minkowski metric", dev < 1e-10,
           f"max deviation {dev:.3e}")
 
-    dev = max(abs(theta_zeros(0.16)[0] - 1.2424428900898052),
-              abs(theta_zeros(0.265)[0] - 0.5697224362268005),
-              abs(theta_zeros(0.265)[1] - 0.9302775637731995))
-    check("angle zeros against quadratic roots", dev < 1e-14,
-          f"max deviation {dev:.3e}")
+    # roots exist exactly when the discriminant 9 - 32 xi2 is >= 0; the
+    # larger one always lies outside the outer horizon
+    xi2_grid = (0.0, 0.1, 0.16, 0.25, 0.265, 0.28, 9.0 / 32.0, 0.3, 0.5)
+    residual, miscounted = 0.0, []
+    for xi2 in xi2_grid:
+        roots = theta_zeros(xi2)
+        residual = max([residual] + [abs(2 * z * z - 3 * z + 4 * xi2) for z in roots])
+        if bool(roots) != (9.0 - 32.0 * xi2 >= 0.0):
+            miscounted.append(xi2)
+    check("angle zeros are roots of 2z^2 - 3z + 4xi2",
+          residual < 1e-14 and not miscounted,
+          f"max residual {residual:.3e} over {len(xi2_grid)} xi2 values, root count "
+          + (f"wrong at xi2 = {miscounted}" if miscounted else "matches 9 - 32xi2"))
 
     print(f"{'ALL CHECKS PASSED' if failures == 0 else f'{failures} CHECK(S) FAILED'}")
     return 0 if failures == 0 else 1

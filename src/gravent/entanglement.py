@@ -62,6 +62,8 @@ class MomentumDistribution:
     beta: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.q) and math.isfinite(self.beta)):
+            raise DomainError(f"q and beta must be finite, got q={self.q}, beta={self.beta}")
         if self.beta <= 0:
             raise DomainError(f"beta must be positive, got {self.beta}")
 
@@ -111,41 +113,111 @@ def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _HERMITE_CACHE[n]
 
 
-def _adaptive_average(rows_fn, dist: MomentumDistribution, quad: QuadConfig):
-    """Average each row of rows_fn(p) over the distribution, adaptively.
+# Temporaries of the batched quadrature hold about this many elements, so a
+# sweep's memory stays flat however many rows it has.
+_BLOCK_ELEMENTS = 2 ** 14
 
-    rows_fn maps an array of momenta to an array whose last axis runs over
-    the nodes.  Returns (averages, residual, nodes_used).
+# Per-row outcome of _adaptive_average.  A converged row may still carry a
+# residual at or above tol when it stopped at the cap (reduced tolerance).
+CONVERGED = 0
+NOT_FINITE = 1
+NO_CONVERGENCE = 2
+
+
+@dataclass(frozen=True)
+class Averages:
+    """Per-row results of one batched adaptive average.
+
+    values[i] holds row i's averages (one per integrand component),
+    residual[i] the change between its last two node levels, nodes[i]
+    the node count it stopped at and status[i] one of CONVERGED,
+    NOT_FINITE and NO_CONVERGENCE.
     """
+
+    values: np.ndarray
+    residual: np.ndarray
+    nodes: np.ndarray
+    status: np.ndarray
+
+
+def _adaptive_average(rows_fn, q, beta: float, quad: QuadConfig) -> Averages:
+    """Average an integrand over a Gaussian of width beta centred at each q.
+
+    rows_fn(index, p) gets the indices of a block of rows and their momenta
+    p, shape (len(index), nodes), and returns the integrand, shape
+    (len(index), components, nodes).  Every row starts at quad.start_nodes
+    and doubles until its own estimates agree to quad.tol or it reaches
+    quad.max_nodes; each level evaluates only the rows still active, in
+    blocks of about _BLOCK_ELEMENTS momenta.  A row whose integrand is not
+    finite stops with status NOT_FINITE, and one that reaches the cap with
+    a residual above quad.fail_residual stops with NO_CONVERGENCE.
+    """
+    q = np.asarray(q, dtype=float)
+    values = None
+    residual = np.full(q.size, math.inf)
+    nodes = np.zeros(q.size, dtype=int)
+    status = np.zeros(q.size, dtype=int)  # CONVERGED
+    active = np.arange(q.size)
     prev = None
     n = quad.start_nodes
-    while True:
+    while active.size:
         x, w = _hermite_rule(n)
-        p = dist.q + dist.beta * x
-        rows = np.asarray(rows_fn(p))
-        if not np.all(np.isfinite(rows)):
-            raise DomainError("integrand is not finite on the quadrature support")
-        est = rows @ w
+        block = max(1, _BLOCK_ELEMENTS // x.size)
+        # (rows, components, nodes) @ w runs one gemv per row, the same
+        # product a lone row gets, so batching moves no bits
+        parts = [rows_fn(idx, q[idx, None] + beta * x) @ w
+                 for idx in (active[i:i + block] for i in range(0, active.size, block))]
+        est = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if values is None:
+            values = np.empty((q.size, est.shape[1]))
+        values[active] = est
+        nodes[active] = n
+        # max propagates nan and inf, so a row's res is finite exactly when
+        # its whole estimate is
+        res = np.abs(est if prev is None else est - prev).max(axis=1)
+        done = ~np.isfinite(res)
+        status[active[done]] = NOT_FINITE
         if prev is not None:
-            residual = float(np.abs(est - prev).max())
-            if residual < quad.tol:
-                return est, residual, n
+            residual[active] = res
+            converged = res < quad.tol
             if n >= quad.max_nodes:
-                if residual > quad.fail_residual:
-                    raise ConvergenceError(
-                        f"residual {residual:.3e} at the {n}-node cap "
-                        f"(limit {quad.fail_residual:.1e})"
-                    )
-                return est, residual, n
-        prev = est
+                status[active[~done & ~converged & (res > quad.fail_residual)]] = NO_CONVERGENCE
+                done[:] = True
+            else:
+                done |= converged
+        keep = ~done
+        active, prev = active[keep], est[keep]
         n = min(2 * n, quad.max_nodes)
+    if values is None:  # an empty batch
+        values = np.empty((0, 0))
+    return Averages(values, residual, nodes, status)
 
 
-def _finite_theta(theta_fn, p) -> np.ndarray:
-    th = np.asarray(theta_fn(p), dtype=float)
-    if not np.all(np.isfinite(th)):
+def _average_one(rows_fn, dist: MomentumDistribution, quad: QuadConfig):
+    """The one-row case of _adaptive_average, with failures raised.
+
+    rows_fn maps a 1-D array of momenta to the integrand, shape
+    (components, nodes).  Returns (averages, residual, nodes_used).
+    """
+    out = _adaptive_average(lambda _, p: rows_fn(p[0])[None], [dist.q],
+                            dist.beta, quad)
+    residual, nodes = float(out.residual[0]), int(out.nodes[0])
+    if out.status[0] == NOT_FINITE:
         raise DomainError("theta is not finite on the quadrature support")
-    return th
+    if out.status[0] == NO_CONVERGENCE:
+        raise ConvergenceError(
+            f"residual {residual:.3e} at the {nodes}-node cap "
+            f"(limit {quad.fail_residual:.1e})"
+        )
+    return out.values[0], residual, nodes
+
+
+def _cos_sin(theta: np.ndarray) -> np.ndarray:
+    """cos and sin of theta, stacked on a new axis before the nodes axis."""
+    # a non-finite angle is reported through its row's status, not a warning
+    with np.errstate(invalid="ignore"):
+        c, s = np.cos(theta), np.sin(theta)
+    return np.concatenate((c[..., None, :], s[..., None, :]), axis=-2)
 
 
 @dataclass(frozen=True)
@@ -158,19 +230,30 @@ class TrigMoments:
     nodes: int = 0
 
 
+def batch_trig_moments(theta_rows, q, beta: float,
+                       quad: QuadConfig = DEFAULT_QUAD) -> Averages:
+    """<cos Theta> and <sin Theta> for a batch of rows in one adaptive pass.
+
+    Row i averages over the Gaussian of centre q[i] and width beta.
+    theta_rows(index, p) returns Theta for the rows `index` at momenta p,
+    both of shape (len(index), nodes).  values[:, 0] holds C and
+    values[:, 1] holds S; see _adaptive_average for the rest.
+    """
+    return _adaptive_average(lambda index, p: _cos_sin(theta_rows(index, p)),
+                             q, beta, quad)
+
+
 def trig_moments(theta_fn, dist: MomentumDistribution,
                  quad: QuadConfig = DEFAULT_QUAD) -> TrigMoments:
     """Gaussian averages of cos Theta(p) and sin Theta(p).
 
     theta_fn must accept an array of momenta.  Under the probability
     weight, C^2 + S^2 <= 1 always, with equality only for constant Theta.
+    Raises DomainError for a non-finite Theta and ConvergenceError when
+    the node cap leaves a residual above quad.fail_residual.
     """
-
-    def rows(p):
-        th = _finite_theta(theta_fn, p)
-        return np.vstack([np.cos(th), np.sin(th)])
-
-    (c, s), residual, nodes = _adaptive_average(rows, dist, quad)
+    (c, s), residual, nodes = _average_one(
+        lambda p: _cos_sin(np.asarray(theta_fn(p), dtype=float)), dist, quad)
     return TrigMoments(C=float(c), S=float(s), residual=residual, nodes=nodes)
 
 
@@ -223,8 +306,7 @@ def reduced_density_bruteforce(bell: BellState, theta_fn,
     """
 
     def rows(p):
-        th = 0.5 * _finite_theta(theta_fn, p)
-        c, s = np.cos(th), np.sin(th)
+        c, s = _cos_sin(0.5 * np.asarray(theta_fn(p), dtype=float))
         d = np.empty((2, 2, p.size))
         d[0, 0] = c
         d[0, 1] = -s
@@ -233,7 +315,7 @@ def reduced_density_bruteforce(bell: BellState, theta_fn,
         prod = d[:, :, None, None, :] * d[None, None, :, :, :]
         return prod.reshape(16, -1)
 
-    flat, _, _ = _adaptive_average(rows, dist, quad)
+    flat, _, _ = _average_one(rows, dist, quad)
     moments = flat.reshape(2, 2, 2, 2)
     chi = bell.array().reshape(2, 2)
     rho = np.einsum("iakc,jbld,ab,cd->ijkl", moments, moments, chi, chi)

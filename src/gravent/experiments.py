@@ -3,8 +3,12 @@
 A sweep varies one of (q, tau_ratio, z) while the remaining orbit
 parameters stay fixed, running each grid point through the
 angle -> moments -> concurrence K = C^2 + S^2 -> entanglement pipeline.
-K is the concurrence of every Bell input; the reduced density matrices
-and Wootters' concurrence serve only as oracles in
+The moments of all of a sweep's rows come from one adaptive Gauss-Hermite
+quadrature batched across rows: each node level evaluates only the rows
+still active, and every row stops at its own level, exactly where it
+would stop alone (sweep_point is the one-row case).  K is the
+concurrence of every Bell input; the reduced density matrices and
+Wootters' concurrence serve only as oracles in
 oracle_equivalence_report.  Failures are recorded per row (horizon,
 domain, quadrature non-convergence) instead of aborting the sweep; with
 the opt-in stationary-phase convention those rows report zero moments
@@ -15,7 +19,7 @@ horizons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -23,22 +27,27 @@ from .entanglement import (
     BellState,
     CHI1,
     DEFAULT_QUAD,
+    NO_CONVERGENCE,
+    NOT_FINITE,
     MomentumDistribution,
     QuadConfig,
+    batch_trig_moments,
     entanglement_of_formation,
     reduced_density_bruteforce,
     trig_moments,
     wootters_concurrence,
     reduced_density_closed,
 )
-from .errors import AssertionFailure, ConvergenceError, DomainError, HorizonError
+from .errors import AssertionFailure, DomainError, HorizonError
 from .spacetime import ChargedBlackHole, outer_horizon
 from .wigner import (
     OrbitParams,
     kruskal_rate,
     lambda_radial,
+    momentum_factor,
     product_integral,
     schwarzschild_rate,
+    theta_amplitude,
     theta_circular,
 )
 
@@ -71,6 +80,8 @@ class SweepSpec:
             raise DomainError(
                 f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}"
             )
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise DomainError(f"lo and hi must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise DomainError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.samples < 2:
@@ -112,38 +123,65 @@ def resolve_sweep(spec: SweepSpec) -> tuple[SweepSpec, tuple[str, ...]]:
 def sweep_point(spec: SweepSpec, x: float,
                 stationary_phase: bool = False) -> SweepRow:
     """Run the full pipeline at a single value of the swept variable."""
-    flags: tuple[str, ...]
-    try:
-        params = replace(spec.fixed, **{spec.variable: x})
-        moments = trig_moments(
-            lambda p: theta_circular(params, p),
-            MomentumDistribution(params.q, params.beta),
-            spec.quad,
-        )
-    except HorizonError:
-        flags = ("horizon",)
-        moments = None
-    except ConvergenceError:
-        flags = ("no-convergence",)
-        moments = None
-    except DomainError:
-        return SweepRow(x, math.nan, math.nan, math.nan, math.nan, ("domain",))
-    if moments is None:
-        if stationary_phase:
-            # rapid-oscillation limit: the moments average to zero
-            return SweepRow(x, 0.0, 0.0, 0.0, 0.0, flags + ("stationary-phase",))
-        return SweepRow(x, math.nan, math.nan, math.nan, math.nan, flags)
-    flags = ("reduced-tolerance",) if moments.residual >= spec.quad.tol else ()
-    conc = moments.C * moments.C + moments.S * moments.S
-    e = entanglement_of_formation(min(conc, 1.0))
-    return SweepRow(x, moments.C, moments.S, conc, e, flags)
+    return _sweep_rows(spec, [x], stationary_phase)[0]
 
 
 def run_sweep(spec: SweepSpec, stationary_phase: bool = False) -> list[SweepRow]:
     """Evaluate the sweep over its grid; rows come back in ascending x."""
     spec, _ = resolve_sweep(spec)
     grid = np.linspace(spec.lo, spec.hi, spec.samples)
-    return [sweep_point(spec, float(x), stationary_phase) for x in grid]
+    return _sweep_rows(spec, [float(x) for x in grid], stationary_phase)
+
+
+def _sweep_rows(spec: SweepSpec, xs: list[float],
+                stationary_phase: bool) -> list[SweepRow]:
+    """The pipeline at each x, with one batched quadrature for all rows.
+
+    Each row's angle is Theta = amplitude * M(q, p), so one
+    batch_trig_moments call gives every row's moments.  Rows whose
+    parameters fail are flagged horizon or domain before that call.
+    """
+    rows: list[SweepRow | None] = [None] * len(xs)
+    live, amplitude, q = [], [], []
+    fixed = asdict(spec.fixed)
+    for i, x in enumerate(xs):
+        try:
+            params = OrbitParams(**{**fixed, spec.variable: x})
+            amplitude.append(theta_amplitude(params))
+        except HorizonError:
+            rows[i] = _refused_row(x, "horizon", stationary_phase)
+            continue
+        except DomainError:
+            rows[i] = _refused_row(x, "domain", stationary_phase)
+            continue
+        live.append(i)
+        q.append(params.q)
+    amplitude, q = np.array(amplitude), np.array(q)
+    moments = batch_trig_moments(
+        lambda index, p: amplitude[index, None] * momentum_factor(q[index, None], p),
+        q, spec.fixed.beta, spec.quad,
+    )
+    for i, status, (c, s), residual in zip(live, moments.status.tolist(),
+                                           moments.values.tolist(),
+                                           moments.residual.tolist()):
+        if status == NOT_FINITE:
+            rows[i] = _refused_row(xs[i], "domain", stationary_phase)
+        elif status == NO_CONVERGENCE:
+            rows[i] = _refused_row(xs[i], "no-convergence", stationary_phase)
+        else:
+            conc = c * c + s * s
+            e = entanglement_of_formation(min(conc, 1.0))
+            flags = ("reduced-tolerance",) if residual >= spec.quad.tol else ()
+            rows[i] = SweepRow(xs[i], c, s, conc, e, flags)
+    return rows
+
+
+def _refused_row(x: float, flag: str, stationary_phase: bool) -> SweepRow:
+    """A row the pipeline could not compute, flagged with the reason."""
+    if stationary_phase and flag != "domain":
+        # rapid-oscillation limit: the moments average to zero
+        return SweepRow(x, 0.0, 0.0, 0.0, 0.0, (flag, "stationary-phase"))
+    return SweepRow(x, math.nan, math.nan, math.nan, math.nan, (flag,))
 
 
 def figure_preset(n: int) -> SweepSpec:

@@ -33,8 +33,9 @@ TAU_S = 2.0 * math.pi
 def momentum_factor(q, p):
     """M(q, p), the momentum dependence shared by every rotation-rate formula.
 
-    Vectorized over p.  M(q, q) reduces to q*gamma exactly, and M is odd
-    under (q, p) -> (-q, -p).
+    Vectorized over p, and over q given as an array that broadcasts
+    against p (a column of q values against rows of momenta).  M(q, q)
+    reduces to q*gamma exactly, and M is odd under (q, p) -> (-q, -p).
     """
     gamma = np.sqrt(q * q + 1.0)
     p = np.asarray(p, dtype=float)
@@ -57,6 +58,9 @@ class OrbitParams:
     tau_ratio: float
 
     def __post_init__(self):
+        for name in ("xi2", "z", "q", "beta", "tau_ratio"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.xi2 < 0:
             raise DomainError(f"xi2 must be >= 0, got {self.xi2}")
         if self.z <= 0:
@@ -155,14 +159,22 @@ def _charged_prefactor(z: float, xi2: float) -> float:
     return (2 * z * z - 3 * z + 4 * xi2) / (2 * z * z * math.sqrt(s))
 
 
+def theta_amplitude(params: OrbitParams) -> float:
+    """2 pi (tau/tau_s) times the radial factor: Theta = amplitude * M(q, p).
+
+    Zero when tau = 0 or 2z^2 - 3z + 4 xi2 = 0; raises HorizonError on or
+    inside the horizons, toward which it diverges.
+    """
+    return TAU_S * params.tau_ratio * _charged_prefactor(params.z, params.xi2)
+
+
 def theta_circular(params: OrbitParams, p) -> float | np.ndarray:
     """Accumulated rotation angle for the charged hole, closed form.
 
     Vanishes identically in p when q = 0, tau = 0, or 2z^2 - 3z + 4 xi2 = 0;
     diverges toward the horizons, where z^2 - z + xi2 -> 0.
     """
-    prefactor = _charged_prefactor(params.z, params.xi2)
-    return TAU_S * params.tau_ratio * prefactor * momentum_factor(params.q, p)
+    return theta_amplitude(params) * momentum_factor(params.q, p)
 
 
 def theta_zeros(xi2: float) -> list[float]:

@@ -131,6 +131,26 @@ def test_sweep_requires_variable(capsys):
     assert "variable" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--xi2", "nan"), ("--hi", "inf")])
+def test_sweep_rejects_non_finite_values(capsys, flag, value):
+    code, out, err = run_cli(capsys, "sweep", "--variable", "q", "--lo", "0",
+                             "--hi", "3", "--samples", "3", flag, value)
+    assert code == 1
+    assert "DomainError" in err and "finite" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("samples", [2.9, True])
+def test_config_samples_must_be_an_integer(tmp_path, capsys, samples):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"variable": "z", "lo": 1, "hi": 3,
+                                    "samples": samples, "xi2": 0.16}))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
+    assert code == 2
+    assert "samples must be an integer" in err
+    assert out == ""
+
+
 def test_json_format(tmp_path, capsys):
     path = tmp_path / "fig1.json"
     assert main(["figure", "1", "--samples", "20", "--format", "json",
@@ -250,11 +270,34 @@ def test_env_var_overrides_quadrature_cap(tmp_path, capsys, monkeypatch):
     assert doc["meta"]["quad_max_nodes"] == 256
 
 
+def test_non_integer_quadrature_cap_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("GRAVENT_QUAD_NODES", "abc")
+    code, out, err = run_cli(capsys, "figure", "4", "--samples", "4")
+    assert code == 2
+    assert "GRAVENT_QUAD_NODES must be an integer" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_validate_command(capsys):
     code, out, _ = run_cli(capsys, "validate", "--draws", "5")
     assert code == 0
     assert "ALL CHECKS PASSED" in out
     assert out.count("PASS") >= 8
+
+
+def test_validate_checks_angle_zeros_against_the_quadratic(capsys, monkeypatch):
+    import gravent.cli as cli
+
+    true_zeros = cli.theta_zeros
+    monkeypatch.setattr(cli, "theta_zeros",
+                        lambda xi2: [z * (1.0 + 1e-9) for z in true_zeros(xi2)])
+    code, out, _ = run_cli(capsys, "validate", "--draws", "1")
+    assert code == 1
+    assert "FAIL  angle zeros" in out
+    monkeypatch.setattr(cli, "theta_zeros", lambda xi2: [])
+    code, out, _ = run_cli(capsys, "validate", "--draws", "1")
+    assert code == 1
+    assert "root count wrong at xi2 = [0.0, 0.1" in out
 
 
 def test_sweep_rejects_zero_samples(capsys):

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as adaptive_quad
 
+from gravent.entanglement import CONVERGED, NO_CONVERGENCE, NOT_FINITE
+
 from gravent import (
     BELL_STATES,
+    batch_trig_moments,
     CHI1,
     CHI3,
     CHI4,
@@ -113,6 +116,31 @@ def test_trig_moments_nonfinite_rejected():
     dist = MomentumDistribution(q=0.0, beta=1.0)
     with pytest.raises(DomainError):
         trig_moments(lambda p: np.where(p > 4.0, np.inf, p), dist)
+
+
+def test_momentum_distribution_rejects_non_finite():
+    for q, beta in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            MomentumDistribution(q=q, beta=beta)
+
+
+def test_batch_trig_moments_rows_match_single_rows():
+    # each row stops at its own level; a row's failure stays in its status
+    q = np.array([0.0, 0.3, -0.5, 0.2, 1.0])
+    slope = np.array([0.2, 3.0, np.inf, 5e5, 30.0])
+    quad = QuadConfig()
+    out = batch_trig_moments(lambda index, p: slope[index, None] * p, q, 0.9, quad)
+    assert out.status.tolist() == [CONVERGED, CONVERGED, NOT_FINITE,
+                                   NO_CONVERGENCE, CONVERGED]
+    assert len(set(out.nodes[out.status == CONVERGED].tolist())) > 1
+    assert out.residual[3] > quad.fail_residual
+    for i in (0, 1, 4):
+        single = trig_moments(lambda p: slope[i] * p,
+                              MomentumDistribution(q=q[i], beta=0.9), quad)
+        assert (out.values[i, 0], out.values[i, 1]) == (single.C, single.S)
+        assert (out.residual[i], out.nodes[i]) == (single.residual, single.nodes)
+    empty = batch_trig_moments(lambda index, p: p, np.array([]), 1.0, quad)
+    assert empty.status.size == 0
 
 
 def test_moment_bound_on_random_draws():

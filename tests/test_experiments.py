@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gravent import (
     DomainError,
     MomentumDistribution,
     OrbitParams,
+    QuadConfig,
     SweepSpec,
     TrigMoments,
     figure_preset,
@@ -41,6 +43,31 @@ def test_spec_validation():
         small_spec(lo=2.0, hi=2.0)
     with pytest.raises(DomainError):
         small_spec(samples=1)
+    for lo, hi in ((math.nan, 3.0), (1.0, math.nan), (1.0, math.inf), (-math.inf, 3.0)):
+        with pytest.raises(DomainError, match="finite"):
+            small_spec(lo=lo, hi=hi)
+
+
+# every flag a row can carry: z <= 0 is domain, z = 0.5 sits on the
+# near-degenerate zero of z^2 - z + xi2 (horizon), and the huge angle around
+# it runs into the node cap with bad and with acceptable residuals
+EVERY_FLAG_SPEC = SweepSpec("z", 0.0, 1.0, 401, OrbitParams(0.25 + 1e-12, 1.0, 0.6, 1.0, 5.0))
+
+
+@pytest.mark.parametrize("quad", [QuadConfig(), QuadConfig(start_nodes=32, max_nodes=256)],
+                         ids=["default", "32-256"])
+@pytest.mark.parametrize("stationary_phase", [False, True])
+def test_batched_sweep_equals_row_by_row(quad, stationary_phase):
+    # run_sweep's one batched quadrature gives every row bit for bit what
+    # sweep_point gives it alone
+    flags_seen = set()
+    for spec in [figure_preset(n) for n in range(1, 7)] + [EVERY_FLAG_SPEC]:
+        spec, _ = resolve_sweep(replace(spec, quad=quad))
+        rows = run_sweep(spec, stationary_phase)
+        grid = np.linspace(spec.lo, spec.hi, spec.samples)
+        assert rows == [sweep_point(spec, float(x), stationary_phase) for x in grid]
+        flags_seen.update(f for row in rows for f in row.flags)
+    assert {"horizon", "domain", "no-convergence", "reduced-tolerance"} <= flags_seen
 
 
 def test_figure_presets_fields():

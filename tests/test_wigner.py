@@ -46,6 +46,15 @@ def test_orbit_params_validation():
     OrbitParams(0.5, 0.05, 0.6, 1.0, 5.0)
 
 
+@pytest.mark.parametrize("field", range(5))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_orbit_params_reject_non_finite(field, bad):
+    values = [0.16, 1.6, 0.6, 1.0, 5.0]
+    values[field] = bad
+    with pytest.raises(DomainError, match="must be finite"):
+        OrbitParams(*values)
+
+
 def test_mass_shell_identity():
     model = ChargedBlackHole(0.16)
     for q in (-10.0, -0.5, 0.0, 0.6, 3.0, 10.0):
@@ -294,6 +303,13 @@ def test_momentum_factor_vectorized():
     vals = momentum_factor(0.6, p)
     assert vals.shape == p.shape
     assert vals[3] == pytest.approx(momentum_factor(0.6, 0.0))
+    # a column of q values against rows of momenta, as a batched sweep uses it
+    q = np.array([-1.5, 0.0, 0.6, 7.0])
+    grid = q[:, None] + p
+    batched = momentum_factor(q[:, None], grid)
+    assert batched.shape == grid.shape
+    for i, qi in enumerate(q):
+        assert np.array_equal(batched[i], momentum_factor(float(qi), grid[i]))
 
 
 def test_theta_vanishes_only_on_the_zero_locus():
