@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: figure, sweep, zeros, horizons, minima, radial-check,
-frame-compare, validate.  Sweep-style commands emit CSV (default), JSON
-or SVG with the resolved configuration embedded, so identical invocations
-produce byte-identical files.  The environment variable
-GRAVENT_QUAD_NODES overrides the adaptive quadrature node cap.
+frame-compare, validate.  `figure N` is a preset sweep: figure_preset(N)
+with its flags laid on top, as `sweep` lays its flags on --config.
+`minima --figure N` takes the sweep flags on top of preset N the same way.
+Sweep-style commands emit CSV (default), JSON or SVG with the resolved
+configuration embedded, so identical invocations produce byte-identical
+files.  Unreadable or malformed input exits 2, input outside the domain
+exits 1.  GRAVENT_QUAD_NODES overrides the quadrature node cap.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .entanglement import (
 )
 from .errors import DomainError, GraventError
 from .experiments import (
+    SWEEP_VARIABLES,
     SweepSpec,
     figure_preset,
     find_entanglement_minima,
@@ -58,6 +61,7 @@ _CONFIG_KEYS = {
 }
 _FIXED_DEFAULTS = {"xi2": 0.0, "z": 2.0, "q": 0.6, "beta": 1.0, "tau_ratio": 5.0}
 _PLACEHOLDERS = {"q": 0.0, "tau_ratio": 0.0}
+_FORMATS = ("csv", "json", "svg")
 
 
 class _UsageError(Exception):
@@ -73,75 +77,83 @@ def quad_from_env() -> QuadConfig:
         cap = int(cap)
     except ValueError:
         raise _UsageError(f"GRAVENT_QUAD_NODES must be an integer, got {cap!r}") from None
-    return QuadConfig(max_nodes=cap, start_nodes=min(64, cap // 2))
+    return QuadConfig(max_nodes=cap)
+
+
+def _spec_dict(spec: SweepSpec) -> dict:
+    """A spec's range, Bell tag and fixed orbit values, as flat keys."""
+    flat = {"variable": spec.variable, "lo": spec.lo, "hi": spec.hi,
+            "samples": spec.samples, "bell": spec.bell.tag}
+    for key in _FIXED_DEFAULTS:
+        if key != spec.variable:
+            flat[key] = getattr(spec.fixed, key)
+    return flat
 
 
 def preset_config(n: int) -> dict:
     """The flat key/value form of figure_preset(n), suitable for --config."""
-    spec = figure_preset(n)
-    cfg = {
-        "variable": spec.variable,
-        "lo": spec.lo,
-        "hi": spec.hi,
-        "samples": spec.samples,
-        "bell": spec.bell.tag,
-        "xi2": spec.fixed.xi2,
-    }
-    for key in ("z", "q", "beta", "tau_ratio"):
-        if key != spec.variable:
-            cfg[key] = getattr(spec.fixed, key)
-    return cfg
+    return _spec_dict(figure_preset(n))
+
+
+def _number(cfg: dict, key: str) -> float:
+    value = cfg[key]
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise _UsageError(f"{key} must be a number, got {value!r}")
 
 
 def _spec_from_config(cfg: dict, quad: QuadConfig) -> SweepSpec:
     variable = cfg.get("variable")
-    if variable is None:
-        raise DomainError("a sweep needs 'variable' (one of q, tau_ratio, z)")
+    if variable not in SWEEP_VARIABLES:
+        raise DomainError(f"a sweep needs 'variable', one of {SWEEP_VARIABLES}, "
+                          f"got {variable!r}")
     if cfg.get("lo") is None or cfg.get("hi") is None:
         raise DomainError("a sweep needs 'lo' and 'hi'")
+    lo, hi = _number(cfg, "lo"), _number(cfg, "hi")
     fixed_kwargs = {}
-    for key in ("xi2", "z", "q", "beta", "tau_ratio"):
-        if key == variable:
-            continue
-        value = cfg.get(key)
-        fixed_kwargs[key] = _FIXED_DEFAULTS[key] if value is None else float(value)
-    if variable in _PLACEHOLDERS:
-        fixed_kwargs[variable] = _PLACEHOLDERS[variable]
-    else:
-        fixed_kwargs[variable] = float(cfg["hi"])  # any valid radius; overwritten per row
+    for key, default in _FIXED_DEFAULTS.items():
+        if key != variable:
+            fixed_kwargs[key] = default if cfg.get(key) is None else _number(cfg, key)
+    # any valid value (for z, the range's upper end); overwritten per row
+    fixed_kwargs[variable] = _PLACEHOLDERS.get(variable, hi)
     samples = cfg.get("samples")
     samples = 400 if samples is None else samples
     if isinstance(samples, bool) or not isinstance(samples, int):
         raise _UsageError(f"samples must be an integer, got {samples!r}")
-    return SweepSpec(
-        variable=variable,
-        lo=float(cfg["lo"]),
-        hi=float(cfg["hi"]),
-        samples=samples,
-        fixed=OrbitParams(**fixed_kwargs),
-        bell=bell_state(cfg.get("bell") or "chi1"),
-        quad=quad,
-    )
+    return SweepSpec(variable, lo, hi, samples, OrbitParams(**fixed_kwargs),
+                     bell_state(cfg.get("bell") or "chi1"), quad)
+
+
+def _sweep_spec(args) -> tuple[SweepSpec, dict]:
+    """The spec of `figure`, `sweep` and `minima`, and the settings it came from.
+
+    Starts from preset_config(N) when a figure number is given and from
+    --config otherwise, then lays every flag that was given on top.
+    """
+    figure = getattr(args, "figure", None)
+    config = getattr(args, "config", None)
+    if figure is not None and config is not None:
+        raise _UsageError("give a figure number or --config, not both")
+    cfg = preset_config(figure) if figure is not None else _load_config(config)
+    for key in _CONFIG_KEYS - {"stationary_phase"}:
+        value = getattr(args, key, None)
+        if value is not None:
+            cfg[key] = value
+    cfg["stationary_phase"] = bool(args.stationary_phase or cfg.get("stationary_phase"))
+    cfg["format"] = cfg.get("format") or "csv"
+    if cfg["format"] not in _FORMATS:
+        raise _UsageError(f"format must be one of {_FORMATS}, got {cfg['format']!r}")
+    return _spec_from_config(cfg, quad_from_env()), cfg
 
 
 def _sweep_meta(spec: SweepSpec, notes: tuple[str, ...],
                 stationary_phase: bool) -> dict:
-    meta = {
-        "package": f"gravent {__version__}",
-        "variable": spec.variable,
-        "lo": spec.lo,
-        "hi": spec.hi,
-        "samples": spec.samples,
-        "bell": spec.bell.tag,
-        "stationary_phase": stationary_phase,
-        "quad_max_nodes": spec.quad.max_nodes,
-        "xi2": spec.fixed.xi2,
-        "notes": list(notes),
-    }
-    for key in ("z", "q", "beta", "tau_ratio"):
-        if key != spec.variable:
-            meta[key] = getattr(spec.fixed, key)
-    return meta
+    return {"package": f"gravent {__version__}", **_spec_dict(spec),
+            "stationary_phase": stationary_phase,
+            "quad_max_nodes": spec.quad.max_nodes, "notes": list(notes)}
 
 
 def render_sweep(spec: SweepSpec, stationary_phase: bool, fmt: str) -> str:
@@ -162,52 +174,36 @@ def render_sweep(spec: SweepSpec, stationary_phase: bool, fmt: str) -> str:
 def _write(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {output}: {exc.strerror or exc}") from None
 
 
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise _UsageError(f"cannot read config {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise _UsageError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise _UsageError(f"config {path} must hold a JSON object, "
+                          f"got {type(cfg).__name__}")
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
     return cfg
 
 
-def _merged_sweep_config(args, allow_config=True) -> dict:
-    cfg = _load_config(getattr(args, "config", None) if allow_config else None)
-    for key in ("variable", "lo", "hi", "samples", "xi2", "z", "q",
-                "beta", "tau_ratio", "bell"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    if getattr(args, "stationary_phase", False):
-        cfg["stationary_phase"] = True
-    return cfg
-
-
-def _cmd_figure(args) -> int:
-    spec = figure_preset(args.n)
-    spec = replace(spec, quad=quad_from_env())
-    if args.samples is not None:
-        spec = replace(spec, samples=args.samples)
-    if args.bell is not None:
-        spec = replace(spec, bell=bell_state(args.bell))
-    _write(render_sweep(spec, args.stationary_phase, args.format), args.output)
-    return 0
-
-
 def _cmd_sweep(args) -> int:
-    cfg = _merged_sweep_config(args)
-    spec = _spec_from_config(cfg, quad_from_env())
-    stationary = bool(cfg.get("stationary_phase", False))
-    fmt = cfg.get("format") or args.format or "csv"
-    output = args.output or cfg.get("output")
-    _write(render_sweep(spec, stationary, fmt), output)
+    spec, cfg = _sweep_spec(args)
+    _write(render_sweep(spec, cfg["stationary_phase"], cfg["format"]), cfg.get("output"))
     return 0
 
 
@@ -230,22 +226,13 @@ def _cmd_horizons(args) -> int:
 
 
 def _cmd_minima(args) -> int:
-    if args.figure is not None:
-        spec = figure_preset(args.figure)
-        spec = replace(spec, quad=quad_from_env())
-        stationary = args.stationary_phase
-    else:
-        cfg = _merged_sweep_config(args)
-        spec = _spec_from_config(cfg, quad_from_env())
-        stationary = bool(cfg.get("stationary_phase", False))
-    if spec.variable != "z":
-        raise DomainError("minima search needs a z-sweep")
+    spec, cfg = _sweep_spec(args)
+    stationary = cfg["stationary_phase"]
     minima = find_entanglement_minima(spec, stationary)
     resolved, notes = resolve_sweep(spec)
     meta = _sweep_meta(resolved, notes, stationary)
     meta["feature"] = "entanglement minima"
-    text = emit_csv(["z", "E"], [(z, e) for z, e in minima], meta)
-    _write(text, args.output)
+    _write(emit_csv(["z", "E"], [(z, e) for z, e in minima], meta), cfg.get("output"))
     return 0
 
 
@@ -387,18 +374,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("figure", help="run one of the six built-in sweeps")
-    p.add_argument("n", type=int, choices=range(1, 7))
+    p.add_argument("figure", metavar="n", type=int, choices=range(1, 7))
     p.add_argument("--samples", type=int)
     p.add_argument("--bell", choices=[chi.tag for chi in BELL_STATES])
-    p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
+    p.add_argument("--format", choices=_FORMATS, default="csv")
     p.add_argument("-o", "--output")
     p.add_argument("--stationary-phase", dest="stationary_phase",
                    action="store_true")
-    p.set_defaults(fn=_cmd_figure)
+    p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("sweep", help="run a custom parameter sweep")
     _add_sweep_flags(p)
-    p.add_argument("--format", choices=("csv", "json", "svg"))
+    p.add_argument("--format", choices=_FORMATS)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_sweep)
 
@@ -429,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
+    p.add_argument("--format", choices=_FORMATS, default="csv")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_frame_compare)
 

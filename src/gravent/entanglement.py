@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .errors import ConvergenceError, DomainError, NumericalError
 
@@ -73,25 +72,25 @@ class MomentumDistribution:
         return np.exp(-u * u) / (math.sqrt(math.pi) * self.beta)
 
 
+# Each row doubles its Gauss-Hermite nodes until successive estimates agree
+# to TOL; one that reaches the cap with a residual above FAIL_RESIDUAL fails.
+TOL = 1e-10
+FAIL_RESIDUAL = 1e-6
+
+
 @dataclass(frozen=True)
 class QuadConfig:
-    """Adaptive Gauss-Hermite settings: double nodes until converged.
+    """The node cap of the adaptive Gauss-Hermite quadrature.
 
-    Doubling stops once successive estimates agree to `tol` or the node
-    count reaches `max_nodes`; a cap hit with residual above
-    `fail_residual` raises ConvergenceError instead of returning a value.
+    Every row starts at min(64, max_nodes // 2) nodes and doubles up to
+    max_nodes.
     """
 
-    tol: float = 1e-10
-    start_nodes: int = 64
     max_nodes: int = 2048
-    fail_residual: float = 1e-6
 
     def __post_init__(self):
-        if self.start_nodes < 2:
-            raise DomainError("start_nodes must be >= 2")
-        if self.max_nodes < 2 * self.start_nodes:
-            raise DomainError("max_nodes must be at least twice start_nodes")
+        if self.max_nodes < 4:
+            raise DomainError(f"max_nodes must be >= 4, got {self.max_nodes}")
 
 
 DEFAULT_QUAD = QuadConfig()
@@ -102,6 +101,8 @@ _HERMITE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n not in _HERMITE_CACHE:
+        from scipy.special import roots_hermite  # only once a table is built
+
         x, w = roots_hermite(n)
         w = w / math.sqrt(math.pi)
         keep = w > 0.0  # weights underflow beyond |x| ~ 27; drop dead nodes
@@ -114,14 +115,18 @@ def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Temporaries of the batched quadrature hold about this many elements, so a
-# sweep's memory stays flat however many rows it has.
-_BLOCK_ELEMENTS = 2 ** 14
+# sweep's memory stays flat however many rows it has.  At 2**14 (128 KiB
+# each) whether glibc malloc reuses heap blocks or maps fresh pages at every
+# level hung on the import order: ~10k page faults and ~25% of the time of a
+# q-sweep round once SciPy was imported after gravent.  At 2**13 none fault.
+_BLOCK_ELEMENTS = 2 ** 13
 
-# Per-row outcome of _adaptive_average.  A converged row may still carry a
-# residual at or above tol when it stopped at the cap (reduced tolerance).
+# Per-row outcome of _adaptive_average.  A REDUCED_TOLERANCE row stopped at
+# the cap with a residual between TOL and FAIL_RESIDUAL; it has a value.
 CONVERGED = 0
 NOT_FINITE = 1
 NO_CONVERGENCE = 2
+REDUCED_TOLERANCE = 3
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,7 @@ class Averages:
     values[i] holds row i's averages (one per integrand component),
     residual[i] the change between its last two node levels, nodes[i]
     the node count it stopped at and status[i] one of CONVERGED,
-    NOT_FINITE and NO_CONVERGENCE.
+    REDUCED_TOLERANCE, NOT_FINITE and NO_CONVERGENCE.
     """
 
     values: np.ndarray
@@ -145,12 +150,13 @@ def _adaptive_average(rows_fn, q, beta: float, quad: QuadConfig) -> Averages:
 
     rows_fn(index, p) gets the indices of a block of rows and their momenta
     p, shape (len(index), nodes), and returns the integrand, shape
-    (len(index), components, nodes).  Every row starts at quad.start_nodes
-    and doubles until its own estimates agree to quad.tol or it reaches
-    quad.max_nodes; each level evaluates only the rows still active, in
-    blocks of about _BLOCK_ELEMENTS momenta.  A row whose integrand is not
-    finite stops with status NOT_FINITE, and one that reaches the cap with
-    a residual above quad.fail_residual stops with NO_CONVERGENCE.
+    (len(index), components, nodes).  Every row starts at
+    min(64, quad.max_nodes // 2) nodes and doubles until its own estimates
+    agree to TOL or it reaches quad.max_nodes; each level evaluates only the
+    rows still active, in blocks of about _BLOCK_ELEMENTS momenta.  A row
+    whose integrand is not finite stops with status NOT_FINITE; one that
+    reaches the cap unconverged stops with NO_CONVERGENCE if its residual
+    is above FAIL_RESIDUAL and with REDUCED_TOLERANCE otherwise.
     """
     q = np.asarray(q, dtype=float)
     values = None
@@ -159,7 +165,7 @@ def _adaptive_average(rows_fn, q, beta: float, quad: QuadConfig) -> Averages:
     status = np.zeros(q.size, dtype=int)  # CONVERGED
     active = np.arange(q.size)
     prev = None
-    n = quad.start_nodes
+    n = min(64, quad.max_nodes // 2)
     while active.size:
         x, w = _hermite_rule(n)
         block = max(1, _BLOCK_ELEMENTS // x.size)
@@ -179,9 +185,11 @@ def _adaptive_average(rows_fn, q, beta: float, quad: QuadConfig) -> Averages:
         status[active[done]] = NOT_FINITE
         if prev is not None:
             residual[active] = res
-            converged = res < quad.tol
+            converged = res < TOL
             if n >= quad.max_nodes:
-                status[active[~done & ~converged & (res > quad.fail_residual)]] = NO_CONVERGENCE
+                capped = ~done & ~converged
+                status[active[capped]] = np.where(res[capped] > FAIL_RESIDUAL,
+                                                  NO_CONVERGENCE, REDUCED_TOLERANCE)
                 done[:] = True
             else:
                 done |= converged
@@ -207,7 +215,7 @@ def _average_one(rows_fn, dist: MomentumDistribution, quad: QuadConfig):
     if out.status[0] == NO_CONVERGENCE:
         raise ConvergenceError(
             f"residual {residual:.3e} at the {nodes}-node cap "
-            f"(limit {quad.fail_residual:.1e})"
+            f"(limit {FAIL_RESIDUAL:.1e})"
         )
     return out.values[0], residual, nodes
 
@@ -250,7 +258,7 @@ def trig_moments(theta_fn, dist: MomentumDistribution,
     theta_fn must accept an array of momenta.  Under the probability
     weight, C^2 + S^2 <= 1 always, with equality only for constant Theta.
     Raises DomainError for a non-finite Theta and ConvergenceError when
-    the node cap leaves a residual above quad.fail_residual.
+    the node cap leaves a residual above FAIL_RESIDUAL.
     """
     (c, s), residual, nodes = _average_one(
         lambda p: _cos_sin(np.asarray(theta_fn(p), dtype=float)), dist, quad)
@@ -378,11 +386,6 @@ class DensityMatrixDiagnostics:
     hermiticity: float
     trace_error: float
     min_eigenvalue: float
-
-    def is_physical(self, herm_tol=1e-12, trace_tol=1e-10, psd_tol=-1e-10) -> bool:
-        return (self.hermiticity < herm_tol
-                and self.trace_error < trace_tol
-                and self.min_eigenvalue > psd_tol)
 
 
 def density_matrix_diagnostics(rho: np.ndarray) -> DensityMatrixDiagnostics:

@@ -22,12 +22,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DomainError, HorizonError
 from .spacetime import ChargedBlackHole, HORIZON_TOL, metric_potentials, outer_horizon
 
 TAU_S = 2.0 * math.pi
+
+# The bracket of M(q, p) is a difference of two terms of size ~q that is
+# of order 1 near p = q, so it loses about log10(q) digits: past this bound
+# it keeps fewer than 8, and from q ~ 1e16 on it cancels to exactly 0.
+MAX_MOMENTUM = 1e8
 
 
 def momentum_factor(q, p):
@@ -63,6 +67,8 @@ class OrbitParams:
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.xi2 < 0:
             raise DomainError(f"xi2 must be >= 0, got {self.xi2}")
+        if abs(self.q) > MAX_MOMENTUM:
+            raise DomainError(f"|q| must be <= {MAX_MOMENTUM:g}, got q={self.q}")
         if self.z <= 0:
             raise DomainError(f"orbit radius must be positive, got z={self.z}")
         if self.beta <= 0:
@@ -240,6 +246,8 @@ def product_integral(rate_fn, tau_i: float, tau_f: float, steps: int) -> np.ndar
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
+    from scipy.linalg import expm  # off the import path of gravent
+
     dtau = (tau_f - tau_i) / steps
     acc = None
     for k in range(steps):

@@ -131,6 +131,14 @@ def test_sweep_requires_variable(capsys):
     assert "variable" in err
 
 
+def test_config_variable_must_be_a_sweep_variable(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"variable": "mass", "lo": 1, "hi": 3}))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
+    assert code == 1
+    assert "DomainError" in err and "'mass'" in err and out == ""
+
+
 @pytest.mark.parametrize("flag, value", [("--xi2", "nan"), ("--hi", "inf")])
 def test_sweep_rejects_non_finite_values(capsys, flag, value):
     code, out, err = run_cli(capsys, "sweep", "--variable", "q", "--lo", "0",
@@ -148,6 +156,40 @@ def test_config_samples_must_be_an_integer(tmp_path, capsys, samples):
     code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
     assert code == 2
     assert "samples must be an integer" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config"),
+    ('{"variable": "z", "lo": 1,', "not valid JSON"),
+    ("5", "must hold a JSON object, got int"),
+    ('{"variable": "z", "lo": "abc", "hi": 3}', "lo must be a number, got 'abc'"),
+    ('{"variable": "z", "lo": 1, "hi": 3, "xi2": "abc"}', "xi2 must be a number, got 'abc'"),
+    ('{"variable": "z", "lo": 1, "hi": 3, "format": "xml"}', "format must be one of"),
+], ids=["missing", "malformed", "not-an-object", "lo", "xi2", "format"])
+def test_bad_config_is_a_usage_error(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
+    assert code == 2
+    assert err.startswith("usage error: ") and message in err
+    assert err.count("\n") == 1 and out == ""
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "no-such-dir" / "fig4.csv"
+    code, out, err = run_cli(capsys, "figure", "4", "--samples", "4", "-o", str(path))
+    assert code == 2
+    assert err.startswith("usage error: cannot write") and err.count("\n") == 1
+    assert out == ""
+
+
+def test_sweep_rejects_huge_momentum(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--variable", "z", "--lo", "1",
+                             "--hi", "3", "--samples", "3", "--q", "1e200")
+    assert code == 1
+    assert "DomainError" in err and "1e+08" in err
     assert out == ""
 
 
@@ -227,6 +269,26 @@ def test_minima_command(tmp_path, capsys):
     assert len(rows) == 1
     z_min = float(rows[0].split(",")[0])
     assert abs(z_min - 2.2864) < 0.05
+
+
+def test_minima_lays_sweep_flags_on_the_preset(tmp_path, capsys):
+    out_path = tmp_path / "minima.csv"
+    assert main(["minima", "--figure", "5", "--samples", "50", "-o", str(out_path)]) == 0
+    capsys.readouterr()
+    meta = out_path.read_text()
+    assert "# samples = 50\n" in meta
+    assert "# xi2 = 0.265\n" in meta
+
+
+def test_figure_number_with_config_is_a_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "fig5.json"
+    cfg_path.write_text(json.dumps(preset_config(5)))
+    code, out, err = run_cli(capsys, "minima", "--figure", "5", "--config", str(cfg_path))
+    assert code == 2
+    assert "not both" in err and out == ""
+    code, _, _ = run_cli(capsys, "minima", "--figure", "5", "--samples", "50",
+                         "--xi2", "0.16", "--config", str(tmp_path / "missing.json"))
+    assert code == 2
 
 
 def test_minima_rejects_non_z_sweep(capsys):
@@ -330,11 +392,12 @@ def test_figure_matches_committed_output(n, fmt):
                         f"got {new!r}, committed {old!r}")
 
 
-def test_import_does_not_load_scipy_optimize():
+def test_import_does_not_load_scipy():
     src = str(Path(gravent.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, gravent, gravent.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, gravent, gravent.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

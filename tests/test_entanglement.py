@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as adaptive_quad
 
-from gravent.entanglement import CONVERGED, NO_CONVERGENCE, NOT_FINITE
+from gravent.entanglement import (
+    CONVERGED,
+    FAIL_RESIDUAL,
+    NO_CONVERGENCE,
+    NOT_FINITE,
+    REDUCED_TOLERANCE,
+)
 
 from gravent import (
     BELL_STATES,
@@ -55,9 +61,12 @@ def test_momentum_distribution_normalized():
 
 
 def test_quad_config_validation():
-    with pytest.raises(DomainError):
-        QuadConfig(start_nodes=64, max_nodes=100)
-    QuadConfig(start_nodes=32, max_nodes=64)
+    with pytest.raises(DomainError, match="max_nodes must be >= 4"):
+        QuadConfig(max_nodes=3)
+    # the smallest cap runs two levels, 2 and 4 nodes
+    m = trig_moments(lambda p: 0.0 * p, MomentumDistribution(q=0.0, beta=1.0),
+                     QuadConfig(max_nodes=4))
+    assert (m.C, m.S, m.nodes) == (pytest.approx(1.0, abs=1e-15), 0.0, 4)
 
 
 def test_trig_moments_constant_angle():
@@ -133,7 +142,7 @@ def test_batch_trig_moments_rows_match_single_rows():
     assert out.status.tolist() == [CONVERGED, CONVERGED, NOT_FINITE,
                                    NO_CONVERGENCE, CONVERGED]
     assert len(set(out.nodes[out.status == CONVERGED].tolist())) > 1
-    assert out.residual[3] > quad.fail_residual
+    assert out.residual[3] > FAIL_RESIDUAL
     for i in (0, 1, 4):
         single = trig_moments(lambda p: slope[i] * p,
                               MomentumDistribution(q=q[i], beta=0.9), quad)
@@ -141,6 +150,24 @@ def test_batch_trig_moments_rows_match_single_rows():
         assert (out.residual[i], out.nodes[i]) == (single.residual, single.nodes)
     empty = batch_trig_moments(lambda index, p: p, np.array([]), 1.0, quad)
     assert empty.status.size == 0
+
+
+def test_capped_rows_with_small_residual_have_reduced_tolerance():
+    # at a 256-node cap, slopes 26 and 27 stop with residuals between TOL
+    # and FAIL_RESIDUAL, slope 28 above it
+    slope = np.array([26.0, 27.0, 28.0])
+    quad = QuadConfig(max_nodes=256)
+    out = batch_trig_moments(lambda index, p: slope[index, None] * p,
+                             np.zeros(3), 0.9, quad)
+    assert out.status.tolist() == [REDUCED_TOLERANCE, REDUCED_TOLERANCE, NO_CONVERGENCE]
+    assert (out.nodes == 256).all()
+    for i in (0, 1):
+        single = trig_moments(lambda p: slope[i] * p,
+                              MomentumDistribution(q=0.0, beta=0.9), quad)
+        assert (single.C, single.S) == (out.values[i, 0], out.values[i, 1])
+        assert 1e-10 <= single.residual <= FAIL_RESIDUAL
+    with pytest.raises(ConvergenceError):
+        trig_moments(lambda p: 28.0 * p, MomentumDistribution(q=0.0, beta=0.9), quad)
 
 
 def test_moment_bound_on_random_draws():

@@ -54,8 +54,10 @@ def test_spec_validation():
 EVERY_FLAG_SPEC = SweepSpec("z", 0.0, 1.0, 401, OrbitParams(0.25 + 1e-12, 1.0, 0.6, 1.0, 5.0))
 
 
-@pytest.mark.parametrize("quad", [QuadConfig(), QuadConfig(start_nodes=32, max_nodes=256)],
-                         ids=["default", "32-256"])
+# a cap of 100 starts at 50 nodes, off the default start level of 64
+@pytest.mark.parametrize("quad", [QuadConfig(), QuadConfig(max_nodes=256),
+                                  QuadConfig(max_nodes=100)],
+                         ids=["default", "256", "100"])
 @pytest.mark.parametrize("stationary_phase", [False, True])
 def test_batched_sweep_equals_row_by_row(quad, stationary_phase):
     # run_sweep's one batched quadrature gives every row bit for bit what

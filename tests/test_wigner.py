@@ -11,6 +11,7 @@ from gravent import (
     ETA,
     HorizonError,
     OrbitParams,
+    SweepSpec,
     circular_orbit_state,
     kruskal_rate,
     lambda_circular,
@@ -20,6 +21,7 @@ from gravent import (
     rotation_matrix,
     schwarzschild_rate,
     spin_rep,
+    sweep_point,
     theta_circular,
     theta_zeros,
     wigner_rate_matrix,
@@ -53,6 +55,18 @@ def test_orbit_params_reject_non_finite(field, bad):
     values[field] = bad
     with pytest.raises(DomainError, match="must be finite"):
         OrbitParams(*values)
+
+
+def test_orbit_params_bound_the_momentum():
+    # past |q| = 1e8 the bracket of M(q, p) keeps fewer than 8 digits; at
+    # q = 1e17 it is exactly 0 and E would read 1 with no flag
+    for q in (1e8, -1e8):
+        OrbitParams(0.0, 2.0, q, 1.0, 5.0)
+    for q in (1.0000001e8, -1e9, 1e17, 1e200):
+        with pytest.raises(DomainError, match=r"\|q\| must be <= 1e\+08"):
+            OrbitParams(0.0, 2.0, q, 1.0, 5.0)
+    spec = SweepSpec("q", 0.0, 1e17, 2, OrbitParams(0.0, 2.0, 0.0, 1.0, 5.0))
+    assert sweep_point(spec, 1e17).flags == ("domain",)
 
 
 def test_mass_shell_identity():
