@@ -22,7 +22,6 @@ from .spacetime import (
     ChargedBlackHole,
     ETA,
     KruskalPoint,
-    MetricModel,
     Tetrad,
     frame_transform_matrix,
     horizons,

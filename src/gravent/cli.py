@@ -4,10 +4,14 @@ Subcommands: figure, sweep, zeros, horizons, minima, radial-check,
 frame-compare, validate.  `figure N` is a preset sweep: figure_preset(N)
 with its flags laid on top, as `sweep` lays its flags on --config.
 `minima --figure N` takes the sweep flags on top of preset N the same way.
-Sweep-style commands emit CSV (default), JSON or SVG with the resolved
-configuration embedded, so identical invocations produce byte-identical
-files.  Unreadable or malformed input exits 2, input outside the domain
-exits 1.  GRAVENT_QUAD_NODES overrides the quadrature node cap.
+A --config file holds exactly the keys of its command's flags, so every
+setting changes what the command prints: `minima` takes no
+--stationary-phase or format, and --bell exists only on radial-check,
+since all four Bell inputs share a sweep's concurrence.  Sweep-style
+commands emit CSV (default), JSON or SVG with the resolved configuration
+embedded, so identical invocations produce byte-identical files.
+Unreadable or malformed input exits 2, input outside the domain exits 1.
+GRAVENT_QUAD_NODES overrides the quadrature node cap.
 """
 
 from __future__ import annotations
@@ -55,13 +59,17 @@ from .wigner import (
     wigner_rate_matrix,
 )
 
-_CONFIG_KEYS = {
-    "variable", "lo", "hi", "samples", "xi2", "z", "q", "beta", "tau_ratio",
-    "bell", "format", "output", "stationary_phase",
-}
 _FIXED_DEFAULTS = {"xi2": 0.0, "z": 2.0, "q": 0.6, "beta": 1.0, "tau_ratio": 5.0}
 _PLACEHOLDERS = {"q": 0.0, "tau_ratio": 0.0}
 _FORMATS = ("csv", "json", "svg")
+# parsed dests that are not config keys
+_NOT_CONFIG = {"command", "fn", "config", "figure"}
+# the non-numeric config values and what each must be
+_VALUE_CHECKS = {
+    "stationary_phase": (lambda v: isinstance(v, bool), "true or false"),
+    "format": (lambda v: v in _FORMATS, f"one of {_FORMATS}"),
+    "output": (lambda v: isinstance(v, str), "a string"),
+}
 
 
 class _UsageError(Exception):
@@ -81,9 +89,9 @@ def quad_from_env() -> QuadConfig:
 
 
 def _spec_dict(spec: SweepSpec) -> dict:
-    """A spec's range, Bell tag and fixed orbit values, as flat keys."""
+    """A spec's range and fixed orbit values, as flat keys."""
     flat = {"variable": spec.variable, "lo": spec.lo, "hi": spec.hi,
-            "samples": spec.samples, "bell": spec.bell.tag}
+            "samples": spec.samples}
     for key in _FIXED_DEFAULTS:
         if key != spec.variable:
             flat[key] = getattr(spec.fixed, key)
@@ -123,43 +131,41 @@ def _spec_from_config(cfg: dict, quad: QuadConfig) -> SweepSpec:
     samples = 400 if samples is None else samples
     if isinstance(samples, bool) or not isinstance(samples, int):
         raise _UsageError(f"samples must be an integer, got {samples!r}")
-    return SweepSpec(variable, lo, hi, samples, OrbitParams(**fixed_kwargs),
-                     bell_state(cfg.get("bell") or "chi1"), quad)
+    return SweepSpec(variable, lo, hi, samples, OrbitParams(**fixed_kwargs), quad)
 
 
 def _sweep_spec(args) -> tuple[SweepSpec, dict]:
     """The spec of `figure`, `sweep` and `minima`, and the settings it came from.
 
     Starts from preset_config(N) when a figure number is given and from
-    --config otherwise, then lays every flag that was given on top.
+    --config otherwise, then lays every flag that was given on top.  The
+    settings are the command's flags: a config may hold no other key.
     """
+    keys = vars(args).keys() - _NOT_CONFIG
     figure = getattr(args, "figure", None)
     config = getattr(args, "config", None)
     if figure is not None and config is not None:
         raise _UsageError("give a figure number or --config, not both")
-    cfg = preset_config(figure) if figure is not None else _load_config(config)
-    for key in _CONFIG_KEYS - {"stationary_phase"}:
-        value = getattr(args, key, None)
+    cfg = preset_config(figure) if figure is not None else _load_config(config, keys)
+    for key in keys:
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
-    cfg["stationary_phase"] = bool(args.stationary_phase or cfg.get("stationary_phase"))
-    cfg["format"] = cfg.get("format") or "csv"
-    if cfg["format"] not in _FORMATS:
-        raise _UsageError(f"format must be one of {_FORMATS}, got {cfg['format']!r}")
+    for key, (valid, expected) in _VALUE_CHECKS.items():
+        if cfg.get(key) is not None and not valid(cfg[key]):
+            raise _UsageError(f"{key} must be {expected}, got {cfg[key]!r}")
     return _spec_from_config(cfg, quad_from_env()), cfg
 
 
-def _sweep_meta(spec: SweepSpec, notes: tuple[str, ...],
-                stationary_phase: bool) -> dict:
+def _sweep_meta(spec: SweepSpec, notes: tuple[str, ...]) -> dict:
     return {"package": f"gravent {__version__}", **_spec_dict(spec),
-            "stationary_phase": stationary_phase,
             "quad_max_nodes": spec.quad.max_nodes, "notes": list(notes)}
 
 
 def render_sweep(spec: SweepSpec, stationary_phase: bool, fmt: str) -> str:
     resolved, notes = resolve_sweep(spec)
     rows = run_sweep(resolved, stationary_phase)
-    meta = _sweep_meta(resolved, notes, stationary_phase)
+    meta = {**_sweep_meta(resolved, notes), "stationary_phase": stationary_phase}
     columns = [resolved.variable, "C", "S", "concurrence", "E", "flags"]
     records = [(r.x, r.C, r.S, r.concurrence, r.E, r.flags) for r in rows]
     if fmt == "csv":
@@ -182,7 +188,7 @@ def _write(text: str, output: str | None) -> None:
         raise _UsageError(f"cannot write {output}: {exc.strerror or exc}") from None
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, keys: set[str]) -> dict:
     if path is None:
         return {}
     try:
@@ -195,7 +201,7 @@ def _load_config(path: str | None) -> dict:
     if not isinstance(cfg, dict):
         raise _UsageError(f"config {path} must hold a JSON object, "
                           f"got {type(cfg).__name__}")
-    unknown = set(cfg) - _CONFIG_KEYS
+    unknown = cfg.keys() - keys
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
     return cfg
@@ -203,7 +209,8 @@ def _load_config(path: str | None) -> dict:
 
 def _cmd_sweep(args) -> int:
     spec, cfg = _sweep_spec(args)
-    _write(render_sweep(spec, cfg["stationary_phase"], cfg["format"]), cfg.get("output"))
+    text = render_sweep(spec, bool(cfg.get("stationary_phase")), cfg.get("format") or "csv")
+    _write(text, cfg.get("output"))
     return 0
 
 
@@ -227,11 +234,8 @@ def _cmd_horizons(args) -> int:
 
 def _cmd_minima(args) -> int:
     spec, cfg = _sweep_spec(args)
-    stationary = cfg["stationary_phase"]
-    minima = find_entanglement_minima(spec, stationary)
-    resolved, notes = resolve_sweep(spec)
-    meta = _sweep_meta(resolved, notes, stationary)
-    meta["feature"] = "entanglement minima"
+    minima = find_entanglement_minima(spec)
+    meta = {**_sweep_meta(*resolve_sweep(spec)), "feature": "entanglement minima"}
     _write(emit_csv(["z", "E"], [(z, e) for z, e in minima], meta), cfg.get("output"))
     return 0
 
@@ -346,23 +350,17 @@ def _cmd_validate(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _add_sweep_flags(sub, with_variable=True) -> None:
-    if with_variable:
-        sub.add_argument("--variable", choices=("q", "tau_ratio", "z"))
-        sub.add_argument("--lo", type=float)
-        sub.add_argument("--hi", type=float)
+def _add_sweep_flags(sub) -> None:
+    sub.add_argument("--variable", choices=SWEEP_VARIABLES)
+    sub.add_argument("--lo", type=float)
+    sub.add_argument("--hi", type=float)
     sub.add_argument("--samples", type=int)
     sub.add_argument("--xi2", type=float)
     sub.add_argument("--z", type=float)
     sub.add_argument("--q", type=float)
     sub.add_argument("--beta", type=float)
     sub.add_argument("--tau-ratio", dest="tau_ratio", type=float)
-    sub.add_argument("--bell", choices=[chi.tag for chi in BELL_STATES])
     sub.add_argument("--config", help="JSON file with the same keys as the flags")
-    sub.add_argument("--stationary-phase", dest="stationary_phase",
-                     action="store_true",
-                     help="report E=0 for rows whose moments oscillate too "
-                          "fast to converge (horizon limit convention)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -376,7 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="run one of the six built-in sweeps")
     p.add_argument("figure", metavar="n", type=int, choices=range(1, 7))
     p.add_argument("--samples", type=int)
-    p.add_argument("--bell", choices=[chi.tag for chi in BELL_STATES])
     p.add_argument("--format", choices=_FORMATS, default="csv")
     p.add_argument("-o", "--output")
     p.add_argument("--stationary-phase", dest="stationary_phase",
@@ -385,6 +382,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a custom parameter sweep")
     _add_sweep_flags(p)
+    # default None, not False, so that an absent flag leaves the config's value
+    p.add_argument("--stationary-phase", dest="stationary_phase",
+                   action="store_true", default=None,
+                   help="report E=0 for rows whose moments oscillate too "
+                        "fast to converge (horizon limit convention)")
     p.add_argument("--format", choices=_FORMATS)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_sweep)

@@ -25,7 +25,6 @@ import numpy as np
 
 from .entanglement import (
     BellState,
-    CHI1,
     DEFAULT_QUAD,
     NO_CONVERGENCE,
     NOT_FINITE,
@@ -63,9 +62,9 @@ class SweepSpec:
     """Declarative description of a one-dimensional parameter sweep.
 
     `fixed` supplies every orbit parameter; its value for the swept
-    variable is a placeholder that the grid overwrites row by row.
-    `bell` is recorded in the output metadata only: every Bell input has
-    the same concurrence C^2 + S^2.
+    variable is a placeholder that the grid overwrites row by row.  No
+    Bell state is named: every Bell input has the same concurrence
+    C^2 + S^2, so a sweep's rows hold for all four.
     """
 
     variable: str
@@ -73,7 +72,6 @@ class SweepSpec:
     hi: float
     samples: int
     fixed: OrbitParams
-    bell: BellState = CHI1
     quad: QuadConfig = DEFAULT_QUAD
 
     def __post_init__(self):
@@ -235,18 +233,19 @@ def _golden_section_min(f, a: float, b: float, tol: float) -> float:
     return 0.5 * (a + b)
 
 
-def find_entanglement_minima(spec: SweepSpec,
-                             stationary_phase: bool = False) -> list[tuple[float, float]]:
+def find_entanglement_minima(spec: SweepSpec) -> list[tuple[float, float]]:
     """Local minima of E(z): grid scan plus golden-section refinement.
 
     Only strict interior dips among clean consecutive rows count, which
     keeps flat stretches and flagged gaps from producing spurious hits.
+    A refused row is never clean, so the stationary-phase convention
+    could not change the result.
     Refinement narrows each bracket until it is shorter than 1e-4.
     """
     if spec.variable != "z":
         raise DomainError("minima search expects a z-sweep")
     spec, _ = resolve_sweep(spec)
-    rows = run_sweep(spec, stationary_phase)
+    rows = run_sweep(spec)
 
     def value_at(z: float) -> float:
         row = sweep_point(spec, z)

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-from xml.sax.saxutils import escape
 
 from .errors import EmptyDataError
 
@@ -50,6 +49,11 @@ def emit_json(columns: list[str], records: list[tuple], meta: dict) -> str:
     """{"meta": ..., "rows": [...]} with NaN rendered as null."""
     rows = [{c: _jsonable(v) for c, v in zip(columns, rec)} for rec in records]
     return json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
+
+
+def _escape(text: str) -> str:
+    """XML character data: & first, so the other two entities stay intact."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
@@ -112,7 +116,7 @@ def emit_svg(series: dict[str, list[tuple[float, float]]],
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f"<desc>{escape(json.dumps(meta or {}, sort_keys=True))}</desc>",
+        f"<desc>{_escape(json.dumps(meta or {}, sort_keys=True))}</desc>",
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     axis_style = 'stroke="black" stroke-width="1"'
@@ -133,13 +137,13 @@ def emit_svg(series: dict[str, list[tuple[float, float]]],
         parts.append(f'<text x="{_ML - 8}" y="{y + 4:.2f}" font-size="12" '
                      f'text-anchor="end">{t:.4g}</text>')
     parts.append(f'<text x="{(_ML + _WIDTH - _MR) / 2:.1f}" y="{_HEIGHT - 12}" '
-                 f'font-size="14" text-anchor="middle">{escape(axes[0])}</text>')
+                 f'font-size="14" text-anchor="middle">{_escape(axes[0])}</text>')
     parts.append(f'<text x="18" y="{(_MT + _HEIGHT - _MB) / 2:.1f}" font-size="14" '
                  f'text-anchor="middle" transform="rotate(-90 18 '
-                 f'{(_MT + _HEIGHT - _MB) / 2:.1f})">{escape(axes[1])}</text>')
+                 f'{(_MT + _HEIGHT - _MB) / 2:.1f})">{_escape(axes[1])}</text>')
     if title:
         parts.append(f'<text x="{_WIDTH / 2:.1f}" y="24" font-size="16" '
-                     f'text-anchor="middle">{escape(title)}</text>')
+                     f'text-anchor="middle">{_escape(title)}</text>')
 
     for idx, (label, runs) in enumerate(runs_by_label.items()):
         color = _PALETTE[idx % len(_PALETTE)]
@@ -153,6 +157,6 @@ def emit_svg(series: dict[str, list[tuple[float, float]]],
                          f'x2="{_WIDTH - _MR - 96}" y2="{y_leg}" '
                          f'stroke="{color}" stroke-width="1.5"/>')
             parts.append(f'<text x="{_WIDTH - _MR - 90}" y="{y_leg + 4}" '
-                         f'font-size="12">{escape(label)}</text>')
+                         f'font-size="12">{_escape(label)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,20 +1,18 @@
-"""Static spherically symmetric metrics, tetrads, horizons and Kruskal maps.
+"""The charged black hole's static metric, tetrads, horizons and Kruskal maps.
 
 Everything is dimensionless: c = 1 and radii are measured in units of the
 mass radius, z = r / r_s.  The line element handled here is
 
     ds^2 = -e^{2A(z)} dt^2 + e^{2B(z)} dz^2 + z^2 (dtheta^2 + sin^2 theta dphi^2)
 
-with asymptotically flat potentials A, B.  The charged-black-hole closed
-form e^{2A} = e^{-2B} = 1 - 1/z + xi2/z^2 is built in; generic models
-supply their own potentials together with analytic derivatives.
+with e^{2A} = e^{-2B} = 1 - 1/z + xi2/z^2 for a hole of squared charge
+xi2; the potentials' radial derivatives are analytic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -25,23 +23,6 @@ ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 # |e^{2A}| below this counts as sitting on a horizon.
 HORIZON_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class MetricModel:
-    """User-defined metric potentials with analytic radial derivatives.
-
-    A and B map the dimensionless radius z to the potentials of the line
-    element above; A_prime and B_prime are dA/dz and dB/dz.  No numerical
-    differentiation happens in the library, so derivative noise cannot
-    leak into root-finding.
-    """
-
-    A: Callable[[float], float]
-    B: Callable[[float], float]
-    A_prime: Callable[[float], float]
-    B_prime: Callable[[float], float]
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -118,22 +99,14 @@ def outer_horizon(xi2: float) -> float | None:
     return roots[-1] if roots else None
 
 
-def metric_potentials(model, z: float) -> tuple[float, float, float]:
+def metric_potentials(model: ChargedBlackHole, z: float) -> tuple[float, float, float]:
     """(A, B, dA/dz) at radius z, guarded against horizons.
 
     Raises DomainError for z <= 0 and HorizonError when e^{2A} falls
     below HORIZON_TOL (on or inside a horizon, where the Wigner angle
     turns imaginary).
     """
-    if z <= 0:
-        raise DomainError(f"radius must be positive, got z={z}")
-    if isinstance(model, ChargedBlackHole):
-        model._guarded_factor(z)
-        return model.A(z), model.B(z), model.A_prime(z)
-    a = model.A(z)
-    if not math.isfinite(a) or math.exp(2.0 * a) < HORIZON_TOL:
-        raise HorizonError(f"e^{{2A}} vanishes at z={z} for {model.description!r}")
-    return a, model.B(z), model.A_prime(z)
+    return model.A(z), model.B(z), model.A_prime(z)
 
 
 @dataclass(frozen=True)

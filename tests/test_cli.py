@@ -117,12 +117,14 @@ def test_sweep_flags_override_config(tmp_path, capsys):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
-    cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps({"variable": "z", "lo": 1.0, "hi": 2.0,
-                                    "charge": 0.1}))
-    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
-    assert code == 2
-    assert "charge" in err
+    # a sweep names no Bell state: every Bell input has the same concurrence
+    for key, value in (("charge", 0.1), ("bell", "chi1")):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps({"variable": "z", "lo": 1.0, "hi": 2.0,
+                                        key: value}))
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 2
+        assert f"unknown config keys: ['{key}']" in err
 
 
 def test_sweep_requires_variable(capsys):
@@ -166,7 +168,19 @@ def test_config_samples_must_be_an_integer(tmp_path, capsys, samples):
     ('{"variable": "z", "lo": "abc", "hi": 3}', "lo must be a number, got 'abc'"),
     ('{"variable": "z", "lo": 1, "hi": 3, "xi2": "abc"}', "xi2 must be a number, got 'abc'"),
     ('{"variable": "z", "lo": 1, "hi": 3, "format": "xml"}', "format must be one of"),
-], ids=["missing", "malformed", "not-an-object", "lo", "xi2", "format"])
+    ('{"variable": "z", "lo": 1, "hi": 3, "format": 0}', "format must be one of"),
+    ('{"variable": "z", "lo": 1, "hi": 3, "format": false}', "format must be one of"),
+    ('{"variable": "z", "lo": 1, "hi": 3, "format": ""}', "format must be one of"),
+    ('{"variable": "z", "lo": 1, "hi": 3, "stationary_phase": "no"}',
+     "stationary_phase must be true or false, got 'no'"),
+    ('{"variable": "z", "lo": 1, "hi": 3, "output": 1}', "output must be a string, got 1"),
+    ('{"variable": "z", "lo": 1, "hi": 3, "output": true}', "output must be a string, got True"),
+    ('{"variable": "z", "lo": 1, "hi": 3, "output": 2}', "output must be a string, got 2"),
+    ('{"variable": "z", "lo": 1, "hi": 3, "output": ["a"]}',
+     "output must be a string, got ['a']"),
+], ids=["missing", "malformed", "not-an-object", "lo", "xi2", "format", "format-0",
+        "format-false", "format-empty", "stationary-phase-string", "output-1",
+        "output-true", "output-2", "output-list"])
 def test_bad_config_is_a_usage_error(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "cfg.json"
     if text is not None:
@@ -278,6 +292,66 @@ def test_minima_lays_sweep_flags_on_the_preset(tmp_path, capsys):
     meta = out_path.read_text()
     assert "# samples = 50\n" in meta
     assert "# xi2 = 0.265\n" in meta
+
+
+MINIMA_FIGURE_4 = """\
+# gravent output
+# beta = 1.0
+# feature = 'entanglement minima'
+# hi = 6.0
+# lo = 0.801
+# notes = ['lo clamped from 0.8 to 0.801 (outer horizon at 0.8)']
+# package = 'gravent 0.1.0'
+# q = 0.6
+# quad_max_nodes = 2048
+# samples = 400
+# tau_ratio = 5.0
+# variable = 'z'
+# xi2 = 0.16
+z,E
+2.286428571428572,0.3910461595435549
+"""
+
+
+def test_minima_records_only_the_settings_it_uses(capsys):
+    code, out, _ = run_cli(capsys, "minima", "--figure", "4")
+    assert code == 0
+    assert out == MINIMA_FIGURE_4
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "4", "--bell", "chi2"],
+    ["sweep", "--variable", "z", "--lo", "1", "--hi", "3", "--bell", "chi2"],
+    ["minima", "--figure", "4", "--bell", "chi2"],
+    ["minima", "--figure", "4", "--stationary-phase"],
+], ids=["figure-bell", "sweep-bell", "minima-bell", "minima-stationary-phase"])
+def test_flags_that_change_no_output_are_gone(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "unrecognized arguments" in err and out == ""
+
+
+@pytest.mark.parametrize("key, value", [("format", "svg"), ("stationary_phase", True),
+                                        ("bell", "chi1")])
+def test_minima_config_holds_only_minima_settings(tmp_path, capsys, key, value):
+    cfg = {**preset_config(4), key: value}
+    cfg_path = tmp_path / "minima.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "minima", "--config", str(cfg_path))
+    assert code == 2
+    assert err == f"usage error: unknown config keys: ['{key}']\n" and out == ""
+
+
+def test_sweep_config_stationary_phase_survives_absent_flag(tmp_path, capsys):
+    cfg = {**preset_config(4), "samples": 6, "stationary_phase": True}
+    cfg_path = tmp_path / "fig4.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, by_config, _ = run_cli(capsys, "sweep", "--config", str(cfg_path))
+    assert code == 0
+    code, by_flag, _ = run_cli(capsys, "figure", "4", "--samples", "6",
+                               "--stationary-phase")
+    assert code == 0
+    assert by_config == by_flag and "# stationary_phase = True\n" in by_flag
 
 
 def test_figure_number_with_config_is_a_usage_error(tmp_path, capsys):
@@ -392,12 +466,14 @@ def test_figure_matches_committed_output(n, fmt):
                         f"got {new!r}, committed {old!r}")
 
 
-def test_import_does_not_load_scipy():
+def test_import_does_not_load_scipy_xml_sax_or_urllib():
+    # counted on top of numpy: its pathlib import loads urllib.parse
     src = str(Path(gravent.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, gravent, gravent.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = ("import sys, numpy; before = set(sys.modules); import gravent, gravent.cli; "
+            "print(sorted(m for m in set(sys.modules) - before "
+            "if m.split('.')[0] in ('scipy', 'urllib') or m.startswith('xml.sax')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -147,18 +147,6 @@ def test_sweep_point_flags():
     assert row.E == 0.0
 
 
-def test_bell_state_independence():
-    spec = small_spec(samples=8, lo=1.3, hi=3.0)
-    reference = run_sweep(spec)
-    for chi in BELL_STATES[1:]:
-        rows = run_sweep(SweepSpec(spec.variable, spec.lo, spec.hi,
-                                   spec.samples, spec.fixed, bell=chi))
-        for a, b in zip(reference, rows):
-            assert a.C == b.C and a.S == b.S
-            assert abs(a.concurrence - b.concurrence) < 1e-10
-            assert abs(a.E - b.E) < 1e-10
-
-
 @pytest.mark.parametrize("n", range(1, 7))
 def test_preset_rows_report_moment_norm_as_concurrence(n):
     # sweeps report K = C^2 + S^2 directly; Wootters on the closed-form rho
@@ -196,9 +184,9 @@ def test_find_minima_requires_z_sweep():
 
 
 def test_find_minima_ignores_flat_zero_stretches():
-    # stationary-phase zeros must not register as spurious dips
+    # refused rows near the horizon must not register as spurious dips
     spec = small_spec(lo=0.85, hi=1.35, samples=40)
-    minima = find_entanglement_minima(spec, stationary_phase=True)
+    minima = find_entanglement_minima(spec)
     assert minima == []
 
 

@@ -1,0 +1,113 @@
+"""Property tests: pipeline invariants on drawn in-domain orbits.
+
+Orbits are drawn from the ranges of random_orbit_params (clear of the
+horizons, where the default quadrature converges).  Draws are
+derandomized so that a run of the suite is reproducible, and
+max_examples is kept small so that the module takes a few seconds.
+"""
+
+import math
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gravent import (
+    BELL_STATES,
+    MomentumDistribution,
+    OrbitParams,
+    SweepSpec,
+    density_matrix_diagnostics,
+    entanglement_of_formation,
+    outer_horizon,
+    reduced_density_bruteforce,
+    reduced_density_closed,
+    sweep_point,
+    theta_circular,
+    theta_zeros,
+    trig_moments,
+)
+from gravent.cli import render_sweep
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@st.composite
+def orbits(draw, xi2_max=0.29):
+    xi2 = draw(st.floats(0.0, xi2_max))
+    floor = (outer_horizon(xi2) or 0.0) + 0.6
+    return OrbitParams(
+        xi2=xi2,
+        z=draw(st.floats(floor, floor + 5.0)),
+        q=draw(st.floats(0.05, 1.2)) * draw(st.sampled_from((1.0, -1.0))),
+        beta=draw(st.floats(0.3, 1.5)),
+        tau_ratio=draw(st.floats(0.2, 3.0)),
+    )
+
+
+def moments(params: OrbitParams):
+    return trig_moments(lambda p: theta_circular(params, p),
+                        MomentumDistribution(params.q, params.beta))
+
+
+def row_at(params: OrbitParams):
+    """sweep_point at the orbit, swept in tau so every other value is fixed."""
+    spec = SweepSpec("tau_ratio", 0.0, 1.0, 2, params)
+    return sweep_point(spec, params.tau_ratio)
+
+
+@PROPERTY
+@given(orbits())
+def test_moment_norm_and_entanglement_are_bounded(params):
+    m = moments(params)
+    # a weighted mean of unit vectors, up to rounding of the weighted sum
+    assert m.C * m.C + m.S * m.S <= 1.0 + 1e-14
+    row = row_at(params)
+    assert row.flags == ()
+    assert 0.0 <= row.E <= 1.0
+
+
+@PROPERTY
+@given(orbits(), st.sampled_from(BELL_STATES))
+def test_density_matrices_are_physical(params, chi):
+    closed = reduced_density_closed(chi, moments(params))
+    brute = reduced_density_bruteforce(chi, lambda p: theta_circular(params, p),
+                                       MomentumDistribution(params.q, params.beta))
+    for rho in (closed, brute):
+        diag = density_matrix_diagnostics(rho)
+        assert diag.hermiticity < 1e-12
+        assert diag.trace_error < 1e-10
+        assert diag.min_eigenvalue > -1e-10
+
+
+@PROPERTY
+@given(orbits())
+def test_no_elapsed_time_keeps_full_entanglement(params):
+    # C is the sum of the quadrature weights, 1 to within rounding
+    assert row_at(replace(params, tau_ratio=0.0)).E > 1.0 - 1e-12
+
+
+@PROPERTY
+@given(orbits(xi2_max=9.0 / 32.0))
+def test_angle_zero_radii_keep_full_entanglement(params):
+    for z in theta_zeros(params.xi2):
+        assert row_at(replace(params, z=z)).E > 1.0 - 1e-12
+
+
+@PROPERTY
+@given(orbits())
+def test_concurrence_is_even_in_momentum(params):
+    m = moments(params)
+    flipped = moments(replace(params, q=-params.q))
+    k, k_flipped = m.C * m.C + m.S * m.S, flipped.C * flipped.C + flipped.S * flipped.S
+    assert math.isclose(k, k_flipped, rel_tol=0.0, abs_tol=1e-12)
+
+
+@PROPERTY
+@given(orbits(), st.sampled_from(("q", "tau_ratio", "z")),
+       st.integers(2, 8), st.booleans(), st.sampled_from(("csv", "json", "svg")))
+def test_sweeps_are_byte_identical_from_run_to_run(params, variable, samples,
+                                                   stationary_phase, fmt):
+    lo = {"q": -1.0, "tau_ratio": 0.0, "z": params.z}[variable]
+    spec = SweepSpec(variable, lo, lo + 2.0, samples, params)
+    assert render_sweep(spec, stationary_phase, fmt) == render_sweep(spec, stationary_phase, fmt)
