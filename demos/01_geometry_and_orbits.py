@@ -78,8 +78,9 @@ def angle_blowup():
     for dz in (0.2, 0.02, 0.002, 2e-7):
         params = OrbitParams(0.16, 0.8 + dz, 0.6, 1.0, 5.0)
         print(f"  z = z+ + {dz:<7} Theta(p=0) = {theta_circular(params, 0.0):+.3e}")
-    print("  the angle diverges at the horizon; the entanglement pipeline")
-    print("  flags such rows instead of averaging an unresolvable oscillation")
+    print("  the angle diverges at the horizon; the sweep quadrature damps the")
+    print("  oscillation on a line shifted into the complex momentum plane,")
+    print("  and such rows come out fully decohered")
     print()
 
 

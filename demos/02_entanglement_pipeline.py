@@ -33,7 +33,7 @@ def moments_step():
     print(f"  C = {m.C:+.12f}")
     print(f"  S = {m.S:+.12f}")
     print(f"  C^2 + S^2 = {m.C**2 + m.S**2:.12f} (always <= 1)")
-    print(f"  converged with {m.nodes} nodes, residual {m.residual:.1e}")
+    print(f"  converged with {m.nodes} trapezoid intervals, residual {m.residual:.1e}")
     print()
     return m, theta_fn, dist
 

@@ -1,10 +1,9 @@
 """Reproduce the six built-in entanglement sweeps and plot them.
 
 Run with `python demos/03_figure_sweeps.py`.  CSV tables and SVG plots
-land in demos/out/.  Non-convergent rows (rotation angle oscillating
-beyond the quadrature cap, as happens toward horizons) are reported with
-the stationary-phase convention E = 0 so the curves show the limit the
-divergence implies.
+land in demos/out/.  Every preset row is computed; the stationary-phase
+convention (E = 0 for a row the quadrature cannot resolve) is switched on
+as the documented fallback and flags no row.
 """
 
 import os

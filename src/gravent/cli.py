@@ -11,7 +11,7 @@ since all four Bell inputs share a sweep's concurrence.  Sweep-style
 commands emit CSV (default), JSON or SVG with the resolved configuration
 embedded, so identical invocations produce byte-identical files.
 Unreadable or malformed input exits 2, input outside the domain exits 1.
-GRAVENT_QUAD_NODES overrides the quadrature node cap.
+GRAVENT_QUAD_NODES overrides the quadrature interval cap.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class _UsageError(Exception):
 
 
 def quad_from_env() -> QuadConfig:
-    """Default quadrature settings, honoring GRAVENT_QUAD_NODES."""
+    """Default quadrature settings, honoring GRAVENT_QUAD_NODES (the interval cap)."""
     cap = os.environ.get("GRAVENT_QUAD_NODES")
     if cap is None:
         return DEFAULT_QUAD
@@ -250,7 +250,10 @@ def _cmd_radial_check(args) -> int:
 
 
 def _cmd_frame_compare(args) -> int:
-    grid = np.linspace(args.r_lo, args.r_hi, args.samples)
+    if args.samples < 1:
+        raise DomainError(f"samples must be >= 1, got {args.samples}")
+    with np.errstate(invalid="ignore"):  # frame_comparison rejects non-finite ends
+        grid = np.linspace(args.r_lo, args.r_hi, args.samples)
     rows = frame_comparison(grid, args.q, args.p)
     meta = {
         "package": f"gravent {__version__}",
@@ -316,7 +319,6 @@ def _cmd_validate(args) -> int:
     check("product integral vs closed-form rotation", dev < 1e-8,
           f"max deviation {dev:.3e}")
 
-    failures_before = failures
     try:
         for chi in BELL_STATES:
             radial_invariance_check(chi, quad=quad)

@@ -8,9 +8,14 @@ that depend only on the two averages
 
     C = <cos Theta>,   S = <sin Theta>
 
-over w(p).  The closed forms are checked against a brute-force average of
-rotated projectors, which is the reference implementation whenever the
-two disagree.
+over w(p).  The averages come from a nested trapezoid rule in
+x = (p - q)/beta, which converges exponentially for integrands analytic
+in a strip around its line (Trefethen & Weideman, SIAM Review 56, 2014);
+a sweep row may move that line into the complex plane, where a fast
+oscillation is damped, as numerical steepest descent does (Huybrechs &
+Vandewalle, SIAM J. Numer. Anal. 44, 2006).  The closed forms are checked
+against a brute-force average of rotated projectors, which is the
+reference implementation whenever the two disagree.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ class MomentumDistribution:
         return np.exp(-u * u) / (math.sqrt(math.pi) * self.beta)
 
 
-# Each row doubles its Gauss-Hermite nodes until successive estimates agree
+# Each row doubles its trapezoid intervals until successive estimates agree
 # to TOL; one that reaches the cap with a residual above FAIL_RESIDUAL fails.
 TOL = 1e-10
 FAIL_RESIDUAL = 1e-6
@@ -80,10 +85,10 @@ FAIL_RESIDUAL = 1e-6
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """The node cap of the adaptive Gauss-Hermite quadrature.
+    """The interval cap of the adaptive trapezoid rule.
 
-    Every row starts at min(64, max_nodes // 2) nodes and doubles up to
-    max_nodes.
+    Every row starts at min(64, max_nodes // 2) intervals and doubles
+    while the count stays within max_nodes.
     """
 
     max_nodes: int = 2048
@@ -95,31 +100,18 @@ class QuadConfig:
 
 DEFAULT_QUAD = QuadConfig()
 
-# Node tables are computed once per count and shared; immutable thereafter.
-_HERMITE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _HERMITE_CACHE:
-        from scipy.special import roots_hermite  # only once a table is built
-
-        x, w = roots_hermite(n)
-        w = w / math.sqrt(math.pi)
-        keep = w > 0.0  # weights underflow beyond |x| ~ 27; drop dead nodes
-        x = x[keep].copy()
-        w = w[keep].copy()
-        x.setflags(write=False)
-        w.setflags(write=False)
-        _HERMITE_CACHE[n] = (x, w)
-    return _HERMITE_CACHE[n]
-
+# The rule integrates over x = (p - q)/beta on [-7, 7]; the weight e^{-x^2}
+# at the ends is 5e-22, below rounding, so the end nodes are left out and
+# every node is interior.
+_HALF_WIDTH = 7.0
 
 # Temporaries of the batched quadrature hold about this many elements, so a
-# sweep's memory stays flat however many rows it has.  At 2**14 (128 KiB
-# each) whether glibc malloc reuses heap blocks or maps fresh pages at every
-# level hung on the import order: ~10k page faults and ~25% of the time of a
-# q-sweep round once SciPy was imported after gravent.  At 2**13 none fault.
-_BLOCK_ELEMENTS = 2 ** 13
+# sweep's memory stays flat however many rows it has.  Complex temporaries
+# take 16 bytes per element: at 2**12 each stays at 64 KiB, below the 128 KiB
+# at which glibc malloc switched between reusing heap blocks and mapping
+# fresh pages (~10k page faults and ~25% of a q-sweep, depending on import
+# order).
+_BLOCK_ELEMENTS = 2 ** 12
 
 # Per-row outcome of _adaptive_average.  A REDUCED_TOLERANCE row stopped at
 # the cap with a residual between TOL and FAIL_RESIDUAL; it has a value.
@@ -134,8 +126,8 @@ class Averages:
     """Per-row results of one batched adaptive average.
 
     values[i] holds row i's averages (one per integrand component),
-    residual[i] the change between its last two node levels, nodes[i]
-    the node count it stopped at and status[i] one of CONVERGED,
+    residual[i] the change between its last two levels, nodes[i] the
+    interval count it stopped at and status[i] one of CONVERGED,
     REDUCED_TOLERANCE, NOT_FINITE and NO_CONVERGENCE.
     """
 
@@ -145,37 +137,59 @@ class Averages:
     status: np.ndarray
 
 
-def _adaptive_average(rows_fn, q, beta: float, quad: QuadConfig) -> Averages:
-    """Average an integrand over a Gaussian of width beta centred at each q.
+def _adaptive_average(rows_fn, size: int, quad: QuadConfig, shift=None) -> Averages:
+    """Average an integrand over the Gaussian weight e^{-x^2}/sqrt(pi), per row.
 
-    rows_fn(index, p) gets the indices of a block of rows and their momenta
-    p, shape (len(index), nodes), and returns the integrand, shape
-    (len(index), components, nodes).  Every row starts at
-    min(64, quad.max_nodes // 2) nodes and doubles until its own estimates
-    agree to TOL or it reaches quad.max_nodes; each level evaluates only the
-    rows still active, in blocks of about _BLOCK_ELEMENTS momenta.  A row
+    Row i integrates along the line x = t - i*shift[i], t in [-7, 7]
+    (shift 0, the real line, by default); for an integrand analytic
+    between that line and the real axis, Cauchy's theorem keeps the
+    value.  rows_fn(index, x) gets the indices of a block of rows and
+    their nodes x, real of shape (1, nodes) for unshifted rows and
+    complex of shape (len(index), nodes) for shifted ones, and returns
+    the integrand times e^{t^2 - x^2} (the shifted Gaussian over the
+    real one), shape (len(index), components, nodes).
+
+    The rule is the trapezoid rule in t, nested: every row starts at
+    min(64, quad.max_nodes // 2) intervals and each level doubles them,
+    evaluating only the new midpoints, until the row's estimates agree
+    to TOL or the next level would pass quad.max_nodes.  Each estimate
+    is the running sum over the rule's weight sum, so a constant
+    integrand averages to itself exactly.  Each level evaluates only the
+    rows still active, in blocks of about _BLOCK_ELEMENTS nodes.  A row
     whose integrand is not finite stops with status NOT_FINITE; one that
     reaches the cap unconverged stops with NO_CONVERGENCE if its residual
     is above FAIL_RESIDUAL and with REDUCED_TOLERANCE otherwise.
     """
-    q = np.asarray(q, dtype=float)
-    values = None
-    residual = np.full(q.size, math.inf)
-    nodes = np.zeros(q.size, dtype=int)
-    status = np.zeros(q.size, dtype=int)  # CONVERGED
-    active = np.arange(q.size)
-    prev = None
+    shift = np.zeros(size) if shift is None else np.asarray(shift, dtype=float)
+    values = sums = weight = prev = None
+    residual = np.full(size, math.inf)
+    nodes = np.zeros(size, dtype=int)
+    status = np.zeros(size, dtype=int)  # CONVERGED
+    active = np.arange(size)
     n = min(64, quad.max_nodes // 2)
+    t = (2.0 * _HALF_WIDTH / n) * np.arange(1, n) - _HALF_WIDTH
     while active.size:
-        x, w = _hermite_rule(n)
-        block = max(1, _BLOCK_ELEMENTS // x.size)
-        # (rows, components, nodes) @ w runs one gemv per row, the same
-        # product a lone row gets, so batching moves no bits
-        parts = [rows_fn(idx, q[idx, None] + beta * x) @ w
-                 for idx in (active[i:i + block] for i in range(0, active.size, block))]
-        est = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        if values is None:
-            values = np.empty((q.size, est.shape[1]))
+        w = np.exp(-t * t)
+        block = max(1, _BLOCK_ELEMENTS // t.size)
+        parts, order = [], []
+        for group in (active[shift[active] == 0.0], active[shift[active] != 0.0]):
+            for idx in (group[i:i + block] for i in range(0, group.size, block)):
+                x = t[None] if shift[idx[0]] == 0.0 else t - 1j * shift[idx, None]
+                # (rows, components, nodes) @ w runs one gemv per row, the
+                # same product a lone row gets, so batching moves no bits
+                parts.append(rows_fn(idx, x) @ w)
+                order.append(idx)
+        new = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        rows = order[0] if len(order) == 1 else np.concatenate(order)
+        # the same product on the constant 1 adds up the weights
+        new_weight = (np.ones((1, new.shape[1], t.size)) @ w)[0]
+        if sums is None:
+            values, sums = np.empty((2, size, new.shape[1]))
+            sums[rows], weight = new, new_weight
+        else:
+            sums[rows] += new
+            weight = weight + new_weight
+        est = sums[active] / weight
         values[active] = est
         nodes[active] = n
         # max propagates nan and inf, so a row's res is finite exactly when
@@ -186,7 +200,7 @@ def _adaptive_average(rows_fn, q, beta: float, quad: QuadConfig) -> Averages:
         if prev is not None:
             residual[active] = res
             converged = res < TOL
-            if n >= quad.max_nodes:
+            if 2 * n > quad.max_nodes:
                 capped = ~done & ~converged
                 status[active[capped]] = np.where(res[capped] > FAIL_RESIDUAL,
                                                   NO_CONVERGENCE, REDUCED_TOLERANCE)
@@ -195,42 +209,58 @@ def _adaptive_average(rows_fn, q, beta: float, quad: QuadConfig) -> Averages:
                 done |= converged
         keep = ~done
         active, prev = active[keep], est[keep]
-        n = min(2 * n, quad.max_nodes)
+        n *= 2
+        t = (2.0 * _HALF_WIDTH / n) * np.arange(1, n, 2) - _HALF_WIDTH
     if values is None:  # an empty batch
         values = np.empty((0, 0))
     return Averages(values, residual, nodes, status)
 
 
 def _average_one(rows_fn, dist: MomentumDistribution, quad: QuadConfig):
-    """The one-row case of _adaptive_average, with failures raised.
+    """The one-row, real-line case of _adaptive_average, with failures raised.
 
     rows_fn maps a 1-D array of momenta to the integrand, shape
-    (components, nodes).  Returns (averages, residual, nodes_used).
+    (components, nodes).  Returns (averages, residual, intervals_used).
     """
-    out = _adaptive_average(lambda _, p: rows_fn(p[0])[None], [dist.q],
-                            dist.beta, quad)
+    out = _adaptive_average(lambda _, x: rows_fn(dist.q + dist.beta * x[0])[None],
+                            1, quad)
     residual, nodes = float(out.residual[0]), int(out.nodes[0])
     if out.status[0] == NOT_FINITE:
         raise DomainError("theta is not finite on the quadrature support")
     if out.status[0] == NO_CONVERGENCE:
         raise ConvergenceError(
-            f"residual {residual:.3e} at the {nodes}-node cap "
+            f"residual {residual:.3e} at the {nodes}-interval cap "
             f"(limit {FAIL_RESIDUAL:.1e})"
         )
     return out.values[0], residual, nodes
 
 
-def _cos_sin(theta: np.ndarray) -> np.ndarray:
-    """cos and sin of theta, stacked on a new axis before the nodes axis."""
+def _cis(theta: np.ndarray) -> np.ndarray:
+    """Re and Im of e^{i theta}, stacked on a new axis before the nodes axis.
+
+    For a real theta these are cos theta and sin theta.
+    """
+    out = np.empty(theta.shape[:-1] + (2, theta.shape[-1]))
     # a non-finite angle is reported through its row's status, not a warning
-    with np.errstate(invalid="ignore"):
-        c, s = np.cos(theta), np.sin(theta)
-    return np.concatenate((c[..., None, :], s[..., None, :]), axis=-2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if np.iscomplexobj(theta):
+            re = np.ascontiguousarray(theta.real)
+            np.cos(re, out=out[..., 0, :])
+            np.sin(re, out=out[..., 1, :])
+            out *= np.exp(-theta.imag)[..., None, :]
+        else:
+            np.cos(theta, out=out[..., 0, :])
+            np.sin(theta, out=out[..., 1, :])
+    return out
 
 
 @dataclass(frozen=True)
 class TrigMoments:
-    """<cos Theta> and <sin Theta> plus the achieved-tolerance report."""
+    """<cos Theta> and <sin Theta> plus the achieved-tolerance report.
+
+    residual is the change between the rule's last two levels and nodes
+    the interval count it stopped at.
+    """
 
     C: float
     S: float
@@ -238,30 +268,43 @@ class TrigMoments:
     nodes: int = 0
 
 
-def batch_trig_moments(theta_rows, q, beta: float,
-                       quad: QuadConfig = DEFAULT_QUAD) -> Averages:
+def batch_trig_moments(theta_rows, q, beta: float, quad: QuadConfig = DEFAULT_QUAD,
+                       shift=None) -> Averages:
     """<cos Theta> and <sin Theta> for a batch of rows in one adaptive pass.
 
-    Row i averages over the Gaussian of centre q[i] and width beta.
+    Row i averages over the Gaussian of centre q[i] and width beta, along
+    the line p = q[i] + beta (t - i shift[i]) (the real line by default);
+    Theta must be analytic between that line and the real axis.  On a
+    shifted line only e^{i Theta} is damped, so it is the one integrand:
+    C is the real part of its average and S the imaginary part.
     theta_rows(index, p) returns Theta for the rows `index` at momenta p,
-    both of shape (len(index), nodes).  values[:, 0] holds C and
-    values[:, 1] holds S; see _adaptive_average for the rest.
+    which broadcast to shape (len(index), nodes).  values[:, 0] holds C
+    and values[:, 1] holds S; see _adaptive_average for the rest.
     """
-    return _adaptive_average(lambda index, p: _cos_sin(theta_rows(index, p)),
-                             q, beta, quad)
+    q = np.asarray(q, dtype=float)
+
+    def rows(index, x):
+        theta = theta_rows(index, q[index, None] + beta * x)
+        if np.iscomplexobj(x):
+            # e^{t^2 - x^2} joins the exponent: with x = t + iy,
+            # t^2 - x^2 = i * (-y (x + t))
+            theta = theta - x.imag * (x + x.real)
+        return _cis(theta)
+
+    return _adaptive_average(rows, q.size, quad, shift)
 
 
 def trig_moments(theta_fn, dist: MomentumDistribution,
                  quad: QuadConfig = DEFAULT_QUAD) -> TrigMoments:
-    """Gaussian averages of cos Theta(p) and sin Theta(p).
+    """Gaussian averages of cos Theta(p) and sin Theta(p), on the real line.
 
     theta_fn must accept an array of momenta.  Under the probability
     weight, C^2 + S^2 <= 1 always, with equality only for constant Theta.
     Raises DomainError for a non-finite Theta and ConvergenceError when
-    the node cap leaves a residual above FAIL_RESIDUAL.
+    the interval cap leaves a residual above FAIL_RESIDUAL.
     """
     (c, s), residual, nodes = _average_one(
-        lambda p: _cos_sin(np.asarray(theta_fn(p), dtype=float)), dist, quad)
+        lambda p: _cis(np.asarray(theta_fn(p), dtype=float)), dist, quad)
     return TrigMoments(C=float(c), S=float(s), residual=residual, nodes=nodes)
 
 
@@ -314,7 +357,7 @@ def reduced_density_bruteforce(bell: BellState, theta_fn,
     """
 
     def rows(p):
-        c, s = _cos_sin(0.5 * np.asarray(theta_fn(p), dtype=float))
+        c, s = _cis(0.5 * np.asarray(theta_fn(p), dtype=float))
         d = np.empty((2, 2, p.size))
         d[0, 0] = c
         d[0, 1] = -s

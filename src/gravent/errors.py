@@ -18,7 +18,7 @@ class HorizonError(GraventError):
 
 
 class ConvergenceError(GraventError):
-    """Adaptive quadrature hit its node cap with an unacceptable residual."""
+    """Adaptive quadrature hit its interval cap with an unacceptable residual."""
 
 
 class NumericalError(GraventError):

@@ -3,17 +3,19 @@
 A sweep varies one of (q, tau_ratio, z) while the remaining orbit
 parameters stay fixed, running each grid point through the
 angle -> moments -> concurrence K = C^2 + S^2 -> entanglement pipeline.
-The moments of all of a sweep's rows come from one adaptive Gauss-Hermite
-quadrature batched across rows: each node level evaluates only the rows
-still active, and every row stops at its own level, exactly where it
-would stop alone (sweep_point is the one-row case).  K is the
+The moments of all of a sweep's rows come from one nested trapezoid rule
+batched across rows: each level evaluates only the rows still active,
+and every row stops at its own level, exactly where it would stop alone
+(sweep_point is the one-row case).  A row whose angle turns fast
+integrates e^{i Theta} along a line shifted into the complex momentum
+plane, where the oscillation is damped (_contour_shift).  K is the
 concurrence of every Bell input; the reduced density matrices and
 Wootters' concurrence serve only as oracles in
 oracle_equivalence_report.  Failures are recorded per row (horizon,
 domain, quadrature non-convergence) instead of aborting the sweep; with
-the opt-in stationary-phase convention those rows report zero moments
-and zero entanglement, implementing the rapid-oscillation limit near
-horizons.
+the opt-in stationary-phase convention the horizon and non-convergent
+rows report zero moments and zero entanglement, the rapid-oscillation
+limit.  It is a fallback: no row of the six presets needs it.
 """
 
 from __future__ import annotations
@@ -156,9 +158,10 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
         live.append(i)
         q.append(params.q)
     amplitude, q = np.array(amplitude), np.array(q)
+    beta = spec.fixed.beta
     moments = batch_trig_moments(
         lambda index, p: amplitude[index, None] * momentum_factor(q[index, None], p),
-        q, spec.fixed.beta, spec.quad,
+        q, beta, spec.quad, _contour_shift(amplitude, q, beta),
     )
     for i, status, (c, s) in zip(live, moments.status.tolist(), moments.values.tolist()):
         if status == NOT_FINITE:
@@ -171,6 +174,29 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
             flags = ("reduced-tolerance",) if status == REDUCED_TOLERANCE else ()
             rows[i] = SweepRow(xs[i], c, s, conc, e, flags)
     return rows
+
+
+def _contour_shift(amplitude: np.ndarray, q: np.ndarray, beta: float) -> np.ndarray:
+    """Per-row shift of the quadrature line x = t - i*shift, x = (p - q)/beta.
+
+    Theta = amplitude * q gamma^2 - kappa * u(p) with kappa = amplitude
+    q^2 gamma and u(p) = p / (sqrt(p^2 + 1) + 1), whose slope at q is
+    1/(gamma (gamma + 1)).  So near x = 0 the phase turns at omega =
+    |kappa| beta u'(q) per unit of x, and e^{-x^2} e^{i Theta} is flattest
+    on the line through its saddle, at depth omega/2 on the side of
+    sign(kappa); the other side grows.  The depth is capped at 2, which
+    bounds the Gaussian's growth e^{depth^2}, and at 0.7/beta, 0.3/beta
+    short of u's branch points p = +-i.  A cap of 0.5/beta damped the right
+    tail of a wide packet (beta ~ 4, q ~ 11-13) so little that its aliased
+    oscillation passed the two-level check 4e-9 off; caps of 0.75/beta and
+    more lost accuracy near the branch points.  Rows with omega < 4 stay
+    on the real line.
+    """
+    gamma = np.sqrt(q * q + 1.0)
+    kappa = amplitude * q * q * gamma
+    omega = np.abs(kappa) * beta / (gamma * (gamma + 1.0))
+    depth = np.minimum(np.minimum(0.5 * omega, 0.7 / beta), 2.0)
+    return np.where(omega >= 4.0, np.sign(kappa) * depth, 0.0)
 
 
 def _refused_row(x: float, flag: str, stationary_phase: bool) -> SweepRow:
@@ -400,10 +426,17 @@ def frame_comparison(r_grid, q: float, p: float) -> list[FrameRateRow]:
 
     The static column diverges toward r = 1 and vanishes at r = 3/2; the
     falling-frame column stays finite through the horizon.  Both trends
-    are marked in the row flags.
+    are marked in the row flags.  The grid must be non-empty and every
+    input finite.
     """
+    r_grid = np.asarray(r_grid, dtype=float)
+    if r_grid.size == 0:
+        raise DomainError("the radius grid is empty")
+    if not (np.all(np.isfinite(r_grid)) and math.isfinite(q) and math.isfinite(p)):
+        raise DomainError(f"radii, q and p must be finite, got q={q}, p={p} and "
+                          f"{np.count_nonzero(~np.isfinite(r_grid))} non-finite radii")
     rows = []
-    for r in np.asarray(r_grid, dtype=float):
+    for r in r_grid:
         flags: list[str] = []
         kr = float(kruskal_rate(r, q, p))
         try:

@@ -81,8 +81,8 @@ def horizons(xi2: float) -> list[float]:
     xi2 < 1/4, the single degenerate root 1/2 for xi2 = 1/4, none for
     xi2 > 1/4.  The product-of-roots form keeps the small root accurate.
     """
-    if xi2 < 0:
-        raise DomainError(f"xi2 must be >= 0, got {xi2}")
+    if not (math.isfinite(xi2) and xi2 >= 0):
+        raise DomainError(f"xi2 must be finite and >= 0, got {xi2}")
     disc = 1.0 - 4.0 * xi2
     if disc < 0:
         return []

@@ -38,11 +38,12 @@ def momentum_factor(q, p):
     """M(q, p), the momentum dependence shared by every rotation-rate formula.
 
     Vectorized over p, and over q given as an array that broadcasts
-    against p (a column of q values against rows of momenta).  M(q, q)
+    against p (a column of q values against rows of momenta).  p may be
+    complex: M is analytic in p off the branch points p = +-i.  M(q, q)
     reduces to q*gamma exactly, and M is odd under (q, p) -> (-q, -p).
     """
     gamma = np.sqrt(q * q + 1.0)
-    p = np.asarray(p, dtype=float)
+    p = np.asarray(p, dtype=complex if np.iscomplexobj(p) else float)
     return q * gamma * (gamma - q * p / (np.sqrt(p * p + 1.0) + 1.0))
 
 
@@ -190,8 +191,8 @@ def theta_zeros(xi2: float) -> list[float]:
     (empty for xi2 > 9/32), keeping only radii outside the outer horizon.
     The closed form is returned as is; no root-finder refines it.
     """
-    if xi2 < 0:
-        raise DomainError(f"xi2 must be >= 0, got {xi2}")
+    if not (math.isfinite(xi2) and xi2 >= 0):
+        raise DomainError(f"xi2 must be finite and >= 0, got {xi2}")
     disc = 9.0 - 32.0 * xi2
     if disc < 0:
         return []
@@ -237,25 +238,57 @@ def spin_rep(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
+def _expm_planar(m: np.ndarray) -> np.ndarray:
+    """exp(m) for a stack of generators with m^3 = c m, where c = tr(m^2)/2.
+
+    Then exp(m) = I + f m + g m^2 with f = sinh(r)/r and
+    g = 2 (sinh(r/2)/r)^2 for r = sqrt(c), and sin in place of sinh for
+    c < 0, r = sqrt(-c); f = 1 and g = 1/2 at c = 0.  Every generator the
+    library builds qualifies: a rotation rate (any 3x3 antisymmetric
+    matrix), the radial boost and the circular-orbit generator.  Any
+    other matrix raises DomainError.
+    """
+    m2 = m @ m
+    c = 0.5 * np.trace(m2, axis1=-2, axis2=-1)
+    residual = np.abs(m2 @ m - c[:, None, None] * m).max(axis=(1, 2))
+    bad = residual > 1e-12 * np.abs(m).sum(axis=2).max(axis=1) ** 3
+    if bad.any():
+        raise DomainError(f"generator is not planar: |m^3 - c m| = "
+                          f"{residual[bad.argmax()]:.3e}")
+    r = np.sqrt(np.abs(c))
+    with np.errstate(invalid="ignore"):  # 0/0 at c = 0, replaced below
+        f = np.where(c > 0, np.sinh(r), np.sin(r)) / r
+        g = 2.0 * (np.where(c > 0, np.sinh(0.5 * r), np.sin(0.5 * r)) / r) ** 2
+    f[c == 0] = 1.0
+    g[c == 0] = 0.5
+    return np.eye(m.shape[-1]) + f[:, None, None] * m + g[:, None, None] * m2
+
+
+# product_integral exponentiates this many steps per batch
+_STEP_BLOCK = 4096
+
+
 def product_integral(rate_fn, tau_i: float, tau_f: float, steps: int) -> np.ndarray:
     """Time-ordered product of exp(rate * dtau) factors, later times leftmost.
 
-    Each step exponentiates the rate at the step midpoint, so every factor
-    is an exact group element and the global error is O(dtau^2).  rate_fn
-    must return a square matrix of fixed shape with finite entries.
+    Each step exponentiates the rate at the step midpoint in closed form
+    (_expm_planar), so every factor is an exact group element and the
+    global error is O(dtau^2).  rate_fn must return a square matrix of
+    fixed shape with finite entries, of one of the kinds _expm_planar
+    takes.
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    from scipy.linalg import expm  # off the import path of gravent
-
     dtau = (tau_f - tau_i) / steps
     acc = None
-    for k in range(steps):
-        rate = np.asarray(rate_fn(tau_i + (k + 0.5) * dtau), dtype=float)
-        if not np.all(np.isfinite(rate)):
-            raise DomainError(f"non-finite rate at step {k}")
-        step = expm(rate * dtau)
-        acc = step if acc is None else step @ acc
+    for start in range(0, steps, _STEP_BLOCK):
+        ks = range(start, min(start + _STEP_BLOCK, steps))
+        rates = np.array([rate_fn(tau_i + (k + 0.5) * dtau) for k in ks], dtype=float)
+        finite = np.isfinite(rates).all(axis=(1, 2))
+        if not finite.all():
+            raise DomainError(f"non-finite rate at step {start + int(finite.argmin())}")
+        for step in _expm_planar(rates * dtau):
+            acc = step if acc is None else step @ acc
     return acc
 
 

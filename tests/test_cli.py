@@ -218,10 +218,10 @@ def test_json_format(tmp_path, capsys):
     assert len(doc["rows"]) == 20
     assert doc["rows"][0]["q"] == 0.0
     assert doc["rows"][0]["E"] == pytest.approx(1.0, abs=1e-6)
-    # non-convergent tail rows render as null, not NaN
+    # the q = 20 tail row is computed: fully decohered, no flag
     tail = doc["rows"][-1]
-    assert tail["E"] is None
-    assert "no-convergence" in tail["flags"]
+    assert tail["flags"] == []
+    assert 0.0 <= tail["E"] < 1e-12
 
 
 def test_svg_output(tmp_path, capsys):
@@ -309,7 +309,7 @@ MINIMA_FIGURE_4 = """\
 # variable = 'z'
 # xi2 = 0.16
 z,E
-2.286428571428572,0.3910461595435549
+2.286428571428572,0.3910461595435493
 """
 
 
@@ -477,3 +477,38 @@ def test_import_does_not_load_scipy_xml_sax_or_urllib():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["zeros", "--xi2", "nan"],
+    ["zeros", "--xi2", "inf"],
+    ["horizons", "--xi2", "nan"],
+    ["horizons", "--xi2", "inf"],
+    ["frame-compare", "--r-lo", "nan"],
+    ["frame-compare", "--q", "inf"],
+    ["frame-compare", "--samples", "0"],
+    ["frame-compare", "--samples", "-3"],
+], ids=["zeros-nan", "zeros-inf", "horizons-nan", "horizons-inf", "frame-r-lo-nan",
+        "frame-q-inf", "frame-samples-0", "frame-samples-negative"])
+def test_small_commands_reject_non_finite_input(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: DomainError: ") and err.count("\n") == 1
+
+
+def test_commands_run_without_scipy():
+    # numpy is the only runtime dependency: neither the quadrature nor
+    # product_integral may load SciPy
+    src = str(Path(gravent.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import contextlib, io, sys\n"
+            "from gravent.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['figure', '1']), main(['minima', '--figure', '5']),\n"
+            "             main(['validate', '--draws', '2'])]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[0, 0, 0] []"

@@ -117,8 +117,10 @@ def test_trig_moments_reports_convergence():
     m = trig_moments(lambda p: 0.2 * p, dist)
     assert m.residual < 1e-10
     assert m.nodes >= 128
+    # a linear angle converges at once, since every level of the nested
+    # rule sees the same aliases; a fast chirp does not converge
     with pytest.raises(ConvergenceError):
-        trig_moments(lambda p: 5e5 * p, dist)
+        trig_moments(lambda p: 5e5 * p * p, dist)
 
 
 def test_trig_moments_nonfinite_rejected():
@@ -136,15 +138,15 @@ def test_momentum_distribution_rejects_non_finite():
 def test_batch_trig_moments_rows_match_single_rows():
     # each row stops at its own level; a row's failure stays in its status
     q = np.array([0.0, 0.3, -0.5, 0.2, 1.0])
-    slope = np.array([0.2, 3.0, np.inf, 5e5, 30.0])
+    rate = np.array([0.2, 3.0, np.inf, 5e5, 30.0])
     quad = QuadConfig()
-    out = batch_trig_moments(lambda index, p: slope[index, None] * p, q, 0.9, quad)
+    out = batch_trig_moments(lambda index, p: rate[index, None] * p * p, q, 0.9, quad)
     assert out.status.tolist() == [CONVERGED, CONVERGED, NOT_FINITE,
                                    NO_CONVERGENCE, CONVERGED]
     assert len(set(out.nodes[out.status == CONVERGED].tolist())) > 1
     assert out.residual[3] > FAIL_RESIDUAL
     for i in (0, 1, 4):
-        single = trig_moments(lambda p: slope[i] * p,
+        single = trig_moments(lambda p: rate[i] * p * p,
                               MomentumDistribution(q=q[i], beta=0.9), quad)
         assert (out.values[i, 0], out.values[i, 1]) == (single.C, single.S)
         assert (out.residual[i], out.nodes[i]) == (single.residual, single.nodes)
@@ -153,21 +155,21 @@ def test_batch_trig_moments_rows_match_single_rows():
 
 
 def test_capped_rows_with_small_residual_have_reduced_tolerance():
-    # at a 256-node cap, slopes 26 and 27 stop with residuals between TOL
-    # and FAIL_RESIDUAL, slope 28 above it
-    slope = np.array([26.0, 27.0, 28.0])
+    # at a 256-interval cap, the chirps of rate 8 and 9 stop with residuals
+    # between TOL and FAIL_RESIDUAL, rate 10 above it
+    rate = np.array([8.0, 9.0, 10.0])
     quad = QuadConfig(max_nodes=256)
-    out = batch_trig_moments(lambda index, p: slope[index, None] * p,
+    out = batch_trig_moments(lambda index, p: rate[index, None] * p * p,
                              np.zeros(3), 0.9, quad)
     assert out.status.tolist() == [REDUCED_TOLERANCE, REDUCED_TOLERANCE, NO_CONVERGENCE]
     assert (out.nodes == 256).all()
     for i in (0, 1):
-        single = trig_moments(lambda p: slope[i] * p,
+        single = trig_moments(lambda p: rate[i] * p * p,
                               MomentumDistribution(q=0.0, beta=0.9), quad)
         assert (single.C, single.S) == (out.values[i, 0], out.values[i, 1])
         assert 1e-10 <= single.residual <= FAIL_RESIDUAL
     with pytest.raises(ConvergenceError):
-        trig_moments(lambda p: 28.0 * p, MomentumDistribution(q=0.0, beta=0.9), quad)
+        trig_moments(lambda p: 10.0 * p * p, MomentumDistribution(q=0.0, beta=0.9), quad)
 
 
 def test_moment_bound_on_random_draws():

@@ -49,12 +49,13 @@ def test_spec_validation():
 
 
 # every flag a row can carry: z <= 0 is domain, z = 0.5 sits on the
-# near-degenerate zero of z^2 - z + xi2 (horizon), and the huge angle around
-# it runs into the node cap with bad and with acceptable residuals
-EVERY_FLAG_SPEC = SweepSpec("z", 0.0, 1.0, 401, OrbitParams(0.25 + 1e-12, 1.0, 0.6, 1.0, 5.0))
+# near-degenerate zero of z^2 - z + xi2 (horizon), and the wide packet
+# (beta = 30) keeps the contour shift within 0.7/beta of the real line, so
+# its rows run into the interval cap with bad and with acceptable residuals
+EVERY_FLAG_SPEC = SweepSpec("z", 0.0, 1.0, 401, OrbitParams(0.25 + 1e-12, 1.0, 0.6, 30.0, 5.0))
 
 
-# a cap of 100 starts at 50 nodes, off the default start level of 64
+# a cap of 100 starts at 50 intervals, off the default start level of 64
 @pytest.mark.parametrize("quad", [QuadConfig(), QuadConfig(max_nodes=256),
                                   QuadConfig(max_nodes=100)],
                          ids=["default", "256", "100"])
@@ -129,6 +130,13 @@ def test_zero_time_row_is_pure():
     assert rows[0].concurrence == pytest.approx(1.0, abs=1e-8)
 
 
+def test_zero_angle_row_is_exactly_pure():
+    # each estimate is normalized by the rule's own weight sum, so the
+    # tau = 0 row of figure 3 prints exactly 1
+    row = run_sweep(figure_preset(3))[0]
+    assert (row.x, row.C, row.S, row.concurrence, row.E) == (0.0, 1.0, 0.0, 1.0, 1.0)
+
+
 def test_sweep_point_flags():
     spec = small_spec()
     row = sweep_point(spec, 0.5)  # between the horizons
@@ -139,10 +147,14 @@ def test_sweep_point_flags():
     assert row.E == 0.0 and row.C == 0.0 and row.S == 0.0
     row = sweep_point(spec, -1.0)
     assert row.flags == ("domain",)
-    # rapid oscillation near the outer horizon fails convergence
+    # the rapid oscillation near the outer horizon is damped on the shifted
+    # contour and computed; a wide packet there still fails convergence
     row = sweep_point(spec, 0.8 + 1e-6)
+    assert row.flags == () and 0.0 <= row.E < 1e-12
+    wide = replace(spec, fixed=replace(spec.fixed, beta=50.0))
+    row = sweep_point(wide, 0.8 + 1e-6)
     assert row.flags == ("no-convergence",)
-    row = sweep_point(spec, 0.8 + 1e-6, stationary_phase=True)
+    row = sweep_point(wide, 0.8 + 1e-6, stationary_phase=True)
     assert row.flags == ("no-convergence", "stationary-phase")
     assert row.E == 0.0
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import polar
+from scipy.linalg import expm, polar
 from scipy.optimize import brentq
 
 from gravent import (
@@ -274,6 +274,31 @@ def test_product_integral_second_order():
     order2 = math.log2(errors[1] / errors[2])
     assert order1 >= 1.9
     assert order2 >= 1.9
+
+
+@pytest.mark.parametrize("kind", ["rotation", "w13", "radial", "circular"])
+def test_product_integral_step_matches_scipy_expm(kind):
+    # one step is the closed-form exponential of each generator kind
+    model = ChargedBlackHole(0.16)
+    gen = {
+        "rotation": np.array([[0.0, 0.3, -1.1], [-0.3, 0.0, 0.7], [1.1, -0.7, 0.0]]),
+        "w13": wigner_rate_matrix(model, 1.6, 0.6, 0.3),
+        "radial": lambda_radial(model, 2.5, 0.6)[0],
+        "circular": lambda_circular(model, 2.5, 1.3),
+    }[kind]
+    for scale in (1e-4, 0.3, 2.0):
+        exact = expm(scale * gen)
+        step = product_integral(lambda t: gen, 0.0, scale, 1)
+        assert np.abs(step - exact).max() <= 1e-14 * np.abs(exact).max()
+
+
+def test_product_integral_rejects_non_planar_generator():
+    # a boost along x with a rotation about x: m^3 != c m, no closed form
+    gen = np.zeros((4, 4))
+    gen[0, 1] = gen[1, 0] = 0.3
+    gen[2, 3], gen[3, 2] = 0.5, -0.5
+    with pytest.raises(DomainError, match="not planar"):
+        product_integral(lambda t: gen, 0.0, 1.0, 4)
 
 
 def test_product_integral_radial_path_is_pure_boost():
