@@ -140,14 +140,16 @@ class Averages:
 def _adaptive_average(rows_fn, size: int, quad: QuadConfig, shift=None) -> Averages:
     """Average an integrand over the Gaussian weight e^{-x^2}/sqrt(pi), per row.
 
-    Row i integrates along the line x = t - i*shift[i], t in [-7, 7]
-    (shift 0, the real line, by default); for an integrand analytic
-    between that line and the real axis, Cauchy's theorem keeps the
-    value.  rows_fn(index, x) gets the indices of a block of rows and
-    their nodes x, real of shape (1, nodes) for unshifted rows and
-    complex of shape (len(index), nodes) for shifted ones, and returns
-    the integrand times e^{t^2 - x^2} (the shifted Gaussian over the
-    real one), shape (len(index), components, nodes).
+    Row i integrates along the line x = t - i*shift[i], t in [-7, 7];
+    with no shift, every row stays on the real line.  For an integrand
+    analytic between that line and the real axis, Cauchy's theorem keeps
+    the value.  rows_fn(index, x) gets the indices of a block of rows and
+    their nodes x, real of shape (1, nodes) with no shift and complex of
+    shape (len(index), nodes) with one.  It returns the integrand times
+    e^{t^2 - x^2} (the shifted Gaussian over the real one), shape
+    (len(index), components, nodes), and an angle of shape (len(index),
+    nodes): the integrand turns with its real part and is no larger than
+    e^{-Im angle}, as e^{i angle} is.
 
     The rule is the trapezoid rule in t, nested: every row starts at
     min(64, quad.max_nodes // 2) intervals and each level doubles them,
@@ -155,12 +157,22 @@ def _adaptive_average(rows_fn, size: int, quad: QuadConfig, shift=None) -> Avera
     to TOL or the next level would pass quad.max_nodes.  Each estimate
     is the running sum over the rule's weight sum, so a constant
     integrand averages to itself exactly.  Each level evaluates only the
-    rows still active, in blocks of about _BLOCK_ELEMENTS nodes.  A row
-    whose integrand is not finite stops with status NOT_FINITE; one that
-    reaches the cap unconverged stops with NO_CONVERGENCE if its residual
-    is above FAIL_RESIDUAL and with REDUCED_TOLERANCE otherwise.
+    rows still active, in blocks of about _BLOCK_ELEMENTS nodes.
+
+    Two levels agreeing is no proof on their own: a frequency the finer
+    level aliases is aliased by the coarser one too, so a fast, nearly
+    pure oscillation can leave both with the same wrong value.  So the
+    agreement counts only where the finer level resolves the angle: it
+    turns by less than pi per interval, the rule's Nyquist limit, at
+    every node whose share of the estimate could reach TOL.  The new
+    midpoints lie two fine intervals apart, so their own angles tell
+    (_resolved).  Where the angle is unresolved the residual is inf.  A
+    row whose integrand is not finite stops with status NOT_FINITE; one
+    that reaches the cap unconverged stops with NO_CONVERGENCE if its
+    residual is above FAIL_RESIDUAL and with REDUCED_TOLERANCE otherwise.
     """
-    shift = np.zeros(size) if shift is None else np.asarray(shift, dtype=float)
+    if shift is not None:
+        shift = np.asarray(shift, dtype=float)
     values = sums = weight = prev = None
     residual = np.full(size, math.inf)
     nodes = np.zeros(size, dtype=int)
@@ -171,38 +183,45 @@ def _adaptive_average(rows_fn, size: int, quad: QuadConfig, shift=None) -> Avera
     while active.size:
         w = np.exp(-t * t)
         block = max(1, _BLOCK_ELEMENTS // t.size)
-        parts, order = [], []
-        for group in (active[shift[active] == 0.0], active[shift[active] != 0.0]):
-            for idx in (group[i:i + block] for i in range(0, group.size, block)):
-                x = t[None] if shift[idx[0]] == 0.0 else t - 1j * shift[idx, None]
-                # (rows, components, nodes) @ w runs one gemv per row, the
-                # same product a lone row gets, so batching moves no bits
-                parts.append(rows_fn(idx, x) @ w)
-                order.append(idx)
-        new = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        rows = order[0] if len(order) == 1 else np.concatenate(order)
-        # the same product on the constant 1 adds up the weights
-        new_weight = (np.ones((1, new.shape[1], t.size)) @ w)[0]
-        if sums is None:
-            values, sums = np.empty((2, size, new.shape[1]))
-            sums[rows], weight = new, new_weight
-        else:
-            sums[rows] += new
-            weight = weight + new_weight
-        est = sums[active] / weight
+        capped = 2 * n > quad.max_nodes
+        est, res = None, np.empty(active.size)
+        for start in range(0, active.size, block):
+            rows = slice(start, start + block)
+            idx = active[rows]
+            x = t[None] if shift is None else t - 1j * shift[idx, None]
+            integrand, angle = rows_fn(idx, x)
+            # (rows, components, nodes) @ w runs one gemv per row, the
+            # same product a lone row gets, so batching moves no bits
+            part = integrand @ w
+            if est is None:
+                # the same product on the constant 1 adds up the weights
+                new_weight = (np.ones((1, part.shape[1], t.size)) @ w)[0]
+                if sums is None:
+                    values, sums = np.empty((2, size, part.shape[1]))
+                    weight = new_weight
+                else:
+                    weight = weight + new_weight
+                est = np.empty((active.size, part.shape[1]))
+            sums[idx] = part if prev is None else sums[idx] + part
+            est[rows] = sums[idx] / weight
+            if prev is not None:
+                res[rows] = np.abs(est[rows] - prev[rows]).max(axis=1)
+                # only a row that would stop without failing has its angle
+                # checked
+                ask = np.flatnonzero(res[rows] <= FAIL_RESIDUAL if capped
+                                     else res[rows] < TOL)
+                if ask.size:
+                    res[start + ask[~_resolved(angle[ask], w)]] = math.inf
         values[active] = est
         nodes[active] = n
-        # max propagates nan and inf, so a row's res is finite exactly when
-        # its whole estimate is
-        res = np.abs(est if prev is None else est - prev).max(axis=1)
-        done = ~np.isfinite(res)
+        done = ~np.isfinite(est).all(axis=1)
         status[active[done]] = NOT_FINITE
         if prev is not None:
             residual[active] = res
             converged = res < TOL
-            if 2 * n > quad.max_nodes:
-                capped = ~done & ~converged
-                status[active[capped]] = np.where(res[capped] > FAIL_RESIDUAL,
+            if capped:
+                failed = ~done & ~converged
+                status[active[failed]] = np.where(res[failed] > FAIL_RESIDUAL,
                                                   NO_CONVERGENCE, REDUCED_TOLERANCE)
                 done[:] = True
             else:
@@ -216,18 +235,52 @@ def _adaptive_average(rows_fn, size: int, quad: QuadConfig, shift=None) -> Avera
     return Averages(values, residual, nodes, status)
 
 
+# Nodes whose weighted integrand stays below this add at most
+# 14/sqrt(pi) * _NEGLIGIBLE ~ 8e-12 to an estimate, well below TOL, so
+# their angle need not be resolved.
+_NEGLIGIBLE = 1e-12
+
+
+def _resolved(angle: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per row: is the angle resolved wherever the integrand matters?
+
+    Re angle must advance by less than 2 pi between neighbouring nodes,
+    two intervals of the level being finished, wherever either
+    neighbour's weighted size e^{-Im angle} w is above _NEGLIGIBLE.
+    """
+    # a non-finite angle is reported through its row's status
+    with np.errstate(invalid="ignore"):
+        fast = np.abs(np.diff(angle.real, axis=-1)) >= 2.0 * math.pi
+    resolved = ~fast.any(axis=-1)
+    rows = np.flatnonzero(~resolved)
+    if rows.size:
+        size = np.exp(-angle[rows].imag) * w if np.iscomplexobj(angle) else w[None]
+        matters = np.maximum(size[:, 1:], size[:, :-1]) > _NEGLIGIBLE
+        resolved[rows] = ~(fast[rows] & matters).any(axis=-1)
+    return resolved
+
+
 def _average_one(rows_fn, dist: MomentumDistribution, quad: QuadConfig):
     """The one-row, real-line case of _adaptive_average, with failures raised.
 
     rows_fn maps a 1-D array of momenta to the integrand, shape
-    (components, nodes).  Returns (averages, residual, intervals_used).
+    (components, nodes), and its angle, shape (nodes,).  Returns
+    (averages, residual, intervals_used).
     """
-    out = _adaptive_average(lambda _, x: rows_fn(dist.q + dist.beta * x[0])[None],
-                            1, quad)
+
+    def rows(_, x):
+        integrand, angle = rows_fn(dist.q + dist.beta * x[0])
+        return integrand[None], angle[None]
+
+    out = _adaptive_average(rows, 1, quad)
     residual, nodes = float(out.residual[0]), int(out.nodes[0])
     if out.status[0] == NOT_FINITE:
         raise DomainError("theta is not finite on the quadrature support")
     if out.status[0] == NO_CONVERGENCE:
+        if residual == math.inf:
+            raise ConvergenceError(
+                f"theta turns by pi or more per interval of the {nodes}-interval rule "
+                f"at the cap")
         raise ConvergenceError(
             f"residual {residual:.3e} at the {nodes}-interval cap "
             f"(limit {FAIL_RESIDUAL:.1e})"
@@ -289,7 +342,7 @@ def batch_trig_moments(theta_rows, q, beta: float, quad: QuadConfig = DEFAULT_QU
             # e^{t^2 - x^2} joins the exponent: with x = t + iy,
             # t^2 - x^2 = i * (-y (x + t))
             theta = theta - x.imag * (x + x.real)
-        return _cis(theta)
+        return _cis(theta), theta
 
     return _adaptive_average(rows, q.size, quad, shift)
 
@@ -301,10 +354,14 @@ def trig_moments(theta_fn, dist: MomentumDistribution,
     theta_fn must accept an array of momenta.  Under the probability
     weight, C^2 + S^2 <= 1 always, with equality only for constant Theta.
     Raises DomainError for a non-finite Theta and ConvergenceError when
-    the interval cap leaves a residual above FAIL_RESIDUAL.
+    the interval cap leaves a residual above FAIL_RESIDUAL or a Theta
+    that turns too fast for the cap's rule.
     """
-    (c, s), residual, nodes = _average_one(
-        lambda p: _cis(np.asarray(theta_fn(p), dtype=float)), dist, quad)
+    def rows(p):
+        theta = np.asarray(theta_fn(p), dtype=float)
+        return _cis(theta), theta
+
+    (c, s), residual, nodes = _average_one(rows, dist, quad)
     return TrigMoments(C=float(c), S=float(s), residual=residual, nodes=nodes)
 
 
@@ -357,14 +414,16 @@ def reduced_density_bruteforce(bell: BellState, theta_fn,
     """
 
     def rows(p):
-        c, s = _cis(0.5 * np.asarray(theta_fn(p), dtype=float))
+        theta = np.asarray(theta_fn(p), dtype=float)
+        c, s = _cis(0.5 * theta)
         d = np.empty((2, 2, p.size))
         d[0, 0] = c
         d[0, 1] = -s
         d[1, 0] = s
         d[1, 1] = c
         prod = d[:, :, None, None, :] * d[None, None, :, :, :]
-        return prod.reshape(16, -1)
+        # the products of half-angle entries turn with the full angle
+        return prod.reshape(16, -1), theta
 
     flat, _, _ = _average_one(rows, dist, quad)
     moments = flat.reshape(2, 2, 2, 2)

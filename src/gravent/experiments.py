@@ -3,9 +3,9 @@
 A sweep varies one of (q, tau_ratio, z) while the remaining orbit
 parameters stay fixed, running each grid point through the
 angle -> moments -> concurrence K = C^2 + S^2 -> entanglement pipeline.
-The moments of all of a sweep's rows come from one nested trapezoid rule
-batched across rows: each level evaluates only the rows still active,
-and every row stops at its own level, exactly where it would stop alone
+The moments of a sweep's rows come from a nested trapezoid rule batched
+across rows: each level evaluates only the rows still active, and every
+row stops at its own level, exactly where it would stop alone
 (sweep_point is the one-row case).  A row whose angle turns fast
 integrates e^{i Theta} along a line shifted into the complex momentum
 plane, where the oscillation is damped (_contour_shift).  K is the
@@ -136,11 +136,12 @@ def run_sweep(spec: SweepSpec, stationary_phase: bool = False) -> list[SweepRow]
 
 def _sweep_rows(spec: SweepSpec, xs: list[float],
                 stationary_phase: bool) -> list[SweepRow]:
-    """The pipeline at each x, with one batched quadrature for all rows.
+    """The pipeline at each x, with batched quadratures for all rows.
 
-    Each row's angle is Theta = amplitude * M(q, p), so one
-    batch_trig_moments call gives every row's moments.  Rows whose
-    parameters fail are flagged horizon or domain before that call.
+    Each row's angle is Theta = amplitude * M(q, p), so two
+    batch_trig_moments calls give every row's moments: one for the rows
+    on the real line and one for the rows on shifted lines.  Rows whose
+    parameters fail are flagged horizon or domain before those calls.
     """
     rows: list[SweepRow | None] = [None] * len(xs)
     live, amplitude, q = [], [], []
@@ -159,11 +160,19 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
         q.append(params.q)
     amplitude, q = np.array(amplitude), np.array(q)
     beta = spec.fixed.beta
-    moments = batch_trig_moments(
-        lambda index, p: amplitude[index, None] * momentum_factor(q[index, None], p),
-        q, beta, spec.quad, _contour_shift(amplitude, q, beta),
-    )
-    for i, status, (c, s) in zip(live, moments.status.tolist(), moments.values.tolist()):
+    shift = _contour_shift(amplitude, q, beta)
+    outcome, values = np.empty(q.size, dtype=int), np.empty((q.size, 2))
+    # unshifted rows form a batch on the real line, with real arithmetic
+    real = shift == 0.0
+    for part, line in ((real, None), (~real, shift[~real])):
+        if part.any():
+            a, qp = amplitude[part], q[part]
+            moments = batch_trig_moments(
+                lambda index, p: a[index, None] * momentum_factor(qp[index, None], p),
+                qp, beta, spec.quad, line,
+            )
+            outcome[part], values[part] = moments.status, moments.values
+    for i, status, (c, s) in zip(live, outcome.tolist(), values.tolist()):
         if status == NOT_FINITE:
             rows[i] = _refused_row(xs[i], "domain", stationary_phase)
         elif status == NO_CONVERGENCE:
@@ -186,11 +195,14 @@ def _contour_shift(amplitude: np.ndarray, q: np.ndarray, beta: float) -> np.ndar
     on the line through its saddle, at depth omega/2 on the side of
     sign(kappa); the other side grows.  The depth is capped at 2, which
     bounds the Gaussian's growth e^{depth^2}, and at 0.7/beta, 0.3/beta
-    short of u's branch points p = +-i.  A cap of 0.5/beta damped the right
-    tail of a wide packet (beta ~ 4, q ~ 11-13) so little that its aliased
-    oscillation passed the two-level check 4e-9 off; caps of 0.75/beta and
-    more lost accuracy near the branch points.  Rows with omega < 4 stay
-    on the real line.
+    short of u's branch points p = +-i.  On presets 1 and 2 and six
+    perturbed q-sweeps, caps from 0.5/beta to 0.8/beta all held the rows
+    to 2e-13 of a fine real-line reference; 0.7/beta needed 20% fewer
+    nodes than 0.5/beta, and 1/beta refused 26 rows near the branch
+    points and erred by 2e-11 on others.  Rows with omega < 4 stay
+    on the real line: shifted too, the slow rows of figures 3 and 5 needed
+    256 intervals 174 and 324 times where the real line needs them 29 and
+    19 times, since the shifted line passes nearer the branch points.
     """
     gamma = np.sqrt(q * q + 1.0)
     kappa = amplitude * q * q * gamma

@@ -117,10 +117,33 @@ def test_trig_moments_reports_convergence():
     m = trig_moments(lambda p: 0.2 * p, dist)
     assert m.residual < 1e-10
     assert m.nodes >= 128
-    # a linear angle converges at once, since every level of the nested
-    # rule sees the same aliases; a fast chirp does not converge
     with pytest.raises(ConvergenceError):
-        trig_moments(lambda p: 5e5 * p * p, dist)
+        trig_moments(lambda p: 5e5 * p, dist)
+
+
+@pytest.mark.parametrize("slope", [300.0, 1e3, 1e4, 5e5])
+def test_fast_linear_angle_is_refused_not_aliased(slope):
+    # the true moments are exp(-slope^2/4) ~ 0.  Uniform rules alias the
+    # frequency slope onto 2 pi m n/14; for 1e4 the 64- and 128-interval
+    # rules share the alias at 9995.6 and agree on C ~ 8.8e-3, so two
+    # agreeing levels must not count where the angle outruns the rule
+    dist = MomentumDistribution(q=0.0, beta=1.0)
+    try:
+        m = trig_moments(lambda p: slope * p, dist)
+    except ConvergenceError:
+        return
+    assert abs(m.C) <= 1e-9 and abs(m.S) <= 1e-9
+
+
+def test_fast_linear_rows_stop_only_where_resolved():
+    # the 2048-interval rule resolves slope 300 (its Nyquist limit is
+    # 2048 pi/14 ~ 460) but not 1e3 or 1e4, whose residual is inf
+    slope = np.array([1e4, 1e3, 300.0, 2.0])
+    out = batch_trig_moments(lambda index, p: slope[index, None] * p,
+                             np.zeros(4), 1.0, QuadConfig())
+    assert out.status.tolist() == [NO_CONVERGENCE, NO_CONVERGENCE, CONVERGED, CONVERGED]
+    assert (out.residual[:2] == math.inf).all() and (out.nodes[:3] == 2048).all()
+    assert np.abs(out.values[2]).max() <= 1e-9
 
 
 def test_trig_moments_nonfinite_rejected():
@@ -138,15 +161,15 @@ def test_momentum_distribution_rejects_non_finite():
 def test_batch_trig_moments_rows_match_single_rows():
     # each row stops at its own level; a row's failure stays in its status
     q = np.array([0.0, 0.3, -0.5, 0.2, 1.0])
-    rate = np.array([0.2, 3.0, np.inf, 5e5, 30.0])
+    slope = np.array([0.2, 3.0, np.inf, 5e5, 30.0])
     quad = QuadConfig()
-    out = batch_trig_moments(lambda index, p: rate[index, None] * p * p, q, 0.9, quad)
+    out = batch_trig_moments(lambda index, p: slope[index, None] * p, q, 0.9, quad)
     assert out.status.tolist() == [CONVERGED, CONVERGED, NOT_FINITE,
                                    NO_CONVERGENCE, CONVERGED]
     assert len(set(out.nodes[out.status == CONVERGED].tolist())) > 1
     assert out.residual[3] > FAIL_RESIDUAL
     for i in (0, 1, 4):
-        single = trig_moments(lambda p: rate[i] * p * p,
+        single = trig_moments(lambda p: slope[i] * p,
                               MomentumDistribution(q=q[i], beta=0.9), quad)
         assert (out.values[i, 0], out.values[i, 1]) == (single.C, single.S)
         assert (out.residual[i], out.nodes[i]) == (single.residual, single.nodes)
@@ -155,21 +178,21 @@ def test_batch_trig_moments_rows_match_single_rows():
 
 
 def test_capped_rows_with_small_residual_have_reduced_tolerance():
-    # at a 256-interval cap, the chirps of rate 8 and 9 stop with residuals
-    # between TOL and FAIL_RESIDUAL, rate 10 above it
-    rate = np.array([8.0, 9.0, 10.0])
+    # at a 256-interval cap, slopes 54 and 55 stop with residuals between
+    # TOL and FAIL_RESIDUAL, slope 56 above it
+    slope = np.array([54.0, 55.0, 56.0])
     quad = QuadConfig(max_nodes=256)
-    out = batch_trig_moments(lambda index, p: rate[index, None] * p * p,
+    out = batch_trig_moments(lambda index, p: slope[index, None] * p,
                              np.zeros(3), 0.9, quad)
     assert out.status.tolist() == [REDUCED_TOLERANCE, REDUCED_TOLERANCE, NO_CONVERGENCE]
     assert (out.nodes == 256).all()
     for i in (0, 1):
-        single = trig_moments(lambda p: rate[i] * p * p,
+        single = trig_moments(lambda p: slope[i] * p,
                               MomentumDistribution(q=0.0, beta=0.9), quad)
         assert (single.C, single.S) == (out.values[i, 0], out.values[i, 1])
         assert 1e-10 <= single.residual <= FAIL_RESIDUAL
     with pytest.raises(ConvergenceError):
-        trig_moments(lambda p: 10.0 * p * p, MomentumDistribution(q=0.0, beta=0.9), quad)
+        trig_moments(lambda p: 56.0 * p, MomentumDistribution(q=0.0, beta=0.9), quad)
 
 
 def test_moment_bound_on_random_draws():

@@ -6,10 +6,13 @@ angle and a dense trapezoid rule on the real line, with no contour
 shift.  A reference value counts only where its two step sizes agree.
 """
 
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
+from scipy.special import roots_hermite
 
 from gravent import figure_preset, run_sweep
 
@@ -64,6 +67,51 @@ def test_sweep_rows_match_a_dense_real_line_trapezoid():
             assert error <= MOMENT_TOL, (spec.variable, row.x, spec.fixed, error)
             checked += 1
     assert checked >= 300, checked
+
+
+@functools.cache
+def hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = roots_hermite(n)
+    return x, w / math.sqrt(math.pi)
+
+
+def gauss_hermite_flagged(params: dict) -> bool:
+    """Do the 1024- and 2048-node Gauss-Hermite rules differ by over 1e-10?
+
+    That rule computed the sweeps before the trapezoid rule did, and
+    flagged such rows no-convergence (above 1e-6) or reduced-tolerance.
+    """
+    estimates = []
+    for n in (1024, 2048):
+        x, w = hermite_rule(n)
+        theta = theta_reference(params["xi2"], params["z"], params["q"], params["tau_ratio"],
+                                params["q"] + params["beta"] * x)
+        estimates.append(np.array([w @ np.cos(theta), w @ np.sin(theta)]))
+    return np.abs(estimates[1] - estimates[0]).max() > 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+def test_formerly_flagged_preset_rows_match_a_fine_reference(n):
+    # the rows Gauss-Hermite flagged are the fast ones the shifted line
+    # serves; steps of 1/1024 cannot resolve many of them, so a seeded
+    # sample is held to steps of 1/16384 and 1/32768
+    spec = figure_preset(n)
+    refused = []
+    for row in run_sweep(spec):
+        params = {key: getattr(spec.fixed, key)
+                  for key in ("xi2", "z", "q", "beta", "tau_ratio")}
+        params[spec.variable] = row.x
+        if not row.flags and gauss_hermite_flagged(params):
+            refused.append((row, params))
+    assert len(refused) >= 20, len(refused)
+    rng = np.random.default_rng(n)
+    for i in rng.choice(len(refused), size=6, replace=False):
+        row, params = refused[i]
+        coarse = moments_reference(params, 1.0 / 16384)
+        fine = moments_reference(params, 1.0 / 32768)
+        assert max(abs(a - b) for a, b in zip(coarse, fine)) <= REFERENCE_AGREEMENT
+        error = max(abs(row.C - fine[0]), abs(row.S - fine[1]))
+        assert error <= 1e-10, (n, row.x, error)
 
 
 def test_wide_packet_tail_rows_match_a_finer_reference():
