@@ -162,11 +162,13 @@ def _adaptive_average(rows_fn, size: int, quad: QuadConfig, shift=None) -> Avera
     Two levels agreeing is no proof on their own: a frequency the finer
     level aliases is aliased by the coarser one too, so a fast, nearly
     pure oscillation can leave both with the same wrong value.  So the
-    agreement counts only where the finer level resolves the angle: it
-    turns by less than pi per interval, the rule's Nyquist limit, at
-    every node whose share of the estimate could reach TOL.  The new
-    midpoints lie two fine intervals apart, so their own angles tell
-    (_resolved).  Where the angle is unresolved the residual is inf.  A
+    agreement counts only where the finer level resolves the angle: with
+    h its interval, the angle's rate of turn stays short of the first
+    alias frequency 2 pi/h by _SPREAD, or by pi/h (the Nyquist limit)
+    where that is less, at every node whose share of the estimate could
+    reach TOL.  The new midpoints lie 2h apart, so their own angles tell
+    (_resolved).  Where the angle is unresolved the
+    residual is inf.  A
     row whose integrand is not finite stops with status NOT_FINITE; one
     that reaches the cap unconverged stops with NO_CONVERGENCE if its
     residual is above FAIL_RESIDUAL and with REDUCED_TOLERANCE otherwise.
@@ -211,7 +213,8 @@ def _adaptive_average(rows_fn, size: int, quad: QuadConfig, shift=None) -> Avera
                 ask = np.flatnonzero(res[rows] <= FAIL_RESIDUAL if capped
                                      else res[rows] < TOL)
                 if ask.size:
-                    res[start + ask[~_resolved(angle[ask], w)]] = math.inf
+                    unresolved = ~_resolved(angle[ask], w, 2.0 * _HALF_WIDTH / n)
+                    res[start + ask[unresolved]] = math.inf
         values[active] = est
         nodes[active] = n
         done = ~np.isfinite(est).all(axis=1)
@@ -240,17 +243,25 @@ def _adaptive_average(rows_fn, size: int, quad: QuadConfig, shift=None) -> Avera
 # their angle need not be resolved.
 _NEGLIGIBLE = 1e-12
 
+# e^{i Theta} times its envelope has its spectrum around the local rate of
+# turn Theta'(x), spread by the envelope's own spectrum: e^{-x^2}'s falls
+# below 1e-12 within 10.5 of it, and the damped envelopes on shifted lines
+# spread wider.  On q-sweeps a margin of 20 erred no more than one of 30;
+# below 128 intervals the Nyquist limit leaves less.
+_SPREAD = 30.0
 
-def _resolved(angle: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per row: is the angle resolved wherever the integrand matters?
 
-    Re angle must advance by less than 2 pi between neighbouring nodes,
-    two intervals of the level being finished, wherever either
-    neighbour's weighted size e^{-Im angle} w is above _NEGLIGIBLE.
+def _resolved(angle: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
+    """Per row: does a rule of interval h resolve the angle where it matters?
+
+    Between neighbouring nodes, 2h apart, Re angle must advance by less
+    than 2h (2 pi/h - min(_SPREAD, pi/h)) wherever either neighbour's
+    weighted size e^{-Im angle} w is above _NEGLIGIBLE.
     """
+    limit = 2.0 * (2.0 * math.pi - min(_SPREAD * h, math.pi))
     # a non-finite angle is reported through its row's status
     with np.errstate(invalid="ignore"):
-        fast = np.abs(np.diff(angle.real, axis=-1)) >= 2.0 * math.pi
+        fast = np.abs(np.diff(angle.real, axis=-1)) >= limit
     resolved = ~fast.any(axis=-1)
     rows = np.flatnonzero(~resolved)
     if rows.size:
@@ -279,8 +290,7 @@ def _average_one(rows_fn, dist: MomentumDistribution, quad: QuadConfig):
     if out.status[0] == NO_CONVERGENCE:
         if residual == math.inf:
             raise ConvergenceError(
-                f"theta turns by pi or more per interval of the {nodes}-interval rule "
-                f"at the cap")
+                f"theta turns too fast for the {nodes}-interval rule at the cap")
         raise ConvergenceError(
             f"residual {residual:.3e} at the {nodes}-interval cap "
             f"(limit {FAIL_RESIDUAL:.1e})"

@@ -197,9 +197,10 @@ def _contour_shift(amplitude: np.ndarray, q: np.ndarray, beta: float) -> np.ndar
     bounds the Gaussian's growth e^{depth^2}, and at 0.7/beta, 0.3/beta
     short of u's branch points p = +-i.  On presets 1 and 2 and six
     perturbed q-sweeps, caps from 0.5/beta to 0.8/beta all held the rows
-    to 2e-13 of a fine real-line reference; 0.7/beta needed 20% fewer
-    nodes than 0.5/beta, and 1/beta refused 26 rows near the branch
-    points and erred by 2e-11 on others.  Rows with omega < 4 stay
+    to 2e-13 of a fine real-line reference, with fewer nodes the deeper
+    the cap (0.7/beta: 22% fewer than 0.5/beta), while 1/beta refused 21
+    rows near the branch points and erred by 2e-11 on others; 0.7/beta
+    keeps clear of that.  Rows with omega < 4 stay
     on the real line: shifted too, the slow rows of figures 3 and 5 needed
     256 intervals 174 and 324 times where the real line needs them 29 and
     19 times, since the shifted line passes nearer the branch points.

@@ -119,30 +119,26 @@ def test_trig_moments_reports_convergence():
     assert m.nodes >= 128
     with pytest.raises(ConvergenceError):
         trig_moments(lambda p: 5e5 * p, dist)
-
-
-@pytest.mark.parametrize("slope", [300.0, 1e3, 1e4, 5e5])
-def test_fast_linear_angle_is_refused_not_aliased(slope):
-    # the true moments are exp(-slope^2/4) ~ 0.  Uniform rules alias the
-    # frequency slope onto 2 pi m n/14; for 1e4 the 64- and 128-interval
-    # rules share the alias at 9995.6 and agree on C ~ 8.8e-3, so two
-    # agreeing levels must not count where the angle outruns the rule
-    dist = MomentumDistribution(q=0.0, beta=1.0)
-    try:
-        m = trig_moments(lambda p: slope * p, dist)
-    except ConvergenceError:
-        return
-    assert abs(m.C) <= 1e-9 and abs(m.S) <= 1e-9
+    # the true moments are ~ 0 for both slopes, but the 64- and
+    # 128-interval rules share an alias at 2 pi 348 * 64/14 ~ 9995.6, 4.4
+    # from 1e4, and agree on C ~ 8.8e-3; the 1024- and 2048-interval rules
+    # share one at 2 pi 2048/14 ~ 919.2, 5 from 914, and agree on C ~ 1.4e-3.
+    # Agreement counts only where the angle is resolved, with a margin
+    # from the alias, and no rule within the cap resolves these
+    for slope in (1e4, 914.0):
+        with pytest.raises(ConvergenceError):
+            trig_moments(lambda p: slope * p, dist)
 
 
 def test_fast_linear_rows_stop_only_where_resolved():
-    # the 2048-interval rule resolves slope 300 (its Nyquist limit is
-    # 2048 pi/14 ~ 460) but not 1e3 or 1e4, whose residual is inf
+    # slope 300 stays short of the 1024-interval rule's first alias
+    # frequency, 2 pi 1024/14 ~ 460, by more than the margin of 30; 1e3 and
+    # 1e4 pass the 2048-interval rule's, ~ 919, so their residual is inf
     slope = np.array([1e4, 1e3, 300.0, 2.0])
     out = batch_trig_moments(lambda index, p: slope[index, None] * p,
                              np.zeros(4), 1.0, QuadConfig())
     assert out.status.tolist() == [NO_CONVERGENCE, NO_CONVERGENCE, CONVERGED, CONVERGED]
-    assert (out.residual[:2] == math.inf).all() and (out.nodes[:3] == 2048).all()
+    assert (out.residual[:2] == math.inf).all() and out.nodes[:3].tolist() == [2048, 2048, 1024]
     assert np.abs(out.values[2]).max() <= 1e-9
 
 
