@@ -167,8 +167,7 @@ def _adaptive_average(rows_fn, size: int, quad: QuadConfig, shift=None) -> Avera
     alias frequency 2 pi/h by _SPREAD, or by pi/h (the Nyquist limit)
     where that is less, at every node whose share of the estimate could
     reach TOL.  The new midpoints lie 2h apart, so their own angles tell
-    (_resolved).  Where the angle is unresolved the
-    residual is inf.  A
+    (_resolved).  Where the angle is unresolved the residual is inf.  A
     row whose integrand is not finite stops with status NOT_FINITE; one
     that reaches the cap unconverged stops with NO_CONVERGENCE if its
     residual is above FAIL_RESIDUAL and with REDUCED_TOLERANCE otherwise.

@@ -200,10 +200,10 @@ def _contour_shift(amplitude: np.ndarray, q: np.ndarray, beta: float) -> np.ndar
     to 2e-13 of a fine real-line reference, with fewer nodes the deeper
     the cap (0.7/beta: 22% fewer than 0.5/beta), while 1/beta refused 21
     rows near the branch points and erred by 2e-11 on others; 0.7/beta
-    keeps clear of that.  Rows with omega < 4 stay
-    on the real line: shifted too, the slow rows of figures 3 and 5 needed
-    256 intervals 174 and 324 times where the real line needs them 29 and
-    19 times, since the shifted line passes nearer the branch points.
+    keeps clear of that.  Rows with omega < 4 stay on the real line:
+    shifted too, the slow rows of figures 3 and 5 needed 256 intervals
+    174 and 324 times where the real line needs them 29 and 19 times,
+    since the shifted line passes nearer the branch points.
     """
     gamma = np.sqrt(q * q + 1.0)
     kappa = amplitude * q * q * gamma
