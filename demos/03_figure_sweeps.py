@@ -1,9 +1,9 @@
 """Reproduce the six built-in entanglement sweeps and plot them.
 
 Run with `python demos/03_figure_sweeps.py`.  CSV tables and SVG plots
-land in demos/out/.  Every preset row is computed; the stationary-phase
-convention (E = 0 for a row the quadrature cannot resolve) is switched on
-as the documented fallback and flags no row.
+land in demos/out/.  Every preset row is computed, so the files are made
+without the stationary-phase convention (E = 0 for a row the quadrature
+cannot resolve), the fallback that `--stationary-phase` turns on.
 """
 
 import os
@@ -29,13 +29,13 @@ def main():
         spec = figure_preset(n)
         print(f"figure {n}: {CAPTIONS[n]}")
         print(f"  config: {preset_config(n)}")
-        rows = run_sweep(spec, stationary_phase=True)
-        flagged = sum(1 for r in rows if "stationary-phase" in r.flags)
-        print(f"  {len(rows)} rows, {flagged} in the stationary-phase regime")
+        rows = run_sweep(spec)
+        flagged = sum(1 for r in rows if r.flags)
+        print(f"  {len(rows)} rows, {flagged} flagged")
         for fmt in ("csv", "svg"):
             path = os.path.join(OUT, f"figure{n}.{fmt}")
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(render_sweep(spec, True, fmt))
+                fh.write(render_sweep(spec, False, fmt))
             print(f"  wrote {path}")
         if spec.variable == "z":
             minima = find_entanglement_minima(spec)

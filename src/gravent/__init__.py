@@ -60,7 +60,6 @@ from .entanglement import (
     CHI3,
     CHI4,
     MomentumDistribution,
-    QuadConfig,
     TrigMoments,
     batch_trig_moments,
     bell_state,

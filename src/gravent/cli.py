@@ -11,25 +11,18 @@ since all four Bell inputs share a sweep's concurrence.  Sweep-style
 commands emit CSV (default), JSON or SVG with the resolved configuration
 embedded, so identical invocations produce byte-identical files.
 Unreadable or malformed input exits 2, input outside the domain exits 1.
-GRAVENT_QUAD_NODES overrides the quadrature interval cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
-from .entanglement import (
-    BELL_STATES,
-    DEFAULT_QUAD,
-    QuadConfig,
-    bell_state,
-)
+from .entanglement import BELL_STATES, bell_state
 from .errors import DomainError, GraventError
 from .experiments import (
     SWEEP_VARIABLES,
@@ -76,18 +69,6 @@ class _UsageError(Exception):
     pass
 
 
-def quad_from_env() -> QuadConfig:
-    """Default quadrature settings, honoring GRAVENT_QUAD_NODES (the interval cap)."""
-    cap = os.environ.get("GRAVENT_QUAD_NODES")
-    if cap is None:
-        return DEFAULT_QUAD
-    try:
-        cap = int(cap)
-    except ValueError:
-        raise _UsageError(f"GRAVENT_QUAD_NODES must be an integer, got {cap!r}") from None
-    return QuadConfig(max_nodes=cap)
-
-
 def _spec_dict(spec: SweepSpec) -> dict:
     """A spec's range and fixed orbit values, as flat keys."""
     flat = {"variable": spec.variable, "lo": spec.lo, "hi": spec.hi,
@@ -113,7 +94,7 @@ def _number(cfg: dict, key: str) -> float:
     raise _UsageError(f"{key} must be a number, got {value!r}")
 
 
-def _spec_from_config(cfg: dict, quad: QuadConfig) -> SweepSpec:
+def _spec_from_config(cfg: dict) -> SweepSpec:
     variable = cfg.get("variable")
     if variable not in SWEEP_VARIABLES:
         raise DomainError(f"a sweep needs 'variable', one of {SWEEP_VARIABLES}, "
@@ -131,7 +112,7 @@ def _spec_from_config(cfg: dict, quad: QuadConfig) -> SweepSpec:
     samples = 400 if samples is None else samples
     if isinstance(samples, bool) or not isinstance(samples, int):
         raise _UsageError(f"samples must be an integer, got {samples!r}")
-    return SweepSpec(variable, lo, hi, samples, OrbitParams(**fixed_kwargs), quad)
+    return SweepSpec(variable, lo, hi, samples, OrbitParams(**fixed_kwargs))
 
 
 def _sweep_spec(args) -> tuple[SweepSpec, dict]:
@@ -154,12 +135,11 @@ def _sweep_spec(args) -> tuple[SweepSpec, dict]:
     for key, (valid, expected) in _VALUE_CHECKS.items():
         if cfg.get(key) is not None and not valid(cfg[key]):
             raise _UsageError(f"{key} must be {expected}, got {cfg[key]!r}")
-    return _spec_from_config(cfg, quad_from_env()), cfg
+    return _spec_from_config(cfg), cfg
 
 
 def _sweep_meta(spec: SweepSpec, notes: tuple[str, ...]) -> dict:
-    return {"package": f"gravent {__version__}", **_spec_dict(spec),
-            "quad_max_nodes": spec.quad.max_nodes, "notes": list(notes)}
+    return {"package": f"gravent {__version__}", **_spec_dict(spec), "notes": list(notes)}
 
 
 def render_sweep(spec: SweepSpec, stationary_phase: bool, fmt: str) -> str:
@@ -243,7 +223,7 @@ def _cmd_minima(args) -> int:
 def _cmd_radial_check(args) -> int:
     states = BELL_STATES if args.bell in (None, "all") else (bell_state(args.bell),)
     for chi in states:
-        report = radial_invariance_check(chi, quad=quad_from_env())
+        report = radial_invariance_check(chi)
         print(f"{chi.tag}: PASS  (rotation angle {report.rotation_angle:.3e}, "
               f"max deviation {report.max_deviation:.3e})")
     return 0
@@ -276,7 +256,6 @@ def _cmd_frame_compare(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    quad = quad_from_env()
     failures = 0
 
     def check(name: str, passed: bool, detail: str) -> None:
@@ -284,7 +263,7 @@ def _cmd_validate(args) -> int:
         print(f"{'PASS' if passed else 'FAIL'}  {name}  ({detail})")
         failures += 0 if passed else 1
 
-    report = oracle_equivalence_report(draws=args.draws, quad=quad)
+    report = oracle_equivalence_report(draws=args.draws)
     check("oracle equivalence (closed vs brute force)",
           report["max_entry_deviation"] < 1e-8,
           f"max entry deviation {report['max_entry_deviation']:.3e}")
@@ -320,9 +299,9 @@ def _cmd_validate(args) -> int:
           f"max deviation {dev:.3e}")
 
     try:
-        for chi in BELL_STATES:
-            radial_invariance_check(chi, quad=quad)
-        check("radial-geodesic invariance (all Bell states)", True, "deviation < 1e-10")
+        dev = max(radial_invariance_check(chi).max_deviation for chi in BELL_STATES)
+        check("radial-geodesic invariance (all Bell states)", True,
+              f"max deviation {dev:.3e}")
     except GraventError as exc:
         check("radial-geodesic invariance (all Bell states)", False, str(exc))
 

@@ -85,19 +85,12 @@ FAIL_RESIDUAL = 1e-6
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """The interval cap of the adaptive trapezoid rule.
-
-    Every row starts at min(64, max_nodes // 2) intervals and doubles
-    while the count stays within max_nodes.
-    """
+    """The interval cap of the adaptive trapezoid rule, 64 * 2**k with k >= 1."""
 
     max_nodes: int = 2048
 
-    def __post_init__(self):
-        if self.max_nodes < 4:
-            raise DomainError(f"max_nodes must be >= 4, got {self.max_nodes}")
 
-
+# The one cap of every quadrature, read at call time; no caller passes one.
 DEFAULT_QUAD = QuadConfig()
 
 # The rule integrates over x = (p - q)/beta on [-7, 7]; the weight e^{-x^2}
@@ -137,7 +130,7 @@ class Averages:
     status: np.ndarray
 
 
-def _adaptive_average(rows_fn, size: int, quad: QuadConfig, shift=None) -> Averages:
+def _adaptive_average(rows_fn, size: int, shift=None) -> Averages:
     """Average an integrand over the Gaussian weight e^{-x^2}/sqrt(pi), per row.
 
     Row i integrates along the line x = t - i*shift[i], t in [-7, 7];
@@ -151,13 +144,13 @@ def _adaptive_average(rows_fn, size: int, quad: QuadConfig, shift=None) -> Avera
     nodes): the integrand turns with its real part and is no larger than
     e^{-Im angle}, as e^{i angle} is.
 
-    The rule is the trapezoid rule in t, nested: every row starts at
-    min(64, quad.max_nodes // 2) intervals and each level doubles them,
-    evaluating only the new midpoints, until the row's estimates agree
-    to TOL or the next level would pass quad.max_nodes.  Each estimate
-    is the running sum over the rule's weight sum, so a constant
-    integrand averages to itself exactly.  Each level evaluates only the
-    rows still active, in blocks of about _BLOCK_ELEMENTS nodes.
+    The rule is the trapezoid rule in t, nested: each level doubles the
+    intervals, evaluating only the new midpoints, until the row's
+    estimates agree to TOL or the next level would pass the cap,
+    DEFAULT_QUAD.max_nodes.  Each estimate is the running sum over the
+    rule's weight sum, so a constant integrand averages to itself exactly.
+    Each level evaluates only the rows still active, in blocks of about
+    _BLOCK_ELEMENTS nodes.
 
     Two levels agreeing is no proof on their own: a frequency the finer
     level aliases is aliased by the coarser one too, so a fast, nearly
@@ -179,12 +172,12 @@ def _adaptive_average(rows_fn, size: int, quad: QuadConfig, shift=None) -> Avera
     nodes = np.zeros(size, dtype=int)
     status = np.zeros(size, dtype=int)  # CONVERGED
     active = np.arange(size)
-    n = min(64, quad.max_nodes // 2)
+    n = 64
     t = (2.0 * _HALF_WIDTH / n) * np.arange(1, n) - _HALF_WIDTH
     while active.size:
         w = np.exp(-t * t)
         block = max(1, _BLOCK_ELEMENTS // t.size)
-        capped = 2 * n > quad.max_nodes
+        capped = 2 * n > DEFAULT_QUAD.max_nodes
         est, res = None, np.empty(active.size)
         for start in range(0, active.size, block):
             rows = slice(start, start + block)
@@ -270,7 +263,7 @@ def _resolved(angle: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
     return resolved
 
 
-def _average_one(rows_fn, dist: MomentumDistribution, quad: QuadConfig):
+def _average_one(rows_fn, dist: MomentumDistribution):
     """The one-row, real-line case of _adaptive_average, with failures raised.
 
     rows_fn maps a 1-D array of momenta to the integrand, shape
@@ -282,7 +275,7 @@ def _average_one(rows_fn, dist: MomentumDistribution, quad: QuadConfig):
         integrand, angle = rows_fn(dist.q + dist.beta * x[0])
         return integrand[None], angle[None]
 
-    out = _adaptive_average(rows, 1, quad)
+    out = _adaptive_average(rows, 1)
     residual, nodes = float(out.residual[0]), int(out.nodes[0])
     if out.status[0] == NOT_FINITE:
         raise DomainError("theta is not finite on the quadrature support")
@@ -330,8 +323,7 @@ class TrigMoments:
     nodes: int = 0
 
 
-def batch_trig_moments(theta_rows, q, beta: float, quad: QuadConfig = DEFAULT_QUAD,
-                       shift=None) -> Averages:
+def batch_trig_moments(theta_rows, q, beta: float, shift=None) -> Averages:
     """<cos Theta> and <sin Theta> for a batch of rows in one adaptive pass.
 
     Row i averages over the Gaussian of centre q[i] and width beta, along
@@ -353,24 +345,24 @@ def batch_trig_moments(theta_rows, q, beta: float, quad: QuadConfig = DEFAULT_QU
             theta = theta - x.imag * (x + x.real)
         return _cis(theta), theta
 
-    return _adaptive_average(rows, q.size, quad, shift)
+    return _adaptive_average(rows, q.size, shift)
 
 
-def trig_moments(theta_fn, dist: MomentumDistribution,
-                 quad: QuadConfig = DEFAULT_QUAD) -> TrigMoments:
+def trig_moments(theta_fn, dist: MomentumDistribution) -> TrigMoments:
     """Gaussian averages of cos Theta(p) and sin Theta(p), on the real line.
 
-    theta_fn must accept an array of momenta.  Under the probability
-    weight, C^2 + S^2 <= 1 always, with equality only for constant Theta.
+    theta_fn must accept an array of momenta; it may return one angle
+    for all of them.  Under the probability weight, C^2 + S^2 <= 1
+    always, with equality only for constant Theta.
     Raises DomainError for a non-finite Theta and ConvergenceError when
     the interval cap leaves a residual above FAIL_RESIDUAL or a Theta
     that turns too fast for the cap's rule.
     """
     def rows(p):
-        theta = np.asarray(theta_fn(p), dtype=float)
+        theta = np.broadcast_to(np.asarray(theta_fn(p), dtype=float), p.shape)
         return _cis(theta), theta
 
-    (c, s), residual, nodes = _average_one(rows, dist, quad)
+    (c, s), residual, nodes = _average_one(rows, dist)
     return TrigMoments(C=float(c), S=float(s), residual=residual, nodes=nodes)
 
 
@@ -412,8 +404,7 @@ def reduced_density_closed(bell: BellState, m: TrigMoments) -> np.ndarray:
 
 
 def reduced_density_bruteforce(bell: BellState, theta_fn,
-                               dist: MomentumDistribution,
-                               quad: QuadConfig = DEFAULT_QUAD) -> np.ndarray:
+                               dist: MomentumDistribution) -> np.ndarray:
     """Reference reduced density matrix from the component integrals.
 
     Each entry is a sum of products of two one-dimensional averages of
@@ -423,7 +414,7 @@ def reduced_density_bruteforce(bell: BellState, theta_fn,
     """
 
     def rows(p):
-        theta = np.asarray(theta_fn(p), dtype=float)
+        theta = np.broadcast_to(np.asarray(theta_fn(p), dtype=float), p.shape)
         c, s = _cis(0.5 * theta)
         d = np.empty((2, 2, p.size))
         d[0, 0] = c
@@ -434,7 +425,7 @@ def reduced_density_bruteforce(bell: BellState, theta_fn,
         # the products of half-angle entries turn with the full angle
         return prod.reshape(16, -1), theta
 
-    flat, _, _ = _average_one(rows, dist, quad)
+    flat, _, _ = _average_one(rows, dist)
     moments = flat.reshape(2, 2, 2, 2)
     chi = bell.array().reshape(2, 2)
     rho = np.einsum("iakc,jbld,ab,cd->ijkl", moments, moments, chi, chi)

@@ -26,14 +26,14 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .entanglement import (
+    BELL_STATES,
     BellState,
-    DEFAULT_QUAD,
     NO_CONVERGENCE,
     NOT_FINITE,
     REDUCED_TOLERANCE,
     MomentumDistribution,
-    QuadConfig,
     batch_trig_moments,
+    density_matrix_diagnostics,
     entanglement_of_formation,
     reduced_density_bruteforce,
     trig_moments,
@@ -74,7 +74,6 @@ class SweepSpec:
     hi: float
     samples: int
     fixed: OrbitParams
-    quad: QuadConfig = DEFAULT_QUAD
 
     def __post_init__(self):
         if self.variable not in SWEEP_VARIABLES:
@@ -169,7 +168,7 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
             a, qp = amplitude[part], q[part]
             moments = batch_trig_moments(
                 lambda index, p: a[index, None] * momentum_factor(qp[index, None], p),
-                qp, beta, spec.quad, line,
+                qp, beta, line,
             )
             outcome[part], values[part] = moments.status, moments.values
     for i, status, (c, s) in zip(live, outcome.tolist(), values.tolist()):
@@ -312,7 +311,6 @@ class RadialInvarianceReport:
 
 def radial_invariance_check(bell: BellState,
                             dist: MomentumDistribution | None = None,
-                            quad: QuadConfig = DEFAULT_QUAD,
                             rate_fn=None) -> RadialInvarianceReport:
     """Radial free fall leaves any Bell state's density matrix intact.
 
@@ -333,9 +331,7 @@ def radial_invariance_check(bell: BellState,
     accumulated = product_integral(rate_fn, 0.0, 5.0, 256)
     angle = math.atan2(accumulated[0, 2], accumulated[0, 0])
     dist = dist or MomentumDistribution(q=0.6, beta=1.0)
-    rho = reduced_density_bruteforce(
-        bell, lambda p: np.full(np.shape(p), angle), dist, quad
-    )
+    rho = reduced_density_bruteforce(bell, lambda p: angle, dist)
     deviation = np.abs(rho - bell.projector())
     worst = np.unravel_index(deviation.argmax(), deviation.shape)
     max_dev = float(deviation[worst])
@@ -365,8 +361,7 @@ def random_orbit_params(rng: np.random.Generator) -> OrbitParams:
     return OrbitParams(xi2=xi2, z=z, q=q, beta=beta, tau_ratio=tau_ratio)
 
 
-def oracle_equivalence_report(draws: int = 100, seed: int = 20240808,
-                              quad: QuadConfig = DEFAULT_QUAD) -> dict:
+def oracle_equivalence_report(draws: int = 100, seed: int = 20240808) -> dict:
     """Compare the closed-form pipeline against the brute-force reference.
 
     For each random draw and each Bell state, builds the reduced density
@@ -375,8 +370,6 @@ def oracle_equivalence_report(draws: int = 100, seed: int = 20240808,
     of the concurrence across Bell states, and the density-matrix
     hygiene numbers (hermiticity, trace, smallest eigenvalue).
     """
-    from .entanglement import BELL_STATES, density_matrix_diagnostics
-
     if draws < 1:
         raise DomainError(f"draws must be >= 1, got {draws}")
     rng = np.random.default_rng(seed)
@@ -394,13 +387,13 @@ def oracle_equivalence_report(draws: int = 100, seed: int = 20240808,
         params = random_orbit_params(rng)
         dist = MomentumDistribution(params.q, params.beta)
         theta_fn = lambda p: theta_circular(params, p)
-        moments = trig_moments(theta_fn, dist, quad)
+        moments = trig_moments(theta_fn, dist)
         norm = moments.C ** 2 + moments.S ** 2
         report["max_moment_norm"] = max(report["max_moment_norm"], norm)
         concurrences = []
         for chi in BELL_STATES:
             closed = reduced_density_closed(chi, moments)
-            brute = reduced_density_bruteforce(chi, theta_fn, dist, quad)
+            brute = reduced_density_bruteforce(chi, theta_fn, dist)
             report["max_entry_deviation"] = max(
                 report["max_entry_deviation"], float(np.abs(closed - brute).max())
             )

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -303,7 +304,6 @@ MINIMA_FIGURE_4 = """\
 # notes = ['lo clamped from 0.8 to 0.801 (outer horizon at 0.8)']
 # package = 'gravent 0.1.0'
 # q = 0.6
-# quad_max_nodes = 2048
 # samples = 400
 # tau_ratio = 5.0
 # variable = 'z'
@@ -396,29 +396,14 @@ def test_frame_compare_command(tmp_path, capsys):
     assert float(mid[1]) == 0.0
 
 
-def test_env_var_overrides_quadrature_cap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GRAVENT_QUAD_NODES", "256")
-    path = tmp_path / "fig1.json"
-    assert main(["figure", "1", "--samples", "6", "--format", "json",
-                 "-o", str(path)]) == 0
-    capsys.readouterr()
-    doc = json.loads(path.read_text())
-    assert doc["meta"]["quad_max_nodes"] == 256
-
-
-def test_non_integer_quadrature_cap_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("GRAVENT_QUAD_NODES", "abc")
-    code, out, err = run_cli(capsys, "figure", "4", "--samples", "4")
-    assert code == 2
-    assert "GRAVENT_QUAD_NODES must be an integer" in err
-    assert "Traceback" not in err and out == ""
-
-
 def test_validate_command(capsys):
     code, out, _ = run_cli(capsys, "validate", "--draws", "5")
     assert code == 0
     assert "ALL CHECKS PASSED" in out
     assert out.count("PASS") >= 8
+    # the radial check reports the deviation it measured
+    line = next(ln for ln in out.splitlines() if "radial-geodesic invariance" in ln)
+    assert 0.0 <= float(line.split("max deviation ")[1].rstrip(")")) <= 1e-10
 
 
 def test_validate_checks_angle_zeros_against_the_quadratic(capsys, monkeypatch):
@@ -454,16 +439,23 @@ def test_validate_rejects_zero_draws(capsys):
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("fmt", ["csv", "svg"])
 def test_figure_matches_committed_output(n, fmt):
-    # demos/out/ holds `gravent figure N --stationary-phase` at the default
-    # quadrature settings; any byte that moves is a behaviour change
+    # demos/out/ holds `gravent figure N`; any byte that moves is a
+    # behaviour change
     expected = (DEMO_OUT / f"figure{n}.{fmt}").read_bytes().decode("utf-8")
-    got = render_sweep(figure_preset(n), True, fmt)
+    got = render_sweep(figure_preset(n), False, fmt)
     lines = zip_longest(got.splitlines(keepends=True),
                         expected.splitlines(keepends=True))
     for i, (new, old) in enumerate(lines, 1):
         if new != old:
             pytest.fail(f"figure{n}.{fmt} differs from demos/out at line {i}: "
                         f"got {new!r}, committed {old!r}")
+
+
+def test_no_module_reads_the_environment():
+    # every setting is a flag or a config key; none hides in the environment
+    for path in Path(gravent.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"\b(environ|getenv)\b", text), path.name
 
 
 def test_import_does_not_load_scipy_xml_sax_or_urllib():

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as adaptive_quad
 
+import gravent.entanglement as entanglement
 from gravent.entanglement import (
     CONVERGED,
     FAIL_RESIDUAL,
     NO_CONVERGENCE,
     NOT_FINITE,
     REDUCED_TOLERANCE,
+    QuadConfig,
 )
 
 from gravent import (
@@ -23,7 +25,6 @@ from gravent import (
     MomentumDistribution,
     NumericalError,
     OrbitParams,
-    QuadConfig,
     TrigMoments,
     bell_state,
     binary_entropy,
@@ -60,15 +61,6 @@ def test_momentum_distribution_normalized():
         MomentumDistribution(q=0.0, beta=0.0)
 
 
-def test_quad_config_validation():
-    with pytest.raises(DomainError, match="max_nodes must be >= 4"):
-        QuadConfig(max_nodes=3)
-    # the smallest cap runs two levels, 2 and 4 nodes
-    m = trig_moments(lambda p: 0.0 * p, MomentumDistribution(q=0.0, beta=1.0),
-                     QuadConfig(max_nodes=4))
-    assert (m.C, m.S, m.nodes) == (pytest.approx(1.0, abs=1e-15), 0.0, 4)
-
-
 def test_trig_moments_constant_angle():
     dist = MomentumDistribution(q=0.2, beta=0.7)
     theta0 = 1.234
@@ -76,6 +68,14 @@ def test_trig_moments_constant_angle():
     assert m.C == pytest.approx(math.cos(theta0), abs=1e-14)
     assert m.S == pytest.approx(math.sin(theta0), abs=1e-14)
     assert m.C**2 + m.S**2 <= 1.0 + 1e-12
+
+
+def test_scalar_angle_is_broadcast_over_the_momenta():
+    m = trig_moments(lambda p: 0.0, MomentumDistribution(q=0.0, beta=1.0))
+    assert (m.C, m.S) == (1.0, 0.0)
+    rho = reduced_density_bruteforce(CHI1, lambda p: 0.3, MomentumDistribution(q=0.6, beta=1.0))
+    closed = reduced_density_closed(CHI1, TrigMoments(math.cos(0.3), math.sin(0.3)))
+    assert np.abs(rho - closed).max() < 1e-14
 
 
 def test_trig_moments_delta_limit():
@@ -136,7 +136,7 @@ def test_fast_linear_rows_stop_only_where_resolved():
     # 1e4 pass the 2048-interval rule's, ~ 919, so their residual is inf
     slope = np.array([1e4, 1e3, 300.0, 2.0])
     out = batch_trig_moments(lambda index, p: slope[index, None] * p,
-                             np.zeros(4), 1.0, QuadConfig())
+                             np.zeros(4), 1.0)
     assert out.status.tolist() == [NO_CONVERGENCE, NO_CONVERGENCE, CONVERGED, CONVERGED]
     assert (out.residual[:2] == math.inf).all() and out.nodes[:3].tolist() == [2048, 2048, 1024]
     assert np.abs(out.values[2]).max() <= 1e-9
@@ -158,37 +158,36 @@ def test_batch_trig_moments_rows_match_single_rows():
     # each row stops at its own level; a row's failure stays in its status
     q = np.array([0.0, 0.3, -0.5, 0.2, 1.0])
     slope = np.array([0.2, 3.0, np.inf, 5e5, 30.0])
-    quad = QuadConfig()
-    out = batch_trig_moments(lambda index, p: slope[index, None] * p, q, 0.9, quad)
+    out = batch_trig_moments(lambda index, p: slope[index, None] * p, q, 0.9)
     assert out.status.tolist() == [CONVERGED, CONVERGED, NOT_FINITE,
                                    NO_CONVERGENCE, CONVERGED]
     assert len(set(out.nodes[out.status == CONVERGED].tolist())) > 1
     assert out.residual[3] > FAIL_RESIDUAL
     for i in (0, 1, 4):
         single = trig_moments(lambda p: slope[i] * p,
-                              MomentumDistribution(q=q[i], beta=0.9), quad)
+                              MomentumDistribution(q=q[i], beta=0.9))
         assert (out.values[i, 0], out.values[i, 1]) == (single.C, single.S)
         assert (out.residual[i], out.nodes[i]) == (single.residual, single.nodes)
-    empty = batch_trig_moments(lambda index, p: p, np.array([]), 1.0, quad)
+    empty = batch_trig_moments(lambda index, p: p, np.array([]), 1.0)
     assert empty.status.size == 0
 
 
-def test_capped_rows_with_small_residual_have_reduced_tolerance():
+def test_capped_rows_with_small_residual_have_reduced_tolerance(monkeypatch):
     # at a 256-interval cap, slopes 54 and 55 stop with residuals between
     # TOL and FAIL_RESIDUAL, slope 56 above it
+    monkeypatch.setattr(entanglement, "DEFAULT_QUAD", QuadConfig(256))
     slope = np.array([54.0, 55.0, 56.0])
-    quad = QuadConfig(max_nodes=256)
     out = batch_trig_moments(lambda index, p: slope[index, None] * p,
-                             np.zeros(3), 0.9, quad)
+                             np.zeros(3), 0.9)
     assert out.status.tolist() == [REDUCED_TOLERANCE, REDUCED_TOLERANCE, NO_CONVERGENCE]
     assert (out.nodes == 256).all()
     for i in (0, 1):
         single = trig_moments(lambda p: slope[i] * p,
-                              MomentumDistribution(q=0.0, beta=0.9), quad)
+                              MomentumDistribution(q=0.0, beta=0.9))
         assert (single.C, single.S) == (out.values[i, 0], out.values[i, 1])
         assert 1e-10 <= single.residual <= FAIL_RESIDUAL
     with pytest.raises(ConvergenceError):
-        trig_moments(lambda p: 56.0 * p, MomentumDistribution(q=0.0, beta=0.9), quad)
+        trig_moments(lambda p: 56.0 * p, MomentumDistribution(q=0.0, beta=0.9))
 
 
 def test_moment_bound_on_random_draws():

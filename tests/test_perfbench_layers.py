@@ -39,3 +39,24 @@ def test_layers_install_around_a_sweep():
     assert summary["spans"]["experiments.run_sweep"]["calls"] == 1
     assert sum(v for k, v in summary["counts"].items()
                if k.startswith("experiments.rows.")) == 8
+
+
+def test_layers_install_around_validate(capsys):
+    # the traced `validate` run reads entanglement.DEFAULT_QUAD.max_nodes in
+    # the trig_moments hook and wraps cli.oracle_equivalence_report,
+    # cli.theta_zeros and cli.product_integral
+    spans, layers = _load("spans"), _load("layers")
+    tracer = spans.Tracer()
+    layers.install(tracer)
+    try:
+        code = cli.main(["validate", "--draws", "1"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    summary = tracer.summary()
+    assert summary["spans"]["experiments.oracle_equivalence_report"]["calls"] == 1
+    # one draw: one trig_moments call, whose after-hook compared its node
+    # count with the cap
+    assert summary["spans"]["entanglement.trig_moments"]["calls"] == 1
+    assert len(summary["samples"]["entanglement.trig_moments.nodes_final"]) == 1
