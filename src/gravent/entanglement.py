@@ -323,29 +323,34 @@ class TrigMoments:
     nodes: int = 0
 
 
-def batch_trig_moments(theta_rows, q, beta: float, shift=None) -> Averages:
+def batch_trig_moments(amplitude, factor, q, beta: float, shift=None) -> Averages:
     """<cos Theta> and <sin Theta> for a batch of rows in one adaptive pass.
 
-    Row i averages over the Gaussian of centre q[i] and width beta, along
-    the line p = q[i] + beta (t - i shift[i]) (the real line by default);
-    Theta must be analytic between that line and the real axis.  On a
-    shifted line only e^{i Theta} is damped, so it is the one integrand:
-    C is the real part of its average and S the imaginary part.
-    theta_rows(index, p) returns Theta for the rows `index` at momenta p,
-    which broadcast to shape (len(index), nodes).  values[:, 0] holds C
-    and values[:, 1] holds S; see _adaptive_average for the rest.
+    Row i's angle is Theta_i(p) = amplitude[i] * factor(q_i, p), averaged
+    over the Gaussian of centre q_i and width beta along the line
+    p = q_i + beta (t - i shift[i]) (the real line by default); Theta must
+    be analytic between that line and the real axis.  q is one centre per
+    row, or one scalar centre for all: then the rows on the real line
+    share one momentum table per block, factor(q, p) with p of shape
+    (1, nodes), and differ only in the amplitude column, with the bits a
+    column of equal centres gives.  factor gets q as that scalar or as
+    the column q[index, None].  On a shifted line only e^{i Theta} is
+    damped, so it is the one integrand: C is the real part of its average
+    and S the imaginary part.  values[:, 0] holds C and values[:, 1]
+    holds S; see _adaptive_average for the rest.
     """
-    q = np.asarray(q, dtype=float)
+    amplitude, q = np.asarray(amplitude, dtype=float), np.asarray(q, dtype=float)
 
     def rows(index, x):
-        theta = theta_rows(index, q[index, None] + beta * x)
+        centre = q if q.ndim == 0 else q[index, None]
+        theta = amplitude[index, None] * factor(centre, centre + beta * x)
         if np.iscomplexobj(x):
             # e^{t^2 - x^2} joins the exponent: with x = t + iy,
             # t^2 - x^2 = i * (-y (x + t))
             theta = theta - x.imag * (x + x.real)
         return _cis(theta), theta
 
-    return _adaptive_average(rows, q.size, shift)
+    return _adaptive_average(rows, amplitude.size, shift)
 
 
 def trig_moments(theta_fn, dist: MomentumDistribution) -> TrigMoments:

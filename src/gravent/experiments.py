@@ -3,13 +3,18 @@
 A sweep varies one of (q, tau_ratio, z) while the remaining orbit
 parameters stay fixed, running each grid point through the
 angle -> moments -> concurrence K = C^2 + S^2 -> entanglement pipeline.
+The rows are computed as arrays over the grid: masks on the swept
+variable flag the domain and horizon rows, the checks OrbitParams makes
+one row at a time, and the angle's amplitude is one array expression.
 The moments of a sweep's rows come from a nested trapezoid rule batched
 across rows: each level evaluates only the rows still active, and every
 row stops at its own level, exactly where it would stop alone
-(sweep_point is the one-row case).  A row whose angle turns fast
-integrates e^{i Theta} along a line shifted into the complex momentum
-plane, where the oscillation is damped (_contour_shift).  K is the
-concurrence of every Bell input; the reduced density matrices and
+(sweep_point is the one-row case).  On a z- or tau-sweep every row has
+the same q, so the rows on the real line share one table of the
+momentum factor M(q, p) per block of each level.  A row whose angle
+turns fast integrates e^{i Theta} along a line shifted into the complex
+momentum plane, where the oscillation is damped (_contour_shift).  K is
+the concurrence of every Bell input; the reduced density matrices and
 Wootters' concurrence serve only as oracles in
 oracle_equivalence_report.  Failures are recorded per row (horizon,
 domain, quadrature non-convergence) instead of aborting the sweep; with
@@ -21,13 +26,14 @@ limit.  It is a fallback: no row of the six presets needs it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .entanglement import (
     BELL_STATES,
     BellState,
+    CONVERGED,
     NO_CONVERGENCE,
     NOT_FINITE,
     REDUCED_TOLERANCE,
@@ -43,13 +49,15 @@ from .entanglement import (
 from .errors import AssertionFailure, DomainError, HorizonError
 from .spacetime import ChargedBlackHole, outer_horizon
 from .wigner import (
+    MAX_MOMENTUM,
+    TAU_S,
     OrbitParams,
     kruskal_rate,
     lambda_radial,
     momentum_factor,
     product_integral,
+    radial_factor,
     schwarzschild_rate,
-    theta_amplitude,
     theta_circular,
 )
 
@@ -130,58 +138,70 @@ def run_sweep(spec: SweepSpec, stationary_phase: bool = False) -> list[SweepRow]
     """Evaluate the sweep over its grid; rows come back in ascending x."""
     spec, _ = resolve_sweep(spec)
     grid = np.linspace(spec.lo, spec.hi, spec.samples)
-    return _sweep_rows(spec, [float(x) for x in grid], stationary_phase)
+    return _sweep_rows(spec, grid.tolist(), stationary_phase)
+
+
+# Row outcomes decided before the quadrature, beside its per-row statuses
+_DOMAIN, _HORIZON = -1, -2
+_REFUSALS = {_DOMAIN: "domain", NOT_FINITE: "domain", _HORIZON: "horizon",
+             NO_CONVERGENCE: "no-convergence"}
 
 
 def _sweep_rows(spec: SweepSpec, xs: list[float],
                 stationary_phase: bool) -> list[SweepRow]:
-    """The pipeline at each x, with batched quadratures for all rows.
+    """The pipeline at each x, computed as arrays over the rows.
 
-    Each row's angle is Theta = amplitude * M(q, p), so two
-    batch_trig_moments calls give every row's moments: one for the rows
-    on the real line and one for the rows on shifted lines.  Rows whose
-    parameters fail are flagged horizon or domain before those calls.
+    spec.fixed has passed every check of OrbitParams, so only the swept
+    variable is checked, by masks over the grid that match those checks:
+    a non-finite x, |q| > MAX_MOMENTUM, z <= 0 and tau < 0 are domain;
+    z on or inside the outer horizon, or a singular radial factor, is
+    horizon, unless domain holds too.  Each row's angle is
+    Theta = amplitude * M(q, p), the amplitude 2 pi tau R(z) one array
+    expression over the grid, so two batch_trig_moments calls give the
+    moments of every row left: one for the rows on the real line and one
+    for the rows on shifted lines.  On a z- or tau-sweep q is one scalar,
+    so the rows on the real line share one momentum table M(q, p) per
+    block of each level.
     """
-    rows: list[SweepRow | None] = [None] * len(xs)
-    live, amplitude, q = [], [], []
-    fixed = asdict(spec.fixed)
-    for i, x in enumerate(xs):
-        try:
-            params = OrbitParams(**{**fixed, spec.variable: x})
-            amplitude.append(theta_amplitude(params))
-        except HorizonError:
-            rows[i] = _refused_row(x, "horizon", stationary_phase)
-            continue
-        except DomainError:
-            rows[i] = _refused_row(x, "domain", stationary_phase)
-            continue
-        live.append(i)
-        q.append(params.q)
-    amplitude, q = np.array(amplitude), np.array(q)
-    beta = spec.fixed.beta
+    fixed, grid = spec.fixed, np.asarray(xs, dtype=float)
+    z, tau, q = (grid if spec.variable == name else getattr(fixed, name)
+                 for name in ("z", "tau_ratio", "q"))
+    if spec.variable == "q":
+        domain = np.abs(grid) > MAX_MOMENTUM
+    else:
+        domain = grid <= 0 if spec.variable == "z" else grid < 0
+    domain |= ~np.isfinite(grid)
+    radial, horizon = radial_factor(z, fixed.xi2)
+    zp = outer_horizon(fixed.xi2)
+    if zp is not None:
+        horizon = horizon | (z <= zp)
+    outcome = np.where(domain, _DOMAIN, np.where(horizon, _HORIZON, CONVERGED))
+    live = np.flatnonzero(outcome == CONVERGED)
+    with np.errstate(all="ignore"):  # refused rows may hold inf or nan
+        amplitude = np.broadcast_to(TAU_S * tau * radial, grid.shape)[live]
+    if spec.variable == "q":
+        q = grid[live]
+    beta = fixed.beta
     shift = _contour_shift(amplitude, q, beta)
-    outcome, values = np.empty(q.size, dtype=int), np.empty((q.size, 2))
+    values = np.empty((grid.size, 2))
     # unshifted rows form a batch on the real line, with real arithmetic
     real = shift == 0.0
     for part, line in ((real, None), (~real, shift[~real])):
         if part.any():
-            a, qp = amplitude[part], q[part]
-            moments = batch_trig_moments(
-                lambda index, p: a[index, None] * momentum_factor(qp[index, None], p),
-                qp, beta, line,
-            )
-            outcome[part], values[part] = moments.status, moments.values
-    for i, status, (c, s) in zip(live, outcome.tolist(), values.tolist()):
-        if status == NOT_FINITE:
-            rows[i] = _refused_row(xs[i], "domain", stationary_phase)
-        elif status == NO_CONVERGENCE:
-            rows[i] = _refused_row(xs[i], "no-convergence", stationary_phase)
+            centre = q[part] if spec.variable == "q" else q
+            moments = batch_trig_moments(amplitude[part], momentum_factor,
+                                         centre, beta, line)
+            outcome[live[part]], values[live[part]] = moments.status, moments.values
+    out = []
+    for x, status, (c, s) in zip(xs, outcome.tolist(), values.tolist()):
+        if status in _REFUSALS:
+            out.append(_refused_row(x, _REFUSALS[status], stationary_phase))
         else:
             conc = c * c + s * s
             e = entanglement_of_formation(min(conc, 1.0))
             flags = ("reduced-tolerance",) if status == REDUCED_TOLERANCE else ()
-            rows[i] = SweepRow(xs[i], c, s, conc, e, flags)
-    return rows
+            out.append(SweepRow(x, c, s, conc, e, flags))
+    return out
 
 
 def _contour_shift(amplitude: np.ndarray, q: np.ndarray, beta: float) -> np.ndarray:

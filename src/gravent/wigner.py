@@ -152,18 +152,31 @@ def wigner_rate_matrix(model, z: float, q: float, p: float) -> np.ndarray:
     return w
 
 
-def _charged_prefactor(z: float, xi2: float) -> float:
+def radial_factor(z, xi2: float) -> tuple[np.ndarray, np.ndarray]:
     """(2z^2 - 3z + 4 xi2) / (2 z^2 sqrt(z^2 - z + xi2)), the radial factor of Theta.
 
-    Raises HorizonError on or inside the horizons, where z^2 - z + xi2 -> 0
-    and the factor diverges, and for z <= 0.
+    Elementwise over an array of radii; returns the factor and a mask of
+    where it is singular: for z <= 0, and on or inside the horizons,
+    where z^2 - z + xi2 -> 0 and the factor diverges.  IEEE + - * / and
+    sqrt round alike in numpy and math, so a float gives the bits math
+    would.
     """
-    s = z * z - z + xi2
-    if z <= 0 or s <= 0 or s / (z * z) < HORIZON_TOL:
+    z = np.asarray(z, dtype=float)[()]  # a float becomes a numpy scalar
+    with np.errstate(all="ignore"):  # the singular entries are masked
+        s = z * z - z + xi2
+        singular = (z <= 0) | (s <= 0) | (s / (z * z) < HORIZON_TOL)
+        factor = (2 * z * z - 3 * z + 4 * xi2) / (2 * z * z * np.sqrt(s))
+    return factor, singular
+
+
+def _charged_prefactor(z: float, xi2: float) -> float:
+    """radial_factor at one radius; HorizonError where it is singular."""
+    factor, singular = radial_factor(z, xi2)
+    if singular:
         raise HorizonError(
             f"radial factor singular on or inside the horizons (z={z}, xi2={xi2})"
         )
-    return (2 * z * z - 3 * z + 4 * xi2) / (2 * z * z * math.sqrt(s))
+    return float(factor)
 
 
 def theta_amplitude(params: OrbitParams) -> float:

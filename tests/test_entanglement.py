@@ -30,6 +30,7 @@ from gravent import (
     binary_entropy,
     density_matrix_diagnostics,
     entanglement_of_formation,
+    momentum_factor,
     reduced_density_bruteforce,
     reduced_density_closed,
     spin_flip,
@@ -135,8 +136,7 @@ def test_fast_linear_rows_stop_only_where_resolved():
     # frequency, 2 pi 1024/14 ~ 460, by more than the margin of 30; 1e3 and
     # 1e4 pass the 2048-interval rule's, ~ 919, so their residual is inf
     slope = np.array([1e4, 1e3, 300.0, 2.0])
-    out = batch_trig_moments(lambda index, p: slope[index, None] * p,
-                             np.zeros(4), 1.0)
+    out = batch_trig_moments(slope, lambda q, p: p, np.zeros(4), 1.0)
     assert out.status.tolist() == [NO_CONVERGENCE, NO_CONVERGENCE, CONVERGED, CONVERGED]
     assert (out.residual[:2] == math.inf).all() and out.nodes[:3].tolist() == [2048, 2048, 1024]
     assert np.abs(out.values[2]).max() <= 1e-9
@@ -158,7 +158,7 @@ def test_batch_trig_moments_rows_match_single_rows():
     # each row stops at its own level; a row's failure stays in its status
     q = np.array([0.0, 0.3, -0.5, 0.2, 1.0])
     slope = np.array([0.2, 3.0, np.inf, 5e5, 30.0])
-    out = batch_trig_moments(lambda index, p: slope[index, None] * p, q, 0.9)
+    out = batch_trig_moments(slope, lambda q, p: p, q, 0.9)
     assert out.status.tolist() == [CONVERGED, CONVERGED, NOT_FINITE,
                                    NO_CONVERGENCE, CONVERGED]
     assert len(set(out.nodes[out.status == CONVERGED].tolist())) > 1
@@ -168,8 +168,32 @@ def test_batch_trig_moments_rows_match_single_rows():
                               MomentumDistribution(q=q[i], beta=0.9))
         assert (out.values[i, 0], out.values[i, 1]) == (single.C, single.S)
         assert (out.residual[i], out.nodes[i]) == (single.residual, single.nodes)
-    empty = batch_trig_moments(lambda index, p: p, np.array([]), 1.0)
+    empty = batch_trig_moments(np.array([]), lambda q, p: p, np.array([]), 1.0)
     assert empty.status.size == 0
+
+
+@pytest.mark.parametrize("shifted", [False, True], ids=["real-line", "shifted"])
+def test_shared_centre_gives_the_bits_of_a_column(shifted):
+    # a scalar q is shared by every row: on the real line each block of rows
+    # gets one momentum table, p of shape (1, nodes), and the rows' moments
+    # are the ones a column of equal centres gives, bit for bit
+    amplitude = np.linspace(-40.0, 60.0, 300)
+    shift = 0.3 * np.sign(amplitude) if shifted else None
+    shapes = []
+
+    def factor(q, p):
+        shapes.append(p.shape)
+        return momentum_factor(q, p)
+
+    shared = batch_trig_moments(amplitude, factor, 0.6, 1.0, shift)
+    column = batch_trig_moments(amplitude, momentum_factor, np.full(300, 0.6), 1.0, shift)
+    for name in ("values", "residual", "nodes", "status"):
+        assert getattr(shared, name).tobytes() == getattr(column, name).tobytes(), name
+    assert (shared.status == CONVERGED).all()
+    if shifted:  # each row keeps its own complex line
+        assert max(rows for rows, _ in shapes) > 1
+    else:
+        assert {rows for rows, _ in shapes} == {1}
 
 
 def test_capped_rows_with_small_residual_have_reduced_tolerance(monkeypatch):
@@ -177,8 +201,7 @@ def test_capped_rows_with_small_residual_have_reduced_tolerance(monkeypatch):
     # TOL and FAIL_RESIDUAL, slope 56 above it
     monkeypatch.setattr(entanglement, "DEFAULT_QUAD", QuadConfig(256))
     slope = np.array([54.0, 55.0, 56.0])
-    out = batch_trig_moments(lambda index, p: slope[index, None] * p,
-                             np.zeros(3), 0.9)
+    out = batch_trig_moments(slope, lambda q, p: p, np.zeros(3), 0.9)
     assert out.status.tolist() == [REDUCED_TOLERANCE, REDUCED_TOLERANCE, NO_CONVERGENCE]
     assert (out.nodes == 256).all()
     for i in (0, 1):

@@ -1,10 +1,13 @@
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import gravent.entanglement as entanglement
+import gravent.experiments as experiments
 from gravent.entanglement import QuadConfig
 from gravent import (
     AssertionFailure,
@@ -26,6 +29,7 @@ from gravent import (
     reduced_density_closed,
     run_sweep,
     sweep_point,
+    theta_amplitude,
     wootters_concurrence,
 )
 
@@ -268,3 +272,89 @@ def test_oracle_equivalence_report_small():
     assert report["max_trace_error"] < 1e-10
     assert report["min_eigenvalue"] > -1e-10
     assert report["max_moment_norm"] <= 1.0
+
+
+# Sweeps off the presets, with their digests of repr(run_sweep(spec, sp))
+# as the code computed them before the rows were computed as arrays; the
+# goldens in demos/out cover only the six presets.
+SEEDED_SPECS = {
+    # two horizons: the lower edge is clamped just above z+ = 0.8
+    "z-two-horizons": SweepSpec("z", 0.3, 3.1, 71, OrbitParams(0.16, 2.0, 0.45, 0.8, 4.2)),
+    # just naked: z <= 0 is domain, the near-zero of z^2 - z + xi2 is
+    # horizon, and the wide packet brings rows to the cap
+    "z-near-degenerate": SweepSpec("z", -0.4, 1.6, 81,
+                                   OrbitParams(0.25 + 1e-11, 1.0, 0.7, 20.0, 3.5)),
+    # naked with two angle zeros, negative momentum, wide packet
+    "z-naked-zeros": SweepSpec("z", 0.0, 4.5, 61, OrbitParams(0.27, 2.0, -0.55, 2.5, 6.0)),
+    # naked without zeros, out to the far field
+    "z-naked-far": SweepSpec("z", 0.2, 40.0, 53, OrbitParams(0.45, 2.0, 1.4, 0.6, 8.0)),
+    # tau < 0 is domain
+    "tau-negative-start": SweepSpec("tau_ratio", -3.0, 25.0, 57,
+                                    OrbitParams(0.2, 1.35, 0.8, 0.9, 0.0)),
+    # close to the outer horizon the angle turns fast and most rows are shifted
+    "tau-near-horizon": SweepSpec("tau_ratio", 0.0, 12.0, 41,
+                                  OrbitParams(0.16, 0.83, 0.5, 1.1, 0.0)),
+    # through q = 0, both signs
+    "q-both-signs": SweepSpec("q", -6.0, 9.0, 49, OrbitParams(0.24, 1.7, 0.0, 1.6, 3.0)),
+    # |q| > 1e8 is domain
+    "q-past-max": SweepSpec("q", -2.5e8, 2.5e8, 9, OrbitParams(0.1, 3.0, 0.0, 0.7, 2.0)),
+}
+SEEDED_DIGESTS = {
+    ("z-two-horizons", False): "df27e6e264520ac80f18cc1dd3d5ee94a5071f1003022723611be2c0aac54c7e",
+    ("z-two-horizons", True): "df27e6e264520ac80f18cc1dd3d5ee94a5071f1003022723611be2c0aac54c7e",
+    ("z-near-degenerate", False): "a8bef519483d96b0394577dbabc7d4844b8267be36c09e6662e2562e77ab8f6f",
+    ("z-near-degenerate", True): "ce15ed53d5ae127129568e1b92d53f132eadae076dcf3c4e125fd2a9bc969976",
+    ("z-naked-zeros", False): "1d9d3ab414e059e8b301c1bddeb6425a837cc73803c28c77617053fef9440b19",
+    ("z-naked-zeros", True): "1d9d3ab414e059e8b301c1bddeb6425a837cc73803c28c77617053fef9440b19",
+    ("z-naked-far", False): "e92ba6ce622b9657db375f4d90e1591c21e38400928a6201125f64b0d329576c",
+    ("z-naked-far", True): "e92ba6ce622b9657db375f4d90e1591c21e38400928a6201125f64b0d329576c",
+    ("tau-negative-start", False): "cf02f573bdf74e493afab192a531e194c819ff7587d15bbccdb0d1daeb7e1f47",
+    ("tau-negative-start", True): "cf02f573bdf74e493afab192a531e194c819ff7587d15bbccdb0d1daeb7e1f47",
+    ("tau-near-horizon", False): "9517e2e02166132e6519453113464ec3bfe1a24031c9d5258d6c57f79d58ca4b",
+    ("tau-near-horizon", True): "9517e2e02166132e6519453113464ec3bfe1a24031c9d5258d6c57f79d58ca4b",
+    ("q-both-signs", False): "32bff3e83864db0165d5059f17f3d825489b1870821ee35ed76852972f8f86ad",
+    ("q-both-signs", True): "32bff3e83864db0165d5059f17f3d825489b1870821ee35ed76852972f8f86ad",
+    ("q-past-max", False): "5e31edf3b279cd872cbd912f8d6c1944b7ac6624487e477d916885fc3ef11a86",
+    ("q-past-max", True): "5e31edf3b279cd872cbd912f8d6c1944b7ac6624487e477d916885fc3ef11a86",
+}
+
+
+@pytest.mark.parametrize("name,stationary_phase", sorted(SEEDED_DIGESTS))
+def test_seeded_sweeps_keep_their_bytes(name, stationary_phase):
+    rows = run_sweep(SEEDED_SPECS[name], stationary_phase)
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == SEEDED_DIGESTS[name, stationary_phase]
+
+
+@pytest.mark.parametrize("tau", [1e-4, 1e-3, 1e-2])
+def test_small_kappa_law(tau):
+    # Theta = A q gamma^2 - kappa u(p) with kappa = A q^2 gamma and
+    # u(p) = p / (sqrt(p^2 + 1) + 1), so 1 - K = kappa^2 Var_w(u) + O(kappa^4);
+    # at preset 3's orbit Var_w(u) = 0.0675842 and kappa ~ 6e-5 ... 6e-3
+    spec = figure_preset(3)
+    q, beta = spec.fixed.q, spec.fixed.beta
+    weight = lambda p: math.exp(-((p - q) / beta) ** 2) / (math.sqrt(math.pi) * beta)
+    u = lambda p: p / (math.sqrt(p * p + 1.0) + 1.0)
+    lo, hi = q - 12.0 * beta, q + 12.0 * beta
+    mean = quad(lambda p: weight(p) * u(p), lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+    var = quad(lambda p: weight(p) * (u(p) - mean) ** 2, lo, hi,
+               epsabs=0.0, epsrel=1e-13)[0]
+    kappa = theta_amplitude(replace(spec.fixed, tau_ratio=tau)) * q * q * math.sqrt(q * q + 1.0)
+    row = sweep_point(spec, tau)
+    assert row.flags == ()
+    assert abs((1.0 - row.concurrence) / (kappa * kappa * var) - 1.0) < 1e-5
+
+
+def test_sweep_rows_build_no_orbit_params(monkeypatch):
+    # the grid is checked by masks and its amplitude is one array
+    # expression, not one validated OrbitParams per row
+    spec = figure_preset(4)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return OrbitParams(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "OrbitParams", counted)
+    rows = run_sweep(spec)
+    assert len(rows) == 400 and calls == []

@@ -1,33 +1,43 @@
 """Property tests: pipeline invariants on drawn in-domain orbits.
 
 Orbits are drawn from the ranges of random_orbit_params (clear of the
-horizons, where the default quadrature converges).  Draws are
-derandomized so that a run of the suite is reproducible, and
-max_examples is kept small so that the module takes a few seconds.
+horizons, where the default quadrature converges); the sweep-mask test
+draws grids across the domain's edges instead, with the quadrature
+stubbed.  Draws are derandomized so that a run of the suite is
+reproducible, and max_examples is kept small so that the module takes a
+few seconds.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gravent.experiments as experiments
 from gravent import (
     BELL_STATES,
+    DomainError,
+    HorizonError,
     MomentumDistribution,
     OrbitParams,
     SweepSpec,
     density_matrix_diagnostics,
     entanglement_of_formation,
+    horizons,
     outer_horizon,
     reduced_density_bruteforce,
     reduced_density_closed,
     sweep_point,
+    theta_amplitude,
     theta_circular,
     theta_zeros,
     trig_moments,
 )
 from gravent.cli import render_sweep
+from gravent.entanglement import Averages
+from gravent.wigner import MAX_MOMENTUM
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -112,3 +122,71 @@ def test_sweeps_are_byte_identical_from_run_to_run(params, variable, samples,
     lo = {"q": -1.0, "tau_ratio": 0.0, "z": params.z}[variable]
     spec = SweepSpec(variable, lo, lo + 2.0, samples, params)
     assert render_sweep(spec, stationary_phase, fmt) == render_sweep(spec, stationary_phase, fmt)
+
+
+@st.composite
+def straddling_sweeps(draw):
+    """A sweep spec and a grid whose range crosses an edge of the domain.
+
+    The edges are |q| = MAX_MOMENTUM, tau = 0, z = 0, the horizons and the
+    near-zero of z^2 - z + xi2 at xi2 just above 1/4; the edge itself is
+    one of the grid's points, and a non-finite value may join them.
+    """
+    xi2 = draw(st.one_of(st.floats(0.0, 0.6),
+                         st.sampled_from((0.16, 0.25, 0.25 + 1e-12, 0.265))))
+    zp = outer_horizon(xi2)
+    radii = st.floats(1e-6, 3.0).map(lambda dz: (zp or 0.0) + dz)
+    if zp is None:
+        # the fixed radius may sit where the radial factor alone is singular
+        radii = st.one_of(radii, st.just(0.5))
+    z = draw(radii)
+    fixed = OrbitParams(xi2=xi2, z=z, q=draw(st.floats(-2.0, 2.0)),
+                        beta=draw(st.floats(0.3, 2.0)), tau_ratio=draw(st.floats(0.0, 5.0)))
+    variable = draw(st.sampled_from(("q", "tau_ratio", "z")))
+    edges = {"q": [MAX_MOMENTUM, -MAX_MOMENTUM], "tau_ratio": [0.0],
+             "z": [0.0, 0.5] + horizons(xi2)}[variable]
+    edge = draw(st.sampled_from(edges))
+    width = draw(st.floats(1e-9, 1.0)) * max(1.0, abs(edge))
+    lo = edge - width * draw(st.floats(0.01, 1.0))
+    hi = edge + width * draw(st.floats(0.01, 1.0))
+    xs = np.linspace(lo, hi, draw(st.integers(2, 12))).tolist() + [edge]
+    xs += draw(st.lists(st.sampled_from((math.nan, math.inf, -math.inf)), max_size=1))
+    return SweepSpec(variable, lo, hi, 2, fixed), xs
+
+
+def _expected_row(spec, x):
+    """What the scalar checks make of the row at x: a flag, or the amplitude and q."""
+    try:
+        params = OrbitParams(**{**asdict(spec.fixed), spec.variable: x})
+        return theta_amplitude(params), params.q
+    except DomainError:
+        return "domain"
+    except HorizonError:
+        return "horizon"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(straddling_sweeps())
+def test_sweep_masks_match_orbit_params(sweep):
+    # the quadrature is stubbed: each row it receives comes back with C its
+    # amplitude and S its centre q, so every row shows what the masks and
+    # the amplitude expression made of it
+    spec, xs = sweep
+
+    def stub(amplitude, factor, q, beta, shift=None):
+        n = amplitude.size
+        values = np.stack([amplitude, np.broadcast_to(q, n)], axis=1)
+        return Averages(values, np.zeros(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int))
+
+    real = experiments.batch_trig_moments
+    experiments.batch_trig_moments = stub
+    try:
+        rows = experiments._sweep_rows(spec, xs, False)
+    finally:
+        experiments.batch_trig_moments = real
+    for x, row in zip(xs, rows):
+        expected = _expected_row(spec, x)
+        if isinstance(expected, str):
+            assert row.flags == (expected,), (x, row)
+        else:
+            assert row.flags == () and (row.C, row.S) == expected, (x, row, expected)
