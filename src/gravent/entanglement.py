@@ -275,11 +275,16 @@ def _average_one(rows_fn, dist: MomentumDistribution):
         integrand, angle = rows_fn(dist.q + dist.beta * x[0])
         return integrand[None], angle[None]
 
-    out = _adaptive_average(rows, 1)
-    residual, nodes = float(out.residual[0]), int(out.nodes[0])
-    if out.status[0] == NOT_FINITE:
-        raise DomainError("theta is not finite on the quadrature support")
-    if out.status[0] == NO_CONVERGENCE:
+    out = _raise_failed_rows(_adaptive_average(rows, 1))
+    return out.values[0], float(out.residual[0]), int(out.nodes[0])
+
+
+def _raise_failed_rows(out: Averages) -> Averages:
+    """out, unless a row failed: then DomainError or ConvergenceError for the first."""
+    for row in np.flatnonzero(np.isin(out.status, (NOT_FINITE, NO_CONVERGENCE)))[:1]:
+        residual, nodes = float(out.residual[row]), int(out.nodes[row])
+        if out.status[row] == NOT_FINITE:
+            raise DomainError("theta is not finite on the quadrature support")
         if residual == math.inf:
             raise ConvergenceError(
                 f"theta turns too fast for the {nodes}-interval rule at the cap")
@@ -287,7 +292,7 @@ def _average_one(rows_fn, dist: MomentumDistribution):
             f"residual {residual:.3e} at the {nodes}-interval cap "
             f"(limit {FAIL_RESIDUAL:.1e})"
         )
-    return out.values[0], residual, nodes
+    return out
 
 
 def _cis(theta: np.ndarray) -> np.ndarray:
@@ -323,32 +328,43 @@ class TrigMoments:
     nodes: int = 0
 
 
-def batch_trig_moments(amplitude, factor, q, beta: float, shift=None) -> Averages:
+def batch_trig_moments(amplitude, factor, q, beta, shift=None) -> Averages:
     """<cos Theta> and <sin Theta> for a batch of rows in one adaptive pass.
 
     Row i's angle is Theta_i(p) = amplitude[i] * factor(q_i, p), averaged
-    over the Gaussian of centre q_i and width beta along the line
-    p = q_i + beta (t - i shift[i]) (the real line by default); Theta must
-    be analytic between that line and the real axis.  q is one centre per
-    row, or one scalar centre for all: then the rows on the real line
-    share one momentum table per block, factor(q, p) with p of shape
-    (1, nodes), and differ only in the amplitude column, with the bits a
-    column of equal centres gives.  factor gets q as that scalar or as
-    the column q[index, None].  On a shifted line only e^{i Theta} is
-    damped, so it is the one integrand: C is the real part of its average
-    and S the imaginary part.  values[:, 0] holds C and values[:, 1]
-    holds S; see _adaptive_average for the rest.
+    over the Gaussian of centre q_i and width beta_i along the line
+    p = q_i + beta_i (t - i shift[i]) (the real line by default); Theta
+    must be analytic between that line and the real axis.  q and beta are
+    each one value per row, or one scalar for all: with one scalar centre
+    the rows on the real line share one momentum table per block,
+    factor(q, p) with p of shape (1, nodes), and differ only in the
+    amplitude column, with the bits a column of equal centres gives.
+    factor gets q as that scalar or as the column q[index, None].  On a
+    shifted line only e^{i Theta} is damped, so it is the one integrand:
+    C is the real part of its average and S the imaginary part.
+    values[:, 0] holds C and values[:, 1] holds S; see _adaptive_average
+    for the rest.
     """
-    amplitude, q = np.asarray(amplitude, dtype=float), np.asarray(q, dtype=float)
+    return _batch_average(_cis, amplitude, factor, q, beta, shift)
+
+
+def _batch_average(integrand, amplitude, factor, q, beta, shift=None) -> Averages:
+    """_adaptive_average of integrand(Theta) over the rows of batch_trig_moments.
+
+    integrand maps angles (rows, nodes) to (rows, components, nodes); only
+    _cis may be averaged on a shifted line.
+    """
+    amplitude, q, beta = (np.asarray(v, dtype=float) for v in (amplitude, q, beta))
 
     def rows(index, x):
         centre = q if q.ndim == 0 else q[index, None]
-        theta = amplitude[index, None] * factor(centre, centre + beta * x)
+        width = beta if beta.ndim == 0 else beta[index, None]
+        theta = amplitude[index, None] * factor(centre, centre + width * x)
         if np.iscomplexobj(x):
             # e^{t^2 - x^2} joins the exponent: with x = t + iy,
             # t^2 - x^2 = i * (-y (x + t))
             theta = theta - x.imag * (x + x.real)
-        return _cis(theta), theta
+        return integrand(theta), theta
 
     return _adaptive_average(rows, amplitude.size, shift)
 
@@ -408,33 +424,48 @@ def reduced_density_closed(bell: BellState, m: TrigMoments) -> np.ndarray:
     return 0.25 * rho.astype(complex)
 
 
+def _rotation_products(theta: np.ndarray) -> np.ndarray:
+    """D[i,a] D[k,c] (..., 16, nodes), D the rotation by theta/2; they turn with theta."""
+    c, s = np.moveaxis(_cis(0.5 * theta), -2, 0)
+    d = np.stack([c, -s, s, c], axis=-2).reshape(theta.shape[:-1] + (2, 2, -1))
+    prod = d[..., :, :, None, None, :] * d[..., None, None, :, :, :]
+    return prod.reshape(theta.shape[:-1] + (16, -1))
+
+
+def _bell_densities(moments: np.ndarray, bells) -> np.ndarray:
+    """rho[..., chi, ij, kl] = sum m[i,a,k,c] m[j,b,l,d] chi[a,b] chi[c,d], chi in bells."""
+    m = moments.reshape(moments.shape[:-1] + (1, 2, 2, 2, 2))
+    chi = np.array([bell.vector for bell in bells]).reshape(-1, 2, 2)
+    rho = np.einsum("...iakc,...jbld,...ab,...cd->...ijkl", m, m, chi, chi)
+    return rho.reshape(rho.shape[:-4] + (4, 4)).astype(complex)
+
+
 def reduced_density_bruteforce(bell: BellState, theta_fn,
                                dist: MomentumDistribution) -> np.ndarray:
     """Reference reduced density matrix from the component integrals.
 
-    Each entry is a sum of products of two one-dimensional averages of
-    half-angle rotation entries, one per particle.  Both particles carry
-    the same distribution, so a single 2x2x2x2 second-moment tensor
-    m[i,a,k,c] = <D[i,a] D[k,c]> feeds the whole contraction.
+    The one-row, one-state case of batch_reduced_density_bruteforce.  Both
+    particles carry the same distribution, so a single 2x2x2x2 tensor
+    m[i,a,k,c] = <D[i,a] D[k,c]> of the half-angle rotation D feeds the
+    whole contraction.
     """
 
     def rows(p):
         theta = np.broadcast_to(np.asarray(theta_fn(p), dtype=float), p.shape)
-        c, s = _cis(0.5 * theta)
-        d = np.empty((2, 2, p.size))
-        d[0, 0] = c
-        d[0, 1] = -s
-        d[1, 0] = s
-        d[1, 1] = c
-        prod = d[:, :, None, None, :] * d[None, None, :, :, :]
-        # the products of half-angle entries turn with the full angle
-        return prod.reshape(16, -1), theta
+        return _rotation_products(theta), theta
 
     flat, _, _ = _average_one(rows, dist)
-    moments = flat.reshape(2, 2, 2, 2)
-    chi = bell.array().reshape(2, 2)
-    rho = np.einsum("iakc,jbld,ab,cd->ijkl", moments, moments, chi, chi)
-    return rho.reshape(4, 4).astype(complex)
+    return _bell_densities(flat, [bell])[0]
+
+
+def batch_reduced_density_bruteforce(amplitude, factor, q, beta) -> np.ndarray:
+    """reduced_density_bruteforce of each row and Bell state, (rows, 4, 4, 4).
+
+    The rows are those of batch_trig_moments, on the real line; one
+    adaptive pass over the 16 components gives every row's tensor.
+    """
+    out = _batch_average(_rotation_products, amplitude, factor, q, beta)
+    return _bell_densities(_raise_failed_rows(out).values, BELL_STATES)
 
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -442,11 +473,11 @@ _SYSY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
 def spin_flip(rho: np.ndarray) -> np.ndarray:
-    """(sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
+    """(sigma_y x sigma_y) rho* (sigma_y x sigma_y), over a stack (..., 4, 4)."""
     return _SYSY @ rho.conj() @ _SYSY
 
 
-def wootters_concurrence(rho: np.ndarray) -> float:
+def wootters_concurrence(rho: np.ndarray) -> float | np.ndarray:
     """Two-qubit concurrence max{0, l1 - l2 - l3 - l4}.
 
     The l_i are the decreasingly ordered square roots of the eigenvalues
@@ -455,20 +486,22 @@ def wootters_concurrence(rho: np.ndarray) -> float:
     negatives are clipped as round-off.  The l_i themselves are computed
     as the singular values of sqrt(rho) (sy x sy) conj(sqrt(rho)), an
     equivalent form whose zero values carry eps-level noise instead of
-    the sqrt(eps) a generic eigensolver leaves on rho rho~.
+    the sqrt(eps) a generic eigensolver leaves on rho rho~.  Of a stack
+    (..., 4, 4), an array (...) of the values each matrix gives alone.
     """
     rho = np.asarray(rho)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise DomainError(f"expected a 4x4 matrix, got shape {rho.shape}")
     evals = np.linalg.eigvals(rho @ spin_flip(rho))
     if np.abs(evals.imag).max() > 1e-6:
-        raise NumericalError(f"complex eigenvalue {evals[np.abs(evals.imag).argmax()]}")
+        raise NumericalError(f"complex eigenvalue {evals.flat[np.abs(evals.imag).argmax()]}")
     if evals.real.min() < -1e-6:
         raise NumericalError(f"negative eigenvalue {evals.real.min():.3e} of rho rho~")
-    w, u = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+    w, u = np.linalg.eigh(0.5 * (rho + rho.conj().swapaxes(-1, -2)))
+    root = (u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ u.conj().swapaxes(-1, -2)
     lam = np.linalg.svd(root @ _SYSY @ root.conj(), compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    conc = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return float(conc) if conc.ndim == 0 else conc
 
 
 def binary_entropy(x: float) -> float:
@@ -490,15 +523,20 @@ def entanglement_of_formation(concurrence: float) -> float:
 
 @dataclass(frozen=True)
 class DensityMatrixDiagnostics:
-    hermiticity: float
-    trace_error: float
-    min_eigenvalue: float
+    hermiticity: float | np.ndarray
+    trace_error: float | np.ndarray
+    min_eigenvalue: float | np.ndarray
 
 
 def density_matrix_diagnostics(rho: np.ndarray) -> DensityMatrixDiagnostics:
-    """Hermiticity residual, trace deviation and smallest eigenvalue."""
+    """Hermiticity residual, trace deviation and smallest eigenvalue.
+
+    Floats for one matrix, arrays (...) for a stack (..., 4, 4).
+    """
     rho = np.asarray(rho)
-    herm = float(np.abs(rho - rho.conj().T).max())
-    trace = float(abs(rho.trace() - 1.0))
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
+    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    min_eig = np.linalg.eigvalsh(0.5 * (rho + rho.conj().swapaxes(-1, -2))).min(axis=-1)
+    if rho.ndim == 2:
+        herm, trace, min_eig = float(herm), float(trace), float(min_eig)
     return DensityMatrixDiagnostics(herm, trace, min_eig)

@@ -33,6 +33,11 @@ TAU_S = 2.0 * math.pi
 # it keeps fewer than 8, and from q ~ 1e16 on it cancels to exactly 0.
 MAX_MOMENTUM = 1e8
 
+# The radial factor's denominator 2 z^2 sqrt(z^2 - z + xi2) grows like 2 z^3
+# and overflows from z ~ 5.6e102; up to this radius every intermediate of
+# it stays finite.
+MAX_RADIUS = 1e100
+
 
 def momentum_factor(q, p):
     """M(q, p), the momentum dependence shared by every rotation-rate formula.
@@ -72,6 +77,8 @@ class OrbitParams:
             raise DomainError(f"|q| must be <= {MAX_MOMENTUM:g}, got q={self.q}")
         if self.z <= 0:
             raise DomainError(f"orbit radius must be positive, got z={self.z}")
+        if self.z > MAX_RADIUS:
+            raise DomainError(f"orbit radius must be <= {MAX_RADIUS:g}, got z={self.z}")
         if self.beta <= 0:
             raise DomainError(f"beta must be positive, got {self.beta}")
         if self.tau_ratio < 0:

@@ -406,6 +406,27 @@ def test_validate_command(capsys):
     assert 0.0 <= float(line.split("max deviation ")[1].rstrip(")")) <= 1e-10
 
 
+# `validate --draws 5` as the oracle printed it one draw and one matrix at a time
+VALIDATE_5 = """\
+PASS  oracle equivalence (closed vs brute force)  (max entry deviation 3.331e-16)
+PASS  concurrence equals C^2+S^2  (max |conc - (C^2+S^2)| 1.887e-15)
+PASS  concurrence identical across Bell states  (max spread 2.220e-15)
+PASS  density matrices Hermitian, unit trace, PSD  (herm 5.6e-17, trace 4.4e-16, min eig -1.6e-16)
+PASS  moment bound C^2+S^2 <= 1  (max C^2+S^2 = 0.997043653597)
+PASS  spin_rep homomorphism  (max deviation 3.886e-16)
+PASS  product integral vs closed-form rotation  (max deviation 3.170e-13)
+PASS  radial-geodesic invariance (all Bell states)  (max deviation 0.000e+00)
+PASS  frame transform preserves the Minkowski metric  (max deviation 9.770e-15)
+PASS  angle zeros are roots of 2z^2 - 3z + 4xi2  (max residual 7.772e-16 over 9 xi2 values, root count matches 9 - 32xi2)
+ALL CHECKS PASSED
+"""
+
+
+def test_validate_output_keeps_its_bytes(capsys):
+    code, out, err = run_cli(capsys, "validate", "--draws", "5")
+    assert (code, out, err) == (0, VALIDATE_5, "")
+
+
 def test_validate_checks_angle_zeros_against_the_quadratic(capsys, monkeypatch):
     import gravent.cli as cli
 

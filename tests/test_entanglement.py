@@ -324,8 +324,16 @@ def test_rho_rho_tilde_spectrum():
 
 
 def test_wootters_rejects_invalid_input():
+    invalid = np.diag([1.5, -0.5, 0.2, 1.0]).astype(complex)
     with pytest.raises(NumericalError):
-        wootters_concurrence(np.diag([1.5, -0.5, 0.2, 1.0]).astype(complex))
+        wootters_concurrence(invalid)
+    # one invalid matrix in a stack of valid ones
+    stack = np.array([reduced_density_closed(chi, TrigMoments(0.6, 0.3))
+                      for chi in BELL_STATES] * 3)
+    assert wootters_concurrence(stack).shape == (12,)
+    stack[7] = invalid
+    with pytest.raises(NumericalError):
+        wootters_concurrence(stack)
     with pytest.raises(DomainError):
         wootters_concurrence(np.eye(2, dtype=complex))
 

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 import gravent.entanglement as entanglement
 import gravent.experiments as experiments
+from gravent.cli import main
 from gravent.entanglement import QuadConfig
 from gravent import (
     AssertionFailure,
@@ -19,17 +20,23 @@ from gravent import (
     OrbitParams,
     SweepSpec,
     TrigMoments,
+    batch_reduced_density_bruteforce,
+    density_matrix_diagnostics,
     figure_preset,
     find_entanglement_minima,
     frame_comparison,
+    momentum_factor,
     oracle_equivalence_report,
     radial_invariance_check,
     random_orbit_params,
     resolve_sweep,
+    reduced_density_bruteforce,
     reduced_density_closed,
     run_sweep,
     sweep_point,
     theta_amplitude,
+    theta_circular,
+    trig_moments,
     wootters_concurrence,
 )
 
@@ -274,6 +281,37 @@ def test_oracle_equivalence_report_small():
     assert report["max_moment_norm"] <= 1.0
 
 
+# The reports as the oracle computed them one draw, one Bell state and one
+# matrix at a time; the array passes must give every value to the bit.
+ORACLE_GOLDENS = {
+    (100, 20240808): {
+        "draws": 100,
+        "max_entry_deviation": 5.551115123125783e-16,
+        "max_concurrence_vs_moments": 2.7755575615628914e-15,
+        "max_cross_bell_spread": 3.552713678800501e-15,
+        "max_hermiticity": 1.1102230246251565e-16,
+        "max_trace_error": 8.881784197001252e-16,
+        "min_eigenvalue": -2.509596400043492e-16,
+        "max_moment_norm": 0.9999972833062007,
+    },
+    (8, 123): {
+        "draws": 8,
+        "max_entry_deviation": 5.551115123125783e-16,
+        "max_concurrence_vs_moments": 2.3314683517128287e-15,
+        "max_cross_bell_spread": 2.886579864025407e-15,
+        "max_hermiticity": 5.551115123125783e-17,
+        "max_trace_error": 8.881784197001252e-16,
+        "min_eigenvalue": -3.0570795410628934e-16,
+        "max_moment_norm": 0.9999966098431715,
+    },
+}
+
+
+@pytest.mark.parametrize("draws,seed", sorted(ORACLE_GOLDENS))
+def test_oracle_report_keeps_its_bits(draws, seed):
+    assert oracle_equivalence_report(draws, seed) == ORACLE_GOLDENS[draws, seed]
+
+
 # Sweeps off the presets, with their digests of repr(run_sweep(spec, sp))
 # as the code computed them before the rows were computed as arrays; the
 # goldens in demos/out cover only the six presets.
@@ -358,3 +396,66 @@ def test_sweep_rows_build_no_orbit_params(monkeypatch):
     monkeypatch.setattr(experiments, "OrbitParams", counted)
     rows = run_sweep(spec)
     assert len(rows) == 400 and calls == []
+
+
+def test_stacked_oracle_gives_the_bits_of_one_matrix_calls():
+    # the brute-force tensor of all draws in one pass, contracted with the
+    # four Bell states on the stack, and Wootters and the hygiene numbers
+    # on stacked matrices, against the one-row, one-matrix calls
+    rng = np.random.default_rng(20240808)
+    params = [random_orbit_params(rng) for _ in range(100)]
+    amplitude = np.array([theta_amplitude(p) for p in params])
+    brute = batch_reduced_density_bruteforce(
+        amplitude, momentum_factor, [p.q for p in params], [p.beta for p in params])
+    closed, one_brute = [], []
+    for p in params:
+        theta_fn = lambda mom: theta_circular(p, mom)
+        dist = MomentumDistribution(p.q, p.beta)
+        moments = trig_moments(theta_fn, dist)
+        closed.append([reduced_density_closed(chi, moments) for chi in BELL_STATES])
+        one_brute.append([reduced_density_bruteforce(chi, theta_fn, dist)
+                          for chi in BELL_STATES])
+    closed = np.array(closed)
+    assert brute.shape == closed.shape == (100, 4, 4, 4)
+    assert np.array_equal(brute, np.array(one_brute))
+    for stack in (closed, brute):
+        singles = stack.reshape(-1, 4, 4)
+        conc = wootters_concurrence(stack)
+        assert conc.shape == (100, 4)
+        assert np.array_equal(conc.ravel(), [wootters_concurrence(r) for r in singles])
+        diag = density_matrix_diagnostics(stack)
+        for name in ("hermiticity", "trace_error", "min_eigenvalue"):
+            assert np.array_equal(getattr(diag, name).ravel(),
+                                  [getattr(density_matrix_diagnostics(r), name)
+                                   for r in singles]), name
+
+
+def test_oracle_runs_one_quadrature_per_draw_and_one_for_the_tensor(monkeypatch):
+    calls = []
+    real = entanglement._adaptive_average
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(entanglement, "_adaptive_average", counted)
+    oracle_equivalence_report(draws=100)
+    assert len(calls) <= 101
+
+
+def test_oracle_catches_a_wrong_closed_form(monkeypatch, capsys):
+    # flipping the sign of the Y = 2CS cross terms of chi2 and chi3 (the
+    # entries pairing {|01>, |10>} with {|00>, |11>}) must not survive the
+    # batched comparison
+    real = experiments.reduced_density_closed
+    odd = np.array([0, 1, 1, 0])
+    cross = odd[:, None] != odd[None, :]
+
+    def wrong(bell, moments):
+        rho = real(bell, moments)
+        return np.where(cross, -rho, rho)
+
+    monkeypatch.setattr(experiments, "reduced_density_closed", wrong)
+    assert oracle_equivalence_report(draws=5)["max_entry_deviation"] > 1e-8
+    assert main(["validate", "--draws", "5"]) == 1
+    assert "FAIL  oracle equivalence" in capsys.readouterr().out

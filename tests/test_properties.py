@@ -37,7 +37,7 @@ from gravent import (
 )
 from gravent.cli import render_sweep
 from gravent.entanglement import Averages
-from gravent.wigner import MAX_MOMENTUM
+from gravent.wigner import MAX_MOMENTUM, MAX_RADIUS
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -128,9 +128,10 @@ def test_sweeps_are_byte_identical_from_run_to_run(params, variable, samples,
 def straddling_sweeps(draw):
     """A sweep spec and a grid whose range crosses an edge of the domain.
 
-    The edges are |q| = MAX_MOMENTUM, tau = 0, z = 0, the horizons and the
-    near-zero of z^2 - z + xi2 at xi2 just above 1/4; the edge itself is
-    one of the grid's points, and a non-finite value may join them.
+    The edges are |q| = MAX_MOMENTUM, tau = 0, z = 0, z = MAX_RADIUS, the
+    horizons and the near-zero of z^2 - z + xi2 at xi2 just above 1/4; the
+    edge itself is one of the grid's points, and a non-finite value may
+    join them.
     """
     xi2 = draw(st.one_of(st.floats(0.0, 0.6),
                          st.sampled_from((0.16, 0.25, 0.25 + 1e-12, 0.265))))
@@ -144,7 +145,7 @@ def straddling_sweeps(draw):
                         beta=draw(st.floats(0.3, 2.0)), tau_ratio=draw(st.floats(0.0, 5.0)))
     variable = draw(st.sampled_from(("q", "tau_ratio", "z")))
     edges = {"q": [MAX_MOMENTUM, -MAX_MOMENTUM], "tau_ratio": [0.0],
-             "z": [0.0, 0.5] + horizons(xi2)}[variable]
+             "z": [0.0, 0.5, MAX_RADIUS] + horizons(xi2)}[variable]
     edge = draw(st.sampled_from(edges))
     width = draw(st.floats(1e-9, 1.0)) * max(1.0, abs(edge))
     lo = edge - width * draw(st.floats(0.01, 1.0))

@@ -13,6 +13,7 @@ from gravent import (
     OrbitParams,
     SweepSpec,
     circular_orbit_state,
+    figure_preset,
     kruskal_rate,
     lambda_circular,
     lambda_radial,
@@ -27,6 +28,7 @@ from gravent import (
     wigner_rate_matrix,
     wigner_rate_w13,
 )
+from gravent.wigner import MAX_RADIUS
 
 Z1_016 = 1.2424428900898052          # (3 + sqrt(9 - 32*0.16)) / 4
 ZEROS_0265 = (0.5697224362268005, 0.9302775637731995)
@@ -67,6 +69,18 @@ def test_orbit_params_bound_the_momentum():
             OrbitParams(0.0, 2.0, q, 1.0, 5.0)
     spec = SweepSpec("q", 0.0, 1e17, 2, OrbitParams(0.0, 2.0, 0.0, 1.0, 5.0))
     assert sweep_point(spec, 1e17).flags == ("domain",)
+
+
+def test_orbit_params_bound_the_radius():
+    # from z ~ 5.6e102 on, 2 z^2 sqrt(z^2 - z + xi2) overflows and the
+    # amplitude would be nan; up to MAX_RADIUS every intermediate is finite
+    OrbitParams(0.16, MAX_RADIUS, 0.6, 1.0, 5.0)
+    for z in (1.0000001e100, 1e103, 1e160):
+        with pytest.raises(DomainError, match=r"orbit radius must be <= 1e\+100"):
+            OrbitParams(0.16, z, 0.6, 1.0, 5.0)
+    assert sweep_point(figure_preset(4), 1e160).flags == ("domain",)
+    row = sweep_point(figure_preset(4), 1e99)
+    assert row.flags == () and row.E == 1.0
 
 
 def test_mass_shell_identity():
