@@ -142,19 +142,23 @@ def _sweep_meta(spec: SweepSpec, notes: tuple[str, ...]) -> dict:
     return {"package": f"gravent {__version__}", **_spec_dict(spec), "notes": list(notes)}
 
 
-def render_sweep(spec: SweepSpec, stationary_phase: bool, fmt: str) -> str:
-    resolved, notes = resolve_sweep(spec)
-    rows = run_sweep(resolved, stationary_phase)
-    meta = {**_sweep_meta(resolved, notes), "stationary_phase": stationary_phase}
-    columns = [resolved.variable, "C", "S", "concurrence", "E", "flags"]
-    records = [(r.x, r.C, r.S, r.concurrence, r.E, r.flags) for r in rows]
+def _render(fmt: str, columns, records, meta: dict, series: dict, axes, title: str) -> str:
+    """The records as CSV or JSON under columns, or the series plotted as SVG."""
     if fmt == "csv":
         return emit_csv(columns, records, meta)
     if fmt == "json":
         return emit_json(columns, records, meta)
-    return emit_svg({"E": [(r.x, r.E) for r in rows]},
-                    axes=(resolved.variable, "E"),
-                    title=f"E vs {resolved.variable}", meta=meta)
+    return emit_svg(series, axes=axes, title=title, meta=meta)
+
+
+def render_sweep(spec: SweepSpec, stationary_phase: bool, fmt: str) -> str:
+    resolved, notes = resolve_sweep(spec)
+    rows = run_sweep(resolved, stationary_phase)
+    meta = {**_sweep_meta(resolved, notes), "stationary_phase": stationary_phase}
+    return _render(fmt, [resolved.variable, "C", "S", "concurrence", "E", "flags"],
+                   [(r.x, r.C, r.S, r.concurrence, r.E, r.flags) for r in rows], meta,
+                   {"E": [(r.x, r.E) for r in rows]}, (resolved.variable, "E"),
+                   f"E vs {resolved.variable}")
 
 
 def _write(text: str, output: str | None) -> None:
@@ -194,19 +198,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_zeros(args) -> int:
-    roots = theta_zeros(args.xi2)
+def _print_roots(roots: list[float], empty: str) -> int:
     if not roots:
-        print("no zeros")
-    for z in roots:
-        print(f"{z:.10g}")
-    return 0
-
-
-def _cmd_horizons(args) -> int:
-    roots = horizons(args.xi2)
-    if not roots:
-        print("no horizons (naked singularity)")
+        print(empty)
     for z in roots:
         print(f"{z:.10g}")
     return 0
@@ -240,17 +234,11 @@ def _cmd_frame_compare(args) -> int:
         "r_lo": args.r_lo, "r_hi": args.r_hi, "samples": args.samples,
         "q": args.q, "p": args.p,
     }
-    columns = ["r", "static_rate", "kruskal_rate", "flags"]
-    records = [(r.r, r.static_rate, r.kruskal_rate, r.flags) for r in rows]
-    if args.format == "csv":
-        text = emit_csv(columns, records, meta)
-    elif args.format == "json":
-        text = emit_json(columns, records, meta)
-    else:
-        text = emit_svg(
-            {"static": [(r.r, r.static_rate) for r in rows],
-             "kruskal": [(r.r, r.kruskal_rate) for r in rows]},
-            axes=("r", "rotation rate"), title="frame comparison", meta=meta)
+    text = _render(args.format, ["r", "static_rate", "kruskal_rate", "flags"],
+                   [(r.r, r.static_rate, r.kruskal_rate, r.flags) for r in rows], meta,
+                   {"static": [(r.r, r.static_rate) for r in rows],
+                    "kruskal": [(r.r, r.kruskal_rate) for r in rows]},
+                   ("r", "rotation rate"), "frame comparison")
     _write(text, args.output)
     return 0
 
@@ -374,11 +362,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeros", help="orbit radii where the rotation angle vanishes")
     p.add_argument("--xi2", type=float, required=True)
-    p.set_defaults(fn=_cmd_zeros)
+    p.set_defaults(fn=lambda args: _print_roots(theta_zeros(args.xi2), "no zeros"))
 
     p = sub.add_parser("horizons", help="event horizon radii for a given charge")
     p.add_argument("--xi2", type=float, required=True)
-    p.set_defaults(fn=_cmd_horizons)
+    p.set_defaults(fn=lambda args: _print_roots(horizons(args.xi2),
+                                                "no horizons (naked singularity)"))
 
     p = sub.add_parser("minima", help="locate entanglement minima of a z-sweep")
     p.add_argument("--figure", type=int, choices=range(1, 7))

@@ -263,22 +263,6 @@ def _resolved(angle: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
     return resolved
 
 
-def _average_one(rows_fn, dist: MomentumDistribution):
-    """The one-row, real-line case of _adaptive_average, with failures raised.
-
-    rows_fn maps a 1-D array of momenta to the integrand, shape
-    (components, nodes), and its angle, shape (nodes,).  Returns
-    (averages, residual, intervals_used).
-    """
-
-    def rows(_, x):
-        integrand, angle = rows_fn(dist.q + dist.beta * x[0])
-        return integrand[None], angle[None]
-
-    out = _raise_failed_rows(_adaptive_average(rows, 1))
-    return out.values[0], float(out.residual[0]), int(out.nodes[0])
-
-
 def _raise_failed_rows(out: Averages) -> Averages:
     """out, unless a row failed: then DomainError or ConvergenceError for the first."""
     for row in np.flatnonzero(np.isin(out.status, (NOT_FINITE, NO_CONVERGENCE)))[:1]:
@@ -352,7 +336,8 @@ def _batch_average(integrand, amplitude, factor, q, beta, shift=None) -> Average
     """_adaptive_average of integrand(Theta) over the rows of batch_trig_moments.
 
     integrand maps angles (rows, nodes) to (rows, components, nodes); only
-    _cis may be averaged on a shifted line.
+    _cis may be averaged on a shifted line.  Every average goes through
+    here: trig_moments and reduced_density_bruteforce are its one-row case.
     """
     amplitude, q, beta = (np.asarray(v, dtype=float) for v in (amplitude, q, beta))
 
@@ -369,9 +354,18 @@ def _batch_average(integrand, amplitude, factor, q, beta, shift=None) -> Average
     return _adaptive_average(rows, amplitude.size, shift)
 
 
+def _as_factor(theta_fn):
+    """theta_fn(p) broadcast to p, as the factor of a row of amplitude 1.0.
+
+    1.0 * Theta is exact, so that row averages theta_fn's own bits.
+    """
+    return lambda _, p: np.broadcast_to(np.asarray(theta_fn(p), dtype=float), p.shape)
+
+
 def trig_moments(theta_fn, dist: MomentumDistribution) -> TrigMoments:
     """Gaussian averages of cos Theta(p) and sin Theta(p), on the real line.
 
+    The one-row case of batch_trig_moments, with failures raised.
     theta_fn must accept an array of momenta; it may return one angle
     for all of them.  Under the probability weight, C^2 + S^2 <= 1
     always, with equality only for constant Theta.
@@ -379,12 +373,11 @@ def trig_moments(theta_fn, dist: MomentumDistribution) -> TrigMoments:
     the interval cap leaves a residual above FAIL_RESIDUAL or a Theta
     that turns too fast for the cap's rule.
     """
-    def rows(p):
-        theta = np.broadcast_to(np.asarray(theta_fn(p), dtype=float), p.shape)
-        return _cis(theta), theta
-
-    (c, s), residual, nodes = _average_one(rows, dist)
-    return TrigMoments(C=float(c), S=float(s), residual=residual, nodes=nodes)
+    out = _raise_failed_rows(
+        _batch_average(_cis, [1.0], _as_factor(theta_fn), dist.q, dist.beta))
+    (c, s), = out.values
+    return TrigMoments(C=float(c), S=float(s), residual=float(out.residual[0]),
+                       nodes=int(out.nodes[0]))
 
 
 def reduced_density_closed(bell: BellState, m: TrigMoments) -> np.ndarray:
@@ -449,13 +442,9 @@ def reduced_density_bruteforce(bell: BellState, theta_fn,
     m[i,a,k,c] = <D[i,a] D[k,c]> of the half-angle rotation D feeds the
     whole contraction.
     """
-
-    def rows(p):
-        theta = np.broadcast_to(np.asarray(theta_fn(p), dtype=float), p.shape)
-        return _rotation_products(theta), theta
-
-    flat, _, _ = _average_one(rows, dist)
-    return _bell_densities(flat, [bell])[0]
+    out = _raise_failed_rows(_batch_average(_rotation_products, [1.0], _as_factor(theta_fn),
+                                            dist.q, dist.beta))
+    return _bell_densities(out.values[0], [bell])[0]
 
 
 def batch_reduced_density_bruteforce(amplitude, factor, q, beta) -> np.ndarray:

@@ -3,9 +3,10 @@
 A sweep varies one of (q, tau_ratio, z) while the remaining orbit
 parameters stay fixed, running each grid point through the
 angle -> moments -> concurrence K = C^2 + S^2 -> entanglement pipeline.
-The rows are computed as arrays over the grid: masks on the swept
-variable flag the domain and horizon rows, the checks OrbitParams makes
-one row at a time, and the angle's amplitude is one array expression.
+The rows are computed as arrays over the grid: the entries of
+wigner.DOMAIN_CHECKS for the swept variable, the checks OrbitParams makes
+one row at a time, flag the domain rows, radial_factor's mask the horizon
+rows, and the angle's amplitude is one array expression.
 The moments of a sweep's rows come from a nested trapezoid rule batched
 across rows: each level evaluates only the rows still active, and every
 row stops at its own level, exactly where it would stop alone
@@ -52,8 +53,7 @@ from .entanglement import (
 from .errors import AssertionFailure, DomainError, HorizonError
 from .spacetime import ChargedBlackHole, outer_horizon
 from .wigner import (
-    MAX_MOMENTUM,
-    MAX_RADIUS,
+    DOMAIN_CHECKS,
     TAU_S,
     OrbitParams,
     kruskal_rate,
@@ -157,31 +157,23 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
     """The pipeline at each x, computed as arrays over the rows.
 
     spec.fixed has passed every check of OrbitParams, so only the swept
-    variable is checked, by masks over the grid that match those checks:
-    a non-finite x, |q| > MAX_MOMENTUM, z <= 0, z > MAX_RADIUS and tau < 0
-    are domain; z on or inside the outer horizon, or a singular radial
-    factor, is horizon, unless domain holds too.  Each row's angle is
+    variable is checked: a row is domain where any entry of DOMAIN_CHECKS
+    for that variable holds, the checks OrbitParams makes, and otherwise
+    horizon where radial_factor's mask holds.  Each row's angle is
     Theta = amplitude * M(q, p), the amplitude 2 pi tau R(z) one array
     expression over the grid, so two batch_trig_moments calls give the
     moments of every row left: one for the rows on the real line and one
     for the rows on shifted lines.  On a z- or tau-sweep q is one scalar,
     so the rows on the real line share one momentum table M(q, p) per
-    block of each level.
+    block of each level.  The concurrence is C^2 + S^2, clipped to 1
+    where rounding lifts it above.
     """
     fixed, grid = spec.fixed, np.asarray(xs, dtype=float)
     z, tau, q = (grid if spec.variable == name else getattr(fixed, name)
                  for name in ("z", "tau_ratio", "q"))
-    if spec.variable == "q":
-        domain = np.abs(grid) > MAX_MOMENTUM
-    elif spec.variable == "z":
-        domain = (grid <= 0) | (grid > MAX_RADIUS)
-    else:
-        domain = grid < 0
-    domain |= ~np.isfinite(grid)
+    domain = np.logical_or.reduce([bad(grid) for name, bad, _ in DOMAIN_CHECKS
+                                   if name == spec.variable])
     radial, horizon = radial_factor(z, fixed.xi2)
-    zp = outer_horizon(fixed.xi2)
-    if zp is not None:
-        horizon = horizon | (z <= zp)
     outcome = np.where(domain, _DOMAIN, np.where(horizon, _HORIZON, CONVERGED))
     live = np.flatnonzero(outcome == CONVERGED)
     with np.errstate(all="ignore"):  # refused rows may hold inf or nan
@@ -204,8 +196,8 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
         if status in _REFUSALS:
             out.append(_refused_row(x, _REFUSALS[status], stationary_phase))
         else:
-            conc = c * c + s * s
-            e = entanglement_of_formation(min(conc, 1.0))
+            conc = min(c * c + s * s, 1.0)
+            e = entanglement_of_formation(conc)
             flags = ("reduced-tolerance",) if status == REDUCED_TOLERANCE else ()
             out.append(SweepRow(x, c, s, conc, e, flags))
     return out

@@ -52,6 +52,20 @@ def momentum_factor(q, p):
     return q * gamma * (gamma - q * p / (np.sqrt(p * p + 1.0) + 1.0))
 
 
+# (field, where a value is out of the domain, message with {} for the value),
+# in the order OrbitParams checks them.  The predicates are elementwise, so
+# a sweep masks its grid with the checks of its swept field.
+DOMAIN_CHECKS = tuple((name, lambda v: ~np.isfinite(v), f"{name} must be finite, got {{}}")
+                      for name in ("xi2", "z", "q", "beta", "tau_ratio")) + (
+    ("xi2", lambda v: v < 0, "xi2 must be >= 0, got {}"),
+    ("q", lambda v: np.abs(v) > MAX_MOMENTUM, f"|q| must be <= {MAX_MOMENTUM:g}, got q={{}}"),
+    ("z", lambda v: v <= 0, "orbit radius must be positive, got z={}"),
+    ("z", lambda v: v > MAX_RADIUS, f"orbit radius must be <= {MAX_RADIUS:g}, got z={{}}"),
+    ("beta", lambda v: v <= 0, "beta must be positive, got {}"),
+    ("tau_ratio", lambda v: v < 0, "tau_ratio must be >= 0, got {}"),
+)
+
+
 @dataclass(frozen=True)
 class OrbitParams:
     """Dimensionless configuration of the circular-orbit experiment.
@@ -59,6 +73,8 @@ class OrbitParams:
     xi2: squared charge of the hole; z: orbit radius (units of r_s);
     q: centroid momentum; beta: width of the Gaussian momentum
     distribution; tau_ratio: elapsed proper time in units of tau_s.
+    The first entry of DOMAIN_CHECKS that fails raises DomainError; a
+    radius on or inside the outer horizon then raises HorizonError.
     """
 
     xi2: float
@@ -68,21 +84,10 @@ class OrbitParams:
     tau_ratio: float
 
     def __post_init__(self):
-        for name in ("xi2", "z", "q", "beta", "tau_ratio"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.xi2 < 0:
-            raise DomainError(f"xi2 must be >= 0, got {self.xi2}")
-        if abs(self.q) > MAX_MOMENTUM:
-            raise DomainError(f"|q| must be <= {MAX_MOMENTUM:g}, got q={self.q}")
-        if self.z <= 0:
-            raise DomainError(f"orbit radius must be positive, got z={self.z}")
-        if self.z > MAX_RADIUS:
-            raise DomainError(f"orbit radius must be <= {MAX_RADIUS:g}, got z={self.z}")
-        if self.beta <= 0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
-        if self.tau_ratio < 0:
-            raise DomainError(f"tau_ratio must be >= 0, got {self.tau_ratio}")
+        for name, bad, message in DOMAIN_CHECKS:
+            value = getattr(self, name)
+            if bad(value):
+                raise DomainError(message.format(value))
         zp = outer_horizon(self.xi2)
         if zp is not None and self.z <= zp:
             raise HorizonError(
@@ -163,15 +168,19 @@ def radial_factor(z, xi2: float) -> tuple[np.ndarray, np.ndarray]:
     """(2z^2 - 3z + 4 xi2) / (2 z^2 sqrt(z^2 - z + xi2)), the radial factor of Theta.
 
     Elementwise over an array of radii; returns the factor and a mask of
-    where it is singular: for z <= 0, and on or inside the horizons,
-    where z^2 - z + xi2 -> 0 and the factor diverges.  IEEE + - * / and
-    sqrt round alike in numpy and math, so a float gives the bits math
-    would.
+    the radii where no orbit has it: z <= 0, z on or inside the outer
+    horizon (below the inner one z^2 - z + xi2 > 0 again and the factor
+    is finite, but no circle there lies outside the hole) and z where
+    z^2 - z + xi2 -> 0 and the factor diverges, with no horizon near
+    z = 1/2 at xi2 ~ 1/4.  IEEE + - * / and sqrt round alike in numpy
+    and math, so a float gives the bits math would.
     """
     z = np.asarray(z, dtype=float)[()]  # a float becomes a numpy scalar
+    zp = outer_horizon(xi2)
+    floor = zp if zp is not None else 0.0
     with np.errstate(all="ignore"):  # the singular entries are masked
         s = z * z - z + xi2
-        singular = (z <= 0) | (s <= 0) | (s / (z * z) < HORIZON_TOL)
+        singular = (z <= floor) | (s / (z * z) < HORIZON_TOL)
         factor = (2 * z * z - 3 * z + 4 * xi2) / (2 * z * z * np.sqrt(s))
     return factor, singular
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -525,3 +526,39 @@ def test_commands_run_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[0, 0, 0] []"
+
+
+# SHA-256 of the stdout of `frame-compare --samples 7`, `zeros` and
+# `horizons`, as each command printed it with its own printer
+SMALL_COMMAND_DIGESTS = {
+    ("frame-compare", "--samples", "7", "--format", "csv"):
+        "5517a74685091bf7da52027c342166982d29d115e08b4590feffde71ab7c1377",
+    ("frame-compare", "--samples", "7", "--format", "json"):
+        "22ce9b79478564817c1447854f0cae992fbf6d8f64c9059d7844dd58aa44b3e6",
+    ("frame-compare", "--samples", "7", "--format", "svg"):
+        "03edd689fef93e982a0287b5a54daffde4241d40b79419e87d2d2d9fb7282583",
+    ("zeros", "--xi2", "0.16"):
+        "efb1a76bc2912804d1ac0c42f049665388f8ae8a7076c0dcea37bbf4b6aeb4a6",
+    ("zeros", "--xi2", "0.25"):
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ("zeros", "--xi2", "0.265"):
+        "498e689af3881eca5111c013e2af3b1bb64761ddc59980a62c9a0b94e85b4e4b",
+    ("zeros", "--xi2", "0.5"):
+        "434f190baa23c29c13e2938e5937545f109e9029021b62246b006914d4da231c",
+    ("horizons", "--xi2", "0.16"):
+        "2bb02e530b92a19fab8469d5d11149bf389010ec020014290c3ce5df267ade81",
+    ("horizons", "--xi2", "0.25"):
+        "8d5c1b5a87c51f970807fc0c2057b3ab3aaf11638ab667dc5956edc8f5bcf138",
+    ("horizons", "--xi2", "0.265"):
+        "64693d5e130e38bb14c65966d47b16b80e7bb825404a2a7a9587720a383c1a29",
+    ("horizons", "--xi2", "0.5"):
+        "64693d5e130e38bb14c65966d47b16b80e7bb825404a2a7a9587720a383c1a29",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SMALL_COMMAND_DIGESTS),
+                         ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_small_commands_keep_their_bytes(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SMALL_COMMAND_DIGESTS[argv]

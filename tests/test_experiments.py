@@ -186,6 +186,37 @@ def test_preset_rows_report_moment_norm_as_concurrence(n):
             assert abs(conc - row.concurrence) < 1e-12, (n, row.x, chi.tag)
 
 
+def test_sweep_concurrence_never_exceeds_one():
+    # a narrow packet leaves C^2 + S^2 one rounding above 1 on most rows of
+    # preset 5's orbit; the printed concurrence is the one E is taken of
+    spec = figure_preset(5)
+    rows = run_sweep(replace(spec, fixed=replace(spec.fixed, beta=1e-9)))
+    computed = [row for row in rows if not row.flags]
+    assert len(computed) == 399
+    assert all(row.concurrence <= 1.0 for row in computed)
+
+
+def test_z_and_tau_rows_of_equal_amplitude_collapse():
+    # Theta = A M(q, p) with A = 2 pi tau R(z): at fixed (q, beta), a z-row
+    # and a tau-row of equal A have equal K whatever z and tau are
+    def radial(z, xi2):
+        return (2 * z * z - 3 * z + 4 * xi2) / (2 * z * z * math.sqrt(z * z - z + xi2))
+
+    z_spec = figure_preset(5)
+    xi2, tau = z_spec.fixed.xi2, z_spec.fixed.tau_ratio
+    tau_spec = SweepSpec("tau_ratio", 0.0, 1.0, 2, replace(z_spec.fixed, z=1.6))
+    checked = 0
+    for row in run_sweep(z_spec)[::7]:
+        if row.flags:  # z = 0
+            continue
+        tau_row = sweep_point(tau_spec, tau * radial(row.x, xi2) / radial(1.6, xi2))
+        if tau_row.flags:  # tau < 0: A < 0 between the angle's zeros
+            continue
+        assert abs(tau_row.concurrence - row.concurrence) <= 1e-12, row.x
+        checked += 1
+    assert checked == 54
+
+
 def test_oracle_report_rejects_zero_draws():
     with pytest.raises(DomainError):
         oracle_equivalence_report(draws=0)

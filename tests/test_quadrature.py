@@ -4,6 +4,8 @@ Sweeps around presets 1-6, with their fixed orbit values perturbed by up
 to 15%, are compared row by row with a reference written here: its own
 angle and a dense trapezoid rule on the real line, with no contour
 shift.  A reference value counts only where its two step sizes agree.
+The shifted rows such a reference cannot resolve are held to Cauchy's
+theorem instead: their value may not depend on the depth of the line.
 """
 
 import functools
@@ -14,7 +16,16 @@ import numpy as np
 import pytest
 from scipy.special import roots_hermite
 
-from gravent import figure_preset, run_sweep
+import gravent.entanglement as entanglement
+from gravent import (
+    batch_trig_moments,
+    figure_preset,
+    momentum_factor,
+    run_sweep,
+    theta_amplitude,
+)
+from gravent.entanglement import CONVERGED
+from gravent.experiments import _contour_shift
 
 HALF_WIDTH = 7.0
 REFERENCE_AGREEMENT = 1e-12
@@ -132,3 +143,56 @@ def test_wide_packet_tail_rows_match_a_finer_reference():
             assert max(abs(a - b) for a, b in zip(coarse, fine)) <= REFERENCE_AGREEMENT
             assert row.flags == ()
             assert max(abs(row.C - fine[0]), abs(row.S - fine[1])) <= 1e-10, (beta, row.x)
+
+
+def shifted_rows(spec):
+    """The computed rows of a sweep that run_sweep integrates on a shifted line.
+
+    Returns the rows and, per row, its amplitude, centre q and depth.
+    """
+    rows = [row for row in run_sweep(spec) if not row.flags]
+    params = [replace(spec.fixed, **{spec.variable: row.x}) for row in rows]
+    amplitude = np.array([theta_amplitude(p) for p in params])
+    q = np.array([p.q for p in params])
+    depth = _contour_shift(amplitude, q, spec.fixed.beta)
+    shifted = np.flatnonzero(depth != 0.0)
+    return [rows[i] for i in shifted], amplitude[shifted], q[shifted], depth[shifted]
+
+
+def half_depth_moments(spec):
+    """Each shifted row's (C, S) at depth delta, as printed, and at delta/2."""
+    rows, amplitude, q, depth = shifted_rows(spec)
+    half = batch_trig_moments(amplitude, momentum_factor, q, spec.fixed.beta, 0.5 * depth)
+    printed = np.array([(row.C, row.S) for row in rows]).reshape(-1, 2)
+    return printed, half
+
+
+@pytest.mark.parametrize("n,count", [(1, 377), (2, 389), (4, 11)])
+def test_shifted_rows_do_not_depend_on_the_depth(n, count):
+    # e^{-x^2} e^{i Theta} is analytic between the two lines and the real
+    # axis, so by Cauchy's theorem both lines give the printed row
+    printed, half = half_depth_moments(figure_preset(n))
+    assert len(printed) == count
+    assert (half.status == CONVERGED).all()
+    assert np.abs(printed - half.values).max() <= 1e-10
+
+
+def test_depth_independence_fails_without_the_gaussian_correction(monkeypatch):
+    # negative control: on a shifted line x = t - i y the weight is
+    # e^{-x^2}, not e^{-t^2}; averaging e^{i Theta} against e^{-t^2} alone
+    # gives a value that moves with the depth
+    real = entanglement._adaptive_average
+
+    def uncorrected(rows_fn, size, shift=None):
+        def rows(index, x):
+            _, theta = rows_fn(index, x)
+            if np.iscomplexobj(x):
+                theta = theta + x.imag * (x + x.real)  # undo e^{t^2 - x^2}
+            return entanglement._cis(theta), theta
+        return real(rows, size, shift)
+
+    monkeypatch.setattr(entanglement, "_adaptive_average", uncorrected)
+    printed, half = half_depth_moments(figure_preset(2))
+    both = half.status == CONVERGED
+    assert both.sum() >= 100
+    assert np.abs(printed[both] - half.values[both]).max() > 1e-3

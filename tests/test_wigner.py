@@ -28,7 +28,7 @@ from gravent import (
     wigner_rate_matrix,
     wigner_rate_w13,
 )
-from gravent.wigner import MAX_RADIUS
+from gravent.wigner import MAX_RADIUS, radial_factor
 
 Z1_016 = 1.2424428900898052          # (3 + sqrt(9 - 32*0.16)) / 4
 ZEROS_0265 = (0.5697224362268005, 0.9302775637731995)
@@ -81,6 +81,35 @@ def test_orbit_params_bound_the_radius():
     assert sweep_point(figure_preset(4), 1e160).flags == ("domain",)
     row = sweep_point(figure_preset(4), 1e99)
     assert row.flags == () and row.E == 1.0
+
+
+@pytest.mark.parametrize("values,error,message", [
+    ((math.nan, -1.0, 1e9, 0.0, -1.0), DomainError, "xi2 must be finite"),
+    ((0.16, -1.0, math.inf, 0.0, -1.0), DomainError, "q must be finite"),
+    ((-1.0, -1.0, 1e9, 0.0, -1.0), DomainError, "xi2 must be >= 0"),
+    ((0.16, -1.0, 1e9, 0.0, -1.0), DomainError, r"\|q\| must be <= 1e\+08"),
+    ((0.16, -1.0, 0.6, 0.0, -1.0), DomainError, "orbit radius must be positive"),
+    ((0.16, 1e101, 0.6, 0.0, -1.0), DomainError, r"orbit radius must be <= 1e\+100"),
+    ((0.16, 0.5, 0.6, 0.0, -1.0), DomainError, "beta must be positive"),
+    ((0.16, 0.5, 0.6, 1.0, -1.0), DomainError, "tau_ratio must be >= 0"),
+    ((0.16, 0.5, 0.6, 1.0, 5.0), HorizonError, "not outside the outer horizon"),
+])
+def test_orbit_params_report_the_first_failing_check(values, error, message):
+    # with several checks failing, the one OrbitParams makes first is raised
+    with pytest.raises(error, match=message):
+        OrbitParams(*values)
+
+
+def test_radial_factor_masks_every_radius_inside_the_outer_horizon():
+    # below the inner horizon z- = 0.2 of xi2 = 0.16, z^2 - z + xi2 > 0 again
+    # and the factor is finite, but the radius is no orbit outside the hole
+    factor, singular = radial_factor(0.1, 0.16)
+    assert math.isfinite(factor) and singular
+    _, singular = radial_factor(np.array([0.1, 0.2, 0.5, 0.8, 0.8 + 1e-6]), 0.16)
+    assert singular.tolist() == [True, True, True, True, False]
+    # no horizon at all: only the zero of z^2 - z + xi2 near z = 1/2 is singular
+    _, singular = radial_factor(np.array([0.1, 0.5, 2.0]), 0.25 + 1e-12)
+    assert singular.tolist() == [False, True, False]
 
 
 def test_mass_shell_identity():
