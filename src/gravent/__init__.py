@@ -87,6 +87,7 @@ from .experiments import (
     resolve_sweep,
     run_sweep,
     sweep_point,
+    validation_checks,
 )
 from .output import emit_csv, emit_json, emit_svg
 

@@ -5,9 +5,10 @@ frame-compare, validate.  `figure N` is a preset sweep: figure_preset(N)
 with its flags laid on top, as `sweep` lays its flags on --config.
 `minima --figure N` takes the sweep flags on top of preset N the same way.
 A --config file holds exactly the keys of its command's flags, so every
-setting changes what the command prints: `minima` takes no
---stationary-phase or format, and --bell exists only on radial-check,
-since all four Bell inputs share a sweep's concurrence.  Sweep-style
+setting changes what the command prints: a sweep takes no value for its
+swept variable, `minima` takes no --stationary-phase or format, and
+--bell exists only on radial-check, since all four Bell inputs share a
+sweep's concurrence.  Sweep-style
 commands emit CSV (default), JSON or SVG with the resolved configuration
 embedded, so identical invocations produce byte-identical files.
 Unreadable or malformed input exits 2, input outside the domain exits 1.
@@ -34,26 +35,19 @@ from .experiments import (
     radial_invariance_check,
     resolve_sweep,
     run_sweep,
+    validation_checks,
 )
 from .output import emit_csv, emit_json, emit_svg
-from .spacetime import (
-    ChargedBlackHole,
-    ETA,
-    frame_transform_matrix,
-    horizons,
-    kruskal_map,
-)
+from .spacetime import horizons
 from .wigner import (
     OrbitParams,
-    product_integral,
-    rotation_matrix,
-    spin_rep,
+    product_integral,  # not called here; perfbench/layers.py traces it at this module
     theta_zeros,
-    wigner_rate_matrix,
 )
 
+# valid for every xi2 (z+ <= 1), so the swept variable's default is its
+# placeholder in the fixed orbit, which each row overwrites
 _FIXED_DEFAULTS = {"xi2": 0.0, "z": 2.0, "q": 0.6, "beta": 1.0, "tau_ratio": 5.0}
-_PLACEHOLDERS = {"q": 0.0, "tau_ratio": 0.0}
 _FORMATS = ("csv", "json", "svg")
 # parsed dests that are not config keys
 _NOT_CONFIG = {"command", "fn", "config", "figure"}
@@ -101,18 +95,17 @@ def _spec_from_config(cfg: dict) -> SweepSpec:
                           f"got {variable!r}")
     if cfg.get("lo") is None or cfg.get("hi") is None:
         raise DomainError("a sweep needs 'lo' and 'hi'")
+    if cfg.get(variable) is not None:
+        raise _UsageError(f"{variable} is the swept variable: give its range "
+                          f"as lo and hi, not {variable}")
     lo, hi = _number(cfg, "lo"), _number(cfg, "hi")
-    fixed_kwargs = {}
-    for key, default in _FIXED_DEFAULTS.items():
-        if key != variable:
-            fixed_kwargs[key] = default if cfg.get(key) is None else _number(cfg, key)
-    # any valid value (for z, the range's upper end); overwritten per row
-    fixed_kwargs[variable] = _PLACEHOLDERS.get(variable, hi)
+    fixed = {key: default if cfg.get(key) is None else _number(cfg, key)
+             for key, default in _FIXED_DEFAULTS.items()}
     samples = cfg.get("samples")
     samples = 400 if samples is None else samples
     if isinstance(samples, bool) or not isinstance(samples, int):
         raise _UsageError(f"samples must be an integer, got {samples!r}")
-    return SweepSpec(variable, lo, hi, samples, OrbitParams(**fixed_kwargs))
+    return SweepSpec(variable, lo, hi, samples, OrbitParams(**fixed))
 
 
 def _sweep_spec(args) -> tuple[SweepSpec, dict]:
@@ -244,77 +237,10 @@ def _cmd_frame_compare(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    failures = 0
-
-    def check(name: str, passed: bool, detail: str) -> None:
-        nonlocal failures
+    checks = validation_checks(oracle_equivalence_report(draws=args.draws))
+    for name, passed, detail in checks:
         print(f"{'PASS' if passed else 'FAIL'}  {name}  ({detail})")
-        failures += 0 if passed else 1
-
-    report = oracle_equivalence_report(draws=args.draws)
-    check("oracle equivalence (closed vs brute force)",
-          report["max_entry_deviation"] < 1e-8,
-          f"max entry deviation {report['max_entry_deviation']:.3e}")
-    check("concurrence equals C^2+S^2",
-          report["max_concurrence_vs_moments"] < 1e-8,
-          f"max |conc - (C^2+S^2)| {report['max_concurrence_vs_moments']:.3e}")
-    check("concurrence identical across Bell states",
-          report["max_cross_bell_spread"] < 1e-10,
-          f"max spread {report['max_cross_bell_spread']:.3e}")
-    check("density matrices Hermitian, unit trace, PSD",
-          report["max_hermiticity"] < 1e-12
-          and report["max_trace_error"] < 1e-10
-          and report["min_eigenvalue"] > -1e-10,
-          f"herm {report['max_hermiticity']:.1e}, trace {report['max_trace_error']:.1e}, "
-          f"min eig {report['min_eigenvalue']:.1e}")
-    check("moment bound C^2+S^2 <= 1",
-          report["max_moment_norm"] <= 1.0,
-          f"max C^2+S^2 = {report['max_moment_norm']:.12f}")
-
-    rng = np.random.default_rng(7)
-    dev = 0.0
-    for _ in range(50):
-        a, b = rng.uniform(-6, 6, 2)
-        dev = max(dev, float(np.abs(spin_rep(a) @ spin_rep(b) - spin_rep(a + b)).max()))
-    check("spin_rep homomorphism", dev < 1e-12, f"max deviation {dev:.3e}")
-
-    model = ChargedBlackHole(0.16)
-    rate = wigner_rate_matrix(model, 1.6, 0.6, 0.3)
-    accum = product_integral(lambda tau: rate, 0.0, 2.0, 10_000)
-    exact = rotation_matrix(rate[0, 2] * 2.0)
-    dev = float(np.abs(accum - exact).max())
-    check("product integral vs closed-form rotation", dev < 1e-8,
-          f"max deviation {dev:.3e}")
-
-    try:
-        dev = max(radial_invariance_check(chi).max_deviation for chi in BELL_STATES)
-        check("radial-geodesic invariance (all Bell states)", True,
-              f"max deviation {dev:.3e}")
-    except GraventError as exc:
-        check("radial-geodesic invariance (all Bell states)", False, str(exc))
-
-    dev = 0.0
-    for r in np.linspace(1.05, 10.0, 10):
-        for t in (-3.0, 0.0, 2.0, 5.0):
-            tmat = frame_transform_matrix(kruskal_map(float(r), t))
-            dev = max(dev, float(np.abs(tmat @ ETA @ tmat.T - ETA).max()))
-    check("frame transform preserves the Minkowski metric", dev < 1e-10,
-          f"max deviation {dev:.3e}")
-
-    # roots exist exactly when the discriminant 9 - 32 xi2 is >= 0; the
-    # larger one always lies outside the outer horizon
-    xi2_grid = (0.0, 0.1, 0.16, 0.25, 0.265, 0.28, 9.0 / 32.0, 0.3, 0.5)
-    residual, miscounted = 0.0, []
-    for xi2 in xi2_grid:
-        roots = theta_zeros(xi2)
-        residual = max([residual] + [abs(2 * z * z - 3 * z + 4 * xi2) for z in roots])
-        if bool(roots) != (9.0 - 32.0 * xi2 >= 0.0):
-            miscounted.append(xi2)
-    check("angle zeros are roots of 2z^2 - 3z + 4xi2",
-          residual < 1e-14 and not miscounted,
-          f"max residual {residual:.3e} over {len(xi2_grid)} xi2 values, root count "
-          + (f"wrong at xi2 = {miscounted}" if miscounted else "matches 9 - 32xi2"))
-
+    failures = sum(not passed for _, passed, _ in checks)
     print(f"{'ALL CHECKS PASSED' if failures == 0 else f'{failures} CHECK(S) FAILED'}")
     return 0 if failures == 0 else 1
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericalError
+from .wigner import check_domain
 
 
 @dataclass(frozen=True)
@@ -60,16 +61,16 @@ def bell_state(tag: str) -> BellState:
 
 @dataclass(frozen=True)
 class MomentumDistribution:
-    """Normalized Gaussian weight centered at q with width beta."""
+    """Normalized Gaussian weight centered at q with width beta.
+
+    q and beta are held to the rules of OrbitParams (wigner.check_domain).
+    """
 
     q: float
     beta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.q) and math.isfinite(self.beta)):
-            raise DomainError(f"q and beta must be finite, got q={self.q}, beta={self.beta}")
-        if self.beta <= 0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
+        check_domain(vars(self))
 
     def weight(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)

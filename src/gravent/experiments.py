@@ -50,20 +50,25 @@ from .entanglement import (
     wootters_concurrence,
     reduced_density_closed,
 )
-from .errors import AssertionFailure, DomainError, HorizonError
-from .spacetime import ChargedBlackHole, outer_horizon
+from .errors import AssertionFailure, DomainError, GraventError
+from .spacetime import (ETA, ChargedBlackHole, frame_transform_matrix, kruskal_map,
+                        outer_horizon)
 from .wigner import (
     DOMAIN_CHECKS,
     TAU_S,
     OrbitParams,
+    check_domain,
     kruskal_rate,
     lambda_radial,
     momentum_factor,
     product_integral,
     radial_factor,
-    schwarzschild_rate,
+    rotation_matrix,
+    spin_rep,
     theta_amplitude,
     theta_circular,  # not called here; perfbench/layers.py traces it at this module
+    theta_zeros,
+    wigner_rate_matrix,
 )
 
 SWEEP_VARIABLES = ("q", "tau_ratio", "z")
@@ -158,7 +163,7 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
 
     spec.fixed has passed every check of OrbitParams, so only the swept
     variable is checked: a row is domain where any entry of DOMAIN_CHECKS
-    for that variable holds, the checks OrbitParams makes, and otherwise
+    for that variable fails, the checks OrbitParams makes, and otherwise
     horizon where radial_factor's mask holds.  Each row's angle is
     Theta = amplitude * M(q, p), the amplitude 2 pi tau R(z) one array
     expression over the grid, so two batch_trig_moments calls give the
@@ -171,8 +176,8 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
     fixed, grid = spec.fixed, np.asarray(xs, dtype=float)
     z, tau, q = (grid if spec.variable == name else getattr(fixed, name)
                  for name in ("z", "tau_ratio", "q"))
-    domain = np.logical_or.reduce([bad(grid) for name, bad, _ in DOMAIN_CHECKS
-                                   if name == spec.variable])
+    domain = ~np.logical_and.reduce([valid(grid) for name, valid, _ in DOMAIN_CHECKS
+                                     if name == spec.variable])
     radial, horizon = radial_factor(z, fixed.xi2)
     outcome = np.where(domain, _DOMAIN, np.where(horizon, _HORIZON, CONVERGED))
     live = np.flatnonzero(outcome == CONVERGED)
@@ -437,27 +442,81 @@ def frame_comparison(r_grid, q: float, p: float) -> list[FrameRateRow]:
 
     The static column diverges toward r = 1 and vanishes at r = 3/2; the
     falling-frame column stays finite through the horizon.  Both trends
-    are marked in the row flags.  The grid must be non-empty and every
-    input finite.
+    are marked in the row flags; where radial_factor masks the static rate
+    it reads nan.  The grid must be non-empty, and the radii pass the
+    entries of DOMAIN_CHECKS for z, q and p those for q.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size == 0:
         raise DomainError("the radius grid is empty")
-    if not (np.all(np.isfinite(r_grid)) and math.isfinite(q) and math.isfinite(p)):
-        raise DomainError(f"radii, q and p must be finite, got q={q}, p={p} and "
-                          f"{np.count_nonzero(~np.isfinite(r_grid))} non-finite radii")
+    check_domain({"z": r_grid, "q": q}, {"z": "r"})
+    check_domain({"q": p}, {"q": "p"})
+    factor, singular = radial_factor(r_grid, 0.0)
+    static = np.where(singular, math.nan, factor) * momentum_factor(q, p)
     rows = []
-    for r in r_grid:
-        flags: list[str] = []
-        kr = float(kruskal_rate(r, q, p))
-        try:
-            sr = float(schwarzschild_rate(r, q, p))
-        except HorizonError:
-            rows.append(FrameRateRow(float(r), math.nan, kr, ("static-divergent",)))
-            continue
-        if abs(sr) > 1e3:
-            flags.append("static-divergent")
+    for r, sr, divergent in zip(r_grid.tolist(), static.tolist(), singular.tolist()):
+        flags = ("static-divergent",) if divergent or abs(sr) > 1e3 else ()
         if abs(sr) < 1e-12:
-            flags.append("static-zero")
-        rows.append(FrameRateRow(float(r), sr, kr, tuple(flags)))
+            flags += ("static-zero",)
+        rows.append(FrameRateRow(r, sr, float(kruskal_rate(r, q, p)), flags))
     return rows
+
+
+def validation_checks(report: dict) -> list[tuple[str, bool, str]]:
+    """The checks of `gravent validate`, as (name, passed, detail).
+
+    The first five grade an oracle_equivalence_report; the rest make their own inputs.
+    """
+    checks = [
+        ("oracle equivalence (closed vs brute force)", report["max_entry_deviation"] < 1e-8,
+         f"max entry deviation {report['max_entry_deviation']:.3e}"),
+        ("concurrence equals C^2+S^2", report["max_concurrence_vs_moments"] < 1e-8,
+         f"max |conc - (C^2+S^2)| {report['max_concurrence_vs_moments']:.3e}"),
+        ("concurrence identical across Bell states", report["max_cross_bell_spread"] < 1e-10,
+         f"max spread {report['max_cross_bell_spread']:.3e}"),
+        ("density matrices Hermitian, unit trace, PSD",
+         report["max_hermiticity"] < 1e-12 and report["max_trace_error"] < 1e-10
+         and report["min_eigenvalue"] > -1e-10,
+         f"herm {report['max_hermiticity']:.1e}, trace {report['max_trace_error']:.1e}, "
+         f"min eig {report['min_eigenvalue']:.1e}"),
+        ("moment bound C^2+S^2 <= 1", report["max_moment_norm"] <= 1.0,
+         f"max C^2+S^2 = {report['max_moment_norm']:.12f}"),
+    ]
+
+    dev = max(float(np.abs(spin_rep(a) @ spin_rep(b) - spin_rep(a + b)).max())
+              for a, b in np.random.default_rng(7).uniform(-6, 6, (50, 2)))
+    checks.append(("spin_rep homomorphism", dev < 1e-12, f"max deviation {dev:.3e}"))
+
+    rate = wigner_rate_matrix(ChargedBlackHole(0.16), 1.6, 0.6, 0.3)
+    accum = product_integral(lambda tau: rate, 0.0, 2.0, 10_000)
+    dev = float(np.abs(accum - rotation_matrix(rate[0, 2] * 2.0)).max())
+    checks.append(("product integral vs closed-form rotation", dev < 1e-8,
+                   f"max deviation {dev:.3e}"))
+
+    name = "radial-geodesic invariance (all Bell states)"
+    try:
+        dev = max(radial_invariance_check(chi).max_deviation for chi in BELL_STATES)
+        checks.append((name, True, f"max deviation {dev:.3e}"))
+    except GraventError as exc:
+        checks.append((name, False, str(exc)))
+
+    frames = [frame_transform_matrix(kruskal_map(r, t))
+              for r in np.linspace(1.05, 10.0, 10).tolist() for t in (-3.0, 0.0, 2.0, 5.0)]
+    dev = max(float(np.abs(m @ ETA @ m.T - ETA).max()) for m in frames)
+    checks.append(("frame transform preserves the Minkowski metric", dev < 1e-10,
+                   f"max deviation {dev:.3e}"))
+
+    # roots exist exactly when the discriminant 9 - 32 xi2 is >= 0; the
+    # larger one always lies outside the outer horizon
+    xi2_grid = (0.0, 0.1, 0.16, 0.25, 0.265, 0.28, 9.0 / 32.0, 0.3, 0.5)
+    residual, miscounted = 0.0, []
+    for xi2 in xi2_grid:
+        roots = theta_zeros(xi2)
+        residual = max([residual] + [abs(2 * z * z - 3 * z + 4 * xi2) for z in roots])
+        if bool(roots) != (9.0 - 32.0 * xi2 >= 0.0):
+            miscounted.append(xi2)
+    checks.append((
+        "angle zeros are roots of 2z^2 - 3z + 4xi2", residual < 1e-14 and not miscounted,
+        f"max residual {residual:.3e} over {len(xi2_grid)} xi2 values, root count "
+        + (f"wrong at xi2 = {miscounted}" if miscounted else "matches 9 - 32xi2")))
+    return checks

@@ -37,8 +37,7 @@ class ChargedBlackHole:
     xi2: float
 
     def __post_init__(self):
-        if self.xi2 < 0:
-            raise DomainError(f"xi2 must be >= 0, got {self.xi2}")
+        horizons(self.xi2)  # checks the charge is finite and >= 0
 
     @property
     def description(self) -> str:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HorizonError
-from .spacetime import ChargedBlackHole, HORIZON_TOL, metric_potentials, outer_horizon
+from .spacetime import HORIZON_TOL, metric_potentials, outer_horizon
 
 TAU_S = 2.0 * math.pi
 
@@ -52,18 +52,40 @@ def momentum_factor(q, p):
     return q * gamma * (gamma - q * p / (np.sqrt(p * p + 1.0) + 1.0))
 
 
-# (field, where a value is out of the domain, message with {} for the value),
-# in the order OrbitParams checks them.  The predicates are elementwise, so
-# a sweep masks its grid with the checks of its swept field.
-DOMAIN_CHECKS = tuple((name, lambda v: ~np.isfinite(v), f"{name} must be finite, got {{}}")
-                      for name in ("xi2", "z", "q", "beta", "tau_ratio")) + (
-    ("xi2", lambda v: v < 0, "xi2 must be >= 0, got {}"),
-    ("q", lambda v: np.abs(v) > MAX_MOMENTUM, f"|q| must be <= {MAX_MOMENTUM:g}, got q={{}}"),
-    ("z", lambda v: v <= 0, "orbit radius must be positive, got z={}"),
-    ("z", lambda v: v > MAX_RADIUS, f"orbit radius must be <= {MAX_RADIUS:g}, got z={{}}"),
-    ("beta", lambda v: v <= 0, "beta must be positive, got {}"),
-    ("tau_ratio", lambda v: v < 0, "tau_ratio must be >= 0, got {}"),
+# (field, where a value is in the domain, message), in the order OrbitParams
+# checks them.  Comparisons, so nan fails each and a sweep masks a grid with them.
+DOMAIN_CHECKS = tuple((key, lambda v: abs(v) < math.inf, "{name} must be finite, got {value}")
+                      for key in ("xi2", "z", "q", "beta", "tau_ratio")) + (
+    ("xi2", lambda v: v >= 0, "{name} must be >= 0, got {value}"),
+    ("q", lambda v: abs(v) <= MAX_MOMENTUM,
+     f"|{{name}}| must be <= {MAX_MOMENTUM:g}, got {{name}}={{value}}"),
+    ("z", lambda v: v > 0, "orbit radius must be positive, got {name}={value}"),
+    ("z", lambda v: v <= MAX_RADIUS,
+     f"orbit radius must be <= {MAX_RADIUS:g}, got {{name}}={{value}}"),
+    ("beta", lambda v: v > 0, "{name} must be positive, got {value}"),
+    # the momenta q + beta x reach |q| + 7 beta, far below 1e154 where p * p overflows
+    ("beta", lambda v: v <= MAX_MOMENTUM,
+     f"{{name}} must be <= {MAX_MOMENTUM:g}, got {{value}}"),
+    ("tau_ratio", lambda v: v >= 0, "{name} must be >= 0, got {value}"),
 )
+
+
+def check_domain(values: dict, names: dict | None = None) -> None:
+    """Raise DomainError for the first entry of DOMAIN_CHECKS that fails.
+
+    Only the entries of the fields in values run, each on a number or an
+    array, whose first element at fault the message names.  names renames
+    a field in the messages.
+    """
+    for field, valid, message in DOMAIN_CHECKS:
+        if field in values:
+            value = values[field]
+            ok = valid(value)
+            if isinstance(ok, np.ndarray):  # an array's first element at fault
+                ok, value = ok.all(), value.flat[ok.argmin()]
+            if not ok:
+                name = (names or {}).get(field, field)
+                raise DomainError(message.format(name=name, value=value))
 
 
 @dataclass(frozen=True)
@@ -84,19 +106,12 @@ class OrbitParams:
     tau_ratio: float
 
     def __post_init__(self):
-        for name, bad, message in DOMAIN_CHECKS:
-            value = getattr(self, name)
-            if bad(value):
-                raise DomainError(message.format(value))
+        check_domain(vars(self))
         zp = outer_horizon(self.xi2)
         if zp is not None and self.z <= zp:
             raise HorizonError(
                 f"orbit at z={self.z} is not outside the outer horizon z+={zp}"
             )
-
-    @property
-    def model(self) -> ChargedBlackHole:
-        return ChargedBlackHole(self.xi2)
 
 
 @dataclass(frozen=True)
@@ -220,8 +235,7 @@ def theta_zeros(xi2: float) -> list[float]:
     (empty for xi2 > 9/32), keeping only radii outside the outer horizon.
     The closed form is returned as is; no root-finder refines it.
     """
-    if not (math.isfinite(xi2) and xi2 >= 0):
-        raise DomainError(f"xi2 must be finite and >= 0, got {xi2}")
+    zp = outer_horizon(xi2)  # checks xi2
     disc = 9.0 - 32.0 * xi2
     if disc < 0:
         return []
@@ -230,7 +244,6 @@ def theta_zeros(xi2: float) -> list[float]:
     else:
         d = math.sqrt(disc)
         roots = [(3.0 - d) / 4.0, (3.0 + d) / 4.0]
-    zp = outer_horizon(xi2)
     floor = zp if zp is not None else 0.0
     return [r for r in roots if r > floor]
 

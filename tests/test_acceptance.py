@@ -34,6 +34,7 @@ from gravent import (
     schwarzschild_rate,
     sweep_point,
     theta_zeros,
+    validation_checks,
     wigner_rate_matrix,
 )
 from gravent.cli import main
@@ -316,3 +317,30 @@ def test_criterion_13_determinism(tmp_path, capsys):
     verdict(13, ok, f"figure 4 CSV runs byte-identical: {ok} "
                     f"({first.stat().st_size} bytes)")
     assert ok
+
+
+# the lines of `gravent validate`, in order
+VALIDATE_CHECKS = (
+    "oracle equivalence (closed vs brute force)",
+    "concurrence equals C^2+S^2",
+    "concurrence identical across Bell states",
+    "density matrices Hermitian, unit trace, PSD",
+    "moment bound C^2+S^2 <= 1",
+    "spin_rep homomorphism",
+    "product integral vs closed-form rotation",
+    "radial-geodesic invariance (all Bell states)",
+    "frame transform preserves the Minkowski metric",
+    "angle zeros are roots of 2z^2 - 3z + 4xi2",
+)
+
+
+def test_criterion_14_validate_checks(oracle_report):
+    # the list `gravent validate` prints, graded on this suite's 100 draws;
+    # criteria 01-13 state their own bounds independently
+    checks = validation_checks(oracle_report)
+    failed = [f"{name} ({detail})" for name, passed, detail in checks if not passed]
+    verdict(14, not failed and len(checks) == 10,
+            f"{len(checks) - len(failed)} of {len(checks)} validate checks pass"
+            + (f"; failed: {failed}" if failed else ""))
+    assert tuple(name for name, _, _ in checks) == VALIDATE_CHECKS
+    assert not failed

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from itertools import zip_longest
 from pathlib import Path
@@ -429,15 +431,15 @@ def test_validate_output_keeps_its_bytes(capsys):
 
 
 def test_validate_checks_angle_zeros_against_the_quadratic(capsys, monkeypatch):
-    import gravent.cli as cli
+    import gravent.experiments as experiments
 
-    true_zeros = cli.theta_zeros
-    monkeypatch.setattr(cli, "theta_zeros",
+    true_zeros = experiments.theta_zeros
+    monkeypatch.setattr(experiments, "theta_zeros",
                         lambda xi2: [z * (1.0 + 1e-9) for z in true_zeros(xi2)])
     code, out, _ = run_cli(capsys, "validate", "--draws", "1")
     assert code == 1
     assert "FAIL  angle zeros" in out
-    monkeypatch.setattr(cli, "theta_zeros", lambda xi2: [])
+    monkeypatch.setattr(experiments, "theta_zeros", lambda xi2: [])
     code, out, _ = run_cli(capsys, "validate", "--draws", "1")
     assert code == 1
     assert "root count wrong at xi2 = [0.0, 0.1" in out
@@ -480,6 +482,27 @@ def test_no_module_reads_the_environment():
         assert not re.search(r"\b(environ|getenv)\b", text), path.name
 
 
+# imported where perfbench/layers.py wraps them, and not called there
+_TRACED_ONLY = {("experiments", "theta_circular"), ("cli", "product_integral")}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports the public API in order to export it
+    unused = set()
+    for path in Path(gravent.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - used}
+    assert unused <= _TRACED_ONLY
+
+
 def test_import_does_not_load_scipy_xml_sax_or_urllib():
     # counted on top of numpy: its pathlib import loads urllib.parse
     src = str(Path(gravent.__file__).resolve().parents[1])
@@ -509,6 +532,54 @@ def test_small_commands_reject_non_finite_input(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: DomainError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["frame-compare", "--q", "1e200"],
+    ["frame-compare", "--p", "1e200"],
+    ["frame-compare", "--r-lo", "1", "--r-hi", "1e300", "--samples", "3"],
+    ["sweep", "--variable", "z", "--lo", "1", "--hi", "2", "--samples", "3",
+     "--beta", "1e300"],
+], ids=["frame-q-huge", "frame-p-huge", "frame-r-huge", "sweep-beta-huge"])
+def test_commands_reject_out_of_range_input(capsys, argv):
+    # past these bounds the rates read nan or come from an overflowed p * p
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: DomainError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--variable", "q", "--lo", "0", "--hi", "1", "--samples", "2", "--q", "nan"],
+    ["sweep", "--variable", "tau_ratio", "--lo", "0", "--hi", "1", "--samples", "2",
+     "--tau-ratio", "3"],
+    ["minima", "--figure", "5", "--z", "3"],
+], ids=["sweep-q", "sweep-tau-ratio", "minima-z"])
+def test_swept_variable_takes_no_value_of_its_own(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "swept variable" in err
+
+
+def test_swept_variable_in_a_config_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text('{"variable": "z", "lo": 1, "hi": 3, "z": 2}')
+    code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert "z is the swept variable" in err
+
+
+def test_z_range_inside_the_horizon_names_the_range(capsys):
+    # the message names the range given, not the fixed orbit's placeholder z
+    code, out, err = run_cli(capsys, "sweep", "--variable", "z", "--lo", "0.1",
+                             "--hi", "0.5", "--xi2", "0.16")
+    assert (code, out) == (1, "")
+    assert err == ("error: DomainError: sweep range [0.1, 0.5] lies inside "
+                   "the horizon z+=0.8\n")
 
 
 def test_commands_run_without_scipy():

@@ -154,6 +154,15 @@ def test_momentum_distribution_rejects_non_finite():
             MomentumDistribution(q=q, beta=beta)
 
 
+def test_momentum_distribution_takes_the_orbit_bounds():
+    # the packet holds q and beta to the rules OrbitParams holds them to
+    MomentumDistribution(q=-1e8, beta=1e8)
+    with pytest.raises(DomainError, match=r"\|q\| must be <= 1e\+08, got q=1e\+200"):
+        MomentumDistribution(q=1e200, beta=1.0)
+    with pytest.raises(DomainError, match=r"beta must be <= 1e\+08"):
+        MomentumDistribution(q=0.0, beta=1e9)
+
+
 def test_batch_trig_moments_rows_match_single_rows():
     # each row stops at its own level; a row's failure stays in its status
     q = np.array([0.0, 0.3, -0.5, 0.2, 1.0])

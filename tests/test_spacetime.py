@@ -54,6 +54,15 @@ def test_negative_charge_rejected():
         horizons(-1e-9)
 
 
+@pytest.mark.parametrize("xi2", [math.nan, math.inf])
+def test_non_finite_charge_rejected(xi2):
+    # the hole takes the charges horizons takes
+    with pytest.raises(DomainError, match="xi2 must be finite"):
+        ChargedBlackHole(xi2)
+    with pytest.raises(DomainError, match="xi2 must be finite"):
+        horizons(xi2)
+
+
 def test_domain_error_at_nonpositive_radius():
     model = ChargedBlackHole(0.0)
     for z in (0.0, -2.0):

@@ -28,7 +28,7 @@ from gravent import (
     wigner_rate_matrix,
     wigner_rate_w13,
 )
-from gravent.wigner import MAX_RADIUS, radial_factor
+from gravent.wigner import MAX_RADIUS, check_domain, radial_factor
 
 Z1_016 = 1.2424428900898052          # (3 + sqrt(9 - 32*0.16)) / 4
 ZEROS_0265 = (0.5697224362268005, 0.9302775637731995)
@@ -98,6 +98,26 @@ def test_orbit_params_report_the_first_failing_check(values, error, message):
     # with several checks failing, the one OrbitParams makes first is raised
     with pytest.raises(error, match=message):
         OrbitParams(*values)
+
+
+def test_orbit_params_bound_the_width():
+    # the quadrature's momenta reach |q| + 7 beta; at beta = 1e300 p * p
+    # overflowed in M(q, p)
+    OrbitParams(0.0, 2.0, 0.6, 1e8, 5.0)
+    for beta in (1.0000001e8, 1e300):
+        with pytest.raises(DomainError, match=r"beta must be <= 1e\+08"):
+            OrbitParams(0.0, 2.0, 0.6, beta, 5.0)
+
+
+def test_check_domain_names_the_first_element_at_fault():
+    check_domain({"z": np.array([1.0, 2.0]), "q": 0.5})
+    with pytest.raises(DomainError, match=r"^orbit radius must be positive, got z=-2\.0$"):
+        check_domain({"z": np.array([1.0, -2.0, -3.0, 0.0])})
+    # a finiteness entry comes before every bound, whatever the order of the array
+    with pytest.raises(DomainError, match=r"^r must be finite, got nan$"):
+        check_domain({"z": np.array([-1.0, math.nan])}, {"z": "r"})
+    with pytest.raises(DomainError, match=r"^\|p\| must be <= 1e\+08, got p=1e\+200$"):
+        check_domain({"q": 1e200}, {"q": "p"})
 
 
 def test_radial_factor_masks_every_radius_inside_the_outer_horizon():
