@@ -79,7 +79,7 @@ def angle_blowup():
         params = OrbitParams(0.16, 0.8 + dz, 0.6, 1.0, 5.0)
         print(f"  z = z+ + {dz:<7} Theta(p=0) = {theta_circular(params, 0.0):+.3e}")
     print("  the angle diverges at the horizon; the sweep quadrature damps the")
-    print("  oscillation on a line shifted into the complex momentum plane,")
+    print("  oscillation on a line moved off the real axis in s = asinh p,")
     print("  and such rows come out fully decohered")
     print()
 

@@ -61,6 +61,7 @@ from .entanglement import (
     CHI4,
     MomentumDistribution,
     TrigMoments,
+    batch_characteristic,
     batch_reduced_density_bruteforce,
     batch_trig_moments,
     bell_state,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -219,6 +220,9 @@ def _cmd_radial_check(args) -> int:
 def _cmd_frame_compare(args) -> int:
     if args.samples < 1:
         raise DomainError(f"samples must be >= 1, got {args.samples}")
+    lo, hi = args.r_lo, args.r_hi
+    if math.isfinite(lo) and math.isfinite(hi) and not math.isfinite(hi - lo):
+        raise DomainError(f"the span r_hi - r_lo of [{lo}, {hi}] overflows")
     with np.errstate(invalid="ignore"):  # frame_comparison rejects non-finite ends
         grid = np.linspace(args.r_lo, args.r_hi, args.samples)
     rows = frame_comparison(grid, args.q, args.p)

@@ -8,14 +8,18 @@ that depend only on the two averages
 
     C = <cos Theta>,   S = <sin Theta>
 
-over w(p).  The averages come from a nested trapezoid rule in
-x = (p - q)/beta, which converges exponentially for integrands analytic
-in a strip around its line (Trefethen & Weideman, SIAM Review 56, 2014);
-a sweep row may move that line into the complex plane, where a fast
-oscillation is damped, as numerical steepest descent does (Huybrechs &
-Vandewalle, SIAM J. Numer. Anal. 44, 2006).  The closed forms are checked
-against a brute-force average of rotated projectors, which is the
-reference implementation whenever the two disagree.
+over w(p).  The averages come from a nested trapezoid rule, which
+converges exponentially for integrands analytic in a strip around its
+line (Trefethen & Weideman, SIAM Review 56, 2014).  A slow row runs on
+the real line in x = (p - q)/beta.  A fast row, whose angle is
+Theta = phase - kappa u(p) with u(p) = p/(sqrt(p^2+1)+1), runs in
+s = asinh p, where u = tanh(s/2) turns on the unit scale and is analytic
+for |Im s| < pi, along a line s = t + i d moved off the real axis, where
+the oscillation is damped, as numerical steepest descent does (Huybrechs
+& Vandewalle, SIAM J. Numer. Anal. 44, 2006): batch_characteristic.  The
+closed forms are checked against a brute-force average of rotated
+projectors, which is the reference implementation whenever the two
+disagree.
 """
 
 from __future__ import annotations
@@ -131,27 +135,25 @@ class Averages:
     status: np.ndarray
 
 
-def _adaptive_average(rows_fn, size: int, shift=None) -> Averages:
-    """Average an integrand over the Gaussian weight e^{-x^2}/sqrt(pi), per row.
+def _adaptive_average(rows_fn, size: int, weighted: bool = True) -> Averages:
+    """Average an integrand over the Gaussian weight e^{-t^2}/sqrt(pi), per row.
 
-    Row i integrates along the line x = t - i*shift[i], t in [-7, 7];
-    with no shift, every row stays on the real line.  For an integrand
-    analytic between that line and the real axis, Cauchy's theorem keeps
-    the value.  rows_fn(index, x) gets the indices of a block of rows and
-    their nodes x, real of shape (1, nodes) with no shift and complex of
-    shape (len(index), nodes) with one.  It returns the integrand times
-    e^{t^2 - x^2} (the shifted Gaussian over the real one), shape
-    (len(index), components, nodes), and an angle of shape (len(index),
-    nodes): the integrand turns with its real part and is no larger than
-    e^{-Im angle}, as e^{i angle} is.
+    rows_fn(index, t) gets the indices of a block of rows and a level's
+    new nodes t in (-7, 7), of shape (1, nodes).  It returns the
+    integrand, shape (len(index), components, nodes), and an angle of
+    shape (len(index), nodes): the integrand turns with its real part
+    and is no larger than e^{-Im angle}, as e^{i angle} is.  With
+    weighted False the integrand g carries its own weight: the row's value
+    is the integral of g(t) dt/sqrt(pi), and the rule sums g against unit
+    weights.
 
     The rule is the trapezoid rule in t, nested: each level doubles the
     intervals, evaluating only the new midpoints, until the row's
     estimates agree to TOL or the next level would pass the cap,
     DEFAULT_QUAD.max_nodes.  Each estimate is the running sum over the
-    rule's weight sum, so a constant integrand averages to itself exactly.
-    Each level evaluates only the rows still active, in blocks of about
-    _BLOCK_ELEMENTS nodes.
+    Gaussian rule's weight sum, so a constant integrand averages to
+    itself exactly.  Each level evaluates only the rows still active, in
+    blocks of about _BLOCK_ELEMENTS nodes.
 
     Two levels agreeing is no proof on their own: a frequency the finer
     level aliases is aliased by the coarser one too, so a fast, nearly
@@ -166,8 +168,6 @@ def _adaptive_average(rows_fn, size: int, shift=None) -> Averages:
     that reaches the cap unconverged stops with NO_CONVERGENCE if its
     residual is above FAIL_RESIDUAL and with REDUCED_TOLERANCE otherwise.
     """
-    if shift is not None:
-        shift = np.asarray(shift, dtype=float)
     values = sums = weight = prev = None
     residual = np.full(size, math.inf)
     nodes = np.zeros(size, dtype=int)
@@ -176,21 +176,21 @@ def _adaptive_average(rows_fn, size: int, shift=None) -> Averages:
     n = 64
     t = (2.0 * _HALF_WIDTH / n) * np.arange(1, n) - _HALF_WIDTH
     while active.size:
-        w = np.exp(-t * t)
+        gauss = np.exp(-t * t)
+        w = gauss if weighted else np.ones_like(t)
         block = max(1, _BLOCK_ELEMENTS // t.size)
         capped = 2 * n > DEFAULT_QUAD.max_nodes
         est, res = None, np.empty(active.size)
         for start in range(0, active.size, block):
             rows = slice(start, start + block)
             idx = active[rows]
-            x = t[None] if shift is None else t - 1j * shift[idx, None]
-            integrand, angle = rows_fn(idx, x)
+            integrand, angle = rows_fn(idx, t[None])
             # (rows, components, nodes) @ w runs one gemv per row, the
             # same product a lone row gets, so batching moves no bits
             part = integrand @ w
             if est is None:
                 # the same product on the constant 1 adds up the weights
-                new_weight = (np.ones((1, part.shape[1], t.size)) @ w)[0]
+                new_weight = (np.ones((1, part.shape[1], t.size)) @ gauss)[0]
                 if sums is None:
                     values, sums = np.empty((2, size, part.shape[1]))
                     weight = new_weight
@@ -238,7 +238,7 @@ _NEGLIGIBLE = 1e-12
 
 # e^{i Theta} times its envelope has its spectrum around the local rate of
 # turn Theta'(x), spread by the envelope's own spectrum: e^{-x^2}'s falls
-# below 1e-12 within 10.5 of it, and the damped envelopes on shifted lines
+# below 1e-12 within 10.5 of it, and the damped envelopes on the lines in s
 # spread wider.  On q-sweeps a margin of 20 erred no more than one of 30;
 # below 128 intervals the Nyquist limit leaves less.
 _SPREAD = 30.0
@@ -281,21 +281,12 @@ def _raise_failed_rows(out: Averages) -> Averages:
 
 
 def _cis(theta: np.ndarray) -> np.ndarray:
-    """Re and Im of e^{i theta}, stacked on a new axis before the nodes axis.
-
-    For a real theta these are cos theta and sin theta.
-    """
+    """cos theta and sin theta, stacked on a new axis before the nodes axis."""
     out = np.empty(theta.shape[:-1] + (2, theta.shape[-1]))
     # a non-finite angle is reported through its row's status, not a warning
-    with np.errstate(invalid="ignore", over="ignore"):
-        if np.iscomplexobj(theta):
-            re = np.ascontiguousarray(theta.real)
-            np.cos(re, out=out[..., 0, :])
-            np.sin(re, out=out[..., 1, :])
-            out *= np.exp(-theta.imag)[..., None, :]
-        else:
-            np.cos(theta, out=out[..., 0, :])
-            np.sin(theta, out=out[..., 1, :])
+    with np.errstate(invalid="ignore"):
+        np.cos(theta, out=out[..., 0, :])
+        np.sin(theta, out=out[..., 1, :])
     return out
 
 
@@ -313,46 +304,126 @@ class TrigMoments:
     nodes: int = 0
 
 
-def batch_trig_moments(amplitude, factor, q, beta, shift=None) -> Averages:
+def batch_trig_moments(amplitude, factor, q, beta) -> Averages:
     """<cos Theta> and <sin Theta> for a batch of rows in one adaptive pass.
 
     Row i's angle is Theta_i(p) = amplitude[i] * factor(q_i, p), averaged
-    over the Gaussian of centre q_i and width beta_i along the line
-    p = q_i + beta_i (t - i shift[i]) (the real line by default); Theta
-    must be analytic between that line and the real axis.  q and beta are
-    each one value per row, or one scalar for all: with one scalar centre
-    the rows on the real line share one momentum table per block,
-    factor(q, p) with p of shape (1, nodes), and differ only in the
-    amplitude column, with the bits a column of equal centres gives.
-    factor gets q as that scalar or as the column q[index, None].  On a
-    shifted line only e^{i Theta} is damped, so it is the one integrand:
-    C is the real part of its average and S the imaginary part.
+    over the Gaussian of centre q_i and width beta_i on the real line,
+    p = q_i + beta_i t.  q and beta are each one value per row, or one
+    scalar for all: with one scalar centre the rows share one momentum
+    table per block, factor(q, p) with p of shape (1, nodes), and differ
+    only in the amplitude column, with the bits a column of equal centres
+    gives.  factor gets q as that scalar or as the column q[index, None].
     values[:, 0] holds C and values[:, 1] holds S; see _adaptive_average
     for the rest.
     """
-    return _batch_average(_cis, amplitude, factor, q, beta, shift)
+    return _batch_average(_cis, amplitude, factor, q, beta)
 
 
-def _batch_average(integrand, amplitude, factor, q, beta, shift=None) -> Averages:
+def _batch_average(integrand, amplitude, factor, q, beta) -> Averages:
     """_adaptive_average of integrand(Theta) over the rows of batch_trig_moments.
 
-    integrand maps angles (rows, nodes) to (rows, components, nodes); only
-    _cis may be averaged on a shifted line.  Every average goes through
-    here: trig_moments and reduced_density_bruteforce are its one-row case.
+    integrand maps angles (rows, nodes) to (rows, components, nodes).
+    Every average on the real line goes through here: trig_moments and
+    reduced_density_bruteforce are its one-row case.
     """
     amplitude, q, beta = (np.asarray(v, dtype=float) for v in (amplitude, q, beta))
 
-    def rows(index, x):
+    def rows(index, t):
         centre = q if q.ndim == 0 else q[index, None]
         width = beta if beta.ndim == 0 else beta[index, None]
-        theta = amplitude[index, None] * factor(centre, centre + width * x)
-        if np.iscomplexobj(x):
-            # e^{t^2 - x^2} joins the exponent: with x = t + iy,
-            # t^2 - x^2 = i * (-y (x + t))
-            theta = theta - x.imag * (x + x.real)
+        theta = amplitude[index, None] * factor(centre, centre + width * t)
         return integrand(theta), theta
 
-    return _adaptive_average(rows, amplitude.size, shift)
+    return _adaptive_average(rows, amplitude.size)
+
+
+# batch_characteristic leaves out the nodes whose integrand is below
+# e^{_DROPPED} ~ 1e-20: even 2048 of them add nothing to the sums.
+_DROPPED = -46.0
+
+
+def _line_table(t, centre, half, cos_d, cos_b, q_b, sin_b, cos_scale, sin_scale):
+    """What a line s = centre + half t + i d fixes of the integrand, at nodes t.
+
+    With tanh(s/2) = u_re + i sin d inv and the weight's exponent
+    -((sinh s - q)/beta)^2 = w_log + i w_arg, returns u_re, inv, w_arg,
+    w_log and cosh s times the scale (jac_re + i jac_im).  The other
+    arguments are cos d / beta, q / beta, sin d / beta and cos d and sin d
+    times the scale.
+    """
+    t = centre + half * t
+    sinh_t, cosh_t = np.sinh(t), np.cosh(t)
+    inv = 1.0 / (cosh_t + cos_d)
+    dev, im = sinh_t * cos_b - q_b, cosh_t * sin_b  # (sinh s - q)/beta = dev + i im
+    return (sinh_t * inv, inv, -2.0 * dev * im, (im - dev) * (im + dev),
+            cosh_t * cos_scale, sinh_t * sin_scale)
+
+
+def batch_characteristic(kappa, q, beta, depth) -> Averages:
+    """phi(kappa) = <e^{-i kappa u(p)}>, u(p) = p/(sqrt(p^2+1)+1), per row.
+
+    The average is over the Gaussian of centre q_i and width beta_i, taken
+    in s = asinh p, where u = tanh(s/2) is analytic in the strip |Im s| <
+    pi and the weight e^{-(sinh s - q)^2/beta^2} cosh s/(sqrt(pi) beta)
+    decays along every line |Im s| < pi/4.  Row i runs along the line
+    s = t + i depth[i]; by Cauchy's theorem its value is the real line's,
+    and with depth of the sign of -kappa the oscillation is damped by
+    e^{-|kappa| sin|depth| / (cosh t + cos depth)}.  On the line, in real
+    arithmetic,
+
+        sinh s = sinh t cos d + i cosh t sin d,
+        tanh(s/2) = (sinh t + i sin d) / (cosh t + cos d),
+
+    and the ends of t are where the weight's modulus
+    e^{-((Re sinh s - q)^2 - (Im sinh s)^2)/beta^2} has fallen to e^{-49},
+    as on the real line at p = q +- 7 beta.  Inside, the modulus peaks at
+    e^{sin^2 d (1 + q^2/cos 2d)/beta^2}, which the caller bounds through
+    the depth.  q and beta are each one value per row, or one scalar for
+    all; where a block's rows share q, beta and the depth, they share one
+    table of the line (u and the weight), shape (1, nodes).
+    values[:, 0] holds Re phi and values[:, 1] Im phi; see
+    _adaptive_average for the rest.
+    """
+    kappa, q, beta, depth = (np.asarray(v, dtype=float) for v in (kappa, q, beta, depth))
+    cos_d, sin_d, cos_2d = np.cos(depth), np.sin(depth), np.cos(2.0 * depth)
+    # sinh t at the ends: the roots of (S cos d - q)^2 - (1 + S^2) sin^2 d = 49 beta^2
+    root = np.sqrt(q * q * sin_d * sin_d + cos_2d * (49.0 * beta * beta + sin_d * sin_d))
+    lo, hi = np.arcsinh((q * cos_d - root) / cos_2d), np.arcsinh((q * cos_d + root) / cos_2d)
+    centre, half = 0.5 * (lo + hi), (hi - lo) / (2.0 * _HALF_WIDTH)
+    # dt/beta per unit of the rule's variable, times sqrt(pi) (_adaptive_average)
+    scale = half / beta
+    # |cosh s| <= cosh t, largest at the end farther from 0
+    log_bound = np.log(scale * np.cosh(np.maximum(-lo, hi)))
+    # per row: what fixes its line, and what the row adds to it
+    line_of = np.stack(np.broadcast_arrays(centre, half, cos_d, cos_d / beta, q / beta,
+                                           sin_d / beta, cos_d * scale, sin_d * scale), axis=1)
+    row_of = np.stack([kappa, kappa * sin_d, _DROPPED - log_bound], axis=1)
+    shared = q.ndim == 0 and beta.ndim == 0
+
+    def rows(index, t):
+        line = index[:1] if shared and (depth[index] == depth[index[0]]).all() else index
+        u_re, inv, w_arg, w_log, jac_re, jac_im = _line_table(t, *line_of[line].T[..., None])
+        k, k_sin, floor = row_of[index].T[..., None]
+        with np.errstate(invalid="ignore", over="ignore"):
+            arg = w_arg - k * u_re
+            log_mod = w_log + k_sin * inv
+            # a node the sums cannot hold is left at 0 (a non-finite one is
+            # kept, for its row's status): np.cos and np.sin take most of
+            # the time, and most nodes of a fast row are damped away
+            live = ~((log_mod < floor) & np.isfinite(arg))
+            cos, sin, mod = (f(v, out=np.zeros_like(arg), where=live)
+                             for f, v in ((np.cos, arg), (np.sin, arg), (np.exp, log_mod)))
+            jac_re, jac_im = jac_re * mod, jac_im * mod
+            out = np.empty(arg.shape[:1] + (2,) + arg.shape[1:])
+            out[:, 0] = cos * jac_re - sin * jac_im
+            out[:, 1] = sin * jac_re + cos * jac_im
+        angle = np.empty(arg.shape, dtype=complex)
+        angle.real = arg
+        angle.imag = floor - _DROPPED - log_mod  # -(log_mod + log_bound)
+        return out, angle
+
+    return _adaptive_average(rows, kappa.size, weighted=False)
 
 
 def _as_factor(theta_fn):

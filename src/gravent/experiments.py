@@ -10,11 +10,14 @@ rows, and the angle's amplitude is one array expression.
 The moments of a sweep's rows come from a nested trapezoid rule batched
 across rows: each level evaluates only the rows still active, and every
 row stops at its own level, exactly where it would stop alone
-(sweep_point is the one-row case).  On a z- or tau-sweep every row has
-the same q, so the rows on the real line share one table of the
-momentum factor M(q, p) per block of each level.  A row whose angle
-turns fast integrates e^{i Theta} along a line shifted into the complex
-momentum plane, where the oscillation is damped (_contour_shift).  K is
+(sweep_point is the one-row case).  A slow row averages on the real
+line in x = (p - q)/beta.  A row whose angle turns fast averages
+e^{-i kappa u(p)} in s = asinh p, along a line s = t + i d where the
+oscillation is damped; the depth d is capped where the weight would grow
+by more than e^4 on the line, and at 0.3 (_s_line).  On a z- or
+tau-sweep every row has the same q, so per block of each level the slow
+rows share one table of the momentum factor M(q, p) and the fast rows of
+one depth one table of their line.  K is
 the concurrence of every Bell input; the reduced density matrices and
 Wootters' concurrence serve only as oracles in oracle_equivalence_report,
 which takes every draw's brute-force tensor from one batched quadrature
@@ -41,6 +44,7 @@ from .entanglement import (
     NOT_FINITE,
     REDUCED_TOLERANCE,
     MomentumDistribution,
+    batch_characteristic,
     batch_reduced_density_bruteforce,
     batch_trig_moments,
     density_matrix_diagnostics,
@@ -100,6 +104,8 @@ class SweepSpec:
             )
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise DomainError(f"lo and hi must be finite, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):  # the grid's step would be inf
+            raise DomainError(f"the span hi - lo of [{self.lo}, {self.hi}] overflows")
         if not self.lo < self.hi:
             raise DomainError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.samples < 2:
@@ -166,12 +172,14 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
     for that variable fails, the checks OrbitParams makes, and otherwise
     horizon where radial_factor's mask holds.  Each row's angle is
     Theta = amplitude * M(q, p), the amplitude 2 pi tau R(z) one array
-    expression over the grid, so two batch_trig_moments calls give the
-    moments of every row left: one for the rows on the real line and one
-    for the rows on shifted lines.  On a z- or tau-sweep q is one scalar,
-    so the rows on the real line share one momentum table M(q, p) per
-    block of each level.  The concurrence is C^2 + S^2, clipped to 1
-    where rounding lifts it above.
+    expression over the grid, so two batch calls give the moments of
+    every row left: batch_trig_moments for the slow rows, on the real
+    line in x = (p - q)/beta, and batch_characteristic for the fast ones,
+    on lines in s = asinh p (_s_line), whose C + iS is e^{i phase}
+    phi(kappa).  On a z- or tau-sweep q is one scalar, so the slow rows
+    share one momentum table M(q, p) per block of each level, and the fast
+    rows of one depth one table of their line.  The concurrence is
+    C^2 + S^2, clipped to 1 where rounding lifts it above.
     """
     fixed, grid = spec.fixed, np.asarray(xs, dtype=float)
     z, tau, q = (grid if spec.variable == name else getattr(fixed, name)
@@ -186,16 +194,22 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
     if spec.variable == "q":
         q = grid[live]
     beta = fixed.beta
-    shift = _contour_shift(amplitude, q, beta)
+    kappa, phase, depth = _s_line(amplitude, q, beta)
     values = np.empty((grid.size, 2))
-    # unshifted rows form a batch on the real line, with real arithmetic
-    real = shift == 0.0
-    for part, line in ((real, None), (~real, shift[~real])):
-        if part.any():
-            centre = q[part] if spec.variable == "q" else q
-            moments = batch_trig_moments(amplitude[part], momentum_factor,
-                                         centre, beta, line)
-            outcome[live[part]], values[live[part]] = moments.status, moments.values
+    real, fast = depth == 0.0, depth != 0.0
+
+    def centre(part):
+        return q[part] if np.ndim(q) else q
+
+    if real.any():
+        moments = batch_trig_moments(amplitude[real], momentum_factor, centre(real), beta)
+        outcome[live[real]], values[live[real]] = moments.status, moments.values
+    if fast.any():
+        phi = batch_characteristic(kappa[fast], centre(fast), beta, depth[fast])
+        # C + iS = e^{i phase} phi
+        (c, s), (re, im) = (np.cos(phase[fast]), np.sin(phase[fast])), phi.values.T
+        outcome[live[fast]] = phi.status
+        values[live[fast]] = np.stack([c * re - s * im, s * re + c * im], axis=1)
     out = []
     for x, status, (c, s) in zip(xs, outcome.tolist(), values.tolist()):
         if status in _REFUSALS:
@@ -208,31 +222,41 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
     return out
 
 
-def _contour_shift(amplitude: np.ndarray, q: np.ndarray, beta: float) -> np.ndarray:
-    """Per-row shift of the quadrature line x = t - i*shift, x = (p - q)/beta.
+# The s-line's depth: at most _S_DEPTH, and no deeper than lets the weight
+# grow by e^{_S_GROWTH} on it.
+_S_DEPTH = 0.3
+_S_GROWTH = 4.0
 
-    Theta = amplitude * q gamma^2 - kappa * u(p) with kappa = amplitude
-    q^2 gamma and u(p) = p / (sqrt(p^2 + 1) + 1), whose slope at q is
-    1/(gamma (gamma + 1)).  So near x = 0 the phase turns at omega =
-    |kappa| beta u'(q) per unit of x, and e^{-x^2} e^{i Theta} is flattest
-    on the line through its saddle, at depth omega/2 on the side of
-    sign(kappa); the other side grows.  The depth is capped at 2, which
-    bounds the Gaussian's growth e^{depth^2}, and at 0.7/beta, 0.3/beta
-    short of u's branch points p = +-i.  On presets 1 and 2 and six
-    perturbed q-sweeps, caps from 0.5/beta to 0.8/beta all held the rows
-    to 2e-13 of a fine real-line reference, with fewer nodes the deeper
-    the cap (0.7/beta: 22% fewer than 0.5/beta), while 1/beta refused 21
-    rows near the branch points and erred by 2e-11 on others; 0.7/beta
-    keeps clear of that.  Rows with omega < 4 stay on the real line:
-    shifted too, the slow rows of figures 3 and 5 needed 256 intervals
-    174 and 324 times where the real line needs them 29 and 19 times,
-    since the shifted line passes nearer the branch points.
+
+def _s_line(amplitude: np.ndarray, q, beta: float):
+    """Per row: kappa, the constant phase and the depth of the line in s = asinh p.
+
+    Theta = phase - kappa u(p) with phase = amplitude q gamma^2, kappa =
+    amplitude q^2 gamma and u(p) = p / (sqrt(p^2 + 1) + 1) = tanh(s/2),
+    whose slope at q is 1/(gamma (gamma + 1)).  So near the centre the
+    angle turns at omega = |kappa| beta u'(q) per unit of x = (p - q)/beta.
+    Rows with omega < 4 stay on the real line in x (depth 0); the others
+    are averaged along s = t + i depth (batch_characteristic), with depth
+    of the sign of -kappa, where the oscillation is damped.  On that line
+    the weight's modulus peaks at e^{G}, G = sin^2 d (1 + q^2/cos 2d)/beta^2,
+    near p = q; where the damping has not yet set in, that growth costs
+    digits to cancellation.  So the depth is capped where G reaches
+    _S_GROWTH, as the Gaussian's growth e^{depth^2} was capped at e^4 on
+    the former line shifted in x, and at _S_DEPTH, short of the strip
+    |Im s| < pi/4 in which the weight decays.  Solved for y = sin^2 d,
+    G = _S_GROWTH is 2 y^2 - b y + _S_GROWTH beta^2 = 0 with b = 1 + q^2 +
+    2 _S_GROWTH beta^2, whose smaller root is taken.
     """
     gamma = np.sqrt(q * q + 1.0)
     kappa = amplitude * q * q * gamma
+    phase = amplitude * q * gamma * gamma
     omega = np.abs(kappa) * beta / (gamma * (gamma + 1.0))
-    depth = np.minimum(np.minimum(0.5 * omega, 0.7 / beta), 2.0)
-    return np.where(omega >= 4.0, np.sign(kappa) * depth, 0.0)
+    g = _S_GROWTH * beta * beta
+    b = 1.0 + q * q + 2.0 * g
+    # b^2 - 8 g, written as a sum of squares
+    y = 2.0 * g / (b + np.sqrt((1.0 + q * q - 2.0 * g) ** 2 + 8.0 * g * q * q))
+    depth = np.minimum(np.arcsin(np.sqrt(y)), _S_DEPTH)
+    return kappa, phase, np.where(omega >= 4.0, -np.sign(kappa) * depth, 0.0)
 
 
 def _refused_row(x: float, flag: str, stationary_phase: bool) -> SweepRow:

@@ -43,12 +43,13 @@ def momentum_factor(q, p):
     """M(q, p), the momentum dependence shared by every rotation-rate formula.
 
     Vectorized over p, and over q given as an array that broadcasts
-    against p (a column of q values against rows of momenta).  p may be
-    complex: M is analytic in p off the branch points p = +-i.  M(q, q)
+    against p (a column of q values against rows of momenta).  M(q, q)
     reduces to q*gamma exactly, and M is odd under (q, p) -> (-q, -p).
+    M = q gamma^2 - q^2 gamma u(p) with u(p) = p / (sqrt(p^2 + 1) + 1) =
+    tanh(asinh(p)/2), the form the sweeps average fast rows in.
     """
     gamma = np.sqrt(q * q + 1.0)
-    p = np.asarray(p, dtype=complex if np.iscomplexobj(p) else float)
+    p = np.asarray(p, dtype=float)
     return q * gamma * (gamma - q * p / (np.sqrt(p * p + 1.0) + 1.0))
 
 

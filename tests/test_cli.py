@@ -540,9 +540,13 @@ def test_small_commands_reject_non_finite_input(capsys, argv):
     ["frame-compare", "--r-lo", "1", "--r-hi", "1e300", "--samples", "3"],
     ["sweep", "--variable", "z", "--lo", "1", "--hi", "2", "--samples", "3",
      "--beta", "1e300"],
-], ids=["frame-q-huge", "frame-p-huge", "frame-r-huge", "sweep-beta-huge"])
+    ["sweep", "--variable", "q", "--lo=-1e308", "--hi=1e308", "--samples", "3"],
+    ["frame-compare", "--r-lo=-1e308", "--r-hi=1e308"],
+], ids=["frame-q-huge", "frame-p-huge", "frame-r-huge", "sweep-beta-huge",
+        "sweep-span-overflows", "frame-span-overflows"])
 def test_commands_reject_out_of_range_input(capsys, argv):
-    # past these bounds the rates read nan or come from an overflowed p * p
+    # past these bounds the rates read nan or come from an overflowed p * p,
+    # and a grid whose span hi - lo overflows has an infinite step
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, *argv)

@@ -16,6 +16,7 @@ from gravent.entanglement import (
 
 from gravent import (
     BELL_STATES,
+    batch_characteristic,
     batch_trig_moments,
     CHI1,
     CHI3,
@@ -182,27 +183,46 @@ def test_batch_trig_moments_rows_match_single_rows():
 
 
 @pytest.mark.parametrize("shifted", [False, True], ids=["real-line", "shifted"])
-def test_shared_centre_gives_the_bits_of_a_column(shifted):
-    # a scalar q is shared by every row: on the real line each block of rows
-    # gets one momentum table, p of shape (1, nodes), and the rows' moments
-    # are the ones a column of equal centres gives, bit for bit
+def test_shared_centre_gives_the_bits_of_a_column(monkeypatch, shifted):
+    # a scalar q is shared by every row, so each block of rows gets one
+    # table: of the momentum factor on the real line, p of shape (1, nodes),
+    # and of the line's u and weight for the rows of one depth in s = asinh p;
+    # the rows' averages are the ones a column of equal centres gives, bit
+    # for bit
     amplitude = np.linspace(-40.0, 60.0, 300)
-    shift = 0.3 * np.sign(amplitude) if shifted else None
     shapes = []
+    if shifted:
+        kappa = amplitude * 0.36 * math.sqrt(1.36)
+        depth = -0.3 * np.sign(kappa)
+        real_table = entanglement._line_table
 
-    def factor(q, p):
-        shapes.append(p.shape)
-        return momentum_factor(q, p)
+        def table(t, *line):
+            out = real_table(t, *line)
+            shapes.append(out[0].shape)
+            return out
 
-    shared = batch_trig_moments(amplitude, factor, 0.6, 1.0, shift)
-    column = batch_trig_moments(amplitude, momentum_factor, np.full(300, 0.6), 1.0, shift)
+        monkeypatch.setattr(entanglement, "_line_table", table)
+        shared = batch_characteristic(kappa, 0.6, 1.0, depth)
+        tables = shapes[:]
+        column = batch_characteristic(kappa, np.full(300, 0.6), 1.0, depth)
+    else:
+        def factor(q, p):
+            shapes.append(p.shape)
+            return momentum_factor(q, p)
+
+        shared = batch_trig_moments(amplitude, factor, 0.6, 1.0)
+        tables = shapes[:]
+        column = batch_trig_moments(amplitude, momentum_factor, np.full(300, 0.6), 1.0)
     for name in ("values", "residual", "nodes", "status"):
         assert getattr(shared, name).tobytes() == getattr(column, name).tobytes(), name
     assert (shared.status == CONVERGED).all()
-    if shifted:  # each row keeps its own complex line
-        assert max(rows for rows, _ in shapes) > 1
+    rows = [rows for rows, _ in tables]
+    if shifted:  # a row of each sign sets its own line; the block where
+        # the sign turns is the one with a table per row, once per level
+        levels = len({nodes for _, nodes in tables})
+        assert rows.count(1) >= len(rows) - levels and max(rows) > 1
     else:
-        assert {rows for rows, _ in shapes} == {1}
+        assert set(rows) == {1}
 
 
 def test_capped_rows_with_small_residual_have_reduced_tolerance(monkeypatch):

@@ -61,10 +61,13 @@ def test_spec_validation():
 
 
 # every flag a row can carry: z <= 0 is domain, z = 0.5 sits on the
-# near-degenerate zero of z^2 - z + xi2 (horizon), and the wide packet
-# (beta = 30) keeps the contour shift within 0.7/beta of the real line, so
-# its rows run into the interval cap with bad and with acceptable residuals
-EVERY_FLAG_SPEC = SweepSpec("z", 0.0, 1.0, 401, OrbitParams(0.25 + 1e-12, 1.0, 0.6, 30.0, 5.0))
+# near-degenerate zero of z^2 - z + xi2 (horizon), and in the very wide
+# packets the slow rows next to the angle's zero at z = 1 stay on the real
+# line in x, where u(p) turns on the scale 1/beta: they run into the
+# interval cap with acceptable residuals (beta = 80) and with bad ones
+# (beta = 200)
+EVERY_FLAG_SPECS = tuple(SweepSpec("z", 0.0, 1.0, 401, OrbitParams(0.25 + 1e-12, 1.0, 0.6, beta, 5.0))
+                         for beta in (80.0, 200.0))
 
 
 @pytest.mark.parametrize("quad", [QuadConfig(), QuadConfig(256)], ids=["default", "256"])
@@ -74,7 +77,7 @@ def test_batched_sweep_equals_row_by_row(monkeypatch, quad, stationary_phase):
     # sweep_point gives it alone
     monkeypatch.setattr(entanglement, "DEFAULT_QUAD", quad)
     flags_seen = set()
-    for spec in [figure_preset(n) for n in range(1, 7)] + [EVERY_FLAG_SPEC]:
+    for spec in [figure_preset(n) for n in range(1, 7)] + list(EVERY_FLAG_SPECS):
         spec, _ = resolve_sweep(spec)
         rows = run_sweep(spec, stationary_phase)
         grid = np.linspace(spec.lo, spec.hi, spec.samples)
@@ -157,14 +160,16 @@ def test_sweep_point_flags():
     assert row.E == 0.0 and row.C == 0.0 and row.S == 0.0
     row = sweep_point(spec, -1.0)
     assert row.flags == ("domain",)
-    # the rapid oscillation near the outer horizon is damped on the shifted
-    # contour and computed; a wide packet there still fails convergence
-    row = sweep_point(spec, 0.8 + 1e-6)
-    assert row.flags == () and 0.0 <= row.E < 1e-12
-    wide = replace(spec, fixed=replace(spec.fixed, beta=50.0))
-    row = sweep_point(wide, 0.8 + 1e-6)
+    # the rapid oscillation near the outer horizon is damped on the line in
+    # s = asinh p and computed, in a wide packet too
+    for beta in (1.0, 50.0):
+        wide = replace(spec, fixed=replace(spec.fixed, beta=beta))
+        row = sweep_point(wide, 0.8 + 1e-6)
+        assert row.flags == () and 0.0 <= row.E < 1e-12
+    # a slow row of a very wide packet, on the real line, fails convergence
+    row = sweep_point(EVERY_FLAG_SPECS[1], 0.9975)
     assert row.flags == ("no-convergence",)
-    row = sweep_point(wide, 0.8 + 1e-6, stationary_phase=True)
+    row = sweep_point(EVERY_FLAG_SPECS[1], 0.9975, stationary_phase=True)
     assert row.flags == ("no-convergence", "stationary-phase")
     assert row.E == 0.0
 
@@ -343,14 +348,15 @@ def test_oracle_report_keeps_its_bits(draws, seed):
     assert oracle_equivalence_report(draws, seed) == ORACLE_GOLDENS[draws, seed]
 
 
-# Sweeps off the presets, with their digests of repr(run_sweep(spec, sp))
-# as the code computed them before the rows were computed as arrays; the
-# goldens in demos/out cover only the six presets.
+# Sweeps off the presets, with their digests of repr(run_sweep(spec, sp)),
+# taken once the fast rows were averaged on lines in s = asinh p and held to
+# the references of test_quadrature; the goldens in demos/out cover only the
+# six presets.
 SEEDED_SPECS = {
     # two horizons: the lower edge is clamped just above z+ = 0.8
     "z-two-horizons": SweepSpec("z", 0.3, 3.1, 71, OrbitParams(0.16, 2.0, 0.45, 0.8, 4.2)),
     # just naked: z <= 0 is domain, the near-zero of z^2 - z + xi2 is
-    # horizon, and the wide packet brings rows to the cap
+    # horizon, and the wide packet brought 51 rows to the cap in x
     "z-near-degenerate": SweepSpec("z", -0.4, 1.6, 81,
                                    OrbitParams(0.25 + 1e-11, 1.0, 0.7, 20.0, 3.5)),
     # naked with two angle zeros, negative momentum, wide packet
@@ -360,7 +366,7 @@ SEEDED_SPECS = {
     # tau < 0 is domain
     "tau-negative-start": SweepSpec("tau_ratio", -3.0, 25.0, 57,
                                     OrbitParams(0.2, 1.35, 0.8, 0.9, 0.0)),
-    # close to the outer horizon the angle turns fast and most rows are shifted
+    # close to the outer horizon the angle turns fast and most rows run in s
     "tau-near-horizon": SweepSpec("tau_ratio", 0.0, 12.0, 41,
                                   OrbitParams(0.16, 0.83, 0.5, 1.1, 0.0)),
     # through q = 0, both signs
@@ -369,20 +375,20 @@ SEEDED_SPECS = {
     "q-past-max": SweepSpec("q", -2.5e8, 2.5e8, 9, OrbitParams(0.1, 3.0, 0.0, 0.7, 2.0)),
 }
 SEEDED_DIGESTS = {
-    ("z-two-horizons", False): "df27e6e264520ac80f18cc1dd3d5ee94a5071f1003022723611be2c0aac54c7e",
-    ("z-two-horizons", True): "df27e6e264520ac80f18cc1dd3d5ee94a5071f1003022723611be2c0aac54c7e",
-    ("z-near-degenerate", False): "a8bef519483d96b0394577dbabc7d4844b8267be36c09e6662e2562e77ab8f6f",
-    ("z-near-degenerate", True): "ce15ed53d5ae127129568e1b92d53f132eadae076dcf3c4e125fd2a9bc969976",
-    ("z-naked-zeros", False): "1d9d3ab414e059e8b301c1bddeb6425a837cc73803c28c77617053fef9440b19",
-    ("z-naked-zeros", True): "1d9d3ab414e059e8b301c1bddeb6425a837cc73803c28c77617053fef9440b19",
-    ("z-naked-far", False): "e92ba6ce622b9657db375f4d90e1591c21e38400928a6201125f64b0d329576c",
-    ("z-naked-far", True): "e92ba6ce622b9657db375f4d90e1591c21e38400928a6201125f64b0d329576c",
-    ("tau-negative-start", False): "cf02f573bdf74e493afab192a531e194c819ff7587d15bbccdb0d1daeb7e1f47",
-    ("tau-negative-start", True): "cf02f573bdf74e493afab192a531e194c819ff7587d15bbccdb0d1daeb7e1f47",
-    ("tau-near-horizon", False): "9517e2e02166132e6519453113464ec3bfe1a24031c9d5258d6c57f79d58ca4b",
-    ("tau-near-horizon", True): "9517e2e02166132e6519453113464ec3bfe1a24031c9d5258d6c57f79d58ca4b",
-    ("q-both-signs", False): "32bff3e83864db0165d5059f17f3d825489b1870821ee35ed76852972f8f86ad",
-    ("q-both-signs", True): "32bff3e83864db0165d5059f17f3d825489b1870821ee35ed76852972f8f86ad",
+    ("z-two-horizons", False): "23c60faa823703717bfe5917464cf17c11780f8b0b25484bc623762cd2673282",
+    ("z-two-horizons", True): "23c60faa823703717bfe5917464cf17c11780f8b0b25484bc623762cd2673282",
+    ("z-near-degenerate", False): "99e37360648f9e613e9f6e5ec3e2e970d41a07134423714de83ddb87a0b2f769",
+    ("z-near-degenerate", True): "737b1995aac890a52c59aa3558cdd80ca167a6fbe7301f082f0d64b1af35103b",
+    ("z-naked-zeros", False): "c240eadf1a827f6f0387e1f976aabb5f1faa0f01833e2992759aae33d8de981d",
+    ("z-naked-zeros", True): "c240eadf1a827f6f0387e1f976aabb5f1faa0f01833e2992759aae33d8de981d",
+    ("z-naked-far", False): "0978bbc60ba55995467b7a6e0383f874d9879732fc757c63dba8cfddd32c9051",
+    ("z-naked-far", True): "0978bbc60ba55995467b7a6e0383f874d9879732fc757c63dba8cfddd32c9051",
+    ("tau-negative-start", False): "07de07161b87002d1e605b52bf6e3ed70895b8ef2d297b0189ec02971207c193",
+    ("tau-negative-start", True): "07de07161b87002d1e605b52bf6e3ed70895b8ef2d297b0189ec02971207c193",
+    ("tau-near-horizon", False): "15a7ee5394a81be8e7774556444f13f92ec24971116d6d82bb605d0317034f9f",
+    ("tau-near-horizon", True): "15a7ee5394a81be8e7774556444f13f92ec24971116d6d82bb605d0317034f9f",
+    ("q-both-signs", False): "d6a04ed341e6897ebee55a2e520c10d438217a5aacc1cc72a9f72c900a4dc0ed",
+    ("q-both-signs", True): "d6a04ed341e6897ebee55a2e520c10d438217a5aacc1cc72a9f72c900a4dc0ed",
     ("q-past-max", False): "5e31edf3b279cd872cbd912f8d6c1944b7ac6624487e477d916885fc3ef11a86",
     ("q-past-max", True): "5e31edf3b279cd872cbd912f8d6c1944b7ac6624487e477d916885fc3ef11a86",
 }
@@ -393,6 +399,71 @@ def test_seeded_sweeps_keep_their_bytes(name, stationary_phase):
     rows = run_sweep(SEEDED_SPECS[name], stationary_phase)
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == SEEDED_DIGESTS[name, stationary_phase]
+
+
+def real_line_rows(spec, stationary_phase):
+    """The rows of run_sweep(spec, sp) that stay on the real line in x.
+
+    Those are the rows refused before the quadrature (domain, horizon) and
+    the rows whose phase turns at omega = |kappa| beta u'(q) < 4 per unit
+    of x = (p - q)/beta, kappa = A q^2 gamma, u'(q) = 1/(gamma (gamma + 1)).
+    """
+    out = []
+    for row in run_sweep(spec, stationary_phase):
+        if row.flags[:1] in (("domain",), ("horizon",)):
+            out.append(row)
+            continue
+        params = replace(spec.fixed, **{spec.variable: row.x})
+        amplitude, q = np.float64(theta_amplitude(params)), np.float64(params.q)
+        gamma = np.sqrt(q * q + 1.0)
+        omega = np.abs(amplitude * q * q * gamma) * params.beta / (gamma * (gamma + 1.0))
+        if omega < 4.0:
+            out.append(row)
+    return out
+
+
+# (row count, digest of repr(real_line_rows(spec, sp))) of the six presets
+# and SEEDED_SPECS, as the code computed them while the fast rows were still
+# averaged on a line shifted in x; the real-line rows keep every bit.
+REAL_LINE_DIGESTS = {
+    ("preset-1", False): (23, "f20547d708cd2af00bb50a21502834dc4659d22bf50227d34d131e172fc44f12"),
+    ("preset-1", True): (23, "f20547d708cd2af00bb50a21502834dc4659d22bf50227d34d131e172fc44f12"),
+    ("preset-2", False): (11, "7714a9a4f90705ec49b7ecc98d5ec02cefff1d8212294a49652f3835e539e930"),
+    ("preset-2", True): (11, "7714a9a4f90705ec49b7ecc98d5ec02cefff1d8212294a49652f3835e539e930"),
+    ("preset-3", False): (210, "a4b98bfed5c9862e87b0608a5a7a2fa280acc64294aee0a3ae8258e3f28cd8fb"),
+    ("preset-3", True): (210, "a4b98bfed5c9862e87b0608a5a7a2fa280acc64294aee0a3ae8258e3f28cd8fb"),
+    ("preset-4", False): (389, "87623a3a13ed220d53991b1f8d33454d77d991616f6175b9de0b37da4333bdd1"),
+    ("preset-4", True): (389, "87623a3a13ed220d53991b1f8d33454d77d991616f6175b9de0b37da4333bdd1"),
+    ("preset-5", False): (367, "50d6db4698f783a4451971d9df7b3dec72cf67db45fc5718684134deaa3dfde0"),
+    ("preset-5", True): (367, "50d6db4698f783a4451971d9df7b3dec72cf67db45fc5718684134deaa3dfde0"),
+    ("preset-6", False): (337, "4eb286b1a2a5cdcf9b1501559c5ad9f97a3d389af6b2fd5a8e8683cf9b5a74c7"),
+    ("preset-6", True): (337, "4eb286b1a2a5cdcf9b1501559c5ad9f97a3d389af6b2fd5a8e8683cf9b5a74c7"),
+    ("z-two-horizons", False): (69, "e5760bf9db564a966a11299cb03781737c6bbd5f26d076407732e0429def26f0"),
+    ("z-two-horizons", True): (69, "e5760bf9db564a966a11299cb03781737c6bbd5f26d076407732e0429def26f0"),
+    ("z-near-degenerate", False): (21, "088f3215013c6d91ded18b0b39d07f128a0f1c196565f984ce4f6c42c8f589a6"),
+    ("z-near-degenerate", True): (21, "4bcaae20dbba5bac4e3d653225707ad7e7f32eb926a96dfaf8b9af2ce10484c6"),
+    ("z-naked-zeros", False): (54, "0da4d4ae08869cbc68fff33466c698ade2bd07dcb01aa7e4f9fc824db02a27e5"),
+    ("z-naked-zeros", True): (54, "0da4d4ae08869cbc68fff33466c698ade2bd07dcb01aa7e4f9fc824db02a27e5"),
+    ("z-naked-far", False): (47, "cde3d114535ed7b02c04407e6b853acaa6fbee3bc6ad10e7a570790229f14e2a"),
+    ("z-naked-far", True): (47, "cde3d114535ed7b02c04407e6b853acaa6fbee3bc6ad10e7a570790229f14e2a"),
+    ("tau-negative-start", False): (45, "52c4c1df28b1997096a67fc12ecec102b1b6457a87750b1ab4800331d404c7ec"),
+    ("tau-negative-start", True): (45, "52c4c1df28b1997096a67fc12ecec102b1b6457a87750b1ab4800331d404c7ec"),
+    ("tau-near-horizon", False): (7, "1b89640c6a03455562c2ded99596ebdc57a60b2ad0fc10f24acfdf34939e0b74"),
+    ("tau-near-horizon", True): (7, "1b89640c6a03455562c2ded99596ebdc57a60b2ad0fc10f24acfdf34939e0b74"),
+    ("q-both-signs", False): (8, "7501dc93389f83fdf5653f9293714f50cbebd8851aaf8fee513b8fccf70a37af"),
+    ("q-both-signs", True): (8, "7501dc93389f83fdf5653f9293714f50cbebd8851aaf8fee513b8fccf70a37af"),
+    ("q-past-max", False): (7, "9dd09f3b3e37d5effb613559d4674f768753bffafa9feea7ea8dec4eb9199ac6"),
+    ("q-past-max", True): (7, "9dd09f3b3e37d5effb613559d4674f768753bffafa9feea7ea8dec4eb9199ac6"),
+}
+
+
+@pytest.mark.parametrize("name,stationary_phase", sorted(REAL_LINE_DIGESTS))
+def test_real_line_rows_keep_their_bytes(name, stationary_phase):
+    spec = (figure_preset(int(name[-1])) if name.startswith("preset-")
+            else SEEDED_SPECS[name])
+    rows = real_line_rows(spec, stationary_phase)
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert (len(rows), digest) == REAL_LINE_DIGESTS[name, stationary_phase]
 
 
 @pytest.mark.parametrize("tau", [1e-4, 1e-3, 1e-2])

@@ -174,17 +174,20 @@ def test_sweep_masks_match_orbit_params(sweep):
     # the amplitude expression made of it
     spec, xs = sweep
 
-    def stub(amplitude, factor, q, beta, shift=None):
+    def stub(amplitude, factor, q, beta):
         n = amplitude.size
         values = np.stack([amplitude, np.broadcast_to(q, n)], axis=1)
         return Averages(values, np.zeros(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int))
 
-    real = experiments.batch_trig_moments
-    experiments.batch_trig_moments = stub
+    def real_line(amplitude, q, beta):  # every row on the real line, to the stub
+        return amplitude, amplitude, np.zeros_like(amplitude)
+
+    real = experiments.batch_trig_moments, experiments._s_line
+    experiments.batch_trig_moments, experiments._s_line = stub, real_line
     try:
         rows = experiments._sweep_rows(spec, xs, False)
     finally:
-        experiments.batch_trig_moments = real
+        experiments.batch_trig_moments, experiments._s_line = real
     for x, row in zip(xs, rows):
         expected = _expected_row(spec, x)
         if isinstance(expected, str):

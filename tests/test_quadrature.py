@@ -2,10 +2,11 @@
 
 Sweeps around presets 1-6, with their fixed orbit values perturbed by up
 to 15%, are compared row by row with a reference written here: its own
-angle and a dense trapezoid rule on the real line, with no contour
-shift.  A reference value counts only where its two step sizes agree.
-The shifted rows such a reference cannot resolve are held to Cauchy's
-theorem instead: their value may not depend on the depth of the line.
+angle and a dense trapezoid rule on the real line in x = (p - q)/beta.
+A reference value counts only where its two step sizes agree.  The rows
+averaged on a line in s = asinh p that such a reference cannot resolve
+are held to Cauchy's theorem instead: their value may not depend on the
+depth of the line.
 """
 
 import functools
@@ -18,14 +19,13 @@ from scipy.special import roots_hermite
 
 import gravent.entanglement as entanglement
 from gravent import (
-    batch_trig_moments,
+    batch_characteristic,
     figure_preset,
-    momentum_factor,
     run_sweep,
     theta_amplitude,
 )
 from gravent.entanglement import CONVERGED
-from gravent.experiments import _contour_shift
+from gravent.experiments import _s_line
 
 HALF_WIDTH = 7.0
 REFERENCE_AGREEMENT = 1e-12
@@ -103,8 +103,8 @@ def gauss_hermite_flagged(params: dict) -> bool:
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6])
 def test_formerly_flagged_preset_rows_match_a_fine_reference(n):
-    # the rows Gauss-Hermite flagged are the fast ones the shifted line
-    # serves; steps of 1/1024 cannot resolve many of them, so a seeded
+    # the rows Gauss-Hermite flagged are the fast ones averaged in s;
+    # steps of 1/1024 cannot resolve many of them, so a seeded
     # sample is held to steps of 1/16384 and 1/32768
     spec = figure_preset(n)
     refused = []
@@ -127,9 +127,9 @@ def test_formerly_flagged_preset_rows_match_a_fine_reference(n):
 
 def test_wide_packet_tail_rows_match_a_finer_reference():
     # preset 2's wide packet at q ~ 10.5-13, rows the steps above do not
-    # resolve: the shifted line must damp the packet's right tail, or its
-    # aliased oscillation passes the two-level check (a depth cap of
-    # 0.5/beta left these rows off by up to 3e-9)
+    # resolve: the line in s must damp the packet's right tail, or its
+    # aliased oscillation passes the two-level check (on the former line
+    # in x, a depth cap of 0.5/beta left these rows off by up to 3e-9)
     spec = figure_preset(2)
     for beta in (4.0, 3.8):
         sweep = replace(spec, lo=10.5, hi=13.0, samples=6,
@@ -146,53 +146,93 @@ def test_wide_packet_tail_rows_match_a_finer_reference():
 
 
 def shifted_rows(spec):
-    """The computed rows of a sweep that run_sweep integrates on a shifted line.
+    """The computed rows of a sweep that run_sweep averages on a line in s.
 
-    Returns the rows and, per row, its amplitude, centre q and depth.
+    Returns the rows and, per row, its kappa, constant phase, centre q and
+    depth: C + iS = e^{i phase} phi(kappa).
     """
     rows = [row for row in run_sweep(spec) if not row.flags]
     params = [replace(spec.fixed, **{spec.variable: row.x}) for row in rows]
     amplitude = np.array([theta_amplitude(p) for p in params])
     q = np.array([p.q for p in params])
-    depth = _contour_shift(amplitude, q, spec.fixed.beta)
+    kappa, phase, depth = _s_line(amplitude, q, spec.fixed.beta)
     shifted = np.flatnonzero(depth != 0.0)
-    return [rows[i] for i in shifted], amplitude[shifted], q[shifted], depth[shifted]
+    return ([rows[i] for i in shifted],) + tuple(v[shifted] for v in (kappa, phase, q, depth))
 
 
 def half_depth_moments(spec):
-    """Each shifted row's (C, S) at depth delta, as printed, and at delta/2."""
-    rows, amplitude, q, depth = shifted_rows(spec)
-    half = batch_trig_moments(amplitude, momentum_factor, q, spec.fixed.beta, 0.5 * depth)
+    """Each shifted row's (C, S) at depth delta, as printed, and at delta/2.
+
+    Also returns the statuses at delta/2.
+    """
+    rows, kappa, phase, q, depth = shifted_rows(spec)
+    half = batch_characteristic(kappa, q, spec.fixed.beta, 0.5 * depth)
+    re, im = half.values.reshape(-1, 2).T
+    c, s = np.cos(phase), np.sin(phase)
     printed = np.array([(row.C, row.S) for row in rows]).reshape(-1, 2)
-    return printed, half
+    return printed, np.stack([c * re - s * im, s * re + c * im], axis=1), half.status
 
 
-@pytest.mark.parametrize("n,count", [(1, 377), (2, 389), (4, 11)])
+@pytest.mark.parametrize("n,count", [(1, 377), (2, 389), (3, 190), (4, 11)])
 def test_shifted_rows_do_not_depend_on_the_depth(n, count):
-    # e^{-x^2} e^{i Theta} is analytic between the two lines and the real
-    # axis, so by Cauchy's theorem both lines give the printed row
-    printed, half = half_depth_moments(figure_preset(n))
+    # the integrand e^{-i kappa tanh(s/2)} e^{-(sinh s - q)^2/beta^2} cosh s is
+    # analytic between the two lines and the real axis, so by Cauchy's
+    # theorem both lines give the printed row
+    printed, half, status = half_depth_moments(figure_preset(n))
     assert len(printed) == count
-    assert (half.status == CONVERGED).all()
-    assert np.abs(printed - half.values).max() <= 1e-10
+    assert (status == CONVERGED).all()
+    assert np.abs(printed - half).max() <= 1e-10
 
 
-def test_depth_independence_fails_without_the_gaussian_correction(monkeypatch):
-    # negative control: on a shifted line x = t - i y the weight is
-    # e^{-x^2}, not e^{-t^2}; averaging e^{i Theta} against e^{-t^2} alone
-    # gives a value that moves with the depth
-    real = entanglement._adaptive_average
+def test_depth_independence_fails_with_the_real_lines_jacobian(monkeypatch):
+    # negative control: on the line s = t + i d the Jacobian dp/ds is
+    # cosh s = cosh t cos d + i sinh t sin d; taking cosh t, its value on
+    # the real line, in its place leaves an integrand that is not analytic,
+    # whose average moves with the depth.  (Leaving the Jacobian out
+    # altogether would not do: the integrand stays analytic, Cauchy's
+    # theorem holds for it too, and the two depths agree.)
+    real = entanglement._line_table
 
-    def uncorrected(rows_fn, size, shift=None):
-        def rows(index, x):
-            _, theta = rows_fn(index, x)
-            if np.iscomplexobj(x):
-                theta = theta + x.imag * (x + x.real)  # undo e^{t^2 - x^2}
-            return entanglement._cis(theta), theta
-        return real(rows, size, shift)
+    def real_lines_jacobian(t, centre, half, cos_d, *rest):
+        *table, jac_re, jac_im = real(t, centre, half, cos_d, *rest)
+        return (*table, jac_re / cos_d, 0.0 * jac_im)
 
-    monkeypatch.setattr(entanglement, "_adaptive_average", uncorrected)
-    printed, half = half_depth_moments(figure_preset(2))
-    both = half.status == CONVERGED
+    monkeypatch.setattr(entanglement, "_line_table", real_lines_jacobian)
+    printed, half, status = half_depth_moments(figure_preset(2))
+    both = status == CONVERGED
     assert both.sum() >= 100
-    assert np.abs(printed[both] - half.values[both]).max() > 1e-3
+    assert np.abs(printed[both] - half[both]).max() > 1e-3
+
+
+# The reference's steps for the wide packets: x = (p - q)/beta resolves
+# u(p)'s turn at p = 0, on the scale 1/beta, only at steps this fine.
+WIDE_STEPS = (1.0 / 32768, 1.0 / 65536)
+
+
+@pytest.mark.parametrize("beta", [16.0, 30.0, 60.0])
+def test_wide_packet_rows_are_computed(beta):
+    # figure 2's orbit with a wide packet: before the fast rows were
+    # averaged in s, beta = 16 left 12 rows at reduced tolerance, beta = 30
+    # refused 375 and beta = 60 refused 395.  Now every row is computed;
+    # only the two slow rows next to q = 0 at beta = 60 stay at reduced
+    # tolerance, on the real line in x, which u(p)'s turn on the scale
+    # 1/60 outruns at the interval cap.  A seeded sample of the rows is
+    # held to the reference wherever its two steps agree.
+    spec = figure_preset(2)
+    spec = replace(spec, fixed=replace(spec.fixed, beta=beta))
+    rows = run_sweep(spec)
+    assert all(math.isfinite(row.E) for row in rows)
+    flagged = [i for i, row in enumerate(rows) if row.flags]
+    assert flagged == ([1, 2] if beta == 60.0 else [])
+    assert {rows[i].flags for i in flagged} <= {("reduced-tolerance",)}
+    checked = 0
+    for i in np.random.default_rng(int(beta)).permutation(len(rows))[:16]:
+        params = {key: getattr(spec.fixed, key) for key in ("xi2", "z", "beta", "tau_ratio")}
+        params["q"] = rows[i].x
+        coarse, fine = (moments_reference(params, step) for step in WIDE_STEPS)
+        if max(abs(a - b) for a, b in zip(coarse, fine)) > REFERENCE_AGREEMENT:
+            continue
+        error = max(abs(rows[i].C - fine[0]), abs(rows[i].S - fine[1]))
+        assert error <= 1e-10, (beta, rows[i].x, error)
+        checked += 1
+    assert checked >= 4, checked
