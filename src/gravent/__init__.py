@@ -63,7 +63,6 @@ from .entanglement import (
     TrigMoments,
     batch_characteristic,
     batch_reduced_density_bruteforce,
-    batch_trig_moments,
     bell_state,
     binary_entropy,
     density_matrix_diagnostics,

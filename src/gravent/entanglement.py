@@ -10,16 +10,14 @@ that depend only on the two averages
 
 over w(p).  The averages come from a nested trapezoid rule, which
 converges exponentially for integrands analytic in a strip around its
-line (Trefethen & Weideman, SIAM Review 56, 2014).  A slow row runs on
-the real line in x = (p - q)/beta.  A fast row, whose angle is
-Theta = phase - kappa u(p) with u(p) = p/(sqrt(p^2+1)+1), runs in
-s = asinh p, where u = tanh(s/2) turns on the unit scale and is analytic
-for |Im s| < pi, along a line s = t + i d moved off the real axis, where
-the oscillation is damped, as numerical steepest descent does (Huybrechs
-& Vandewalle, SIAM J. Numer. Anal. 44, 2006): batch_characteristic.  The
-closed forms are checked against a brute-force average of rotated
-projectors, which is the reference implementation whenever the two
-disagree.
+line (Trefethen & Weideman, SIAM Review 56, 2014).  Sweeps average in
+s = asinh p, where u(p) = p/(sqrt(p^2+1)+1) = tanh(s/2) turns on the unit
+scale and is analytic for |Im s| < pi whatever the packet's width; a fast
+row runs along a line moved off the real axis, where the oscillation is
+damped, as numerical steepest descent does (Huybrechs & Vandewalle, SIAM
+J. Numer. Anal. 44, 2006): batch_characteristic.  The oracle averages in
+x = (p - q)/beta (trig_moments), and its closed forms are checked against
+a brute-force average of rotated projectors, the reference implementation.
 """
 
 from __future__ import annotations
@@ -98,10 +96,15 @@ class QuadConfig:
 # The one cap of every quadrature, read at call time; no caller passes one.
 DEFAULT_QUAD = QuadConfig()
 
-# The rule integrates over x = (p - q)/beta on [-7, 7]; the weight e^{-x^2}
-# at the ends is 5e-22, below rounding, so the end nodes are left out and
-# every node is interior.
+# The rule's variable runs over [-7, 7]: x = (p - q)/beta, or an affine image
+# of a line in s; the weight e^{-x^2} at the ends is 5e-22, below rounding,
+# so the end nodes are left out and every node is interior.
 _HALF_WIDTH = 7.0
+
+# A line in s starts at 32 intervals: there u turns on the unit scale whatever
+# the packet's width, and 1,941 of the presets' 2,398 rows stop at 64.
+# The oracle's rule in x, the reference, keeps its 64.
+_FIRST_IN_S = 32
 
 # Temporaries of the batched quadrature hold about this many elements, so a
 # sweep's memory stays flat however many rows it has.  Complex temporaries
@@ -135,23 +138,23 @@ class Averages:
     status: np.ndarray
 
 
-def _adaptive_average(rows_fn, size: int, weighted: bool = True) -> Averages:
-    """Average an integrand over the Gaussian weight e^{-t^2}/sqrt(pi), per row.
+def _adaptive_average(rows_fn, size: int, n: int = 64) -> Averages:
+    """Average an integrand against the weight it comes with, per row.
 
     rows_fn(index, t) gets the indices of a block of rows and a level's
     new nodes t in (-7, 7), of shape (1, nodes).  It returns the
-    integrand, shape (len(index), components, nodes), and an angle of
-    shape (len(index), nodes): the integrand turns with its real part
-    and is no larger than e^{-Im angle}, as e^{i angle} is.  With
-    weighted False the integrand g carries its own weight: the row's value
-    is the integral of g(t) dt/sqrt(pi), and the rule sums g against unit
-    weights.
+    integrand g, shape (len(index), components, nodes), an angle of
+    shape (len(index), nodes) and the real weight w, with one row for the
+    block or one per row.  g turns with the angle's real part and is no
+    larger than e^{-Im angle}, as e^{i angle} is.  The row's value is the
+    integral of g w over that of w.
 
-    The rule is the trapezoid rule in t, nested: each level doubles the
-    intervals, evaluating only the new midpoints, until the row's
+    The rule is the trapezoid rule in t, nested: the first level has n
+    intervals, and each level doubles them, evaluating only the new
+    midpoints, until the row's
     estimates agree to TOL or the next level would pass the cap,
-    DEFAULT_QUAD.max_nodes.  Each estimate is the running sum over the
-    Gaussian rule's weight sum, so a constant integrand averages to
+    DEFAULT_QUAD.max_nodes.  Each estimate is the running sum of g w over
+    that of w, the same product, so a constant integrand averages to
     itself exactly.  Each level evaluates only the rows still active, in
     blocks of about _BLOCK_ELEMENTS nodes.
 
@@ -168,37 +171,30 @@ def _adaptive_average(rows_fn, size: int, weighted: bool = True) -> Averages:
     that reaches the cap unconverged stops with NO_CONVERGENCE if its
     residual is above FAIL_RESIDUAL and with REDUCED_TOLERANCE otherwise.
     """
-    values = sums = weight = prev = None
+    values = sums = norms = prev = None
     residual = np.full(size, math.inf)
     nodes = np.zeros(size, dtype=int)
     status = np.zeros(size, dtype=int)  # CONVERGED
     active = np.arange(size)
-    n = 64
     t = (2.0 * _HALF_WIDTH / n) * np.arange(1, n) - _HALF_WIDTH
     while active.size:
-        gauss = np.exp(-t * t)
-        w = gauss if weighted else np.ones_like(t)
         block = max(1, _BLOCK_ELEMENTS // t.size)
         capped = 2 * n > DEFAULT_QUAD.max_nodes
         est, res = None, np.empty(active.size)
         for start in range(0, active.size, block):
             rows = slice(start, start + block)
             idx = active[rows]
-            integrand, angle = rows_fn(idx, t[None])
-            # (rows, components, nodes) @ w runs one gemv per row, the
-            # same product a lone row gets, so batching moves no bits
-            part = integrand @ w
-            if est is None:
-                # the same product on the constant 1 adds up the weights
-                new_weight = (np.ones((1, part.shape[1], t.size)) @ gauss)[0]
-                if sums is None:
-                    values, sums = np.empty((2, size, part.shape[1]))
-                    weight = new_weight
-                else:
-                    weight = weight + new_weight
-                est = np.empty((active.size, part.shape[1]))
+            integrand, angle, w = rows_fn(idx, t[None])
+            # one gemv per row, the product a lone row gets, so batching moves
+            # no bits; the same product on the constant 1 adds up the weights
+            part = (integrand @ w[..., None])[..., 0]
+            total = (np.ones((1,) + integrand.shape[1:]) @ w[..., None])[..., 0]
+            if sums is None:
+                values, sums, norms = np.empty((3, size, part.shape[1]))
+            est = np.empty((active.size, part.shape[1])) if est is None else est
             sums[idx] = part if prev is None else sums[idx] + part
-            est[rows] = sums[idx] / weight
+            norms[idx] = total if prev is None else norms[idx] + total
+            est[rows] = sums[idx] / norms[idx]
             if prev is not None:
                 res[rows] = np.abs(est[rows] - prev[rows]).max(axis=1)
                 # only a row that would stop without failing has its angle
@@ -206,7 +202,8 @@ def _adaptive_average(rows_fn, size: int, weighted: bool = True) -> Averages:
                 ask = np.flatnonzero(res[rows] <= FAIL_RESIDUAL if capped
                                      else res[rows] < TOL)
                 if ask.size:
-                    unresolved = ~_resolved(angle[ask], w, 2.0 * _HALF_WIDTH / n)
+                    unresolved = ~_resolved(angle[ask], w if len(w) == 1 else w[ask],
+                                            2.0 * _HALF_WIDTH / n)
                     res[start + ask[unresolved]] = math.inf
         values[active] = est
         nodes[active] = n
@@ -226,8 +223,6 @@ def _adaptive_average(rows_fn, size: int, weighted: bool = True) -> Averages:
         active, prev = active[keep], est[keep]
         n *= 2
         t = (2.0 * _HALF_WIDTH / n) * np.arange(1, n, 2) - _HALF_WIDTH
-    if values is None:  # an empty batch
-        values = np.empty((0, 0))
     return Averages(values, residual, nodes, status)
 
 
@@ -249,7 +244,8 @@ def _resolved(angle: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
 
     Between neighbouring nodes, 2h apart, Re angle must advance by less
     than 2h (2 pi/h - min(_SPREAD, pi/h)) wherever either neighbour's
-    weighted size e^{-Im angle} w is above _NEGLIGIBLE.
+    weighted size e^{-Im angle} w is above _NEGLIGIBLE; w has one row, or
+    one per row of the angle.
     """
     limit = 2.0 * (2.0 * math.pi - min(_SPREAD * h, math.pi))
     # a non-finite angle is reported through its row's status
@@ -258,9 +254,11 @@ def _resolved(angle: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
     resolved = ~fast.any(axis=-1)
     rows = np.flatnonzero(~resolved)
     if rows.size:
-        size = np.exp(-angle[rows].imag) * w if np.iscomplexobj(angle) else w[None]
-        matters = np.maximum(size[:, 1:], size[:, :-1]) > _NEGLIGIBLE
-        resolved[rows] = ~(fast[rows] & matters).any(axis=-1)
+        size = w if len(w) == 1 else w[rows]
+        with np.errstate(divide="ignore"):  # in logs: e^{-Im angle} underflows where damped
+            big = (np.log(size) - angle[rows].imag > math.log(_NEGLIGIBLE)
+                   if np.iscomplexobj(angle) else size > _NEGLIGIBLE)
+        resolved[rows] = ~(fast[rows] & (big[:, 1:] | big[:, :-1])).any(axis=-1)
     return resolved
 
 
@@ -304,28 +302,16 @@ class TrigMoments:
     nodes: int = 0
 
 
-def batch_trig_moments(amplitude, factor, q, beta) -> Averages:
-    """<cos Theta> and <sin Theta> for a batch of rows in one adaptive pass.
+def _batch_average(integrand, amplitude, factor, q, beta) -> Averages:
+    """_adaptive_average of integrand(Theta) per row, on the real line in x.
 
     Row i's angle is Theta_i(p) = amplitude[i] * factor(q_i, p), averaged
-    over the Gaussian of centre q_i and width beta_i on the real line,
-    p = q_i + beta_i t.  q and beta are each one value per row, or one
-    scalar for all: with one scalar centre the rows share one momentum
-    table per block, factor(q, p) with p of shape (1, nodes), and differ
-    only in the amplitude column, with the bits a column of equal centres
-    gives.  factor gets q as that scalar or as the column q[index, None].
-    values[:, 0] holds C and values[:, 1] holds S; see _adaptive_average
-    for the rest.
-    """
-    return _batch_average(_cis, amplitude, factor, q, beta)
-
-
-def _batch_average(integrand, amplitude, factor, q, beta) -> Averages:
-    """_adaptive_average of integrand(Theta) over the rows of batch_trig_moments.
-
-    integrand maps angles (rows, nodes) to (rows, components, nodes).
-    Every average on the real line goes through here: trig_moments and
-    reduced_density_bruteforce are its one-row case.
+    against e^{-x^2} over x = (p - q_i)/beta_i.  q and beta are each one
+    value per row, or one scalar for all: a scalar centre gives the rows
+    one momentum table per block, factor(q, p) with p of shape (1, nodes),
+    with the bits a column of equal centres gives.  integrand maps angles
+    (rows, nodes) to (rows, components, nodes).  This is the oracle's
+    rule: trig_moments and reduced_density_bruteforce are its one-row case.
     """
     amplitude, q, beta = (np.asarray(v, dtype=float) for v in (amplitude, q, beta))
 
@@ -333,7 +319,7 @@ def _batch_average(integrand, amplitude, factor, q, beta) -> Averages:
         centre = q if q.ndim == 0 else q[index, None]
         width = beta if beta.ndim == 0 else beta[index, None]
         theta = amplitude[index, None] * factor(centre, centre + width * t)
-        return integrand(theta), theta
+        return integrand(theta), theta, np.exp(-t * t)
 
     return _adaptive_average(rows, amplitude.size)
 
@@ -343,87 +329,119 @@ def _batch_average(integrand, amplitude, factor, q, beta) -> Averages:
 _DROPPED = -46.0
 
 
-def _line_table(t, centre, half, cos_d, cos_b, q_b, sin_b, cos_scale, sin_scale):
-    """What a line s = centre + half t + i d fixes of the integrand, at nodes t.
+def _exp_asinh(x):
+    """e^{asinh x} = x + sqrt(x^2 + 1), without cancellation for x < 0, and sqrt(x^2 + 1)."""
+    root = np.sqrt(x * x + 1.0)
+    return np.where(x >= 0.0, root + x, 1.0 / (root + np.abs(x))), root
 
-    With tanh(s/2) = u_re + i sin d inv and the weight's exponent
-    -((sinh s - q)/beta)^2 = w_log + i w_arg, returns u_re, inv, w_arg,
-    w_log and cosh s times the scale (jac_re + i jac_im).  The other
-    arguments are cos d / beta, q / beta, sin d / beta and cos d and sin d
-    times the scale.
+
+def _line_table(t, centre, half, cos_2d, e_q, cos_b, lean_b, sin_b, tilt, share, jac_c, jac_s):
+    """What a line s = asinh q + centre + half t + i d fixes of the integrand, at nodes t.
+
+    With tanh(s/2) - tanh(asinh(q)/2) = du + i sin d inv and -((sinh s -
+    q)/beta)^2 = w_log + i w_arg, returns du, inv e_q/(e_q + 1), w_arg,
+    w_log and cosh s times the scale (jac_re + i jac_im), the arguments
+    being the columns of batch_characteristic's line_of.  With E =
+    expm1(centre + half t), e^t = e_q (1 + E), Re sinh s - q = cos d E (e_q
+    + e^{-t})/2 - q (1 - cos d) and du = inv e_q/(e_q + 1) (E (1 + e^{-t}) +
+    2 q (1 - cos d)/(e_q + 1)): no difference of nearby values is taken.
     """
-    t = centre + half * t
-    sinh_t, cosh_t = np.sinh(t), np.cosh(t)
-    inv = 1.0 / (cosh_t + cos_d)
-    dev, im = sinh_t * cos_b - q_b, cosh_t * sin_b  # (sinh s - q)/beta = dev + i im
-    return (sinh_t * inv, inv, -2.0 * dev * im, (im - dev) * (im + dev),
-            cosh_t * cos_scale, sinh_t * sin_scale)
+    tau = centre + half * t
+    e, big = np.expm1(tau), e_q * np.exp(tau)  # E, and e^t without 1 + E's rounding
+    small = 1.0 / big
+    twice_cosh = big + small
+    inv = share / (twice_cosh + cos_2d)
+    e_small = e * small
+    # (sinh s - q)/beta = dev + i im
+    dev, im = e * (e_q + small) * cos_b - lean_b, twice_cosh * sin_b
+    return ((e_small + e + tilt) * inv, inv, -2.0 * dev * im, (im - dev) * (im + dev),
+            twice_cosh * jac_c, (big - small) * jac_s)
 
 
 def batch_characteristic(kappa, q, beta, depth) -> Averages:
-    """phi(kappa) = <e^{-i kappa u(p)}>, u(p) = p/(sqrt(p^2+1)+1), per row.
+    """phi(kappa) = <e^{-i kappa (u(p) - u(q))}>, u(p) = p/(sqrt(p^2+1)+1), per row.
 
     The average is over the Gaussian of centre q_i and width beta_i, taken
     in s = asinh p, where u = tanh(s/2) is analytic in the strip |Im s| <
     pi and the weight e^{-(sinh s - q)^2/beta^2} cosh s/(sqrt(pi) beta)
     decays along every line |Im s| < pi/4.  Row i runs along the line
-    s = t + i depth[i]; by Cauchy's theorem its value is the real line's,
-    and with depth of the sign of -kappa the oscillation is damped by
-    e^{-|kappa| sin|depth| / (cosh t + cos depth)}.  On the line, in real
-    arithmetic,
-
-        sinh s = sinh t cos d + i cosh t sin d,
-        tanh(s/2) = (sinh t + i sin d) / (cosh t + cos d),
-
-    and the ends of t are where the weight's modulus
-    e^{-((Re sinh s - q)^2 - (Im sinh s)^2)/beta^2} has fallen to e^{-49},
-    as on the real line at p = q +- 7 beta.  Inside, the modulus peaks at
-    e^{sin^2 d (1 + q^2/cos 2d)/beta^2}, which the caller bounds through
-    the depth.  q and beta are each one value per row, or one scalar for
-    all; where a block's rows share q, beta and the depth, they share one
-    table of the line (u and the weight), shape (1, nodes).
-    values[:, 0] holds Re phi and values[:, 1] Im phi; see
-    _adaptive_average for the rest.
+    s = t + i depth[i], written about t = asinh q (_line_table); by
+    Cauchy's theorem its value is the real line's, and with depth of the
+    sign of -kappa the oscillation is damped by e^{-|kappa| sin|depth| /
+    (cosh t + cos depth)}.  The ends of t are where the weight's modulus
+    falls to e^{-49}, as on the real line at p = q +- 7 beta; inside, it
+    peaks at e^{sin^2 d (1 + q^2/cos 2d)/beta^2}, which the caller bounds
+    through the depth.  On the real line (depth 0) a row is averaged
+    against the line's real weight; a shifted row carries its complex
+    weight, averaged against e^{-t^2}.  q and beta are each one value per
+    row, or one scalar for all; rows on one line share its table per
+    level.  values[:, 0] holds Re phi, values[:, 1] Im phi.
     """
     kappa, q, beta, depth = (np.asarray(v, dtype=float) for v in (kappa, q, beta, depth))
+    kappa, depth = np.broadcast_arrays(kappa, depth)
     cos_d, sin_d, cos_2d = np.cos(depth), np.sin(depth), np.cos(2.0 * depth)
-    # sinh t at the ends: the roots of (S cos d - q)^2 - (1 + S^2) sin^2 d = 49 beta^2
+    versine, (e_q, gamma) = 2.0 * np.sin(0.5 * depth) ** 2, _exp_asinh(q)  # 1 - cos d
+    # the ends: S = sinh t with (S cos d - q)^2 - (1 + S^2) sin^2 d = 49 beta^2, less q
+    # (lean = q cos d - q cos 2d), and t - asinh q from e^{asinh x} - e_q =
+    # (x - q)(e^{asinh x} + e_q)/(gamma_x + gamma), which takes no difference
     root = np.sqrt(q * q * sin_d * sin_d + cos_2d * (49.0 * beta * beta + sin_d * sin_d))
-    lo, hi = np.arcsinh((q * cos_d - root) / cos_2d), np.arcsinh((q * cos_d + root) / cos_2d)
+    lean = 2.0 * q * np.sin(1.5 * depth) * np.sin(0.5 * depth)
+    step = np.stack([lean - root, lean + root]) / cos_2d
+    e_x, gamma_x = _exp_asinh(q + step)
+    r = step * (e_x + e_q) / ((gamma_x + gamma) * e_q)
+    lo, hi = np.where(r > -0.5, np.log1p(np.maximum(r, -0.5)), np.log(e_x / e_q))
     centre, half = 0.5 * (lo + hi), (hi - lo) / (2.0 * _HALF_WIDTH)
-    # dt/beta per unit of the rule's variable, times sqrt(pi) (_adaptive_average)
-    scale = half / beta
-    # |cosh s| <= cosh t, largest at the end farther from 0
-    log_bound = np.log(scale * np.cosh(np.maximum(-lo, hi)))
+    scale = half / beta  # dt/beta per unit of the rule's variable, times sqrt(pi)
+    # |cosh s| <= cosh t, largest at an end
+    log_bound = np.log(scale * np.maximum(np.cosh(np.log(e_q) + lo), np.cosh(np.log(e_q) + hi)))
     # per row: what fixes its line, and what the row adds to it
-    line_of = np.stack(np.broadcast_arrays(centre, half, cos_d, cos_d / beta, q / beta,
-                                           sin_d / beta, cos_d * scale, sin_d * scale), axis=1)
-    row_of = np.stack([kappa, kappa * sin_d, _DROPPED - log_bound], axis=1)
-    shared = q.ndim == 0 and beta.ndim == 0
+    line_of = np.stack(np.broadcast_arrays(
+        centre, half, 2.0 * cos_d, e_q, 0.5 * cos_d / beta, q * versine / beta, 0.5 * sin_d / beta,
+        2.0 * q * versine / (e_q + 1.0), 2.0 * e_q / (e_q + 1.0), 0.5 * cos_d * scale,
+        0.5 * sin_d * scale), axis=1)
+    with np.errstate(invalid="ignore"):  # an infinite kappa is reported through its status
+        row_of = np.stack(np.broadcast_arrays(kappa, kappa * sin_d * (e_q + 1.0) / e_q, log_bound),
+                          axis=1)
+    shared, tables = q.ndim == 0 and beta.ndim == 0, {}
 
-    def rows(index, t):
-        line = index[:1] if shared and (depth[index] == depth[index[0]]).all() else index
-        u_re, inv, w_arg, w_log, jac_re, jac_im = _line_table(t, *line_of[line].T[..., None])
-        k, k_sin, floor = row_of[index].T[..., None]
+    def line(index, t):
+        if shared and (depth[index] == depth[index[0]]).all():
+            key = (t.shape[-1], depth[index[0]])  # one line, one level
+            if key not in tables:
+                tables[key] = _line_table(t, *line_of[index[:1]].T[..., None])
+            return tables[key]
+        return _line_table(t, *line_of[index].T[..., None])
+
+    def on_the_axis(index, t):  # e^{-i kappa du} against the line's real weight
+        du, _, _, w_log, jac_re, _ = line(index, t)
+        angle = row_of[index, :1] * -du
+        return _cis(angle), angle, np.exp(w_log) * jac_re
+
+    def off_the_axis(index, t):
+        du, inv, w_arg, w_log, jac_re, jac_im = line(index, t)
+        k, k_sin, bound = row_of[index].T[..., None]
         with np.errstate(invalid="ignore", over="ignore"):
-            arg = w_arg - k * u_re
+            arg = w_arg - k * du
             log_mod = w_log + k_sin * inv
-            # a node the sums cannot hold is left at 0 (a non-finite one is
-            # kept, for its row's status): np.cos and np.sin take most of
-            # the time, and most nodes of a fast row are damped away
-            live = ~((log_mod < floor) & np.isfinite(arg))
-            cos, sin, mod = (f(v, out=np.zeros_like(arg), where=live)
-                             for f, v in ((np.cos, arg), (np.sin, arg), (np.exp, log_mod)))
-            jac_re, jac_im = jac_re * mod, jac_im * mod
-            out = np.empty(arg.shape[:1] + (2,) + arg.shape[1:])
-            out[:, 0] = cos * jac_re - sin * jac_im
-            out[:, 1] = sin * jac_re + cos * jac_im
-        angle = np.empty(arg.shape, dtype=complex)
-        angle.real = arg
-        angle.imag = floor - _DROPPED - log_mod  # -(log_mod + log_bound)
-        return out, angle
+            # a node the sums cannot hold is left at 0 (a non-finite one is kept,
+            # for its row's status): most nodes of a fast row are damped away
+            live = ~((log_mod < _DROPPED - bound) & np.isfinite(arg))
+            log_mod += (tt := t * t)  # averaged against e^{-t^2}, the integrand carries e^{t^2}
+            term = np.exp(expo := log_mod + 1j * arg, out=np.zeros(arg.shape, complex), where=live)
+            term *= jac_re + 1j * jac_im
+            angle = -1j * (expo + bound)  # arg - i (log_mod + bound)
+        return np.stack([term.real, term.imag], axis=1), angle, np.exp(-tt)
 
-    return _adaptive_average(rows, kappa.size, weighted=False)
+    # each kind of row in a pass of its own
+    out = Averages(np.empty((kappa.size, 2)), np.empty(kappa.size),
+                   *np.empty((2, kappa.size), dtype=int))
+    for part, rows in ((depth == 0.0, on_the_axis), (depth != 0.0, off_the_axis)):
+        index = np.flatnonzero(part)
+        if index.size:
+            got = _adaptive_average(lambda i, t: rows(index[i], t), index.size, _FIRST_IN_S)
+            for name in ("values", "residual", "nodes", "status"):
+                getattr(out, name)[index] = getattr(got, name)
+    return out
 
 
 def _as_factor(theta_fn):
@@ -435,9 +453,9 @@ def _as_factor(theta_fn):
 
 
 def trig_moments(theta_fn, dist: MomentumDistribution) -> TrigMoments:
-    """Gaussian averages of cos Theta(p) and sin Theta(p), on the real line.
+    """Gaussian averages of cos Theta(p) and sin Theta(p), on the real line in x.
 
-    The one-row case of batch_trig_moments, with failures raised.
+    The one-row case of _batch_average, with failures raised.
     theta_fn must accept an array of momenta; it may return one angle
     for all of them.  Under the probability weight, C^2 + S^2 <= 1
     always, with equality only for constant Theta.
@@ -522,7 +540,7 @@ def reduced_density_bruteforce(bell: BellState, theta_fn,
 def batch_reduced_density_bruteforce(amplitude, factor, q, beta) -> np.ndarray:
     """reduced_density_bruteforce of each row and Bell state, (rows, 4, 4, 4).
 
-    The rows are those of batch_trig_moments, on the real line; one
+    The rows are those of _batch_average, on the real line in x; one
     adaptive pass over the 16 components gives every row's tensor.
     """
     out = _batch_average(_rotation_products, amplitude, factor, q, beta)

@@ -10,14 +10,11 @@ rows, and the angle's amplitude is one array expression.
 The moments of a sweep's rows come from a nested trapezoid rule batched
 across rows: each level evaluates only the rows still active, and every
 row stops at its own level, exactly where it would stop alone
-(sweep_point is the one-row case).  A slow row averages on the real
-line in x = (p - q)/beta.  A row whose angle turns fast averages
-e^{-i kappa u(p)} in s = asinh p, along a line s = t + i d where the
-oscillation is damped; the depth d is capped where the weight would grow
-by more than e^4 on the line, and at 0.3 (_s_line).  On a z- or
-tau-sweep every row has the same q, so per block of each level the slow
-rows share one table of the momentum factor M(q, p) and the fast rows of
-one depth one table of their line.  K is
+(sweep_point is the one-row case).  Every row averages
+e^{-i kappa (u(p) - u(q))} in s = asinh p: a slow row on the real line,
+a fast one along a line s = t + i d where the oscillation is damped
+(_s_line).  On a z- or tau-sweep every row has the same q, so the rows
+of one depth share one table of their line per level.  K is
 the concurrence of every Bell input; the reduced density matrices and
 Wootters' concurrence serve only as oracles in oracle_equivalence_report,
 which takes every draw's brute-force tensor from one batched quadrature
@@ -26,7 +23,8 @@ matrices.  Failures are recorded per row (horizon,
 domain, quadrature non-convergence) instead of aborting the sweep; with
 the opt-in stationary-phase convention the horizon and non-convergent
 rows report zero moments and zero entanglement, the rapid-oscillation
-limit.  It is a fallback: no row of the six presets needs it.
+limit.  It is a fallback: no row of the presets or of the wide packets
+the tests sweep needs it.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ from .entanglement import (
     MomentumDistribution,
     batch_characteristic,
     batch_reduced_density_bruteforce,
-    batch_trig_moments,
     density_matrix_diagnostics,
     entanglement_of_formation,
     reduced_density_bruteforce,
@@ -172,14 +169,10 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
     for that variable fails, the checks OrbitParams makes, and otherwise
     horizon where radial_factor's mask holds.  Each row's angle is
     Theta = amplitude * M(q, p), the amplitude 2 pi tau R(z) one array
-    expression over the grid, so two batch calls give the moments of
-    every row left: batch_trig_moments for the slow rows, on the real
-    line in x = (p - q)/beta, and batch_characteristic for the fast ones,
-    on lines in s = asinh p (_s_line), whose C + iS is e^{i phase}
-    phi(kappa).  On a z- or tau-sweep q is one scalar, so the slow rows
-    share one momentum table M(q, p) per block of each level, and the fast
-    rows of one depth one table of their line.  The concurrence is
-    C^2 + S^2, clipped to 1 where rounding lifts it above.
+    expression over the grid, so one batch_characteristic call gives the
+    moments of every row left: C + iS = e^{i phase} phi(kappa), on lines
+    in s = asinh p (_s_line).  The concurrence is C^2 + S^2, clipped to 1
+    where rounding lifts it above.
     """
     fixed, grid = spec.fixed, np.asarray(xs, dtype=float)
     z, tau, q = (grid if spec.variable == name else getattr(fixed, name)
@@ -193,23 +186,12 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
         amplitude = np.broadcast_to(TAU_S * tau * radial, grid.shape)[live]
     if spec.variable == "q":
         q = grid[live]
-    beta = fixed.beta
-    kappa, phase, depth = _s_line(amplitude, q, beta)
+    kappa, phase, depth = _s_line(amplitude, q, fixed.beta)
+    phi = batch_characteristic(kappa, q, fixed.beta, depth)
+    # C + iS = e^{i phase} phi
+    (c, s), (re, im) = (np.cos(phase), np.sin(phase)), phi.values.T
     values = np.empty((grid.size, 2))
-    real, fast = depth == 0.0, depth != 0.0
-
-    def centre(part):
-        return q[part] if np.ndim(q) else q
-
-    if real.any():
-        moments = batch_trig_moments(amplitude[real], momentum_factor, centre(real), beta)
-        outcome[live[real]], values[live[real]] = moments.status, moments.values
-    if fast.any():
-        phi = batch_characteristic(kappa[fast], centre(fast), beta, depth[fast])
-        # C + iS = e^{i phase} phi
-        (c, s), (re, im) = (np.cos(phase[fast]), np.sin(phase[fast])), phi.values.T
-        outcome[live[fast]] = phi.status
-        values[live[fast]] = np.stack([c * re - s * im, s * re + c * im], axis=1)
+    outcome[live], values[live] = phi.status, np.stack([c * re - s * im, s * re + c * im], axis=1)
     out = []
     for x, status, (c, s) in zip(xs, outcome.tolist(), values.tolist()):
         if status in _REFUSALS:
@@ -222,8 +204,10 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
     return out
 
 
-# The s-line's depth: at most _S_DEPTH, and no deeper than lets the weight
-# grow by e^{_S_GROWTH} on it.
+# The s-line's depth: 0 for a row whose angle turns slower than _S_TURN per
+# unit of x = (p - q)/beta; otherwise at most _S_DEPTH, and no deeper than
+# lets the weight grow by e^{_S_GROWTH} on the line.
+_S_TURN = 4.0
 _S_DEPTH = 0.3
 _S_GROWTH = 4.0
 
@@ -231,32 +215,31 @@ _S_GROWTH = 4.0
 def _s_line(amplitude: np.ndarray, q, beta: float):
     """Per row: kappa, the constant phase and the depth of the line in s = asinh p.
 
-    Theta = phase - kappa u(p) with phase = amplitude q gamma^2, kappa =
-    amplitude q^2 gamma and u(p) = p / (sqrt(p^2 + 1) + 1) = tanh(s/2),
-    whose slope at q is 1/(gamma (gamma + 1)).  So near the centre the
-    angle turns at omega = |kappa| beta u'(q) per unit of x = (p - q)/beta.
-    Rows with omega < 4 stay on the real line in x (depth 0); the others
-    are averaged along s = t + i depth (batch_characteristic), with depth
-    of the sign of -kappa, where the oscillation is damped.  On that line
-    the weight's modulus peaks at e^{G}, G = sin^2 d (1 + q^2/cos 2d)/beta^2,
-    near p = q; where the damping has not yet set in, that growth costs
-    digits to cancellation.  So the depth is capped where G reaches
-    _S_GROWTH, as the Gaussian's growth e^{depth^2} was capped at e^4 on
-    the former line shifted in x, and at _S_DEPTH, short of the strip
-    |Im s| < pi/4 in which the weight decays.  Solved for y = sin^2 d,
-    G = _S_GROWTH is 2 y^2 - b y + _S_GROWTH beta^2 = 0 with b = 1 + q^2 +
-    2 _S_GROWTH beta^2, whose smaller root is taken.
+    Theta = phase - kappa (u(p) - u(q)) with phase = amplitude q gamma, the
+    angle at p = q, kappa = amplitude q^2 gamma and u(p) = tanh(s/2), whose
+    slope at q is 1/(gamma (gamma + 1)): near the centre the angle turns at
+    omega = |kappa| beta u'(q) per unit of x = (p - q)/beta.  A row with
+    omega < _S_TURN has little to damp and runs on the real line (depth
+    0), where its weight is real and a z- or tau-sweep's rows share it.
+    The others run at depth of the sign of -kappa.  There the weight's
+    modulus peaks near p = q at e^{G}, G = sin^2 d (1 + q^2/cos 2d)/beta^2,
+    costing digits to cancellation before the damping sets in, so the
+    depth is capped where G = _S_GROWTH (as e^{depth^2} was capped at e^4
+    on the former line in x), and at _S_DEPTH, inside the strip |Im s| <
+    pi/4 where the weight decays.  For y = sin^2 d, G = _S_GROWTH is
+    2 y^2 - b y + _S_GROWTH beta^2 = 0, b = 1 + q^2 + 2 _S_GROWTH beta^2,
+    whose smaller root is taken.
     """
     gamma = np.sqrt(q * q + 1.0)
     kappa = amplitude * q * q * gamma
-    phase = amplitude * q * gamma * gamma
+    phase = amplitude * q * gamma
     omega = np.abs(kappa) * beta / (gamma * (gamma + 1.0))
     g = _S_GROWTH * beta * beta
     b = 1.0 + q * q + 2.0 * g
     # b^2 - 8 g, written as a sum of squares
     y = 2.0 * g / (b + np.sqrt((1.0 + q * q - 2.0 * g) ** 2 + 8.0 * g * q * q))
     depth = np.minimum(np.arcsin(np.sqrt(y)), _S_DEPTH)
-    return kappa, phase, np.where(omega >= 4.0, -np.sign(kappa) * depth, 0.0)
+    return kappa, phase, np.where(omega < _S_TURN, 0.0, -np.sign(kappa) * depth)
 
 
 def _refused_row(x: float, flag: str, stationary_phase: bool) -> SweepRow:

@@ -45,8 +45,8 @@ def momentum_factor(q, p):
     Vectorized over p, and over q given as an array that broadcasts
     against p (a column of q values against rows of momenta).  M(q, q)
     reduces to q*gamma exactly, and M is odd under (q, p) -> (-q, -p).
-    M = q gamma^2 - q^2 gamma u(p) with u(p) = p / (sqrt(p^2 + 1) + 1) =
-    tanh(asinh(p)/2), the form the sweeps average fast rows in.
+    M = q gamma - q^2 gamma (u(p) - u(q)) with u(p) = p / (sqrt(p^2 + 1) +
+    1) = tanh(asinh(p)/2), the form the sweeps average every row in.
     """
     gamma = np.sqrt(q * q + 1.0)
     p = np.asarray(p, dtype=float)

@@ -17,7 +17,7 @@ from gravent.entanglement import (
 from gravent import (
     BELL_STATES,
     batch_characteristic,
-    batch_trig_moments,
+    batch_reduced_density_bruteforce,
     CHI1,
     CHI3,
     CHI4,
@@ -136,11 +136,13 @@ def test_fast_linear_rows_stop_only_where_resolved():
     # slope 300 stays short of the 1024-interval rule's first alias
     # frequency, 2 pi 1024/14 ~ 460, by more than the margin of 30; 1e3 and
     # 1e4 pass the 2048-interval rule's, ~ 919, so their residual is inf
-    slope = np.array([1e4, 1e3, 300.0, 2.0])
-    out = batch_trig_moments(slope, lambda q, p: p, np.zeros(4), 1.0)
-    assert out.status.tolist() == [NO_CONVERGENCE, NO_CONVERGENCE, CONVERGED, CONVERGED]
-    assert (out.residual[:2] == math.inf).all() and out.nodes[:3].tolist() == [2048, 2048, 1024]
-    assert np.abs(out.values[2]).max() <= 1e-9
+    dist = MomentumDistribution(q=0.0, beta=1.0)
+    for slope in (1e4, 1e3):
+        with pytest.raises(ConvergenceError, match="turns too fast for the 2048-interval rule"):
+            trig_moments(lambda p: slope * p, dist)
+    m = trig_moments(lambda p: 300.0 * p, dist)
+    assert m.nodes == 1024 and max(abs(m.C), abs(m.S)) <= 1e-9
+    assert trig_moments(lambda p: 2.0 * p, dist).residual < 1e-10
 
 
 def test_trig_moments_nonfinite_rejected():
@@ -164,22 +166,29 @@ def test_momentum_distribution_takes_the_orbit_bounds():
         MomentumDistribution(q=0.0, beta=1e9)
 
 
-def test_batch_trig_moments_rows_match_single_rows():
-    # each row stops at its own level; a row's failure stays in its status
-    q = np.array([0.0, 0.3, -0.5, 0.2, 1.0])
-    slope = np.array([0.2, 3.0, np.inf, 5e5, 30.0])
-    out = batch_trig_moments(slope, lambda q, p: p, q, 0.9)
+def test_batch_characteristic_rows_match_single_rows():
+    # each row stops at its own level; a row's failure stays in its status,
+    # and the real line's rows and a shifted one give the bits they give alone
+    kappa = np.array([0.2, 3.0, np.inf, 1e6, 30.0, 400.0])
+    q = np.array([0.0, 0.3, -0.5, 0.2, 1.0, 2.0])
+    depth = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -0.2])
+    out = batch_characteristic(kappa, q, 0.9, depth)
     assert out.status.tolist() == [CONVERGED, CONVERGED, NOT_FINITE,
-                                   NO_CONVERGENCE, CONVERGED]
+                                   NO_CONVERGENCE, CONVERGED, CONVERGED]
     assert len(set(out.nodes[out.status == CONVERGED].tolist())) > 1
     assert out.residual[3] > FAIL_RESIDUAL
-    for i in (0, 1, 4):
-        single = trig_moments(lambda p: slope[i] * p,
-                              MomentumDistribution(q=q[i], beta=0.9))
-        assert (out.values[i, 0], out.values[i, 1]) == (single.C, single.S)
-        assert (out.residual[i], out.nodes[i]) == (single.residual, single.nodes)
-    empty = batch_trig_moments(np.array([]), lambda q, p: p, np.array([]), 1.0)
-    assert empty.status.size == 0
+    for i in range(6):
+        single = batch_characteristic(kappa[i:i + 1], q[i:i + 1], 0.9, depth[i:i + 1])
+        for name in ("values", "residual", "nodes", "status"):
+            assert getattr(out, name)[i].tobytes() == getattr(single, name)[0].tobytes(), (i, name)
+    empty = batch_characteristic(np.array([]), np.array([]), 1.0, np.array([]))
+    assert empty.status.size == 0 and empty.values.shape == (0, 2)
+
+
+def test_constant_integrand_averages_to_itself():
+    # each estimate divides by the rule's sum of the weight it sums against
+    out = batch_characteristic(np.zeros(3), np.array([0.0, 0.6, 20.0]), 1.0, 0.0)
+    assert out.values.tolist() == [[1.0, 0.0]] * 3
 
 
 @pytest.mark.parametrize("shifted", [False, True], ids=["real-line", "shifted"])
@@ -205,17 +214,20 @@ def test_shared_centre_gives_the_bits_of_a_column(monkeypatch, shifted):
         shared = batch_characteristic(kappa, 0.6, 1.0, depth)
         tables = shapes[:]
         column = batch_characteristic(kappa, np.full(300, 0.6), 1.0, depth)
-    else:
+    else:  # the oracle's rule in x, through its batch of density matrices
         def factor(q, p):
             shapes.append(p.shape)
             return momentum_factor(q, p)
 
-        shared = batch_trig_moments(amplitude, factor, 0.6, 1.0)
+        shared = batch_reduced_density_bruteforce(amplitude, factor, 0.6, 1.0)
         tables = shapes[:]
-        column = batch_trig_moments(amplitude, momentum_factor, np.full(300, 0.6), 1.0)
-    for name in ("values", "residual", "nodes", "status"):
-        assert getattr(shared, name).tobytes() == getattr(column, name).tobytes(), name
-    assert (shared.status == CONVERGED).all()
+        column = batch_reduced_density_bruteforce(amplitude, momentum_factor,
+                                                  np.full(300, 0.6), 1.0)
+        assert shared.tobytes() == column.tobytes()
+    if shifted:
+        for name in ("values", "residual", "nodes", "status"):
+            assert getattr(shared, name).tobytes() == getattr(column, name).tobytes(), name
+        assert (shared.status == CONVERGED).all()
     rows = [rows for rows, _ in tables]
     if shifted:  # a row of each sign sets its own line; the block where
         # the sign turns is the one with a table per row, once per level
@@ -226,18 +238,21 @@ def test_shared_centre_gives_the_bits_of_a_column(monkeypatch, shifted):
 
 
 def test_capped_rows_with_small_residual_have_reduced_tolerance(monkeypatch):
-    # at a 256-interval cap, slopes 54 and 55 stop with residuals between
-    # TOL and FAIL_RESIDUAL, slope 56 above it
+    # at a 256-interval cap, kappa = 255 and 265 on the real line in s stop
+    # with residuals between TOL and FAIL_RESIDUAL, kappa = 280 above it; in
+    # x, slopes 54 and 55 stop between them and slope 56 above
     monkeypatch.setattr(entanglement, "DEFAULT_QUAD", QuadConfig(256))
-    slope = np.array([54.0, 55.0, 56.0])
-    out = batch_trig_moments(slope, lambda q, p: p, np.zeros(3), 0.9)
+    kappa = np.array([255.0, 265.0, 280.0])
+    out = batch_characteristic(kappa, 0.0, 0.9, 0.0)
     assert out.status.tolist() == [REDUCED_TOLERANCE, REDUCED_TOLERANCE, NO_CONVERGENCE]
     assert (out.nodes == 256).all()
     for i in (0, 1):
-        single = trig_moments(lambda p: slope[i] * p,
-                              MomentumDistribution(q=0.0, beta=0.9))
-        assert (single.C, single.S) == (out.values[i, 0], out.values[i, 1])
-        assert 1e-10 <= single.residual <= FAIL_RESIDUAL
+        single = batch_characteristic(kappa[i:i + 1], 0.0, 0.9, 0.0)
+        assert single.values.tobytes() == out.values[i].tobytes()
+        assert 1e-10 <= single.residual[0] <= FAIL_RESIDUAL
+    for slope in (54.0, 55.0):
+        m = trig_moments(lambda p: slope * p, MomentumDistribution(q=0.0, beta=0.9))
+        assert m.nodes == 256 and 1e-10 <= m.residual <= FAIL_RESIDUAL
     with pytest.raises(ConvergenceError):
         trig_moments(lambda p: 56.0 * p, MomentumDistribution(q=0.0, beta=0.9))
 

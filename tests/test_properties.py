@@ -169,28 +169,33 @@ def _expected_row(spec, x):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(straddling_sweeps())
 def test_sweep_masks_match_orbit_params(sweep):
-    # the quadrature is stubbed: each row it receives comes back with C its
-    # amplitude and S its centre q, so every row shows what the masks and
-    # the amplitude expression made of it
+    # the quadrature is stubbed: it records the kappa and centre q of each
+    # row it receives, so every row shows what the masks and the amplitude
+    # expression made of it
     spec, xs = sweep
+    seen = []
 
-    def stub(amplitude, factor, q, beta):
-        n = amplitude.size
-        values = np.stack([amplitude, np.broadcast_to(q, n)], axis=1)
+    def stub(kappa, q, beta, depth):
+        n = kappa.size
+        seen.extend(zip(kappa.tolist(), np.broadcast_to(q, n).tolist()))
+        values = np.tile([1.0, 0.0], (n, 1))
         return Averages(values, np.zeros(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int))
 
-    def real_line(amplitude, q, beta):  # every row on the real line, to the stub
-        return amplitude, amplitude, np.zeros_like(amplitude)
-
-    real = experiments.batch_trig_moments, experiments._s_line
-    experiments.batch_trig_moments, experiments._s_line = stub, real_line
+    real = experiments.batch_characteristic
+    experiments.batch_characteristic = stub
     try:
         rows = experiments._sweep_rows(spec, xs, False)
     finally:
-        experiments.batch_trig_moments, experiments._s_line = real
+        experiments.batch_characteristic = real
+    computed = iter(seen)
     for x, row in zip(xs, rows):
         expected = _expected_row(spec, x)
         if isinstance(expected, str):
             assert row.flags == (expected,), (x, row)
         else:
-            assert row.flags == () and (row.C, row.S) == expected, (x, row, expected)
+            amplitude, q = map(np.float64, expected)
+            kappa = amplitude * q * q * np.sqrt(q * q + 1.0)  # as _s_line forms it
+            got = next(computed)
+            assert row.flags == () and np.array_equal(got, (kappa, q), equal_nan=True), (
+                x, row, got, expected)
+    assert next(computed, None) is None

@@ -19,6 +19,8 @@ from scipy.special import roots_hermite
 
 import gravent.entanglement as entanglement
 from gravent import (
+    OrbitParams,
+    SweepSpec,
     batch_characteristic,
     figure_preset,
     run_sweep,
@@ -193,9 +195,9 @@ def test_depth_independence_fails_with_the_real_lines_jacobian(monkeypatch):
     # theorem holds for it too, and the two depths agree.)
     real = entanglement._line_table
 
-    def real_lines_jacobian(t, centre, half, cos_d, *rest):
-        *table, jac_re, jac_im = real(t, centre, half, cos_d, *rest)
-        return (*table, jac_re / cos_d, 0.0 * jac_im)
+    def real_lines_jacobian(t, centre, half, twice_cos_d, *rest):
+        *table, jac_re, jac_im = real(t, centre, half, twice_cos_d, *rest)
+        return (*table, 2.0 * jac_re / twice_cos_d, 0.0 * jac_im)
 
     monkeypatch.setattr(entanglement, "_line_table", real_lines_jacobian)
     printed, half, status = half_depth_moments(figure_preset(2))
@@ -209,26 +211,39 @@ def test_depth_independence_fails_with_the_real_lines_jacobian(monkeypatch):
 WIDE_STEPS = (1.0 / 32768, 1.0 / 65536)
 
 
-@pytest.mark.parametrize("beta", [16.0, 30.0, 60.0])
-def test_wide_packet_rows_are_computed(beta):
+def wide_packet(kind, beta):
+    """Figure 2's q-sweep, or a z-sweep next to the angle's zero at z = 1, at width beta."""
+    if kind == "q":
+        spec = figure_preset(2)
+        return replace(spec, fixed=replace(spec.fixed, beta=beta))
+    return SweepSpec("z", 0.0, 1.0, 401, OrbitParams(0.25 + 1e-12, 1.0, 0.6, beta, 5.0))
+
+
+@pytest.mark.parametrize("kind,beta", [("q", 16.0), ("q", 30.0), ("q", 60.0), ("q", 200.0),
+                                       ("z", 80.0), ("z", 200.0)],
+                         ids=["16.0", "30.0", "60.0", "200.0", "z-80.0", "z-200.0"])
+def test_wide_packet_rows_are_computed(kind, beta):
     # figure 2's orbit with a wide packet: before the fast rows were
     # averaged in s, beta = 16 left 12 rows at reduced tolerance, beta = 30
-    # refused 375 and beta = 60 refused 395.  Now every row is computed;
-    # only the two slow rows next to q = 0 at beta = 60 stay at reduced
-    # tolerance, on the real line in x, which u(p)'s turn on the scale
-    # 1/60 outruns at the interval cap.  A seeded sample of the rows is
+    # refused 375 and beta = 60 refused 395; before the slow rows were,
+    # beta = 60 left two rows next to q = 0 at reduced tolerance and the
+    # z-sweeps next to the angle's zero at z = 1 left rows at reduced
+    # tolerance (beta = 80) or refused them (beta = 200), on the real line
+    # in x, where u(p) turns on the scale 1/beta.  Now every row outside
+    # domain and horizon is computed, and a seeded sample of the rows is
     # held to the reference wherever its two steps agree.
-    spec = figure_preset(2)
-    spec = replace(spec, fixed=replace(spec.fixed, beta=beta))
+    spec = wide_packet(kind, beta)
     rows = run_sweep(spec)
-    assert all(math.isfinite(row.E) for row in rows)
-    flagged = [i for i, row in enumerate(rows) if row.flags]
-    assert flagged == ([1, 2] if beta == 60.0 else [])
-    assert {rows[i].flags for i in flagged} <= {("reduced-tolerance",)}
+    refused = {("domain",), ("horizon",)}
+    assert all(row.flags in refused or (row.flags == () and math.isfinite(row.E))
+               for row in rows)
+    assert sum(row.flags in refused for row in rows) == (0 if kind == "q" else 2)
     checked = 0
     for i in np.random.default_rng(int(beta)).permutation(len(rows))[:16]:
-        params = {key: getattr(spec.fixed, key) for key in ("xi2", "z", "beta", "tau_ratio")}
-        params["q"] = rows[i].x
+        if rows[i].flags:
+            continue
+        params = {key: getattr(spec.fixed, key) for key in ("xi2", "z", "q", "beta", "tau_ratio")}
+        params[spec.variable] = rows[i].x
         coarse, fine = (moments_reference(params, step) for step in WIDE_STEPS)
         if max(abs(a - b) for a, b in zip(coarse, fine)) > REFERENCE_AGREEMENT:
             continue
