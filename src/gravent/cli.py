@@ -149,9 +149,8 @@ def render_sweep(spec: SweepSpec, stationary_phase: bool, fmt: str) -> str:
     resolved, notes = resolve_sweep(spec)
     rows = run_sweep(resolved, stationary_phase)
     meta = {**_sweep_meta(resolved, notes), "stationary_phase": stationary_phase}
-    return _render(fmt, [resolved.variable, "C", "S", "concurrence", "E", "flags"],
-                   [(r.x, r.C, r.S, r.concurrence, r.E, r.flags) for r in rows], meta,
-                   {"E": [(r.x, r.E) for r in rows]}, (resolved.variable, "E"),
+    return _render(fmt, [resolved.variable, "C", "S", "concurrence", "E", "flags"], rows,
+                   meta, {"E": [(r.x, r.E) for r in rows]}, (resolved.variable, "E"),
                    f"E vs {resolved.variable}")
 
 
@@ -231,8 +230,7 @@ def _cmd_frame_compare(args) -> int:
         "r_lo": args.r_lo, "r_hi": args.r_hi, "samples": args.samples,
         "q": args.q, "p": args.p,
     }
-    text = _render(args.format, ["r", "static_rate", "kruskal_rate", "flags"],
-                   [(r.r, r.static_rate, r.kruskal_rate, r.flags) for r in rows], meta,
+    text = _render(args.format, ["r", "static_rate", "kruskal_rate", "flags"], rows, meta,
                    {"static": [(r.r, r.static_rate) for r in rows],
                     "kruskal": [(r.r, r.kruskal_rate) for r in rows]},
                    ("r", "rotation rate"), "frame comparison")

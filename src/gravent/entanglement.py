@@ -583,21 +583,30 @@ def wootters_concurrence(rho: np.ndarray) -> float | np.ndarray:
     return float(conc) if conc.ndim == 0 else conc
 
 
-def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0."""
-    total = 0.0
-    for v in (x, 1.0 - x):
-        if v > 0.0:
-            total -= v * math.log2(v)
-    return total
+def binary_entropy(x):
+    """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0.
+
+    Of a float, or of each element of an array with the float's bits:
+    log2 is math.log2 per value, whose bits np.log2 does not always give.
+    """
+    v = np.stack([x, 1.0 - np.asarray(x, dtype=float)])
+    live, terms = v > 0.0, np.zeros_like(v)
+    terms[live] = v[live] * np.fromiter(map(math.log2, v[live].tolist()), float)
+    h = 0.0 - terms[0] - terms[1]
+    return float(h) if h.ndim == 0 else h
 
 
-def entanglement_of_formation(concurrence: float) -> float:
-    """Entanglement of formation h((1 + sqrt(1 - C^2))/2) for C in [0, 1]."""
-    if not -1e-12 <= concurrence <= 1.0 + 1e-12:
-        raise DomainError(f"concurrence must lie in [0, 1], got {concurrence}")
-    c = min(max(concurrence, 0.0), 1.0)
-    return binary_entropy(0.5 * (1.0 + math.sqrt(1.0 - c * c)))
+def entanglement_of_formation(concurrence):
+    """Entanglement of formation h((1 + sqrt(1 - C^2))/2) for C in [0, 1].
+
+    Of a float, or of each element of an array with the float's bits.  The
+    first C below -1e-12, above 1 + 1e-12 or nan raises DomainError.
+    """
+    c = np.asarray(concurrence, dtype=float)
+    ok = (c >= -1e-12) & (c <= 1.0 + 1e-12)
+    if not ok.all():
+        raise DomainError(f"concurrence must lie in [0, 1], got {c.flat[ok.argmin()]}")
+    return binary_entropy(0.5 * (1.0 + np.sqrt(1.0 - np.square(np.clip(c, 0.0, 1.0)))))
 
 
 @dataclass(frozen=True)

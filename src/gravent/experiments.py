@@ -3,34 +3,32 @@
 A sweep varies one of (q, tau_ratio, z) while the remaining orbit
 parameters stay fixed, running each grid point through the
 angle -> moments -> concurrence K = C^2 + S^2 -> entanglement pipeline.
-The rows are computed as arrays over the grid: the entries of
-wigner.DOMAIN_CHECKS for the swept variable, the checks OrbitParams makes
-one row at a time, flag the domain rows, radial_factor's mask the horizon
-rows, and the angle's amplitude is one array expression.
-The moments of a sweep's rows come from a nested trapezoid rule batched
-across rows: each level evaluates only the rows still active, and every
-row stops at its own level, exactly where it would stop alone
+The rows are computed as arrays over the grid (_sweep_rows): the domain
+and horizon masks, the angle's amplitude, the moments, and K and E over
+the rows computed.  The moments come from a nested trapezoid rule
+batched across rows, each row stopping exactly where it would stop alone
 (sweep_point is the one-row case).  Every row averages
 e^{-i kappa (u(p) - u(q))} in s = asinh p: a slow row on the real line,
 a fast one along a line s = t + i d where the oscillation is damped
 (_s_line).  On a z- or tau-sweep every row has the same q, so the rows
-of one depth share one table of their line per level.  K is
-the concurrence of every Bell input; the reduced density matrices and
+of one depth share one table of their line per level.  K is the
+concurrence of every Bell input; the reduced density matrices and
 Wootters' concurrence serve only as oracles in oracle_equivalence_report,
 which takes every draw's brute-force tensor from one batched quadrature
 pass and runs Wootters and the density-matrix checks on stacked 4x4
-matrices.  Failures are recorded per row (horizon,
-domain, quadrature non-convergence) instead of aborting the sweep; with
-the opt-in stationary-phase convention the horizon and non-convergent
-rows report zero moments and zero entanglement, the rapid-oscillation
-limit.  It is a fallback: no row of the presets or of the wide packets
-the tests sweep needs it.
+matrices.  Failures are recorded per row (horizon, domain, quadrature
+non-convergence) instead of aborting the sweep; with the opt-in
+stationary-phase convention the horizon and non-convergent rows report
+zero moments and zero entanglement, the rapid-oscillation limit.  It is
+a fallback: no row of the presets or of the wide packets the tests
+sweep needs it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,8 +107,7 @@ class SweepSpec:
             raise DomainError(f"samples must be >= 2, got {self.samples}")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One record of a sweep: swept value, moments, concurrence, E, flags."""
 
     x: float
@@ -158,6 +155,7 @@ def run_sweep(spec: SweepSpec, stationary_phase: bool = False) -> list[SweepRow]
 _DOMAIN, _HORIZON = -1, -2
 _REFUSALS = {_DOMAIN: "domain", NOT_FINITE: "domain", _HORIZON: "horizon",
              NO_CONVERGENCE: "no-convergence"}
+_COMPUTED = {CONVERGED: (), REDUCED_TOLERANCE: ("reduced-tolerance",)}  # status: flags
 
 
 def _sweep_rows(spec: SweepSpec, xs: list[float],
@@ -171,8 +169,9 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
     Theta = amplitude * M(q, p), the amplitude 2 pi tau R(z) one array
     expression over the grid, so one batch_characteristic call gives the
     moments of every row left: C + iS = e^{i phase} phi(kappa), on lines
-    in s = asinh p (_s_line).  The concurrence is C^2 + S^2, clipped to 1
-    where rounding lifts it above.
+    in s = asinh p (_s_line).  Over the rows computed, the concurrence
+    C^2 + S^2, clipped to 1 where rounding lifts it above, and E are one
+    array each; _refused_row gives the others.
     """
     fixed, grid = spec.fixed, np.asarray(xs, dtype=float)
     z, tau, q = (grid if spec.variable == name else getattr(fixed, name)
@@ -184,23 +183,19 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
     live = np.flatnonzero(outcome == CONVERGED)
     with np.errstate(all="ignore"):  # refused rows may hold inf or nan
         amplitude = np.broadcast_to(TAU_S * tau * radial, grid.shape)[live]
-    if spec.variable == "q":
-        q = grid[live]
+    q = grid[live] if spec.variable == "q" else q
     kappa, phase, depth = _s_line(amplitude, q, fixed.beta)
     phi = batch_characteristic(kappa, q, fixed.beta, depth)
-    # C + iS = e^{i phase} phi
     (c, s), (re, im) = (np.cos(phase), np.sin(phase)), phi.values.T
-    values = np.empty((grid.size, 2))
-    outcome[live], values[live] = phi.status, np.stack([c * re - s * im, s * re + c * im], axis=1)
-    out = []
-    for x, status, (c, s) in zip(xs, outcome.tolist(), values.tolist()):
-        if status in _REFUSALS:
-            out.append(_refused_row(x, _REFUSALS[status], stationary_phase))
-        else:
-            conc = min(c * c + s * s, 1.0)
-            e = entanglement_of_formation(conc)
-            flags = ("reduced-tolerance",) if status == REDUCED_TOLERANCE else ()
-            out.append(SweepRow(x, c, s, conc, e, flags))
+    outcome[live], values = phi.status, np.full((4, grid.size), math.nan)  # C, S, K, E
+    values[:2, live] = c * re - s * im, s * re + c * im  # C + iS = e^{i phase} phi
+    done = (outcome == CONVERGED) | (outcome == REDUCED_TOLERANCE)
+    values[2, done] = np.minimum(np.square(values[:2, done]).sum(axis=0), 1.0)
+    values[3, done] = entanglement_of_formation(values[2, done])
+    out = list(map(SweepRow._make, zip(xs, *values.tolist(),
+                                       map(_COMPUTED.get, outcome.tolist()))))
+    for i in np.flatnonzero(~done).tolist():
+        out[i] = _refused_row(xs[i], _REFUSALS[int(outcome[i])], stationary_phase)
     return out
 
 
@@ -244,8 +239,7 @@ def _s_line(amplitude: np.ndarray, q, beta: float):
 
 def _refused_row(x: float, flag: str, stationary_phase: bool) -> SweepRow:
     """A row the pipeline could not compute, flagged with the reason."""
-    if stationary_phase and flag != "domain":
-        # rapid-oscillation limit: the moments average to zero
+    if stationary_phase and flag != "domain":  # rapid-oscillation limit: zero moments
         return SweepRow(x, 0.0, 0.0, 0.0, 0.0, (flag, "stationary-phase"))
     return SweepRow(x, math.nan, math.nan, math.nan, math.nan, (flag,))
 
@@ -434,8 +428,7 @@ def oracle_equivalence_report(draws: int = 100, seed: int = 20240808) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class FrameRateRow:
+class FrameRateRow(NamedTuple):
     """Rotation rate at one radius seen from the two frames."""
 
     r: float

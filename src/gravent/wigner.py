@@ -64,6 +64,8 @@ DOMAIN_CHECKS = tuple((key, lambda v: abs(v) < math.inf, "{name} must be finite,
     ("z", lambda v: v <= MAX_RADIUS,
      f"orbit radius must be <= {MAX_RADIUS:g}, got {{name}}={{value}}"),
     ("beta", lambda v: v > 0, "{name} must be positive, got {value}"),
+    # 49 beta^2, which sets the ends of a sweep's line in s, underflows below ~3e-163
+    ("beta", lambda v: v >= 1e-150, "{name} must be >= 1e-150, got {value}"),
     # the momenta q + beta x reach |q| + 7 beta, far below 1e154 where p * p overflows
     ("beta", lambda v: v <= MAX_MOMENTUM,
      f"{{name}} must be <= {MAX_MOMENTUM:g}, got {{value}}"),

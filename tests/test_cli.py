@@ -542,11 +542,14 @@ def test_small_commands_reject_non_finite_input(capsys, argv):
      "--beta", "1e300"],
     ["sweep", "--variable", "q", "--lo=-1e308", "--hi=1e308", "--samples", "3"],
     ["frame-compare", "--r-lo=-1e308", "--r-hi=1e308"],
+    ["sweep", "--variable", "z", "--lo", "2", "--hi", "6", "--samples", "4",
+     "--xi2", "0.265", "--beta", "1e-200"],
 ], ids=["frame-q-huge", "frame-p-huge", "frame-r-huge", "sweep-beta-huge",
-        "sweep-span-overflows", "frame-span-overflows"])
+        "sweep-span-overflows", "frame-span-overflows", "sweep-beta-tiny"])
 def test_commands_reject_out_of_range_input(capsys, argv):
     # past these bounds the rates read nan or come from an overflowed p * p,
-    # and a grid whose span hi - lo overflows has an infinite step
+    # a grid whose span hi - lo overflows has an infinite step, and below
+    # beta = 1e-150 the ends of a line in s come from an underflowed 49 beta^2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, *argv)

@@ -402,3 +402,49 @@ def test_binary_entropy_endpoints():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0
     assert binary_entropy(0.5) == 1.0
+
+
+def _entropy_by_floats(x):
+    # h one float at a time with math.log2, the bits the array form keeps
+    total = 0.0
+    for v in (x, 1.0 - x):
+        if v > 0.0:
+            total -= v * math.log2(v)
+    return total
+
+
+def _formation_by_floats(c):
+    c = min(max(c, 0.0), 1.0)
+    return _entropy_by_floats(0.5 * (1.0 + math.sqrt(1.0 - c * c)))
+
+
+ENTROPY_EDGES = [0.0, 1.0, 1e-300, 1.0 - 2.0 ** -53, 5e-324, 2.0 ** -1070, 0.5, -1e-13,
+                 1.0 + 1e-13]
+
+
+@pytest.mark.parametrize("fn,by_floats", [(binary_entropy, _entropy_by_floats),
+                                          (entanglement_of_formation, _formation_by_floats)],
+                         ids=["binary_entropy", "entanglement_of_formation"])
+def test_array_entropy_has_the_bits_of_the_float_form(fn, by_floats):
+    # element by element the bits of the one-float formula, on the edges
+    # (0, 1, 1e-300, 1 - 2^-53, two subnormals, concurrences clipped to 0
+    # and 1) and on 10^4 points of [0, 1]
+    grid = np.concatenate([ENTROPY_EDGES, np.linspace(0.0, 1.0, 10_000)])
+    got = fn(grid)
+    assert isinstance(got, np.ndarray) and got.shape == grid.shape
+    want = np.array([by_floats(x) for x in grid.tolist()])
+    assert got.tobytes() == want.tobytes()
+    for x in ENTROPY_EDGES:
+        value = fn(x)
+        assert type(value) is float
+        assert np.float64(value).tobytes() == np.float64(by_floats(x)).tobytes(), x
+    empty = fn(np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+@pytest.mark.parametrize("values,fault", [([0.5, 1.5, -1.0], "1.5"),
+                                          ([0.25, -1e-11, 2.0], "-1e-11"),
+                                          ([0.0, math.nan, 2.0], "nan")])
+def test_array_concurrence_outside_its_domain_names_the_first_fault(values, fault):
+    with pytest.raises(DomainError, match=rf"got {fault}$"):
+        entanglement_of_formation(np.array(values))

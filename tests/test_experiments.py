@@ -182,6 +182,41 @@ def test_sweep_point_flags(monkeypatch):
     assert row.E == 0.0
 
 
+def test_sweep_row_is_an_immutable_record():
+    row = SweepRow(0.5, 1.0, 0.0, 1.0, 1.0)
+    assert repr(row) == "SweepRow(x=0.5, C=1.0, S=0.0, concurrence=1.0, E=1.0, flags=())"
+    with pytest.raises(AttributeError):
+        row.E = 0.0
+    assert row == SweepRow(0.5, 1.0, 0.0, 1.0, 1.0, ()) and hash(row) == hash(SweepRow(*row))
+
+
+def test_sweep_tail_is_one_array_pass(monkeypatch):
+    # K and E are computed as arrays over the computed rows, E in one
+    # entanglement_of_formation call per sweep, whatever the share of
+    # refused rows; a RuntimeWarning fails the suite (pyproject.toml)
+    calls = []
+
+    def counted(conc):
+        calls.append(np.shape(conc))
+        return entanglement_of_formation(conc)
+
+    monkeypatch.setattr(experiments, "entanglement_of_formation", counted)
+    spec = figure_preset(5)
+    for stationary_phase in (False, True):
+        rows = run_sweep(SweepSpec("z", 1e200, 1e201, 7, spec.fixed), stationary_phase)
+        assert [row.flags for row in rows] == [("domain",)] * 7
+        assert all(math.isnan(v) for row in rows for v in row[1:5])
+        row = sweep_point(spec, 0.0, stationary_phase)
+        assert row.flags == ("domain",) and math.isnan(row.E)
+    rows = run_sweep(spec)
+    # preset 5's z = 0 row is refused in place
+    assert len(rows) == 400 and rows[0].x == 0.0 and rows[0].flags == ("domain",)
+    assert all(row.flags == () for row in rows[1:])
+    assert all(type(v) is float for row in rows for v in row[:5])
+    assert sweep_point(spec, rows[200].x) == rows[200]
+    assert calls == [(0,), (0,), (0,), (0,), (399,), (1,)]
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_preset_rows_report_moment_norm_as_concurrence(n):
     # sweeps report K = C^2 + S^2 directly; Wootters on the closed-form rho
@@ -535,10 +570,11 @@ def test_narrow_packet_with_a_large_amplitude(beta):
         assert abs(row.concurrence - (m.C * m.C + m.S * m.S)) <= 1e-12, row.x
 
 
-@pytest.mark.parametrize("beta", [1e-20, 1e6, 1e8])
+@pytest.mark.parametrize("beta", [1e-150, 1e-20, 1e6, 1e8])
 def test_packets_far_from_unit_width_are_computed(beta):
-    # the line in s is written about asinh q: at beta = 1e-20 the packet
-    # lies below the rounding of q and every row is its centre's (K = 1);
+    # the line in s is written about asinh q: at beta = 1e-20 and at the
+    # floor 1e-150 the packet lies below the rounding of q and every row
+    # is its centre's (K = 1);
     # at beta = 1e6 and 1e8, with q up to beta, the line reaches e^t ~
     # e^{-20} and an end lies ~40 below asinh q, where e^{offset} - 1
     # rounds to -1

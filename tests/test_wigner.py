@@ -93,6 +93,7 @@ def test_orbit_params_bound_the_radius():
     ((0.16, 0.5, 0.6, 0.0, -1.0), DomainError, "beta must be positive"),
     ((0.16, 0.5, 0.6, 1.0, -1.0), DomainError, "tau_ratio must be >= 0"),
     ((0.16, 0.5, 0.6, 1.0, 5.0), HorizonError, "not outside the outer horizon"),
+    ((0.16, 0.5, 0.6, 1e-200, -1.0), DomainError, r"beta must be >= 1e-150, got 1e-200"),
 ])
 def test_orbit_params_report_the_first_failing_check(values, error, message):
     # with several checks failing, the one OrbitParams makes first is raised
