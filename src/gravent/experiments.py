@@ -279,50 +279,41 @@ def _is_data_row(row: SweepRow) -> bool:
     return math.isfinite(row.E) and all(f == "reduced-tolerance" for f in row.flags)
 
 
-def _golden_section_min(f, a: float, b: float, tol: float) -> float:
-    gr = 0.5 * (math.sqrt(5.0) + 1.0)
-    c = b - (b - a) / gr
-    d = a + (b - a) / gr
-    fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) / gr
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) / gr
-            fd = f(d)
-    return 0.5 * (a + b)
+# Each refinement pass lays _REFINE_INTERVALS intervals on every open bracket,
+# its best z +- the last pass's spacing, so 32 intervals narrow a bracket
+# 16-fold per pass; a bracket closes once that spacing is below _REFINE_TOL |z|.
+_REFINE_INTERVALS = 32
+_REFINE_TOL = 1e-7
 
 
 def find_entanglement_minima(spec: SweepSpec) -> list[tuple[float, float]]:
-    """Local minima of E(z): grid scan plus golden-section refinement.
+    """Local minima of E(z): grid scan plus batched refinement.
 
     Only strict interior dips among clean consecutive rows count, which
     keeps flat stretches and flagged gaps from producing spurious hits.
     A refused row is never clean, so the stationary-phase convention
-    could not change the result.
-    Refinement narrows each bracket until it is shorter than 1e-4.
+    could not change the result.  Each pass evaluates every open
+    bracket's points in one _sweep_rows call and keeps, per bracket, the
+    clean row of smallest E; its own point is among them, so a minimum's
+    E never rises above its dip's.  A minimum is that row's (z, E).
     """
     if spec.variable != "z":
         raise DomainError("minima search expects a z-sweep")
     spec, _ = resolve_sweep(spec)
     rows = run_sweep(spec)
-
-    def value_at(z: float) -> float:
-        row = sweep_point(spec, z)
-        return row.E if math.isfinite(row.E) else math.inf
-
-    minima = []
-    for i in range(1, len(rows) - 1):
-        left, mid, right = rows[i - 1], rows[i], rows[i + 1]
-        if not (_is_data_row(left) and _is_data_row(mid) and _is_data_row(right)):
-            continue
-        if mid.E < left.E - 1e-8 and mid.E < right.E - 1e-8:
-            z_min = _golden_section_min(value_at, left.x, right.x, 1e-4)
-            minima.append((z_min, value_at(z_min)))
-    return minima
+    best = [mid for left, mid, right in zip(rows, rows[1:], rows[2:])
+            if _is_data_row(left) and _is_data_row(mid) and _is_data_row(right)
+            and mid.E < left.E - 1e-8 and mid.E < right.E - 1e-8]
+    offsets = np.linspace(-1.0, 1.0, _REFINE_INTERVALS + 1)  # 0.0 exactly at the middle
+    step = (spec.hi - spec.lo) / (spec.samples - 1)
+    while open_ := [i for i, row in enumerate(best) if step > _REFINE_TOL * abs(row.x)]:
+        zs = np.array([best[i].x for i in open_])[:, None] + step * offsets
+        found = _sweep_rows(spec, zs.ravel().tolist(), False)
+        for j, i in enumerate(open_):
+            points = found[j * offsets.size:(j + 1) * offsets.size]
+            best[i] = min(filter(_is_data_row, points), key=lambda row: row.E)
+        step *= 2.0 / _REFINE_INTERVALS
+    return [(row.x, row.E) for row in best]
 
 
 @dataclass(frozen=True)
@@ -462,10 +453,17 @@ def frame_comparison(r_grid, q: float, p: float) -> list[FrameRateRow]:
     return rows
 
 
+# Fast sweep rows (on a shifted line in s) as {figure: q values}, picked where
+# the oracle's rule in x converges: at every fast row of figure 1, and on
+# figure 2 only below q ~ 2.6
+_FAST_ROWS = {1: (1.5, 2.0, 3.0, 6.0, 20.0), 2: (1.0, 1.5, 2.5)}
+
+
 def validation_checks(report: dict) -> list[tuple[str, bool, str]]:
     """The checks of `gravent validate`, as (name, passed, detail).
 
     The first five grade an oracle_equivalence_report; the rest make their own inputs.
+    The last runs _FAST_ROWS through _sweep_rows, the path of the figures.
     """
     checks = [
         ("oracle equivalence (closed vs brute force)", report["max_entry_deviation"] < 1e-8,
@@ -519,4 +517,16 @@ def validation_checks(report: dict) -> list[tuple[str, bool, str]]:
         "angle zeros are roots of 2z^2 - 3z + 4xi2", residual < 1e-14 and not miscounted,
         f"max residual {residual:.3e} over {len(xi2_grid)} xi2 values, root count "
         + (f"wrong at xi2 = {miscounted}" if miscounted else "matches 9 - 32xi2")))
+
+    devs = []  # a refused row's nan fails the check
+    for n, qs in _FAST_ROWS.items():
+        spec = figure_preset(n)
+        for row in _sweep_rows(spec, list(qs), False):
+            q, beta = row.x, spec.fixed.beta
+            a = theta_amplitude(replace(spec.fixed, q=q))
+            x = trig_moments(lambda p: a * momentum_factor(q, p), MomentumDistribution(q, beta))
+            devs += [abs(row.C - x.C), abs(row.S - x.S)]
+    dev = float(np.max(devs))
+    checks.append(("fast sweep rows in s match trig_moments in x", dev < 1e-12,
+                   f"max C, S deviation {dev:.3e} over {len(devs) // 2} rows of figures 1-2"))
     return checks

@@ -331,6 +331,7 @@ VALIDATE_CHECKS = (
     "radial-geodesic invariance (all Bell states)",
     "frame transform preserves the Minkowski metric",
     "angle zeros are roots of 2z^2 - 3z + 4xi2",
+    "fast sweep rows in s match trig_moments in x",
 )
 
 
@@ -339,7 +340,7 @@ def test_criterion_14_validate_checks(oracle_report):
     # criteria 01-13 state their own bounds independently
     checks = validation_checks(oracle_report)
     failed = [f"{name} ({detail})" for name, passed, detail in checks if not passed]
-    verdict(14, not failed and len(checks) == 10,
+    verdict(14, not failed and len(checks) == 11,
             f"{len(checks) - len(failed)} of {len(checks)} validate checks pass"
             + (f"; failed: {failed}" if failed else ""))
     assert tuple(name for name, _, _ in checks) == VALIDATE_CHECKS

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from itertools import zip_longest
 from pathlib import Path
 
@@ -312,7 +313,7 @@ MINIMA_FIGURE_4 = """\
 # variable = 'z'
 # xi2 = 0.16
 z,E
-2.286428571428572,0.3910461595435493
+2.28644010317236,0.39104615952133537
 """
 
 
@@ -421,6 +422,7 @@ PASS  product integral vs closed-form rotation  (max deviation 3.170e-13)
 PASS  radial-geodesic invariance (all Bell states)  (max deviation 0.000e+00)
 PASS  frame transform preserves the Minkowski metric  (max deviation 9.770e-15)
 PASS  angle zeros are roots of 2z^2 - 3z + 4xi2  (max residual 7.772e-16 over 9 xi2 values, root count matches 9 - 32xi2)
+PASS  fast sweep rows in s match trig_moments in x  (max C, S deviation 1.753e-13 over 8 rows of figures 1-2)
 ALL CHECKS PASSED
 """
 
@@ -443,6 +445,22 @@ def test_validate_checks_angle_zeros_against_the_quadratic(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "validate", "--draws", "1")
     assert code == 1
     assert "root count wrong at xi2 = [0.0, 0.1" in out
+
+
+def test_validate_holds_the_sweep_path_to_the_x_oracle(capsys, monkeypatch):
+    import gravent.experiments as experiments
+
+    true_characteristic = experiments.batch_characteristic
+
+    def perturbed(*args):
+        out = true_characteristic(*args)
+        return replace(out, values=out.values + 1e-10)
+
+    monkeypatch.setattr(experiments, "batch_characteristic", perturbed)
+    code, out, _ = run_cli(capsys, "validate", "--draws", "1")
+    assert code == 1
+    assert "FAIL  fast sweep rows in s match trig_moments in x" in out
+    assert out.count("FAIL") == 2  # the check's line and the summary
 
 
 def test_sweep_rejects_zero_samples(capsys):

@@ -291,6 +291,59 @@ def test_find_minima_ignores_flat_zero_stretches():
     assert minima == []
 
 
+def _grid_dips(spec):
+    """(left, mid, right) of every strict dip of E among clean grid rows."""
+    rows = run_sweep(spec)
+    clean = [math.isfinite(r.E) and set(r.flags) <= {"reduced-tolerance"} for r in rows]
+    return [rows[i - 1:i + 2] for i in range(1, len(rows) - 1)
+            if clean[i - 1] and clean[i] and clean[i + 1]
+            and rows[i].E < min(rows[i - 1].E, rows[i + 1].E) - 1e-8]
+
+
+def _assert_refined(spec, minima, dips):
+    # each minimum is a computed row inside its dip's bracket, no higher than the dip
+    assert len(minima) == len(dips)
+    for (z, e), (left, mid, right) in zip(minima, dips):
+        assert left.x < z < right.x
+        assert e == sweep_point(spec, z).E
+        assert e <= mid.E
+
+
+def _quartic_roots(xi2, lo, hi):
+    """Real roots in (lo, hi) of R'(z) = 0, R the radial factor of Theta."""
+    roots = np.roots([4.0, -14.0, 24.0 * xi2 + 9.0, -26.0 * xi2, 16.0 * xi2 * xi2])
+    return sorted(r.real for r in roots if abs(r.imag) < 1e-9 and lo < r.real < hi)
+
+
+def test_the_quartic_has_the_uncharged_root():
+    assert _quartic_roots(0.0, 1.2, 6.0) == pytest.approx([(7.0 + math.sqrt(13.0)) / 4.0])
+
+
+@pytest.mark.parametrize("spec", [
+    figure_preset(4), figure_preset(5), figure_preset(6),
+    SweepSpec("z", 1.2, 6.0, 400, OrbitParams(0.0, 2.0, 0.6, 1.0, 5.0)),
+], ids=["figure4", "figure5", "figure6", "uncharged"])
+def test_minima_lie_on_the_roots_of_the_quartic(spec):
+    # K depends on z only through kappa, which is R(z) times constants, and a
+    # narrow packet's E falls as |kappa| grows: its minima are the roots of
+    # R'(z) = 0 (none at xi2 = 0.5)
+    spec, _ = resolve_sweep(spec)
+    minima = find_entanglement_minima(spec)
+    roots = _quartic_roots(spec.fixed.xi2, spec.lo, spec.hi)
+    assert len(minima) == len(roots)
+    for (z, _), root in zip(minima, roots):
+        assert abs(z - root) < 1e-6
+    _assert_refined(spec, minima, _grid_dips(spec))
+
+
+def test_minima_of_a_wide_packet_are_refined_in_their_brackets():
+    # at beta = 4 |phi(kappa)| dips away from every root of the quartic
+    spec = SweepSpec("z", 1.2, 6.0, 400, OrbitParams(0.0, 2.0, 0.6, 4.0, 40.0))
+    minima = find_entanglement_minima(spec)
+    assert len(minima) == 15
+    _assert_refined(spec, minima, _grid_dips(spec))
+
+
 def test_radial_invariance_all_bells():
     for chi in BELL_STATES:
         report = radial_invariance_check(chi)

@@ -56,7 +56,7 @@ def test_layers_install_around_validate(capsys):
     assert code == 0
     summary = tracer.summary()
     assert summary["spans"]["experiments.oracle_equivalence_report"]["calls"] == 1
-    # one draw: one trig_moments call, whose after-hook compared its node
-    # count with the cap
-    assert summary["spans"]["entanglement.trig_moments"]["calls"] == 1
-    assert len(summary["samples"]["entanglement.trig_moments.nodes_final"]) == 1
+    # one draw and validate's 8 fast sweep rows: one trig_moments call each,
+    # whose after-hook compared its node count with the cap
+    assert summary["spans"]["entanglement.trig_moments"]["calls"] == 9
+    assert len(summary["samples"]["entanglement.trig_moments.nodes_final"]) == 9

@@ -17,12 +17,14 @@ from gravent import (
     kruskal_rate,
     lambda_circular,
     lambda_radial,
+    metric_matrix,
     momentum_factor,
     product_integral,
     rotation_matrix,
     schwarzschild_rate,
     spin_rep,
     sweep_point,
+    tetrad_static,
     theta_circular,
     theta_zeros,
     wigner_rate_matrix,
@@ -181,6 +183,58 @@ def test_lambda_vanishes_where_rate_vanishes():
     # A' = 1/z exactly at the angle zeros, so the generator dies there too
     lam = lambda_circular(ChargedBlackHole(0.16), Z1_016, 0.9)
     assert np.abs(lam).max() < 1e-13
+
+
+def _generator_from_the_metric(model, z, q, flip=1.0):
+    """Terashima & Ueda's lambda^a_b of the circular orbit, from the metric alone.
+
+    Christoffel symbols of metric_matrix by central differences (h = 1e-5)
+    at theta = pi/2; the orbit's four-velocity u = e_a k^a with k = (gamma,
+    0, 0, q), its acceleration a^mu = Gamma^mu_{nu lam} u^nu u^lam (u's
+    components are constant along the circle), and the static tetrad's
+    connection chi^a_b = -u^mu e^a_nu Gamma^nu_{mu lam} e_b^lam (the tetrad
+    depends on z and theta only, along which u has no component).  Then
+    lambda = -flip (a k - k a) + chi with m = 1; flip = -1 is the control.
+    """
+    h, theta = 1e-5, 0.5 * math.pi
+    g = metric_matrix(model, z, theta)
+    dg = np.zeros((4, 4, 4))  # dg[m] = d g / d x^m, x = (t, z, theta, phi)
+    dg[1] = (metric_matrix(model, z + h, theta) - metric_matrix(model, z - h, theta)) / (2 * h)
+    dg[2] = (metric_matrix(model, z, theta + h) - metric_matrix(model, z, theta - h)) / (2 * h)
+    # Gamma^n_{ml} = 1/2 g^{nr} (d_m g_{rl} + d_l g_{rm} - d_r g_{ml})
+    gamma_ = 0.5 * np.einsum("nr,rml->nml", np.linalg.inv(g),
+                             dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg)
+    e = tetrad_static(model, z, theta).as_matrix()  # e[mu, a] = e_a^mu
+    e_inv = np.linalg.inv(e)
+    k = np.array([math.hypot(q, 1.0), 0.0, 0.0, q])
+    u = e @ k
+    accel = e_inv @ np.einsum("mnl,n,l->m", gamma_, u, u)
+    chi = -e_inv @ np.einsum("nml,m->nl", gamma_, u) @ e
+    return -flip * (np.outer(accel, ETA @ k) - np.outer(k, ETA @ accel)) + chi
+
+
+# (xi2, z, q): a two-horizon hole, two naked singularities and the uncharged
+# hole, with momenta of either sign
+METRIC_ORBITS = ((0.16, 1.6, 0.6), (0.265, 2.0, -1.3), (0.5, 0.9, 3.0), (0.0, 4.0, 0.2))
+
+
+@pytest.mark.parametrize("xi2, z, q", METRIC_ORBITS)
+def test_wigner_rate_follows_from_the_metric(xi2, z, q):
+    # the rate theta^1_3 = lambda^1_3 + (lambda^1_0 k_3 - lambda_30 k^1)/(k^0 + 1)
+    # of a particle of momentum k = (sqrt(p^2 + 1), 0, 0, p), where k^1 = 0
+    model = ChargedBlackHole(xi2)
+    ps = np.array([-2.0, 0.0, 0.6, 3.0])
+    rate = wigner_rate_w13(model, z, q, ps)
+
+    def w13(lam):
+        return lam[1, 3] + lam[1, 0] * ps / (np.sqrt(ps * ps + 1.0) + 1.0)
+
+    lam = _generator_from_the_metric(model, z, q)
+    closed = lambda_circular(model, z, q)
+    assert np.abs(lam - closed).max() <= 1e-9 * np.abs(closed).max()
+    assert np.all(np.abs(w13(lam) - rate) <= 1e-9 * np.abs(rate))
+    flipped = w13(_generator_from_the_metric(model, z, q, flip=-1.0))
+    assert np.all(np.abs(flipped - rate) > 1e-3 * np.abs(rate))
 
 
 def test_wigner_rate_values():
