@@ -212,10 +212,11 @@ def _s_line(amplitude: np.ndarray, q, beta: float):
 
     Theta = phase - kappa (u(p) - u(q)) with phase = amplitude q gamma, the
     angle at p = q, kappa = amplitude q^2 gamma and u(p) = tanh(s/2), whose
-    slope at q is 1/(gamma (gamma + 1)): near the centre the angle turns at
-    omega = |kappa| beta u'(q) per unit of x = (p - q)/beta.  A row with
-    omega < _S_TURN has little to damp and runs on the real line (depth
-    0), where its weight is real and a z- or tau-sweep's rows share it.
+    slope 1/(gamma_p (gamma_p + 1)) peaks at 1/2 at p = 0: anywhere in the
+    packet the angle turns at most at omega = |kappa| beta / 2 per unit of
+    x = (p - q)/beta.  A row with omega < _S_TURN has little to damp
+    wherever its packet reaches and runs on the real line (depth 0), where
+    its weight is real and a z- or tau-sweep's rows share it.
     The others run at depth of the sign of -kappa.  There the weight's
     modulus peaks near p = q at e^{G}, G = sin^2 d (1 + q^2/cos 2d)/beta^2,
     costing digits to cancellation before the damping sets in, so the
@@ -228,7 +229,7 @@ def _s_line(amplitude: np.ndarray, q, beta: float):
     gamma = np.sqrt(q * q + 1.0)
     kappa = amplitude * q * q * gamma
     phase = amplitude * q * gamma
-    omega = np.abs(kappa) * beta / (gamma * (gamma + 1.0))
+    omega = 0.5 * np.abs(kappa) * beta
     g = _S_GROWTH * beta * beta
     b = 1.0 + q * q + 2.0 * g
     # b^2 - 8 g, written as a sum of squares

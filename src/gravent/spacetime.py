@@ -31,7 +31,8 @@ class ChargedBlackHole:
 
     xi2 is the squared dimensionless charge.  Two horizons exist for
     xi2 < 1/4, one degenerate horizon at z = 1/2 for xi2 = 1/4, and none
-    (naked singularity) for xi2 > 1/4.
+    (naked singularity) for xi2 > 1/4.  metric_potentials evaluates the
+    metric.
     """
 
     xi2: float
@@ -39,38 +40,11 @@ class ChargedBlackHole:
     def __post_init__(self):
         horizons(self.xi2)  # checks the charge is finite and >= 0
 
-    @property
-    def description(self) -> str:
-        return f"charged black hole (xi2={self.xi2})"
 
-    def metric_factor(self, z: float) -> float:
-        """e^{2A(z)} in closed form; negative between the horizons."""
-        if z <= 0:
-            raise DomainError(f"radius must be positive, got z={z}")
-        return 1.0 - 1.0 / z + self.xi2 / (z * z)
-
-    def A(self, z: float) -> float:
-        return 0.5 * math.log(self._guarded_factor(z))
-
-    def B(self, z: float) -> float:
-        return -self.A(z)
-
-    def A_prime(self, z: float) -> float:
-        g = self._guarded_factor(z)
-        gp = 1.0 / (z * z) - 2.0 * self.xi2 / (z * z * z)
-        return 0.5 * gp / g
-
-    def B_prime(self, z: float) -> float:
-        return -self.A_prime(z)
-
-    def _guarded_factor(self, z: float) -> float:
-        g = self.metric_factor(z)
-        if g < HORIZON_TOL:
-            raise HorizonError(
-                f"z={z} is on or inside a horizon of {self.description} "
-                f"(e^{{2A}}={g:.3e})"
-            )
-        return g
+def check_radius(r: float, name: str = "r") -> None:
+    """DomainError unless the radius r is finite and positive."""
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"radius must be positive and finite, got {name}={r}")
 
 
 def horizons(xi2: float) -> list[float]:
@@ -99,13 +73,21 @@ def outer_horizon(xi2: float) -> float | None:
 
 
 def metric_potentials(model: ChargedBlackHole, z: float) -> tuple[float, float, float]:
-    """(A, B, dA/dz) at radius z, guarded against horizons.
+    """(A, B, dA/dz) at radius z: (1/2) log g, -(1/2) log g and (1/2) g'/g.
 
-    Raises DomainError for z <= 0 and HorizonError when e^{2A} falls
-    below HORIZON_TOL (on or inside a horizon, where the Wigner angle
-    turns imaginary).
+    g = e^{2A} = 1 - 1/z + xi2/z^2 is formed once.  Raises DomainError
+    unless z is finite and positive, and HorizonError when g falls below
+    HORIZON_TOL (on or inside a horizon, where the Wigner angle turns
+    imaginary).
     """
-    return model.A(z), model.B(z), model.A_prime(z)
+    check_radius(z, "z")
+    g = 1.0 - 1.0 / z + model.xi2 / (z * z)
+    if g < HORIZON_TOL:
+        raise HorizonError(f"z={z} is on or inside a horizon of charged black hole "
+                           f"(xi2={model.xi2}) (e^{{2A}}={g:.3e})")
+    a = 0.5 * math.log(g)
+    gp = 1.0 / (z * z) - 2.0 * model.xi2 / (z * z * z)
+    return a, -a, 0.5 * gp / g
 
 
 @dataclass(frozen=True)
@@ -169,8 +151,7 @@ def kruskal_map(r: float, t: float) -> KruskalPoint:
     Exterior branch for r >= 1, future-interior branch for 0 < r < 1;
     both satisfy R^2 - T^2 = 4 (r - 1) e^r.
     """
-    if r <= 0:
-        raise DomainError(f"radius must be positive, got r={r}")
+    check_radius(r)
     if r >= 1.0:
         amp = 2.0 * math.sqrt(r - 1.0) * math.exp(0.5 * r)
         return KruskalPoint(amp * math.sinh(0.5 * t), amp * math.cosh(0.5 * t), r)
@@ -183,9 +164,13 @@ def kruskal_radius(T: float, R: float) -> float:
 
     The left side ranges over (-4, inf) for r in (0, inf) and the map is
     strictly increasing, so a bracketed bisection is exact business.
-    Targets at or below -4 lie beyond the r = 0 singularity.
+    Targets at or below -4 lie beyond the r = 0 singularity.  A finite
+    target has its root below r = 702, where e^r is still finite; T, R
+    whose target is not finite raise DomainError.
     """
     target = R * R - T * T
+    if not math.isfinite(target):
+        raise DomainError(f"(T={T}, R={R}) has no finite R^2-T^2 (got {target})")
     if target <= -4.0:
         raise DomainError(
             f"(T={T}, R={R}) lies past the r=0 singularity (R^2-T^2={target})"
@@ -195,11 +180,8 @@ def kruskal_radius(T: float, R: float) -> float:
         return 4.0 * (r - 1.0) * math.exp(r) - target
 
     lo, hi = 1e-300, 1.0
-    while g(hi) < 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e6:
-            raise DomainError(f"no bracket found for R^2-T^2={target}")
+    while g(hi) < 0.0:  # g(709.78) = inf: e^709.78 is near the largest float
+        lo, hi = hi, min(2.0 * hi, 709.78)
     # bisection to ~1e-13 relative tolerance
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -234,8 +216,7 @@ def kruskal_tetrad(r: float, theta: float = 0.5 * math.pi) -> Tetrad:
 
     Components (sqrt(r) e^{r/2}, sqrt(r) e^{r/2}, 1/r, 1/(r sin theta)).
     """
-    if r <= 0:
-        raise DomainError(f"radius must be positive, got r={r}")
+    check_radius(r)
     sin_t = math.sin(theta)
     if abs(sin_t) < 1e-12:
         raise DomainError(f"tetrad undefined on the polar axis (theta={theta})")
@@ -245,8 +226,7 @@ def kruskal_tetrad(r: float, theta: float = 0.5 * math.pi) -> Tetrad:
 
 def kruskal_metric_matrix(r: float, theta: float = 0.5 * math.pi) -> np.ndarray:
     """Kruskal-chart metric diag(-(1/r)e^{-r}, (1/r)e^{-r}, r^2, r^2 sin^2)."""
-    if r <= 0:
-        raise DomainError(f"radius must be positive, got r={r}")
+    check_radius(r)
     f = math.exp(-r) / r
     s = math.sin(theta)
     return np.diag([-f, f, r * r, r * r * s * s])

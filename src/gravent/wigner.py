@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HorizonError
-from .spacetime import HORIZON_TOL, metric_potentials, outer_horizon
+from .spacetime import HORIZON_TOL, check_radius, metric_potentials, outer_horizon
 
 TAU_S = 2.0 * math.pi
 
@@ -141,22 +141,17 @@ def circular_orbit_state(model, z: float, q: float) -> CircularOrbitState:
     return CircularOrbitState(gamma=gamma, q0=gamma, q3=q, a1=a1)
 
 
-def _rate_factor(model, z: float) -> float:
-    """e^{-B} (A' - 1/z), the radial factor of the circular-orbit generator."""
-    _, b, a_prime = metric_potentials(model, z)
-    return math.exp(-b) * (a_prime - 1.0 / z)
-
-
 def lambda_circular(model, z: float, q: float) -> np.ndarray:
     """4x4 boost-rotation generator of the circular orbit.
 
-    Four non-zero entries:
-        lam[0,1] = lam[1,0] = gamma (gamma^2 - 1) e^{-B} (A' - 1/z)
-        lam[1,3] = -lam[3,1] = -gamma^3 v e^{-B} (A' - 1/z),  v = q/gamma.
+    Four non-zero entries, with e^{-B} (A' - 1/z) = -R(z), minus the
+    radial factor of Theta:
+        lam[0,1] = lam[1,0] = -gamma (gamma^2 - 1) R(z)
+        lam[1,3] = -lam[3,1] = gamma^3 v R(z),  v = q/gamma.
     lam @ ETA is antisymmetric, as for any Lorentz-algebra element.
     """
     gamma = math.sqrt(q * q + 1.0)
-    fac = _rate_factor(model, z)
+    fac = -_charged_prefactor(z, model.xi2)
     lam = np.zeros((4, 4))
     lam[0, 1] = lam[1, 0] = gamma * q * q * fac          # gamma (gamma^2-1)
     lam[1, 3] = -q * (q * q + 1.0) * fac                 # -gamma^3 v = -gamma^2 q
@@ -167,10 +162,10 @@ def lambda_circular(model, z: float, q: float) -> np.ndarray:
 def wigner_rate_w13(model, z: float, q: float, p) -> float | np.ndarray:
     """The 1-3 rotation-rate element for particle momentum p.
 
-    w13 = -e^{-B} (A' - 1/z) M(q, p); all other independent components
-    vanish for equatorial circular motion.
+    w13 = -e^{-B} (A' - 1/z) M(q, p) = R(z) M(q, p); all other independent
+    components vanish for equatorial circular motion.
     """
-    return -_rate_factor(model, z) * momentum_factor(q, p)
+    return _charged_prefactor(z, model.xi2) * momentum_factor(q, p)
 
 
 def wigner_rate_matrix(model, z: float, q: float, p: float) -> np.ndarray:
@@ -204,7 +199,9 @@ def radial_factor(z, xi2: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _charged_prefactor(z: float, xi2: float) -> float:
-    """radial_factor at one radius; HorizonError where it is singular."""
+    """radial_factor at one radius; DomainError where the entries of
+    DOMAIN_CHECKS for z fail, HorizonError where the factor is singular."""
+    check_domain({"z": z})
     factor, singular = radial_factor(z, xi2)
     if singular:
         raise HorizonError(
@@ -354,7 +351,6 @@ def kruskal_rate(r: float, q: float, p) -> float | np.ndarray:
     the falling observer assigns.  Valid for all r > 0 down to the
     central singularity.
     """
-    if r <= 0:
-        raise DomainError(f"radius must be positive, got r={r}")
+    check_radius(r)
     prefactor = 0.25 / r * math.sqrt(math.exp(-r) / r) * (3.0 + r)
     return prefactor * momentum_factor(q, p)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import gravent
-from gravent import EmptyDataError, emit_csv, emit_json, emit_svg, figure_preset
+from gravent import AssertionFailure, EmptyDataError, emit_csv, emit_json, emit_svg, figure_preset
 from gravent.cli import main, preset_config, render_sweep
 
 DEMO_OUT = Path(__file__).resolve().parents[1] / "demos" / "out"
@@ -138,6 +138,27 @@ def test_sweep_requires_variable(capsys):
     assert "variable" in err
 
 
+def test_sweep_requires_both_ends(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--variable", "z", "--lo", "1")
+    assert code == 1
+    assert "a sweep needs 'lo' and 'hi'" in err and out == ""
+
+
+def test_packet_reaching_zero_momentum_computes_every_row(capsys):
+    # the angle turns 3.4-3.7 per unit of x at q = -108 but far faster at
+    # p = 0, which this packet reaches: measured at the centre, the rows
+    # stayed on the real line, and 3 were refused and 1 flagged
+    code, out, err = run_cli(capsys, "sweep", "--variable", "tau_ratio", "--lo", "0.009",
+                             "--hi", "0.0105", "--samples", "7", "--xi2", "0.265",
+                             "--z", "76.5", "--q", "-108", "--beta", "44")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()
+            if line and not line.startswith(("#", "tau_ratio"))]
+    assert len(rows) == 7
+    assert all(row[-1] == "" and all(math.isfinite(float(v)) for v in row[1:5])
+               for row in rows)
+
+
 def test_config_variable_must_be_a_sweep_variable(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"variable": "mass", "lo": 1, "hi": 3}))
@@ -258,6 +279,16 @@ def test_emit_svg_gap_splitting():
     assert svg.count("<polyline") == 2
     two_points = emit_svg({"E": [(0.0, 1.0), (1.0, 0.5)]}, axes=("x", "y"))
     assert two_points.count("<polyline") == 1
+
+
+def test_emit_svg_points_at_one_x():
+    # a zero-width x range is widened by 1 on each side, so the points sit
+    # mid-plot rather than dividing by zero
+    svg = emit_svg({"E": [(2.0, 0.5), (2.0, 0.7), (2.0, math.nan)]}, axes=("x", "y"))
+    points = ET.fromstring(svg).find(".//{*}polyline").get("points").split()
+    xs = {float(point.split(",")[0]) for point in points}
+    assert len(points) == 2 and len(xs) == 1
+    assert math.isfinite(xs.pop())
 
 
 def test_emit_svg_empty_data():
@@ -461,6 +492,19 @@ def test_validate_holds_the_sweep_path_to_the_x_oracle(capsys, monkeypatch):
     assert code == 1
     assert "FAIL  fast sweep rows in s match trig_moments in x" in out
     assert out.count("FAIL") == 2  # the check's line and the summary
+
+
+def test_validate_reports_a_failing_radial_check(capsys, monkeypatch):
+    import gravent.experiments as experiments
+
+    def fails(bell, *args, **kwargs):
+        raise AssertionFailure(f"{bell.tag}: entry (0, 0) deviates")
+
+    monkeypatch.setattr(experiments, "radial_invariance_check", fails)
+    code, out, _ = run_cli(capsys, "validate", "--draws", "1")
+    assert code == 1
+    assert ("FAIL  radial-geodesic invariance (all Bell states)  "
+            "(chi1: entry (0, 0) deviates)") in out
 
 
 def test_sweep_rejects_zero_samples(capsys):

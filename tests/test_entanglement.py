@@ -16,6 +16,7 @@ from gravent.entanglement import (
 
 from gravent import (
     BELL_STATES,
+    BellState,
     batch_characteristic,
     batch_reduced_density_bruteforce,
     CHI1,
@@ -380,6 +381,19 @@ def test_wootters_rejects_invalid_input():
         wootters_concurrence(stack)
     with pytest.raises(DomainError):
         wootters_concurrence(np.eye(2, dtype=complex))
+
+
+def test_wootters_rejects_a_complex_spectrum():
+    # rho rho~ of a physical state has a real spectrum; this one's is 1 +- i
+    rho = np.eye(4, dtype=complex)
+    rho[0, 1], rho[1, 0] = 1.0, -1.0
+    with pytest.raises(NumericalError, match="^complex eigenvalue"):
+        wootters_concurrence(rho)
+
+
+def test_closed_density_rejects_an_unknown_bell_tag():
+    with pytest.raises(DomainError, match="unknown Bell state 'chi5'"):
+        reduced_density_closed(BellState("chi5", (0.0, 0.0, 0.0, 1.0)), TrigMoments(0.6, 0.3))
 
 
 def test_entanglement_of_formation_values():

@@ -381,6 +381,11 @@ def test_frame_comparison_rows():
     assert abs(far.kruskal_rate) < abs(mid.kruskal_rate)
 
 
+def test_frame_comparison_rejects_an_empty_grid():
+    with pytest.raises(DomainError, match="the radius grid is empty"):
+        frame_comparison([], q=1.0, p=0.0)
+
+
 def test_frame_comparison_marks_near_horizon_divergence():
     rows = frame_comparison([1.0 + 1e-8], q=1.0, p=0.0)
     assert rows[0].flags == ("static-divergent",)
@@ -445,9 +450,11 @@ def test_oracle_report_keeps_its_bits(draws, seed):
 
 
 # Sweeps off the presets, with their digests of repr(run_sweep(spec, sp)),
-# taken once every row was averaged in s = asinh p and held to the x oracle
-# (test_sweep_rows_match_the_x_oracle) and to the references of
-# test_quadrature; the goldens in demos/out cover only the six presets.
+# taken once every row was averaged in s = asinh p, and again once a row's
+# line was chosen by the fastest turn in its packet, each time after the rows
+# were held to the x oracle (test_sweep_rows_match_the_x_oracle) and to the
+# references of test_quadrature; the goldens in demos/out cover only the six
+# presets.
 SEEDED_SPECS = {
     # two horizons: the lower edge is clamped just above z+ = 0.8
     "z-two-horizons": SweepSpec("z", 0.3, 3.1, 71, OrbitParams(0.16, 2.0, 0.45, 0.8, 4.2)),
@@ -475,16 +482,16 @@ SEEDED_DIGESTS = {
     ("z-two-horizons", True): "b179bd9526f1721d2ce6f6d9f74aaead46bbb3bdc53c9a24092cdce7094150f0",
     ("z-near-degenerate", False): "7ef11bcfa33163220400843ccb1eade852918a9674cda607bde6120514e2151f",
     ("z-near-degenerate", True): "346624732304d532e27326a9e94d01afc2c39dbf9dd1ff366c765b9f9d128dc4",
-    ("z-naked-zeros", False): "3c45904197d3f2936b0eee9df8405faab0d0a0593d93771fb8e02a3e20a8d2d2",
-    ("z-naked-zeros", True): "3c45904197d3f2936b0eee9df8405faab0d0a0593d93771fb8e02a3e20a8d2d2",
-    ("z-naked-far", False): "fa7966066511a86e9341ca564fc1a0225423e22c7ffd9044dbb783d5a0830686",
-    ("z-naked-far", True): "fa7966066511a86e9341ca564fc1a0225423e22c7ffd9044dbb783d5a0830686",
-    ("tau-negative-start", False): "ecf7f697cf976e31d78f7b720e164aea26e9785f8e670a687bc2f3702fdd1716",
-    ("tau-negative-start", True): "ecf7f697cf976e31d78f7b720e164aea26e9785f8e670a687bc2f3702fdd1716",
-    ("tau-near-horizon", False): "171def920a394235ac382ef3dbab21a7c3072c990de4381033d1e11169779dc2",
-    ("tau-near-horizon", True): "171def920a394235ac382ef3dbab21a7c3072c990de4381033d1e11169779dc2",
-    ("q-both-signs", False): "27740aaeef43889e3123677142360adf885af4b5032339c62475559eb63b1506",
-    ("q-both-signs", True): "27740aaeef43889e3123677142360adf885af4b5032339c62475559eb63b1506",
+    ("z-naked-zeros", False): "19364aeb70bfc548ce370346355b3920370fccfae986db3e85d23591ad1a302d",
+    ("z-naked-zeros", True): "19364aeb70bfc548ce370346355b3920370fccfae986db3e85d23591ad1a302d",
+    ("z-naked-far", False): "03e76b95a3c67d14b58c947b0abd00f6a6f9272fd7d84f5c922524b248fc54a6",
+    ("z-naked-far", True): "03e76b95a3c67d14b58c947b0abd00f6a6f9272fd7d84f5c922524b248fc54a6",
+    ("tau-negative-start", False): "af5815990c90cd3cbad034ab526f7c5f8ef1267f64ba5c914920b723bd32e00b",
+    ("tau-negative-start", True): "af5815990c90cd3cbad034ab526f7c5f8ef1267f64ba5c914920b723bd32e00b",
+    ("tau-near-horizon", False): "fdbb9d9574e1208ad225a416c1ec78c853b35caa5a6f6b54a86ed52adfda68d4",
+    ("tau-near-horizon", True): "fdbb9d9574e1208ad225a416c1ec78c853b35caa5a6f6b54a86ed52adfda68d4",
+    ("q-both-signs", False): "a59cffc741116824dbfe08caee2790767540d00ae8cdebf5b6cde942282d5ca9",
+    ("q-both-signs", True): "a59cffc741116824dbfe08caee2790767540d00ae8cdebf5b6cde942282d5ca9",
     ("q-past-max", False): "5e31edf3b279cd872cbd912f8d6c1944b7ac6624487e477d916885fc3ef11a86",
     ("q-past-max", True): "5e31edf3b279cd872cbd912f8d6c1944b7ac6624487e477d916885fc3ef11a86",
 }

@@ -8,12 +8,14 @@ from gravent import (
     DomainError,
     ETA,
     HorizonError,
+    circular_orbit_state,
     frame_transform_matrix,
     horizons,
     kruskal_map,
     kruskal_metric_matrix,
     kruskal_radius,
     kruskal_tetrad,
+    lambda_radial,
     metric_matrix,
     metric_potentials,
     outer_horizon,
@@ -40,11 +42,13 @@ def test_analytic_derivatives_match_finite_differences():
     for xi2 in (0.0, 0.16, 0.5):
         model = ChargedBlackHole(xi2)
         floor = (outer_horizon(xi2) or 0.0) + 0.3
-        for z in np.linspace(floor, 8.0, 7):
-            fd_a = (model.A(z + h) - model.A(z - h)) / (2 * h)
-            fd_b = (model.B(z + h) - model.B(z - h)) / (2 * h)
-            assert model.A_prime(float(z)) == pytest.approx(fd_a, abs=1e-7)
-            assert model.B_prime(float(z)) == pytest.approx(fd_b, abs=1e-7)
+        for z in np.linspace(floor, 8.0, 7).tolist():
+            (a_hi, b_hi, _), (a_lo, b_lo, _) = (metric_potentials(model, z + h),
+                                                metric_potentials(model, z - h))
+            _, _, a_prime = metric_potentials(model, z)
+            assert a_prime == pytest.approx((a_hi - a_lo) / (2 * h), abs=1e-7)
+            # B = -A, so B' = -A'
+            assert -a_prime == pytest.approx((b_hi - b_lo) / (2 * h), abs=1e-7)
 
 
 def test_negative_charge_rejected():
@@ -200,6 +204,12 @@ def test_kruskal_tetrad_values():
         kruskal_tetrad(0.0)
     with pytest.raises(DomainError):
         kruskal_tetrad(-1.0)
+    for theta in (0.0, math.pi):
+        with pytest.raises(DomainError, match="polar axis"):
+            kruskal_tetrad(2.0, theta)
+    for r in (0.0, -1.5):
+        with pytest.raises(DomainError, match="^radius must be positive"):
+            kruskal_metric_matrix(r)
 
 
 def test_kruskal_tetrad_reconstructs_minkowski():
@@ -207,3 +217,51 @@ def test_kruskal_tetrad_reconstructs_minkowski():
         e = kruskal_tetrad(r).as_matrix()
         g = kruskal_metric_matrix(r)
         assert np.abs(e.T @ g @ e - ETA).max() < 1e-12
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda: metric_potentials(ChargedBlackHole(0.16), NAN),
+    lambda: metric_potentials(ChargedBlackHole(0.16), INF),
+    lambda: tetrad_static(ChargedBlackHole(0.0), NAN, math.pi / 2),
+    lambda: metric_matrix(ChargedBlackHole(0.5), INF, math.pi / 2),
+    lambda: kruskal_map(NAN, 0.0),
+    lambda: kruskal_map(INF, 0.0),
+    lambda: kruskal_tetrad(NAN),
+    lambda: kruskal_metric_matrix(INF),
+    lambda: kruskal_metric_matrix(NAN),
+    lambda: lambda_radial(ChargedBlackHole(0.0), NAN, 0.3),
+    lambda: circular_orbit_state(ChargedBlackHole(0.0), INF, 0.6),
+], ids=["potentials-nan", "potentials-inf", "tetrad-nan", "metric-inf", "map-nan",
+        "map-inf", "kruskal-tetrad-nan", "kruskal-metric-inf", "kruskal-metric-nan",
+        "radial-fall-nan", "orbit-state-inf"])
+def test_non_finite_radius_rejected(call):
+    with pytest.raises(DomainError, match="^radius must be positive"):
+        call()
+
+
+@pytest.mark.parametrize("T, R", [(0.0, NAN), (NAN, 1.0), (INF, 0.0), (0.0, -INF),
+                                  (0.0, 1e160), (1e200, 1e200)])
+def test_kruskal_radius_rejects_points_without_a_finite_target(T, R):
+    # R^2 - T^2 is nan, infinite or overflows: no radius is defined
+    with pytest.raises(DomainError, match="no finite R\\^2-T\\^2"):
+        kruskal_radius(T, R)
+
+
+def test_kruskal_radius_finds_roots_out_to_the_largest_target():
+    # R^2 - T^2 = 1e300 has its root near r = 683, where e^r is still finite
+    r = kruskal_radius(0.0, 1e150)
+    assert 682.0 < r < 684.0
+    assert kruskal_map(r, 0.0).R == pytest.approx(1e150, rel=1e-10)
+    # the largest finite target keeps its root below r = 702
+    assert kruskal_radius(0.0, 1.3e154) == pytest.approx(701.78, abs=0.01)
+
+
+def test_metric_potentials_error_messages():
+    with pytest.raises(DomainError, match=r"^radius must be positive and finite, got z=-2\.0$"):
+        metric_potentials(ChargedBlackHole(0.0), -2.0)
+    with pytest.raises(HorizonError, match=r"^z=0\.5 is on or inside a horizon of charged "
+                                           r"black hole \(xi2=0\.16\) \(e\^\{2A\}=-3\.600e-01\)$"):
+        metric_potentials(ChargedBlackHole(0.16), 0.5)

@@ -18,6 +18,7 @@ from gravent import (
     lambda_circular,
     lambda_radial,
     metric_matrix,
+    metric_potentials,
     momentum_factor,
     product_integral,
     rotation_matrix,
@@ -147,7 +148,7 @@ def test_static_observer_acceleration():
     # q=0: held in place against gravity, a1 = e^{-B} A'
     model = ChargedBlackHole(0.16)
     state = circular_orbit_state(model, 1.6, 0.0)
-    a, b, a_prime = 0.0, model.B(1.6), model.A_prime(1.6)
+    _, b, a_prime = metric_potentials(model, 1.6)
     assert state.a1 == pytest.approx(math.exp(-b) * a_prime, rel=1e-14)
 
 
@@ -164,7 +165,8 @@ def test_lambda_circular_structure():
     model = ChargedBlackHole(0.16)
     lam = lambda_circular(model, 1.6, 0.6)
     gamma = math.hypot(0.6, 1.0)
-    fac = math.exp(-model.B(1.6)) * (model.A_prime(1.6) - 1.0 / 1.6)
+    _, b, a_prime = metric_potentials(model, 1.6)
+    fac = math.exp(-b) * (a_prime - 1.0 / 1.6)
     assert lam[0, 1] == pytest.approx(gamma * 0.36 * fac, rel=1e-14)
     assert lam[1, 0] == lam[0, 1]
     assert lam[1, 3] == pytest.approx(-gamma**2 * 0.6 * fac, rel=1e-14)
@@ -314,15 +316,15 @@ def test_lambda_radial_pure_boost():
     model = ChargedBlackHole(0.0)
     lam, rate = lambda_radial(model, 3.0, 0.5)
     gamma = 1.0 / math.sqrt(1.0 - 0.25)
-    expected = -gamma * model.A_prime(3.0) * math.exp(-model.B(3.0))
+    _, b, a_prime = metric_potentials(model, 3.0)
+    expected = -gamma * a_prime * math.exp(-b)
     assert lam[0, 1] == pytest.approx(expected, rel=1e-14)
     assert lam[1, 0] == lam[0, 1]
     assert (lam != 0.0).sum() == 2
     assert np.all(rate == 0.0)
     # v=0 limit
     lam0, _ = lambda_radial(model, 3.0, 0.0)
-    assert lam0[0, 1] == pytest.approx(
-        -model.A_prime(3.0) * math.exp(-model.B(3.0)), rel=1e-14)
+    assert lam0[0, 1] == pytest.approx(-a_prime * math.exp(-b), rel=1e-14)
     with pytest.raises(DomainError):
         lambda_radial(model, 3.0, 1.0)
 
@@ -439,6 +441,31 @@ def test_schwarzschild_rate_features():
         schwarzschild_rate(0.5, 0.6, 0.0)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -1.0, 0.0, 2 * MAX_RADIUS])
+def test_circular_rates_reject_radii_outside_the_orbit_domain(z):
+    # they read the radial factor through the orbit checks of Theta
+    model = ChargedBlackHole(0.5)
+    for call in (lambda: lambda_circular(model, z, 0.6),
+                 lambda: wigner_rate_w13(model, z, 0.6, 0.3),
+                 lambda: wigner_rate_matrix(model, z, 0.6, 0.3)):
+        with pytest.raises(DomainError, match="^(z must be|orbit radius)"):
+            call()
+
+
+def test_circular_rates_are_minus_the_radial_factor():
+    # e^{-B} (A' - 1/z) = -R(z): the generator and the rate read R(z) itself
+    for xi2, z in ((0.0, 2.5), (0.16, 1.6), (0.265, 0.7), (0.5, 4.0)):
+        model, (factor, _) = ChargedBlackHole(xi2), radial_factor(z, xi2)
+        q = 0.6
+        lam = lambda_circular(model, z, q)
+        assert lam[0, 1] == -math.sqrt(q * q + 1.0) * q * q * factor
+        assert lam[1, 3] == q * (q * q + 1.0) * factor
+        assert wigner_rate_w13(model, z, q, -1.2) == factor * momentum_factor(q, -1.2)
+    # no circle inside the outer horizon, though e^{2A} > 0 below the inner one
+    with pytest.raises(HorizonError):
+        lambda_circular(ChargedBlackHole(0.16), 0.1, 0.6)
+
+
 def test_kruskal_rate_features():
     q, p = 0.7, 0.2
     expected = math.exp(-0.5) * momentum_factor(q, p)
@@ -447,6 +474,9 @@ def test_kruskal_rate_features():
         kruskal_rate(0.0, q, p)
     with pytest.raises(DomainError):
         kruskal_rate(-2.0, q, p)
+    for r in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="^radius must be positive"):
+            kruskal_rate(r, q, p)
     # both columns decay with radius, the falling frame exponentially so
     assert abs(kruskal_rate(40.0, q, p)) < abs(kruskal_rate(10.0, q, p)) < abs(
         kruskal_rate(3.0, q, p))
