@@ -12,39 +12,65 @@ sweep's concurrence.  Sweep-style
 commands emit CSV (default), JSON or SVG with the resolved configuration
 embedded, so identical invocations produce byte-identical files.
 Unreadable or malformed input exits 2, input outside the domain exits 1.
+`horizons` and `zeros` run on gravent.roots and the standard library;
+every other command loads the numpy pipeline before it runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
-from .entanglement import BELL_STATES, bell_state
 from .errors import DomainError, GraventError
-from .experiments import (
-    SWEEP_VARIABLES,
-    SweepSpec,
-    figure_preset,
-    find_entanglement_minima,
-    frame_comparison,
-    oracle_equivalence_report,
-    radial_invariance_check,
-    resolve_sweep,
-    run_sweep,
-    validation_checks,
-)
-from .output import emit_csv, emit_json, emit_svg
-from .spacetime import horizons
-from .wigner import (
-    OrbitParams,
-    product_integral,  # not called here; perfbench/layers.py traces it at this module
-    theta_zeros,
-)
+from .roots import BELL_TAGS, SWEEP_VARIABLES, horizons, theta_zeros
+
+# The names the pipeline commands call, by module.  `horizons` and `zeros`
+# need none of them, so they are bound here only when first needed
+# (_load_pipeline), and those two commands never import numpy.
+_PIPELINE = {
+    "entanglement": ("BELL_STATES", "bell_state"),
+    "experiments": ("SweepSpec", "figure_preset", "find_entanglement_minima",
+                    "frame_comparison", "oracle_equivalence_report",
+                    "radial_invariance_check", "resolve_sweep", "run_sweep",
+                    "validation_checks"),
+    "output": ("emit_csv", "emit_json", "emit_svg"),
+    # product_integral is not called here; perfbench/layers.py traces it at this module
+    "wigner": ("OrbitParams", "product_integral"),
+}
+# the commands that run on roots and the standard library alone
+_LIGHT_COMMANDS = ("horizons", "zeros")
+
+
+def _load_pipeline() -> None:
+    """Bind the pipeline's names in this module, keeping any already set.
+
+    A name set on this module before the first load (a wrapper put on
+    cli.run_sweep, say) stays the one the commands call.  A name is bound
+    as its module defines it: a wrapper put on that module's attribute in
+    the meantime is left out, as when this module imported the pipeline
+    up front, so a call through cli does not pass two wrappers.  Loading
+    again binds nothing new.
+    """
+    import inspect  # loaded with numpy anyway; `horizons` and `zeros` need none of it
+
+    names = globals()
+    for module, attrs in _PIPELINE.items():
+        loaded = importlib.import_module(f"{__package__}.{module}")
+        for attr in attrs:
+            names.setdefault(attr, inspect.unwrap(
+                getattr(loaded, attr), stop=lambda f: f.__module__ == loaded.__name__))
+
+
+def __getattr__(name: str):
+    if any(name in attrs for attrs in _PIPELINE.values()):
+        _load_pipeline()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # valid for every xi2 (z+ <= 1), so the swept variable's default is its
 # placeholder in the fixed orbit, which each row overwrites
@@ -76,6 +102,7 @@ def _spec_dict(spec: SweepSpec) -> dict:
 
 def preset_config(n: int) -> dict:
     """The flat key/value form of figure_preset(n), suitable for --config."""
+    _load_pipeline()
     return _spec_dict(figure_preset(n))
 
 
@@ -146,6 +173,7 @@ def _render(fmt: str, columns, records, meta: dict, series: dict, axes, title: s
 
 
 def render_sweep(spec: SweepSpec, stationary_phase: bool, fmt: str) -> str:
+    _load_pipeline()
     resolved, notes = resolve_sweep(spec)
     rows = run_sweep(resolved, stationary_phase)
     meta = {**_sweep_meta(resolved, notes), "stationary_phase": stationary_phase}
@@ -222,6 +250,8 @@ def _cmd_frame_compare(args) -> int:
     lo, hi = args.r_lo, args.r_hi
     if math.isfinite(lo) and math.isfinite(hi) and not math.isfinite(hi - lo):
         raise DomainError(f"the span r_hi - r_lo of [{lo}, {hi}] overflows")
+    import numpy as np
+
     with np.errstate(invalid="ignore"):  # frame_comparison rejects non-finite ends
         grid = np.linspace(args.r_lo, args.r_hi, args.samples)
     rows = frame_comparison(grid, args.q, args.p)
@@ -305,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radial-check",
                        help="verify radial free fall leaves Bell states intact")
-    p.add_argument("--bell", choices=[chi.tag for chi in BELL_STATES] + ["all"],
+    p.add_argument("--bell", choices=list(BELL_TAGS) + ["all"],
                    default="all")
     p.set_defaults(fn=_cmd_radial_check)
 
@@ -335,6 +365,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.command not in _LIGHT_COMMANDS:
+            _load_pipeline()
         return args.fn(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

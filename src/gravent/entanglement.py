@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericalError
+from .roots import BELL_TAGS
 from .wigner import check_domain
 
 
@@ -47,10 +48,10 @@ class BellState:
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-CHI1 = BellState("chi1", (_INV_SQRT2, 0.0, 0.0, _INV_SQRT2))
-CHI2 = BellState("chi2", (_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2))
-CHI3 = BellState("chi3", (0.0, _INV_SQRT2, _INV_SQRT2, 0.0))
-CHI4 = BellState("chi4", (0.0, _INV_SQRT2, -_INV_SQRT2, 0.0))
+CHI1 = BellState(BELL_TAGS[0], (_INV_SQRT2, 0.0, 0.0, _INV_SQRT2))
+CHI2 = BellState(BELL_TAGS[1], (_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2))
+CHI3 = BellState(BELL_TAGS[2], (0.0, _INV_SQRT2, _INV_SQRT2, 0.0))
+CHI4 = BellState(BELL_TAGS[3], (0.0, _INV_SQRT2, -_INV_SQRT2, 0.0))
 BELL_STATES = (CHI1, CHI2, CHI3, CHI4)
 
 

@@ -50,8 +50,8 @@ from .entanglement import (
     reduced_density_closed,
 )
 from .errors import AssertionFailure, DomainError, GraventError
-from .spacetime import (ETA, ChargedBlackHole, frame_transform_matrix, kruskal_map,
-                        outer_horizon)
+from .roots import SWEEP_VARIABLES, outer_horizon, theta_zeros
+from .spacetime import ETA, ChargedBlackHole, frame_transform_matrix, kruskal_map
 from .wigner import (
     DOMAIN_CHECKS,
     TAU_S,
@@ -66,11 +66,8 @@ from .wigner import (
     spin_rep,
     theta_amplitude,
     theta_circular,  # not called here; perfbench/layers.py traces it at this module
-    theta_zeros,
     wigner_rate_matrix,
 )
-
-SWEEP_VARIABLES = ("q", "tau_ratio", "z")
 
 # A z-sweep may not start on the horizon itself; clamp just above it.
 HORIZON_CLAMP_MARGIN = 1e-3

@@ -1,4 +1,4 @@
-"""The charged black hole's static metric, tetrads, horizons and Kruskal maps.
+"""The charged black hole's static metric, tetrads and Kruskal maps.
 
 Everything is dimensionless: c = 1 and radii are measured in units of the
 mass radius, z = r / r_s.  The line element handled here is
@@ -6,7 +6,8 @@ mass radius, z = r / r_s.  The line element handled here is
     ds^2 = -e^{2A(z)} dt^2 + e^{2B(z)} dz^2 + z^2 (dtheta^2 + sin^2 theta dphi^2)
 
 with e^{2A} = e^{-2B} = 1 - 1/z + xi2/z^2 for a hole of squared charge
-xi2; the potentials' radial derivatives are analytic.
+xi2; the potentials' radial derivatives are analytic.  The horizons, the
+roots of e^{2A}, are in roots.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HorizonError
+from .roots import horizons
 
 # Minkowski metric in the local inertial frame, signature (-, +, +, +).
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
@@ -45,31 +47,6 @@ def check_radius(r: float, name: str = "r") -> None:
     """DomainError unless the radius r is finite and positive."""
     if not 0.0 < r < math.inf:
         raise DomainError(f"radius must be positive and finite, got {name}={r}")
-
-
-def horizons(xi2: float) -> list[float]:
-    """Real roots of z^2 - z + xi2 = 0, ascending.
-
-    These are the event-horizon radii of the charged hole: two for
-    xi2 < 1/4, the single degenerate root 1/2 for xi2 = 1/4, none for
-    xi2 > 1/4.  The product-of-roots form keeps the small root accurate.
-    """
-    if not (math.isfinite(xi2) and xi2 >= 0):
-        raise DomainError(f"xi2 must be finite and >= 0, got {xi2}")
-    disc = 1.0 - 4.0 * xi2
-    if disc < 0:
-        return []
-    if disc == 0:
-        return [0.5]
-    z_plus = 0.5 * (1.0 + math.sqrt(disc))
-    z_minus = xi2 / z_plus if z_plus > 0 else 0.0
-    return [z_minus, z_plus]
-
-
-def outer_horizon(xi2: float) -> float | None:
-    """Largest horizon radius, or None for a naked singularity."""
-    roots = horizons(xi2)
-    return roots[-1] if roots else None
 
 
 def metric_potentials(model: ChargedBlackHole, z: float) -> tuple[float, float, float]:
@@ -149,14 +126,22 @@ def kruskal_map(r: float, t: float) -> KruskalPoint:
     """Map (r, t) of the static chart to Kruskal (T, R).
 
     Exterior branch for r >= 1, future-interior branch for 0 < r < 1;
-    both satisfy R^2 - T^2 = 4 (r - 1) e^r.
+    both satisfy R^2 - T^2 = 4 (r - 1) e^r.  |T| and |R| grow like
+    sqrt|r - 1| e^{(r + |t|)/2}: the point is computed where both are
+    finite floats, about r + |t| + ln|r - 1| < 1418, and anything beyond
+    (or a t that is not finite) raises DomainError.
     """
     check_radius(r)
+    try:
+        amp = 2.0 * math.sqrt(abs(r - 1.0)) * math.exp(0.5 * r)
+        big, small = amp * math.cosh(0.5 * t), amp * math.sinh(0.5 * t)
+    except OverflowError:
+        big = math.inf
+    if not math.isfinite(big):
+        raise DomainError(f"Kruskal coordinates of (r={r}, t={t}) are not finite floats")
     if r >= 1.0:
-        amp = 2.0 * math.sqrt(r - 1.0) * math.exp(0.5 * r)
-        return KruskalPoint(amp * math.sinh(0.5 * t), amp * math.cosh(0.5 * t), r)
-    amp = 2.0 * math.sqrt(1.0 - r) * math.exp(0.5 * r)
-    return KruskalPoint(amp * math.cosh(0.5 * t), amp * math.sinh(0.5 * t), r)
+        return KruskalPoint(small, big, r)
+    return KruskalPoint(big, small, r)
 
 
 def kruskal_radius(T: float, R: float) -> float:
@@ -215,12 +200,19 @@ def kruskal_tetrad(r: float, theta: float = 0.5 * math.pi) -> Tetrad:
     """Free-falling frame adapted to the Kruskal chart; finite at r = 1.
 
     Components (sqrt(r) e^{r/2}, sqrt(r) e^{r/2}, 1/r, 1/(r sin theta)).
+    sqrt(r) e^{r/2} is a finite float for r up to about 1412; a larger
+    r raises DomainError.
     """
     check_radius(r)
     sin_t = math.sin(theta)
     if abs(sin_t) < 1e-12:
         raise DomainError(f"tetrad undefined on the polar axis (theta={theta})")
-    amp = math.sqrt(r) * math.exp(0.5 * r)
+    try:
+        amp = math.sqrt(r) * math.exp(0.5 * r)
+    except OverflowError:
+        amp = math.inf
+    if not math.isfinite(amp):
+        raise DomainError(f"Kruskal tetrad at r={r} is not a finite float")
     return Tetrad(amp, amp, 1.0 / r, 1.0 / (r * sin_t))
 
 

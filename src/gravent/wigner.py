@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HorizonError
-from .spacetime import HORIZON_TOL, check_radius, metric_potentials, outer_horizon
+from .roots import outer_horizon
+from .spacetime import HORIZON_TOL, check_radius, metric_potentials
 
 TAU_S = 2.0 * math.pi
 
@@ -226,26 +227,6 @@ def theta_circular(params: OrbitParams, p) -> float | np.ndarray:
     diverges toward the horizons, where z^2 - z + xi2 -> 0.
     """
     return theta_amplitude(params) * momentum_factor(params.q, p)
-
-
-def theta_zeros(xi2: float) -> list[float]:
-    """Orbit radii where the rotation angle vanishes for every momentum.
-
-    The real roots (3 -+ sqrt(9 - 32 xi2)) / 4 of 2z^2 - 3z + 4 xi2 = 0
-    (empty for xi2 > 9/32), keeping only radii outside the outer horizon.
-    The closed form is returned as is; no root-finder refines it.
-    """
-    zp = outer_horizon(xi2)  # checks xi2
-    disc = 9.0 - 32.0 * xi2
-    if disc < 0:
-        return []
-    if disc == 0:
-        roots = [0.75]
-    else:
-        d = math.sqrt(disc)
-        roots = [(3.0 - d) / 4.0, (3.0 + d) / 4.0]
-    floor = zp if zp is not None else 0.0
-    return [r for r in roots if r > floor]
 
 
 def lambda_radial(model, z: float, v: float) -> tuple[np.ndarray, np.ndarray]:

@@ -545,7 +545,7 @@ def test_no_module_reads_the_environment():
 
 
 # imported where perfbench/layers.py wraps them, and not called there
-_TRACED_ONLY = {("experiments", "theta_circular"), ("cli", "product_integral")}
+_TRACED_ONLY = {("experiments", "theta_circular")}
 
 
 def test_no_module_imports_a_name_it_never_uses():
@@ -576,6 +576,63 @@ def test_import_does_not_load_scipy_xml_sax_or_urllib():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+# the boot of the `gravent` console script, as perfbench/run.py's CLI_BOOT
+CLI_BOOT = "import sys; from gravent.cli import main; sys.exit(main())"
+# prints whether numpy is loaded as the last line of stdout, at exit
+REPORT_NUMPY = "import atexit, sys; atexit.register(lambda: print('numpy' in sys.modules)); "
+
+
+def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    src = str(Path(gravent.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_no_numpy():
+    done = run_fresh("import sys, gravent, gravent.cli; print('numpy' in sys.modules)")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["horizons", "--xi2", "0.16"], 0, "0.2\n0.8\n"),
+    (["zeros", "--xi2", "0.265"], 0, "0.5697224362\n0.9302775638\n"),
+    (["horizons", "--xi2", "nan"], 1, ""),
+    (["zeros", "--xi2", "nan"], 1, ""),
+], ids=["horizons", "zeros", "horizons-nan", "zeros-nan"])
+def test_horizons_and_zeros_load_no_numpy(argv, code, out):
+    done = run_fresh(REPORT_NUMPY + CLI_BOOT, *argv)
+    assert (done.returncode, done.stdout) == (code, out + "False\n")
+    if code:
+        assert done.stderr.startswith("error: DomainError: ")
+        assert done.stderr.count("\n") == 1
+    else:
+        assert done.stderr == ""
+
+
+def test_a_name_set_on_cli_before_the_pipeline_loads_is_the_one_called():
+    # a wrapper put on gravent.cli before main runs stays the function the command calls
+    code = ("import gravent.cli as cli, gravent.experiments as experiments\n"
+            "calls = []\n"
+            "cli.emit_csv = lambda columns, records, meta: calls.append(len(records)) or ''\n"
+            "code = cli.main(['figure', '1', '--samples', '3'])\n"
+            "print(code, calls, cli.run_sweep is experiments.run_sweep)")
+    done = run_fresh(code)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 [3] True\n", "")
+
+
+def test_render_sweep_runs_without_main():
+    # demos/03 calls render_sweep and preset_config directly, in a fresh interpreter
+    code = ("from dataclasses import replace\n"
+            "from gravent import figure_preset\n"
+            "from gravent.cli import preset_config, render_sweep\n"
+            "text = render_sweep(replace(figure_preset(1), samples=3), False, 'csv')\n"
+            "print(len(text.splitlines()) > 3, preset_config(4)['variable'])")
+    done = run_fresh(code)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True z\n", "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,10 +2,15 @@
 
 perfbench/layers.py wraps library functions by module attribute, and a
 missing attribute aborts a benchmark run; this test installs the hooks
-on a fresh tracer around one short sweep.  It only imports perfbench/.
+on a fresh tracer around one short sweep.  It only imports and runs
+perfbench/.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -60,3 +65,21 @@ def test_layers_install_around_validate(capsys):
     # whose after-hook compared its node count with the cap
     assert summary["spans"]["entanglement.trig_moments"]["calls"] == 9
     assert len(summary["samples"]["entanglement.trig_moments.nodes_final"]) == 9
+
+
+def test_traced_cli_wrappers_reach_the_command():
+    # perfbench/traced_cli.py wraps gravent.cli's names in a fresh interpreter
+    # before main runs; a command must call the wrappers, not the functions
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, str(PERFBENCH / "traced_cli.py"), "figure", "4",
+                           "--samples", "8", "--format", "svg"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stdout.rstrip().endswith("</svg>")
+    trace = [line for line in done.stderr.splitlines() if line.startswith("PERFBENCH-TRACE ")]
+    assert len(trace) == 1
+    spans = json.loads(trace[0].split(" ", 1)[1])["spans"]
+    assert spans["experiments.run_sweep"]["calls"] == 1
+    assert spans["output.emit_svg"]["calls"] == 1

@@ -140,6 +140,27 @@ def test_kruskal_map_basics():
         kruskal_map(0.0, 1.0)
 
 
+@pytest.mark.parametrize("call, args", [
+    (kruskal_map, (2000.0, 0.0)),     # e^{r/2} overflows
+    (kruskal_map, (3.0, 2000.0)),     # sinh(t/2) overflows
+    (kruskal_map, (1400.0, 20.0)),    # each factor finite, their product not
+    (kruskal_map, (3.0, math.nan)),
+    (kruskal_tetrad, (1500.0,)),      # e^{r/2} overflows
+    (kruskal_tetrad, (1413.0,)),      # sqrt(r) e^{r/2} overflows
+], ids=["map-r", "map-t", "map-product", "map-t-nan", "tetrad-r", "tetrad-product"])
+def test_kruskal_overflow_is_a_domain_error(call, args):
+    with pytest.raises(DomainError, match="not (a )?finite float"):
+        call(*args)
+
+
+def test_kruskal_map_and_tetrad_near_the_float_limit():
+    # the docstrings' ranges: r + |t| + ln|r - 1| < 1418, and r up to 1412
+    for r, t in ((1410.0, 0.0), (3.0, 1415.0), (0.5, 1419.0)):
+        p = kruskal_map(r, t)
+        assert math.isfinite(p.T) and math.isfinite(p.R)
+    assert math.isfinite(kruskal_tetrad(1412.0).e0t)
+
+
 def test_kruskal_roundtrip_grid():
     for r in np.geomspace(1.01, 50.0, 12):
         for t in (-10.0, -1.3, 0.0, 2.2, 10.0):
