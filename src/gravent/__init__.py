@@ -28,8 +28,8 @@ _EXPORTS = {
                "theta_circular", "wigner_rate_matrix", "wigner_rate_w13"),
     "entanglement": ("BELL_STATES", "BellState", "CHI1", "CHI2", "CHI3", "CHI4",
                      "MomentumDistribution", "TrigMoments", "batch_characteristic",
-                     "batch_reduced_density_bruteforce", "bell_state", "binary_entropy",
-                     "density_matrix_diagnostics", "entanglement_of_formation",
+                     "batch_reduced_density_bruteforce", "batch_trig_moments", "bell_state",
+                     "binary_entropy", "density_matrix_diagnostics", "entanglement_of_formation",
                      "reduced_density_bruteforce", "reduced_density_closed", "spin_flip",
                      "trig_moments", "wootters_concurrence"),
     "experiments": ("FrameRateRow", "RadialInvarianceReport", "SweepRow", "SweepSpec",

@@ -312,7 +312,8 @@ def _batch_average(integrand, amplitude, factor, q, beta) -> Averages:
     one momentum table per block, factor(q, p) with p of shape (1, nodes),
     with the bits a column of equal centres gives.  integrand maps angles
     (rows, nodes) to (rows, components, nodes).  This is the oracle's
-    rule: trig_moments and reduced_density_bruteforce are its one-row case.
+    rule, run by batch_trig_moments and batch_reduced_density_bruteforce;
+    trig_moments and reduced_density_bruteforce are their one-row case.
     """
     amplitude, q, beta = (np.asarray(v, dtype=float) for v in (amplitude, q, beta))
 
@@ -456,7 +457,7 @@ def _as_factor(theta_fn):
 def trig_moments(theta_fn, dist: MomentumDistribution) -> TrigMoments:
     """Gaussian averages of cos Theta(p) and sin Theta(p), on the real line in x.
 
-    The one-row case of _batch_average, with failures raised.
+    The one-row case of batch_trig_moments.
     theta_fn must accept an array of momenta; it may return one angle
     for all of them.  Under the probability weight, C^2 + S^2 <= 1
     always, with equality only for constant Theta.
@@ -464,8 +465,7 @@ def trig_moments(theta_fn, dist: MomentumDistribution) -> TrigMoments:
     the interval cap leaves a residual above FAIL_RESIDUAL or a Theta
     that turns too fast for the cap's rule.
     """
-    out = _raise_failed_rows(
-        _batch_average(_cis, [1.0], _as_factor(theta_fn), dist.q, dist.beta))
+    out = batch_trig_moments([1.0], _as_factor(theta_fn), dist.q, dist.beta)
     (c, s), = out.values
     return TrigMoments(C=float(c), S=float(s), residual=float(out.residual[0]),
                        nodes=int(out.nodes[0]))
@@ -546,6 +546,16 @@ def batch_reduced_density_bruteforce(amplitude, factor, q, beta) -> np.ndarray:
     """
     out = _batch_average(_rotation_products, amplitude, factor, q, beta)
     return _bell_densities(_raise_failed_rows(out).values, BELL_STATES)
+
+
+def batch_trig_moments(amplitude, factor, q, beta) -> Averages:
+    """trig_moments of each row: values[i] holds row i's (C, S).
+
+    The rows are those of _batch_average, on the real line in x; one
+    adaptive pass gives every row the bits and node count it gets alone.
+    The first row that fails raises the error trig_moments raises for it.
+    """
+    return _raise_failed_rows(_batch_average(_cis, amplitude, factor, q, beta))
 
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])

@@ -14,14 +14,14 @@ a fast one along a line s = t + i d where the oscillation is damped
 of one depth share one table of their line per level.  K is the
 concurrence of every Bell input; the reduced density matrices and
 Wootters' concurrence serve only as oracles in oracle_equivalence_report,
-which takes every draw's brute-force tensor from one batched quadrature
-pass and runs Wootters and the density-matrix checks on stacked 4x4
-matrices.  Failures are recorded per row (horizon, domain, quadrature
-non-convergence) instead of aborting the sweep; with the opt-in
-stationary-phase convention the horizon and non-convergent rows report
-zero moments and zero entanglement, the rapid-oscillation limit.  It is
-a fallback: no row of the presets or of the wide packets the tests
-sweep needs it.
+which takes every draw's moments from one batched quadrature pass and
+every draw's brute-force tensor from another, and runs Wootters and the
+density-matrix checks on stacked 4x4 matrices.  Failures are recorded
+per row (horizon, domain, quadrature non-convergence) instead of
+aborting the sweep; with the opt-in stationary-phase convention the
+horizon and non-convergent rows report zero moments and zero
+entanglement, the rapid-oscillation limit.  It is a fallback: no row
+of the presets or of the wide packets the tests sweep needs it.
 """
 
 from __future__ import annotations
@@ -40,8 +40,10 @@ from .entanglement import (
     NOT_FINITE,
     REDUCED_TOLERANCE,
     MomentumDistribution,
+    TrigMoments,
     batch_characteristic,
     batch_reduced_density_bruteforce,
+    batch_trig_moments,
     density_matrix_diagnostics,
     entanglement_of_formation,
     reduced_density_bruteforce,
@@ -383,9 +385,11 @@ def oracle_equivalence_report(draws: int = 100, seed: int = 20240808) -> dict:
     closed-vs-brute-force distance, concurrence against C^2+S^2, spread
     of the concurrence across Bell states, and the density-matrix
     hygiene numbers (hermiticity, trace, smallest eigenvalue).  Each draw
-    gets its amplitude once and its moments from its own trig_moments
-    call; one batched pass gives every draw's brute-force tensor, which
-    does not depend on the Bell state, contracted with all four states.
+    gets its amplitude once.  One batched pass gives every draw's
+    moments, and another every draw's brute-force tensor, which does not
+    depend on the Bell state, contracted with all four states; each draw
+    gets the bits its own trig_moments and reduced_density_bruteforce
+    calls give, and the first draw that fails raises their error.
     Wootters and the hygiene checks run on the stacked matrices, each
     matrix with the bits it gives alone.
     """
@@ -394,14 +398,12 @@ def oracle_equivalence_report(draws: int = 100, seed: int = 20240808) -> dict:
     rng = np.random.default_rng(seed)
     params = [random_orbit_params(rng) for _ in range(draws)]
     amplitude = np.array([theta_amplitude(p) for p in params])
-    closed, norms = [], []
-    for a, p in zip(amplitude.tolist(), params):
-        moments = trig_moments(lambda mom: a * momentum_factor(p.q, mom),
-                               MomentumDistribution(p.q, p.beta))
-        norms.append(moments.C ** 2 + moments.S ** 2)
-        closed.append([reduced_density_closed(chi, moments) for chi in BELL_STATES])
-    closed, norms = np.array(closed), np.array(norms)
     q, beta = np.array([(p.q, p.beta) for p in params]).T
+    moments = [TrigMoments(c, s) for c, s in
+               batch_trig_moments(amplitude, momentum_factor, q, beta).values.tolist()]
+    norms = np.array([m.C ** 2 + m.S ** 2 for m in moments])
+    closed = np.array([[reduced_density_closed(chi, m) for chi in BELL_STATES]
+                       for m in moments])
     brute = batch_reduced_density_bruteforce(amplitude, momentum_factor, q, beta)
     conc = wootters_concurrence(closed)
     diag = density_matrix_diagnostics(np.stack([closed, brute]))

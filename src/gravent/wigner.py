@@ -296,7 +296,11 @@ def product_integral(rate_fn, tau_i: float, tau_f: float, steps: int) -> np.ndar
 
     Each step exponentiates the rate at the step midpoint in closed form
     (_expm_planar), so every factor is an exact group element and the
-    global error is O(dtau^2).  rate_fn must return a square matrix of
+    global error is O(dtau^2).  The factors of each block of _STEP_BLOCK
+    steps are multiplied pairwise, level by level, the later factor of a
+    pair on the left and an odd last factor carried up a level; the
+    blocks' products are chained in time order.  Within a block, rounding
+    then grows with log(steps), not with steps.  rate_fn must return a square matrix of
     fixed shape with finite entries, of one of the kinds _expm_planar
     takes.
     """
@@ -310,8 +314,11 @@ def product_integral(rate_fn, tau_i: float, tau_f: float, steps: int) -> np.ndar
         finite = np.isfinite(rates).all(axis=(1, 2))
         if not finite.all():
             raise DomainError(f"non-finite rate at step {start + int(finite.argmin())}")
-        for step in _expm_planar(rates * dtau):
-            acc = step if acc is None else step @ acc
+        factors = _expm_planar(rates * dtau)
+        while len(factors) > 1:
+            paired = factors[1::2] @ factors[:len(factors) - 1:2]
+            factors = np.concatenate([paired, factors[-1:]]) if len(factors) % 2 else paired
+        acc = factors[0] if acc is None else factors[0] @ acc
     return acc
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,12 +18,14 @@ from gravent import (
     CHI2,
     CHI4,
     DomainError,
+    GraventError,
     MomentumDistribution,
     OrbitParams,
     SweepRow,
     SweepSpec,
     TrigMoments,
     batch_reduced_density_bruteforce,
+    batch_trig_moments,
     density_matrix_diagnostics,
     entanglement_of_formation,
     figure_preset,
@@ -681,19 +684,22 @@ def test_sweep_rows_build_no_orbit_params(monkeypatch):
 
 
 def test_stacked_oracle_gives_the_bits_of_one_matrix_calls():
-    # the brute-force tensor of all draws in one pass, contracted with the
-    # four Bell states on the stack, and Wootters and the hygiene numbers
-    # on stacked matrices, against the one-row, one-matrix calls
+    # every draw's moments and brute-force tensor in one pass each, the
+    # tensor contracted with the four Bell states on the stack, and Wootters
+    # and the hygiene numbers on stacked matrices, against the one-row,
+    # one-matrix calls
     rng = np.random.default_rng(20240808)
     params = [random_orbit_params(rng) for _ in range(100)]
     amplitude = np.array([theta_amplitude(p) for p in params])
-    brute = batch_reduced_density_bruteforce(
-        amplitude, momentum_factor, [p.q for p in params], [p.beta for p in params])
+    q, beta = [p.q for p in params], [p.beta for p in params]
+    batched = batch_trig_moments(amplitude, momentum_factor, q, beta)
+    brute = batch_reduced_density_bruteforce(amplitude, momentum_factor, q, beta)
     closed, one_brute = [], []
-    for p in params:
+    for p, (c, s), nodes in zip(params, batched.values.tolist(), batched.nodes.tolist()):
         theta_fn = lambda mom: theta_circular(p, mom)
         dist = MomentumDistribution(p.q, p.beta)
         moments = trig_moments(theta_fn, dist)
+        assert (c, s, nodes) == (moments.C, moments.S, moments.nodes)
         closed.append([reduced_density_closed(chi, moments) for chi in BELL_STATES])
         one_brute.append([reduced_density_bruteforce(chi, theta_fn, dist)
                           for chi in BELL_STATES])
@@ -712,7 +718,21 @@ def test_stacked_oracle_gives_the_bits_of_one_matrix_calls():
                                    for r in singles]), name
 
 
-def test_oracle_runs_one_quadrature_per_draw_and_one_for_the_tensor(monkeypatch):
+@pytest.mark.parametrize("amplitude,beta", [((0.2, 5e5, 1.0, 0.3), (0.5, 0.5, 1.0, 0.5)),
+                                           ((0.2, 1.0, 5e5), (0.5, 1.0, 0.5))])
+def test_batched_moments_raise_the_first_failing_rows_error(amplitude, beta):
+    # row 1 is too fast for the cap (ConvergenceError) or reaches the
+    # non-finite angle past p = 4 (DomainError), and so does a later row:
+    # the batch raises what row 1 raises alone
+    factor = lambda q, p: np.where(p > 4.0, np.inf, p)
+    with pytest.raises(GraventError) as alone:
+        trig_moments(lambda p: amplitude[1] * factor(0.0, p),
+                     MomentumDistribution(0.0, beta[1]))
+    with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
+        batch_trig_moments(amplitude, factor, 0.0, beta)
+
+
+def test_oracle_runs_one_quadrature_for_the_moments_and_one_for_the_tensor(monkeypatch):
     calls = []
     real = entanglement._adaptive_average
 
@@ -722,7 +742,7 @@ def test_oracle_runs_one_quadrature_per_draw_and_one_for_the_tensor(monkeypatch)
 
     monkeypatch.setattr(entanglement, "_adaptive_average", counted)
     oracle_equivalence_report(draws=100)
-    assert len(calls) <= 101
+    assert len(calls) == 2
 
 
 def test_oracle_catches_a_wrong_closed_form(monkeypatch, capsys):

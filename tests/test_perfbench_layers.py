@@ -61,10 +61,11 @@ def test_layers_install_around_validate(capsys):
     assert code == 0
     summary = tracer.summary()
     assert summary["spans"]["experiments.oracle_equivalence_report"]["calls"] == 1
-    # one draw and validate's 8 fast sweep rows: one trig_moments call each,
-    # whose after-hook compared its node count with the cap
-    assert summary["spans"]["entanglement.trig_moments"]["calls"] == 9
-    assert len(summary["samples"]["entanglement.trig_moments.nodes_final"]) == 9
+    # validate's 8 fast sweep rows: one trig_moments call each, whose
+    # after-hook compared its node count with the cap; the draw's moments
+    # come from batch_trig_moments, which the hook does not see
+    assert summary["spans"]["entanglement.trig_moments"]["calls"] == 8
+    assert len(summary["samples"]["entanglement.trig_moments.nodes_final"]) == 8
 
 
 def test_traced_cli_wrappers_reach_the_command():

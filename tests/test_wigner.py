@@ -31,7 +31,7 @@ from gravent import (
     wigner_rate_matrix,
     wigner_rate_w13,
 )
-from gravent.wigner import MAX_RADIUS, check_domain, radial_factor
+from gravent.wigner import MAX_RADIUS, _STEP_BLOCK, _expm_planar, check_domain, radial_factor
 
 Z1_016 = 1.2424428900898052          # (3 + sqrt(9 - 32*0.16)) / 4
 ZEROS_0265 = (0.5697224362268005, 0.9302775637731995)
@@ -410,6 +410,28 @@ def test_product_integral_step_matches_scipy_expm(kind):
         exact = expm(scale * gen)
         step = product_integral(lambda t: gen, 0.0, scale, 1)
         assert np.abs(step - exact).max() <= 1e-14 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 5, _STEP_BLOCK, _STEP_BLOCK + 1, 10_000])
+def test_product_integral_orders_non_commuting_factors_in_time(steps):
+    # the circular-orbit generator with a swept momentum mixes the 0-1 boost
+    # and the 1-3 rotation in a ratio that changes along the path, so factors
+    # of different steps do not commute; the product must be the left fold
+    # of the same factors, later times leftmost, across _STEP_BLOCK as well
+    model = ChargedBlackHole(0.16)
+    rate_fn = lambda tau: lambda_circular(model, 2.5, 0.2 + 0.8 * tau)
+    tau_f = 1.5
+    dtau = tau_f / steps
+    factors = _expm_planar(np.array([rate_fn((k + 0.5) * dtau) for k in range(steps)]) * dtau)
+    later_left = earlier_left = np.eye(4)
+    for step in factors:
+        later_left = step @ later_left
+        earlier_left = earlier_left @ step
+    got = product_integral(rate_fn, 0.0, tau_f, steps)
+    scale = np.abs(later_left).max()
+    assert np.abs(got - later_left).max() <= 1e-12 * scale
+    if steps > 1:  # the negative control: the reversed order misses by far more
+        assert np.abs(earlier_left - later_left).max() > 1e-6 * scale
 
 
 def test_product_integral_rejects_non_planar_generator():
