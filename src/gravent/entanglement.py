@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericalError
-from .roots import BELL_TAGS
-from .wigner import check_domain
+from .roots import BELL_TAGS, check_domain
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ def bell_state(tag: str) -> BellState:
 class MomentumDistribution:
     """Normalized Gaussian weight centered at q with width beta.
 
-    q and beta are held to the rules of OrbitParams (wigner.check_domain).
+    q and beta are held to the rules of OrbitParams (roots.check_domain).
     """
 
     q: float
@@ -613,11 +612,8 @@ def entanglement_of_formation(concurrence):
     Of a float, or of each element of an array with the float's bits.  The
     first C below -1e-12, above 1 + 1e-12 or nan raises DomainError.
     """
-    c = np.asarray(concurrence, dtype=float)
-    ok = (c >= -1e-12) & (c <= 1.0 + 1e-12)
-    if not ok.all():
-        raise DomainError(f"concurrence must lie in [0, 1], got {c.flat[ok.argmin()]}")
-    return binary_entropy(0.5 * (1.0 + np.sqrt(1.0 - np.square(np.clip(c, 0.0, 1.0)))))
+    check_domain({"concurrence": concurrence})
+    return binary_entropy(0.5 * (1.0 + np.sqrt(1.0 - np.square(np.clip(concurrence, 0.0, 1.0)))))
 
 
 @dataclass(frozen=True)

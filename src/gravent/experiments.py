@@ -52,13 +52,11 @@ from .entanglement import (
     reduced_density_closed,
 )
 from .errors import AssertionFailure, DomainError, GraventError
-from .roots import SWEEP_VARIABLES, outer_horizon, theta_zeros
+from .roots import DOMAIN_CHECKS, SWEEP_VARIABLES, check_domain, outer_horizon, theta_zeros
 from .spacetime import ETA, ChargedBlackHole, frame_transform_matrix, kruskal_map
 from .wigner import (
-    DOMAIN_CHECKS,
     TAU_S,
     OrbitParams,
-    check_domain,
     kruskal_rate,
     lambda_radial,
     momentum_factor,

@@ -1,10 +1,11 @@
-"""Closed-form roots of the charged hole, and the names the CLI offers.
+"""Closed-form roots of the charged hole, the input rules, and the names the CLI offers.
 
 The horizons solve z^2 - z + xi2 = 0 and the rotation-free circles
 2 z^2 - 3 z + 4 xi2 = 0 (z = r / r_s, xi2 the squared charge).  Both are
-quadratics solved with `math` alone, and the sweep variables and Bell
-tags are plain strings, so this module imports no numpy: `gravent
-horizons` and `gravent zeros` run on it and the standard library only.
+quadratics solved with `math` alone, the input rules (DOMAIN_CHECKS) are
+comparisons, and the sweep variables and Bell tags are plain strings, so
+this module imports no numpy: `gravent horizons` and `gravent zeros` run
+on it and the standard library only.
 """
 
 from __future__ import annotations
@@ -19,6 +20,65 @@ SWEEP_VARIABLES = ("q", "tau_ratio", "z")
 # The tags of the four Bell states chi1..chi4, in the order of BELL_STATES.
 BELL_TAGS = ("chi1", "chi2", "chi3", "chi4")
 
+# The bracket of M(q, p) is a difference of two terms of size ~q that is
+# of order 1 near p = q, so it loses about log10(q) digits: past this bound
+# it keeps fewer than 8, and from q ~ 1e16 on it cancels to exactly 0.
+MAX_MOMENTUM = 1e8
+
+# The radial factor's denominator 2 z^2 sqrt(z^2 - z + xi2) grows like 2 z^3
+# and overflows from z ~ 5.6e102; up to this radius every intermediate of
+# it stays finite.
+MAX_RADIUS = 1e100
+
+# (field, where a value is in the domain, message), in the order OrbitParams
+# checks them.  Comparisons, so nan fails each and a sweep masks a grid with them.
+DOMAIN_CHECKS = tuple((key, lambda v: abs(v) < math.inf, "{name} must be finite, got {value}")
+                      for key in ("xi2", "z", "q", "beta", "tau_ratio")) + (
+    ("xi2", lambda v: v >= 0, "{name} must be >= 0, got {value}"),
+    ("q", lambda v: abs(v) <= MAX_MOMENTUM,
+     f"|{{name}}| must be <= {MAX_MOMENTUM:g}, got {{name}}={{value}}"),
+    ("z", lambda v: v > 0, "orbit radius must be positive, got {name}={value}"),
+    ("z", lambda v: v <= MAX_RADIUS,
+     f"orbit radius must be <= {MAX_RADIUS:g}, got {{name}}={{value}}"),
+    ("beta", lambda v: v > 0, "{name} must be positive, got {value}"),
+    # 49 beta^2, which sets the ends of a sweep's line in s, underflows below ~3e-163
+    ("beta", lambda v: v >= 1e-150, "{name} must be >= 1e-150, got {value}"),
+    # the momenta q + beta x reach |q| + 7 beta, far below 1e154 where p * p overflows
+    ("beta", lambda v: v <= MAX_MOMENTUM,
+     f"{{name}} must be <= {MAX_MOMENTUM:g}, got {{value}}"),
+    ("tau_ratio", lambda v: v >= 0, "{name} must be >= 0, got {value}"),
+    # a radius of the metric or the Kruskal chart, which reaches down to r = 0
+    ("r", lambda v: (v > 0) & (v < math.inf),
+     "radius must be positive and finite, got {name}={value}"),
+    # a tetrad's leg 1/(r sin theta) diverges on the polar axis
+    ("off_axis", lambda v: abs(math.sin(v)) >= 1e-12,
+     "tetrad undefined on the polar axis (theta={value})"),
+    ("v", lambda v: abs(v) < 1, "|{name}| must be < 1, got {name}={value}"),
+    # a concurrence that rounding has moved past an end of [0, 1] by up to 1e-12
+    ("concurrence", lambda v: (v >= -1e-12) & (v <= 1 + 1e-12),
+     "{name} must lie in [0, 1], got {value}"),
+)
+
+
+def check_domain(values: dict, names: dict | None = None) -> None:
+    """Raise DomainError for the first entry of DOMAIN_CHECKS that fails.
+
+    Only the entries of the fields in values run, each on a number or an
+    array (anything with a non-zero ndim), whose first element at fault
+    the message names.  names renames a field in the messages.
+    """
+    for field, valid, message in DOMAIN_CHECKS:
+        if field in values:
+            value = values[field]
+            ok = valid(value)
+            if getattr(ok, "ndim", 0):  # an array
+                if ok.all():
+                    continue
+                ok, value = False, value.flat[ok.argmin()]
+            if not ok:
+                name = (names or {}).get(field, field)
+                raise DomainError(message.format(name=name, value=value))
+
 
 def horizons(xi2: float) -> list[float]:
     """Real roots of z^2 - z + xi2 = 0, ascending.
@@ -27,8 +87,7 @@ def horizons(xi2: float) -> list[float]:
     xi2 < 1/4, the single degenerate root 1/2 for xi2 = 1/4, none for
     xi2 > 1/4.  The product-of-roots form keeps the small root accurate.
     """
-    if not (math.isfinite(xi2) and xi2 >= 0):
-        raise DomainError(f"xi2 must be finite and >= 0, got {xi2}")
+    check_domain({"xi2": xi2})
     disc = 1.0 - 4.0 * xi2
     if disc < 0:
         return []

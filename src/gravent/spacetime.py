@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HorizonError
-from .roots import horizons
+from .roots import check_domain
 
 # Minkowski metric in the local inertial frame, signature (-, +, +, +).
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
@@ -40,13 +40,7 @@ class ChargedBlackHole:
     xi2: float
 
     def __post_init__(self):
-        horizons(self.xi2)  # checks the charge is finite and >= 0
-
-
-def check_radius(r: float, name: str = "r") -> None:
-    """DomainError unless the radius r is finite and positive."""
-    if not 0.0 < r < math.inf:
-        raise DomainError(f"radius must be positive and finite, got {name}={r}")
+        check_domain(vars(self))
 
 
 def metric_potentials(model: ChargedBlackHole, z: float) -> tuple[float, float, float]:
@@ -57,7 +51,7 @@ def metric_potentials(model: ChargedBlackHole, z: float) -> tuple[float, float, 
     HORIZON_TOL (on or inside a horizon, where the Wigner angle turns
     imaginary).
     """
-    check_radius(z, "z")
+    check_domain({"r": z}, {"r": "z"})
     g = 1.0 - 1.0 / z + model.xi2 / (z * z)
     if g < HORIZON_TOL:
         raise HorizonError(f"z={z} is on or inside a horizon of charged black hole "
@@ -92,10 +86,8 @@ def tetrad_static(model, z: float, theta: float) -> Tetrad:
     (DomainError at sin theta = 0).
     """
     a, b, _ = metric_potentials(model, z)
-    sin_t = math.sin(theta)
-    if abs(sin_t) < 1e-12:
-        raise DomainError(f"tetrad undefined on the polar axis (theta={theta})")
-    return Tetrad(math.exp(-a), math.exp(-b), 1.0 / z, 1.0 / (z * sin_t))
+    check_domain({"off_axis": theta})
+    return Tetrad(math.exp(-a), math.exp(-b), 1.0 / z, 1.0 / (z * math.sin(theta)))
 
 
 def metric_matrix(model, z: float, theta: float) -> np.ndarray:
@@ -131,7 +123,7 @@ def kruskal_map(r: float, t: float) -> KruskalPoint:
     finite floats, about r + |t| + ln|r - 1| < 1418, and anything beyond
     (or a t that is not finite) raises DomainError.
     """
-    check_radius(r)
+    check_domain({"r": r})
     try:
         amp = 2.0 * math.sqrt(abs(r - 1.0)) * math.exp(0.5 * r)
         big, small = amp * math.cosh(0.5 * t), amp * math.sinh(0.5 * t)
@@ -203,22 +195,19 @@ def kruskal_tetrad(r: float, theta: float = 0.5 * math.pi) -> Tetrad:
     sqrt(r) e^{r/2} is a finite float for r up to about 1412; a larger
     r raises DomainError.
     """
-    check_radius(r)
-    sin_t = math.sin(theta)
-    if abs(sin_t) < 1e-12:
-        raise DomainError(f"tetrad undefined on the polar axis (theta={theta})")
+    check_domain({"r": r, "off_axis": theta})
     try:
         amp = math.sqrt(r) * math.exp(0.5 * r)
     except OverflowError:
         amp = math.inf
     if not math.isfinite(amp):
         raise DomainError(f"Kruskal tetrad at r={r} is not a finite float")
-    return Tetrad(amp, amp, 1.0 / r, 1.0 / (r * sin_t))
+    return Tetrad(amp, amp, 1.0 / r, 1.0 / (r * math.sin(theta)))
 
 
 def kruskal_metric_matrix(r: float, theta: float = 0.5 * math.pi) -> np.ndarray:
     """Kruskal-chart metric diag(-(1/r)e^{-r}, (1/r)e^{-r}, r^2, r^2 sin^2)."""
-    check_radius(r)
+    check_domain({"r": r})
     f = math.exp(-r) / r
     s = math.sin(theta)
     return np.diag([-f, f, r * r, r * r * s * s])

@@ -24,21 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HorizonError
-from .roots import outer_horizon
-from .spacetime import HORIZON_TOL, check_radius, metric_potentials
+from .roots import check_domain, outer_horizon
+from .spacetime import HORIZON_TOL, metric_potentials
 
 TAU_S = 2.0 * math.pi
-
-# The bracket of M(q, p) is a difference of two terms of size ~q that is
-# of order 1 near p = q, so it loses about log10(q) digits: past this bound
-# it keeps fewer than 8, and from q ~ 1e16 on it cancels to exactly 0.
-MAX_MOMENTUM = 1e8
-
-# The radial factor's denominator 2 z^2 sqrt(z^2 - z + xi2) grows like 2 z^3
-# and overflows from z ~ 5.6e102; up to this radius every intermediate of
-# it stays finite.
-MAX_RADIUS = 1e100
-
 
 def momentum_factor(q, p):
     """M(q, p), the momentum dependence shared by every rotation-rate formula.
@@ -52,44 +41,6 @@ def momentum_factor(q, p):
     gamma = np.sqrt(q * q + 1.0)
     p = np.asarray(p, dtype=float)
     return q * gamma * (gamma - q * p / (np.sqrt(p * p + 1.0) + 1.0))
-
-
-# (field, where a value is in the domain, message), in the order OrbitParams
-# checks them.  Comparisons, so nan fails each and a sweep masks a grid with them.
-DOMAIN_CHECKS = tuple((key, lambda v: abs(v) < math.inf, "{name} must be finite, got {value}")
-                      for key in ("xi2", "z", "q", "beta", "tau_ratio")) + (
-    ("xi2", lambda v: v >= 0, "{name} must be >= 0, got {value}"),
-    ("q", lambda v: abs(v) <= MAX_MOMENTUM,
-     f"|{{name}}| must be <= {MAX_MOMENTUM:g}, got {{name}}={{value}}"),
-    ("z", lambda v: v > 0, "orbit radius must be positive, got {name}={value}"),
-    ("z", lambda v: v <= MAX_RADIUS,
-     f"orbit radius must be <= {MAX_RADIUS:g}, got {{name}}={{value}}"),
-    ("beta", lambda v: v > 0, "{name} must be positive, got {value}"),
-    # 49 beta^2, which sets the ends of a sweep's line in s, underflows below ~3e-163
-    ("beta", lambda v: v >= 1e-150, "{name} must be >= 1e-150, got {value}"),
-    # the momenta q + beta x reach |q| + 7 beta, far below 1e154 where p * p overflows
-    ("beta", lambda v: v <= MAX_MOMENTUM,
-     f"{{name}} must be <= {MAX_MOMENTUM:g}, got {{value}}"),
-    ("tau_ratio", lambda v: v >= 0, "{name} must be >= 0, got {value}"),
-)
-
-
-def check_domain(values: dict, names: dict | None = None) -> None:
-    """Raise DomainError for the first entry of DOMAIN_CHECKS that fails.
-
-    Only the entries of the fields in values run, each on a number or an
-    array, whose first element at fault the message names.  names renames
-    a field in the messages.
-    """
-    for field, valid, message in DOMAIN_CHECKS:
-        if field in values:
-            value = values[field]
-            ok = valid(value)
-            if isinstance(ok, np.ndarray):  # an array's first element at fault
-                ok, value = ok.all(), value.flat[ok.argmin()]
-            if not ok:
-                name = (names or {}).get(field, field)
-                raise DomainError(message.format(name=name, value=value))
 
 
 @dataclass(frozen=True)
@@ -236,8 +187,7 @@ def lambda_radial(model, z: float, v: float) -> tuple[np.ndarray, np.ndarray]:
     the associated 3x3 rotation rate is exactly zero, so the accumulated
     spin rotation is the identity whatever the elapsed time.
     """
-    if abs(v) >= 1.0:
-        raise DomainError(f"|v| must be < 1, got v={v}")
+    check_domain({"v": v})
     _, b, a_prime = metric_potentials(model, z)
     gamma = 1.0 / math.sqrt(1.0 - v * v)
     lam = np.zeros((4, 4))
@@ -339,6 +289,6 @@ def kruskal_rate(r: float, q: float, p) -> float | np.ndarray:
     the falling observer assigns.  Valid for all r > 0 down to the
     central singularity.
     """
-    check_radius(r)
+    check_domain({"r": r})
     prefactor = 0.25 / r * math.sqrt(math.exp(-r) / r) * (3.0 + r)
     return prefactor * momentum_factor(q, p)

@@ -37,7 +37,7 @@ from gravent import (
 )
 from gravent.cli import render_sweep
 from gravent.entanglement import Averages
-from gravent.wigner import MAX_MOMENTUM, MAX_RADIUS
+from gravent.roots import MAX_MOMENTUM, MAX_RADIUS
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 

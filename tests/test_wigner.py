@@ -31,7 +31,8 @@ from gravent import (
     wigner_rate_matrix,
     wigner_rate_w13,
 )
-from gravent.wigner import MAX_RADIUS, _STEP_BLOCK, _expm_planar, check_domain, radial_factor
+from gravent.roots import MAX_RADIUS, check_domain
+from gravent.wigner import _STEP_BLOCK, _expm_planar, radial_factor
 
 Z1_016 = 1.2424428900898052          # (3 + sqrt(9 - 32*0.16)) / 4
 ZEROS_0265 = (0.5697224362268005, 0.9302775637731995)
