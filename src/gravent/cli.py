@@ -26,7 +26,7 @@ import sys
 
 from . import __version__
 from .errors import DomainError, GraventError
-from .roots import BELL_TAGS, SWEEP_VARIABLES, horizons, theta_zeros
+from .roots import BELL_TAGS, SWEEP_VARIABLES, check_domain, horizons, theta_zeros
 
 # The names the pipeline commands call, by module.  `horizons` and `zeros`
 # need none of them, so they are bound here only when first needed
@@ -245,8 +245,7 @@ def _cmd_radial_check(args) -> int:
 
 
 def _cmd_frame_compare(args) -> int:
-    if args.samples < 1:
-        raise DomainError(f"samples must be >= 1, got {args.samples}")
+    check_domain({"count": args.samples}, {"count": "samples"})
     lo, hi = args.r_lo, args.r_hi
     if math.isfinite(lo) and math.isfinite(hi) and not math.isfinite(hi - lo):
         raise DomainError(f"the span r_hi - r_lo of [{lo}, {hi}] overflows")

@@ -594,26 +594,30 @@ def wootters_concurrence(rho: np.ndarray) -> float | np.ndarray:
 
 
 def binary_entropy(x):
-    """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0.
+    """h(x) = -x log2 x - (1-x) log1p(-x)/ln 2 for x in [0, 1], with h(0) = h(1) = 0.
 
-    Of a float, or of each element of an array with the float's bits:
-    log2 is math.log2 per value, whose bits np.log2 does not always give.
+    Of a float, or of each element of an array with the float's bits: the
+    logs are math's per value, whose bits numpy's do not always give.
     """
-    v = np.stack([x, 1.0 - np.asarray(x, dtype=float)])
-    live, terms = v > 0.0, np.zeros_like(v)
-    terms[live] = v[live] * np.fromiter(map(math.log2, v[live].tolist()), float)
-    h = 0.0 - terms[0] - terms[1]
+    check_domain({"x": x})
+    v = np.asarray(x, dtype=float)
+    h = np.fromiter((0.0 - (y * math.log2(y) if y > 0.0 else 0.0)
+                     - ((1.0 - y) * math.log1p(-y) / math.log(2.0) if y < 1.0 else 0.0)
+                     for y in v.ravel().tolist()), float, v.size).reshape(v.shape)
     return float(h) if h.ndim == 0 else h
 
 
 def entanglement_of_formation(concurrence):
-    """Entanglement of formation h((1 + sqrt(1 - C^2))/2) for C in [0, 1].
+    """Entanglement of formation h(y), y = C^2/(2 (1 + sqrt(1 - C^2))), for C in [0, 1].
 
-    Of a float, or of each element of an array with the float's bits.  The
-    first C below -1e-12, above 1 + 1e-12 or nan raises DomainError.
+    y = (1 - sqrt(1 - C^2))/2 without the cancellation, so E keeps its
+    relative digits as C -> 0.  Of a float, or of each element of an
+    array with the float's bits.  The first C below -1e-12, above 1 + 1e-12
+    or nan raises DomainError.
     """
     check_domain({"concurrence": concurrence})
-    return binary_entropy(0.5 * (1.0 + np.sqrt(1.0 - np.square(np.clip(concurrence, 0.0, 1.0)))))
+    k2 = np.square(np.clip(concurrence, 0.0, 1.0))
+    return binary_entropy(k2 / (2.0 * (1.0 + np.sqrt(1.0 - k2))))
 
 
 @dataclass(frozen=True)

@@ -391,8 +391,7 @@ def oracle_equivalence_report(draws: int = 100, seed: int = 20240808) -> dict:
     Wootters and the hygiene checks run on the stacked matrices, each
     matrix with the bits it gives alone.
     """
-    if draws < 1:
-        raise DomainError(f"draws must be >= 1, got {draws}")
+    check_domain({"count": draws}, {"count": "draws"})
     rng = np.random.default_rng(seed)
     params = [random_orbit_params(rng) for _ in range(draws)]
     amplitude = np.array([theta_amplitude(p) for p in params])

@@ -33,10 +33,12 @@ MAX_RADIUS = 1e100
 # (field, where a value is in the domain, message), in the order OrbitParams
 # checks them.  Comparisons, so nan fails each and a sweep masks a grid with them.
 DOMAIN_CHECKS = tuple((key, lambda v: abs(v) < math.inf, "{name} must be finite, got {value}")
-                      for key in ("xi2", "z", "q", "beta", "tau_ratio")) + (
+                      for key in ("xi2", "z", "q", "p", "beta", "tau_ratio", "theta", "tau_i",
+                                  "tau_f")) + (
     ("xi2", lambda v: v >= 0, "{name} must be >= 0, got {value}"),
-    ("q", lambda v: abs(v) <= MAX_MOMENTUM,
-     f"|{{name}}| must be <= {MAX_MOMENTUM:g}, got {{name}}={{value}}"),
+) + tuple((key, lambda v: abs(v) <= MAX_MOMENTUM,  # a momentum, of the packet or a particle
+           f"|{{name}}| must be <= {MAX_MOMENTUM:g}, got {{name}}={{value}}")
+          for key in ("q", "p")) + (
     ("z", lambda v: v > 0, "orbit radius must be positive, got {name}={value}"),
     ("z", lambda v: v <= MAX_RADIUS,
      f"orbit radius must be <= {MAX_RADIUS:g}, got {{name}}={{value}}"),
@@ -54,6 +56,8 @@ DOMAIN_CHECKS = tuple((key, lambda v: abs(v) < math.inf, "{name} must be finite,
     ("off_axis", lambda v: abs(math.sin(v)) >= 1e-12,
      "tetrad undefined on the polar axis (theta={value})"),
     ("v", lambda v: abs(v) < 1, "|{name}| must be < 1, got {name}={value}"),
+    ("x", lambda v: (v >= 0) & (v <= 1), "{name} must lie in [0, 1], got {value}"),
+    ("count", lambda v: v >= 1, "{name} must be >= 1, got {value}"),  # of steps, draws, samples
     # a concurrence that rounding has moved past an end of [0, 1] by up to 1e-12
     ("concurrence", lambda v: (v >= -1e-12) & (v <= 1 + 1e-12),
      "{name} must lie in [0, 1], got {value}"),

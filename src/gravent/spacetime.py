@@ -86,13 +86,14 @@ def tetrad_static(model, z: float, theta: float) -> Tetrad:
     (DomainError at sin theta = 0).
     """
     a, b, _ = metric_potentials(model, z)
-    check_domain({"off_axis": theta})
+    check_domain({"theta": theta, "off_axis": theta})
     return Tetrad(math.exp(-a), math.exp(-b), 1.0 / z, 1.0 / (z * math.sin(theta)))
 
 
 def metric_matrix(model, z: float, theta: float) -> np.ndarray:
     """Coordinate metric diag(-e^{2A}, e^{2B}, z^2, z^2 sin^2 theta)."""
     a, b, _ = metric_potentials(model, z)
+    check_domain({"theta": theta})
     s = math.sin(theta)
     return np.diag([-math.exp(2 * a), math.exp(2 * b), z * z, z * z * s * s])
 
@@ -195,7 +196,7 @@ def kruskal_tetrad(r: float, theta: float = 0.5 * math.pi) -> Tetrad:
     sqrt(r) e^{r/2} is a finite float for r up to about 1412; a larger
     r raises DomainError.
     """
-    check_domain({"r": r, "off_axis": theta})
+    check_domain({"r": r, "theta": theta, "off_axis": theta})
     try:
         amp = math.sqrt(r) * math.exp(0.5 * r)
     except OverflowError:
@@ -207,7 +208,7 @@ def kruskal_tetrad(r: float, theta: float = 0.5 * math.pi) -> Tetrad:
 
 def kruskal_metric_matrix(r: float, theta: float = 0.5 * math.pi) -> np.ndarray:
     """Kruskal-chart metric diag(-(1/r)e^{-r}, (1/r)e^{-r}, r^2, r^2 sin^2)."""
-    check_domain({"r": r})
+    check_domain({"r": r, "theta": theta})
     f = math.exp(-r) / r
     s = math.sin(theta)
     return np.diag([-f, f, r * r, r * r * s * s])

@@ -37,6 +37,7 @@ def momentum_factor(q, p):
     reduces to q*gamma exactly, and M is odd under (q, p) -> (-q, -p).
     M = q gamma - q^2 gamma (u(p) - u(q)) with u(p) = p / (sqrt(p^2 + 1) +
     1) = tanh(asinh(p)/2), the form the sweeps average every row in.
+    Unchecked: the quadratures call it on every block of nodes.
     """
     gamma = np.sqrt(q * q + 1.0)
     p = np.asarray(p, dtype=float)
@@ -86,6 +87,7 @@ def circular_orbit_state(model, z: float, q: float) -> CircularOrbitState:
     the only acceleration component is radial:
     a1 = gamma^2 e^{-B} (A' - (1/z)(gamma^2-1)/gamma^2).
     """
+    check_domain({"q": q})
     a, b, a_prime = metric_potentials(model, z)
     gamma2 = q * q + 1.0
     gamma = math.sqrt(gamma2)
@@ -102,6 +104,7 @@ def lambda_circular(model, z: float, q: float) -> np.ndarray:
         lam[1,3] = -lam[3,1] = gamma^3 v R(z),  v = q/gamma.
     lam @ ETA is antisymmetric, as for any Lorentz-algebra element.
     """
+    check_domain({"q": q})
     gamma = math.sqrt(q * q + 1.0)
     fac = -_charged_prefactor(z, model.xi2)
     lam = np.zeros((4, 4))
@@ -117,7 +120,7 @@ def wigner_rate_w13(model, z: float, q: float, p) -> float | np.ndarray:
     w13 = -e^{-B} (A' - 1/z) M(q, p) = R(z) M(q, p); all other independent
     components vanish for equatorial circular motion.
     """
-    return _charged_prefactor(z, model.xi2) * momentum_factor(q, p)
+    return _charged_prefactor(z, model.xi2) * _checked_momentum_factor(q, p)
 
 
 def wigner_rate_matrix(model, z: float, q: float, p: float) -> np.ndarray:
@@ -138,7 +141,8 @@ def radial_factor(z, xi2: float) -> tuple[np.ndarray, np.ndarray]:
     is finite, but no circle there lies outside the hole) and z where
     z^2 - z + xi2 -> 0 and the factor diverges, with no horizon near
     z = 1/2 at xi2 ~ 1/4.  IEEE + - * / and sqrt round alike in numpy
-    and math, so a float gives the bits math would.
+    and math, so a float gives the bits math would.  Unchecked: a sweep
+    masks its grid with DOMAIN_CHECKS.
     """
     z = np.asarray(z, dtype=float)[()]  # a float becomes a numpy scalar
     zp = outer_horizon(xi2)
@@ -162,6 +166,12 @@ def _charged_prefactor(z: float, xi2: float) -> float:
     return float(factor)
 
 
+def _checked_momentum_factor(q, p):
+    """momentum_factor(q, p) once the entries of DOMAIN_CHECKS for q and p pass."""
+    check_domain({"q": q, "p": p})
+    return momentum_factor(q, p)
+
+
 def theta_amplitude(params: OrbitParams) -> float:
     """2 pi (tau/tau_s) times the radial factor: Theta = amplitude * M(q, p).
 
@@ -177,7 +187,7 @@ def theta_circular(params: OrbitParams, p) -> float | np.ndarray:
     Vanishes identically in p when q = 0, tau = 0, or 2z^2 - 3z + 4 xi2 = 0;
     diverges toward the horizons, where z^2 - z + xi2 -> 0.
     """
-    return theta_amplitude(params) * momentum_factor(params.q, p)
+    return theta_amplitude(params) * _checked_momentum_factor(params.q, p)
 
 
 def lambda_radial(model, z: float, v: float) -> tuple[np.ndarray, np.ndarray]:
@@ -197,6 +207,7 @@ def lambda_radial(model, z: float, v: float) -> tuple[np.ndarray, np.ndarray]:
 
 def rotation_matrix(theta: float) -> np.ndarray:
     """Rotation by theta about the 2-axis of the local frame."""
+    check_domain({"theta": theta})
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
@@ -207,6 +218,7 @@ def spin_rep(theta: float) -> np.ndarray:
     spin_rep(a) @ spin_rep(b) == spin_rep(a + b) and the half angle makes
     it double-cover the rotation.
     """
+    check_domain({"theta": theta})
     c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
     return np.array([[c, -s], [s, c]], dtype=complex)
 
@@ -254,8 +266,7 @@ def product_integral(rate_fn, tau_i: float, tau_f: float, steps: int) -> np.ndar
     fixed shape with finite entries, of one of the kinds _expm_planar
     takes.
     """
-    if steps < 1:
-        raise DomainError(f"steps must be >= 1, got {steps}")
+    check_domain({"tau_i": tau_i, "tau_f": tau_f, "count": steps}, {"count": "steps"})
     dtau = (tau_f - tau_i) / steps
     acc = None
     for start in range(0, steps, _STEP_BLOCK):
@@ -279,16 +290,19 @@ def schwarzschild_rate(r: float, q: float, p) -> float | np.ndarray:
     times M(q, p): zero on the circle r = 3/2, divergent toward the
     horizon r = 1, HorizonError for r <= 1.
     """
-    return _charged_prefactor(r, 0.0) * momentum_factor(q, p)
+    return _charged_prefactor(r, 0.0) * _checked_momentum_factor(q, p)
 
 
 def kruskal_rate(r: float, q: float, p) -> float | np.ndarray:
     """Falling-frame (Kruskal tetrad) rotation rate; finite at r = 1.
 
     (1/(4r)) sqrt(e^{-r}/r) (3 + r) M(q, p), where q and p are the momenta
-    the falling observer assigns.  Valid for all r > 0 down to the
-    central singularity.
+    the falling observer assigns, for all r > 0 down to the singularity.
+    The prefactor grows like 0.75 r^{-3/2}, so below r ~ 4e-206 |M|^{2/3}
+    the rate is no finite float and raises DomainError.
     """
     check_domain({"r": r})
-    prefactor = 0.25 / r * math.sqrt(math.exp(-r) / r) * (3.0 + r)
-    return prefactor * momentum_factor(q, p)
+    rate = 0.25 / r * math.sqrt(math.exp(-r) / r) * (3.0 + r) * _checked_momentum_factor(q, p)
+    if not np.isfinite(rate).all():
+        raise DomainError(f"falling-frame rate at r={r} is not a finite float")
+    return rate

@@ -344,7 +344,7 @@ MINIMA_FIGURE_4 = """\
 # variable = 'z'
 # xi2 = 0.16
 z,E
-2.28644010317236,0.39104615952133537
+2.28644010317236,0.3910461595213355
 """
 
 
@@ -665,12 +665,14 @@ def test_small_commands_reject_non_finite_input(capsys, argv):
     ["frame-compare", "--r-lo=-1e308", "--r-hi=1e308"],
     ["sweep", "--variable", "z", "--lo", "2", "--hi", "6", "--samples", "4",
      "--xi2", "0.265", "--beta", "1e-200"],
+    ["frame-compare", "--r-lo", "1e-320", "--r-hi", "1", "--samples", "2"],
 ], ids=["frame-q-huge", "frame-p-huge", "frame-r-huge", "sweep-beta-huge",
-        "sweep-span-overflows", "frame-span-overflows", "sweep-beta-tiny"])
+        "sweep-span-overflows", "frame-span-overflows", "sweep-beta-tiny", "frame-r-tiny"])
 def test_commands_reject_out_of_range_input(capsys, argv):
     # past these bounds the rates read nan or come from an overflowed p * p,
-    # a grid whose span hi - lo overflows has an infinite step, and below
-    # beta = 1e-150 the ends of a line in s come from an underflowed 49 beta^2
+    # a grid whose span hi - lo overflows has an infinite step, below
+    # beta = 1e-150 the ends of a line in s come from an underflowed 49 beta^2,
+    # and below r ~ 4e-206 the falling-frame rate overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, *argv)

@@ -457,7 +457,8 @@ def test_oracle_report_keeps_its_bits(draws, seed):
 # line was chosen by the fastest turn in its packet, each time after the rows
 # were held to the x oracle (test_sweep_rows_match_the_x_oracle) and to the
 # references of test_quadrature; the goldens in demos/out cover only the six
-# presets.
+# presets.  Taken again once E was formed from the smaller eigenvalue
+# K^2/(2 (1 + sqrt(1 - K^2))): only E moved, by at most 4.5e-15.
 SEEDED_SPECS = {
     # two horizons: the lower edge is clamped just above z+ = 0.8
     "z-two-horizons": SweepSpec("z", 0.3, 3.1, 71, OrbitParams(0.16, 2.0, 0.45, 0.8, 4.2)),
@@ -481,20 +482,20 @@ SEEDED_SPECS = {
     "q-past-max": SweepSpec("q", -2.5e8, 2.5e8, 9, OrbitParams(0.1, 3.0, 0.0, 0.7, 2.0)),
 }
 SEEDED_DIGESTS = {
-    ("z-two-horizons", False): "b179bd9526f1721d2ce6f6d9f74aaead46bbb3bdc53c9a24092cdce7094150f0",
-    ("z-two-horizons", True): "b179bd9526f1721d2ce6f6d9f74aaead46bbb3bdc53c9a24092cdce7094150f0",
-    ("z-near-degenerate", False): "7ef11bcfa33163220400843ccb1eade852918a9674cda607bde6120514e2151f",
-    ("z-near-degenerate", True): "346624732304d532e27326a9e94d01afc2c39dbf9dd1ff366c765b9f9d128dc4",
-    ("z-naked-zeros", False): "19364aeb70bfc548ce370346355b3920370fccfae986db3e85d23591ad1a302d",
-    ("z-naked-zeros", True): "19364aeb70bfc548ce370346355b3920370fccfae986db3e85d23591ad1a302d",
-    ("z-naked-far", False): "03e76b95a3c67d14b58c947b0abd00f6a6f9272fd7d84f5c922524b248fc54a6",
-    ("z-naked-far", True): "03e76b95a3c67d14b58c947b0abd00f6a6f9272fd7d84f5c922524b248fc54a6",
-    ("tau-negative-start", False): "af5815990c90cd3cbad034ab526f7c5f8ef1267f64ba5c914920b723bd32e00b",
-    ("tau-negative-start", True): "af5815990c90cd3cbad034ab526f7c5f8ef1267f64ba5c914920b723bd32e00b",
-    ("tau-near-horizon", False): "fdbb9d9574e1208ad225a416c1ec78c853b35caa5a6f6b54a86ed52adfda68d4",
-    ("tau-near-horizon", True): "fdbb9d9574e1208ad225a416c1ec78c853b35caa5a6f6b54a86ed52adfda68d4",
-    ("q-both-signs", False): "a59cffc741116824dbfe08caee2790767540d00ae8cdebf5b6cde942282d5ca9",
-    ("q-both-signs", True): "a59cffc741116824dbfe08caee2790767540d00ae8cdebf5b6cde942282d5ca9",
+    ("z-two-horizons", False): "3629cf26516659dd94c79929f043362dc91c9112d70dcfac2bc0efff8713ab8d",
+    ("z-two-horizons", True): "3629cf26516659dd94c79929f043362dc91c9112d70dcfac2bc0efff8713ab8d",
+    ("z-near-degenerate", False): "4d30d8fb39bac8a85830569e3cfbf36b0d7d302dba9948e84ec2893041af1be5",
+    ("z-near-degenerate", True): "7eb3358f3e14bd6767395c72a5f932da803b94211145df64885e2c9de14f0442",
+    ("z-naked-zeros", False): "716646eae8bf688099cdd7fa5be286d4502e15060d2eade8ef1cc96360017350",
+    ("z-naked-zeros", True): "716646eae8bf688099cdd7fa5be286d4502e15060d2eade8ef1cc96360017350",
+    ("z-naked-far", False): "4f964c5ccb04527eac54f12aedb97aaeaaae63a2386e1e4d23a6bf1756cea1b6",
+    ("z-naked-far", True): "4f964c5ccb04527eac54f12aedb97aaeaaae63a2386e1e4d23a6bf1756cea1b6",
+    ("tau-negative-start", False): "1a3c9ac461fca72578edccc957e543ab42683a1b7c30443588ac7c8afda79e5b",
+    ("tau-negative-start", True): "1a3c9ac461fca72578edccc957e543ab42683a1b7c30443588ac7c8afda79e5b",
+    ("tau-near-horizon", False): "9c3de87769e45c2fb6ca65cd25f2b908bad430f177732799857bb7ece458fda3",
+    ("tau-near-horizon", True): "9c3de87769e45c2fb6ca65cd25f2b908bad430f177732799857bb7ece458fda3",
+    ("q-both-signs", False): "9bcda6e223ecba3a1807284822960a39fd258dd8ea816e3ffa390a48fb670b1b",
+    ("q-both-signs", True): "9bcda6e223ecba3a1807284822960a39fd258dd8ea816e3ffa390a48fb670b1b",
     ("q-past-max", False): "5e31edf3b279cd872cbd912f8d6c1944b7ac6624487e477d916885fc3ef11a86",
     ("q-past-max", True): "5e31edf3b279cd872cbd912f8d6c1944b7ac6624487e477d916885fc3ef11a86",
 }
@@ -543,34 +544,35 @@ def real_line_rows(spec, stationary_phase):
 # (row count, digest of repr(real_line_rows(spec, sp))) of the six presets
 # and SEEDED_SPECS, as the sweeps computed them while the fast rows were
 # still averaged on a line shifted in x.  Sweeps now average every row in
-# s = asinh p; the oracle's rule in x keeps every bit of those rows.
+# s = asinh p; the oracle's rule in x keeps every bit of those rows' C and S.
+# Their E was taken again once formed from the smaller eigenvalue.
 REAL_LINE_DIGESTS = {
-    ("preset-1", False): (23, "f20547d708cd2af00bb50a21502834dc4659d22bf50227d34d131e172fc44f12"),
-    ("preset-1", True): (23, "f20547d708cd2af00bb50a21502834dc4659d22bf50227d34d131e172fc44f12"),
-    ("preset-2", False): (11, "7714a9a4f90705ec49b7ecc98d5ec02cefff1d8212294a49652f3835e539e930"),
-    ("preset-2", True): (11, "7714a9a4f90705ec49b7ecc98d5ec02cefff1d8212294a49652f3835e539e930"),
-    ("preset-3", False): (210, "a4b98bfed5c9862e87b0608a5a7a2fa280acc64294aee0a3ae8258e3f28cd8fb"),
-    ("preset-3", True): (210, "a4b98bfed5c9862e87b0608a5a7a2fa280acc64294aee0a3ae8258e3f28cd8fb"),
-    ("preset-4", False): (389, "87623a3a13ed220d53991b1f8d33454d77d991616f6175b9de0b37da4333bdd1"),
-    ("preset-4", True): (389, "87623a3a13ed220d53991b1f8d33454d77d991616f6175b9de0b37da4333bdd1"),
-    ("preset-5", False): (367, "50d6db4698f783a4451971d9df7b3dec72cf67db45fc5718684134deaa3dfde0"),
-    ("preset-5", True): (367, "50d6db4698f783a4451971d9df7b3dec72cf67db45fc5718684134deaa3dfde0"),
-    ("preset-6", False): (337, "4eb286b1a2a5cdcf9b1501559c5ad9f97a3d389af6b2fd5a8e8683cf9b5a74c7"),
-    ("preset-6", True): (337, "4eb286b1a2a5cdcf9b1501559c5ad9f97a3d389af6b2fd5a8e8683cf9b5a74c7"),
-    ("z-two-horizons", False): (69, "e5760bf9db564a966a11299cb03781737c6bbd5f26d076407732e0429def26f0"),
-    ("z-two-horizons", True): (69, "e5760bf9db564a966a11299cb03781737c6bbd5f26d076407732e0429def26f0"),
+    ("preset-1", False): (23, "d655eb60424b56a4c4ec3f2b58adf751e29e5d47b14ef17db32b0bd14ba7ecf5"),
+    ("preset-1", True): (23, "d655eb60424b56a4c4ec3f2b58adf751e29e5d47b14ef17db32b0bd14ba7ecf5"),
+    ("preset-2", False): (11, "3eedbb25d521bb08ddd1945ce6a3864aeb7d8ffc5ad52aa53a4200dc24ac26eb"),
+    ("preset-2", True): (11, "3eedbb25d521bb08ddd1945ce6a3864aeb7d8ffc5ad52aa53a4200dc24ac26eb"),
+    ("preset-3", False): (210, "ae5edc78db19ad27534183195720f65045ae3707bcd39fdd66c7c313d2520dc3"),
+    ("preset-3", True): (210, "ae5edc78db19ad27534183195720f65045ae3707bcd39fdd66c7c313d2520dc3"),
+    ("preset-4", False): (389, "7f97c2c9bcb134d9d833af6ad28d9112c96abdf2ea1ffeac56179c4146bbcef3"),
+    ("preset-4", True): (389, "7f97c2c9bcb134d9d833af6ad28d9112c96abdf2ea1ffeac56179c4146bbcef3"),
+    ("preset-5", False): (367, "68ae18fd7cd07445a8430fa6da51b8f5678536904dbb20a3b9e830e9d788c2f0"),
+    ("preset-5", True): (367, "68ae18fd7cd07445a8430fa6da51b8f5678536904dbb20a3b9e830e9d788c2f0"),
+    ("preset-6", False): (337, "b65bb828d323c1602f6a3e8f66e406c9342b287b4dbb9402df2cb5b3be37c09c"),
+    ("preset-6", True): (337, "b65bb828d323c1602f6a3e8f66e406c9342b287b4dbb9402df2cb5b3be37c09c"),
+    ("z-two-horizons", False): (69, "fda277fd7935a87ad4085c894f1bf48b2aa80ff59b71bb33710515e85fe688fb"),
+    ("z-two-horizons", True): (69, "fda277fd7935a87ad4085c894f1bf48b2aa80ff59b71bb33710515e85fe688fb"),
     ("z-near-degenerate", False): (21, "088f3215013c6d91ded18b0b39d07f128a0f1c196565f984ce4f6c42c8f589a6"),
     ("z-near-degenerate", True): (21, "4bcaae20dbba5bac4e3d653225707ad7e7f32eb926a96dfaf8b9af2ce10484c6"),
-    ("z-naked-zeros", False): (54, "0da4d4ae08869cbc68fff33466c698ade2bd07dcb01aa7e4f9fc824db02a27e5"),
-    ("z-naked-zeros", True): (54, "0da4d4ae08869cbc68fff33466c698ade2bd07dcb01aa7e4f9fc824db02a27e5"),
-    ("z-naked-far", False): (47, "cde3d114535ed7b02c04407e6b853acaa6fbee3bc6ad10e7a570790229f14e2a"),
-    ("z-naked-far", True): (47, "cde3d114535ed7b02c04407e6b853acaa6fbee3bc6ad10e7a570790229f14e2a"),
-    ("tau-negative-start", False): (45, "52c4c1df28b1997096a67fc12ecec102b1b6457a87750b1ab4800331d404c7ec"),
-    ("tau-negative-start", True): (45, "52c4c1df28b1997096a67fc12ecec102b1b6457a87750b1ab4800331d404c7ec"),
-    ("tau-near-horizon", False): (7, "1b89640c6a03455562c2ded99596ebdc57a60b2ad0fc10f24acfdf34939e0b74"),
-    ("tau-near-horizon", True): (7, "1b89640c6a03455562c2ded99596ebdc57a60b2ad0fc10f24acfdf34939e0b74"),
-    ("q-both-signs", False): (8, "7501dc93389f83fdf5653f9293714f50cbebd8851aaf8fee513b8fccf70a37af"),
-    ("q-both-signs", True): (8, "7501dc93389f83fdf5653f9293714f50cbebd8851aaf8fee513b8fccf70a37af"),
+    ("z-naked-zeros", False): (54, "5e88f2a07ba82afec6c74fe5532987091d2160e19fd08a82c85ef1cad98022f6"),
+    ("z-naked-zeros", True): (54, "5e88f2a07ba82afec6c74fe5532987091d2160e19fd08a82c85ef1cad98022f6"),
+    ("z-naked-far", False): (47, "d05c3280f0de3292869eab4b048662a88ab97100d244557b12032510197a53d0"),
+    ("z-naked-far", True): (47, "d05c3280f0de3292869eab4b048662a88ab97100d244557b12032510197a53d0"),
+    ("tau-negative-start", False): (45, "e37cb5e5a77b97cadbebe6017ab8bb6c8feb4c7b65d8d8954f3462daed9290bb"),
+    ("tau-negative-start", True): (45, "e37cb5e5a77b97cadbebe6017ab8bb6c8feb4c7b65d8d8954f3462daed9290bb"),
+    ("tau-near-horizon", False): (7, "ad526bf4a14e2ca149faa535a656d6fc5c8caf7391e77964977a68697915e624"),
+    ("tau-near-horizon", True): (7, "ad526bf4a14e2ca149faa535a656d6fc5c8caf7391e77964977a68697915e624"),
+    ("q-both-signs", False): (8, "22028d1f1227384da0350ed10d0b07314325dec1bb66db5338e335857c29d302"),
+    ("q-both-signs", True): (8, "22028d1f1227384da0350ed10d0b07314325dec1bb66db5338e335857c29d302"),
     ("q-past-max", False): (7, "9dd09f3b3e37d5effb613559d4674f768753bffafa9feea7ea8dec4eb9199ac6"),
     ("q-past-max", True): (7, "9dd09f3b3e37d5effb613559d4674f768753bffafa9feea7ea8dec4eb9199ac6"),
 }

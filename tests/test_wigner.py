@@ -12,9 +12,12 @@ from gravent import (
     HorizonError,
     OrbitParams,
     SweepSpec,
+    binary_entropy,
     circular_orbit_state,
     figure_preset,
+    kruskal_metric_matrix,
     kruskal_rate,
+    kruskal_tetrad,
     lambda_circular,
     lambda_radial,
     metric_matrix,
@@ -500,6 +503,11 @@ def test_kruskal_rate_features():
     for r in (math.nan, math.inf):
         with pytest.raises(DomainError, match="^radius must be positive"):
             kruskal_rate(r, q, p)
+    # the prefactor 0.75 r^{-3/2} overflows below r ~ 4e-206
+    assert 1e300 < kruskal_rate(1e-200, 1.0, 0.0) < math.inf
+    for r in (1e-210, 1e-320):
+        with pytest.raises(DomainError, match=rf"^falling-frame rate at r={r} is not a finite"):
+            kruskal_rate(r, 1.0, 0.0)
     # both columns decay with radius, the falling frame exponentially so
     assert abs(kruskal_rate(40.0, q, p)) < abs(kruskal_rate(10.0, q, p)) < abs(
         kruskal_rate(3.0, q, p))
@@ -535,3 +543,40 @@ def test_theta_vanishes_only_on_the_zero_locus():
         assert np.sign(momentum_factor(q, p)) == np.sign(q)
     params = OrbitParams(0.16, 2.0, 0.7, 1.0, 3.0)  # generic point
     assert all(theta_circular(params, p) != 0.0 for p in (-2.0, 0.0, 1.0, 9.0))
+
+
+_MODEL = ChargedBlackHole(0.16)
+
+# Each exported function that takes a float of the physical domain, with
+# valid arguments and the positions of its float arguments.
+FLOAT_ARGUMENTS = {
+    "circular_orbit_state": (circular_orbit_state, (_MODEL, 2.0, 0.6), (1, 2)),
+    "lambda_circular": (lambda_circular, (_MODEL, 2.0, 0.6), (1, 2)),
+    "wigner_rate_w13": (wigner_rate_w13, (_MODEL, 2.0, 0.6, 0.3), (1, 2, 3)),
+    "wigner_rate_matrix": (wigner_rate_matrix, (_MODEL, 2.0, 0.6, 0.3), (1, 2, 3)),
+    "schwarzschild_rate": (schwarzschild_rate, (2.0, 0.6, 0.3), (0, 1, 2)),
+    "kruskal_rate": (kruskal_rate, (2.0, 0.6, 0.3), (0, 1, 2)),
+    "theta_circular": (theta_circular, (OrbitParams(0.16, 2.0, 0.6, 1.0, 5.0), 0.3), (1,)),
+    "lambda_radial": (lambda_radial, (_MODEL, 2.0, 0.4), (1, 2)),
+    "product_integral": (product_integral, (lambda tau: np.zeros((3, 3)), 0.0, 1.0, 4),
+                         (1, 2)),
+    "rotation_matrix": (rotation_matrix, (0.7,), (0,)),
+    "spin_rep": (spin_rep, (0.7,), (0,)),
+    "tetrad_static": (tetrad_static, (_MODEL, 2.0, 1.0), (1, 2)),
+    "metric_matrix": (metric_matrix, (_MODEL, 2.0, 1.0), (1, 2)),
+    "kruskal_tetrad": (kruskal_tetrad, (2.0, 1.0), (0, 1)),
+    "kruskal_metric_matrix": (kruskal_metric_matrix, (2.0, 1.0), (0, 1)),
+    "binary_entropy": (binary_entropy, (0.3,), (0,)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", sorted(FLOAT_ARGUMENTS))
+def test_every_float_argument_rejects_non_finite_values(name, value):
+    # each went through as nan or inf, or raised a bare ValueError, before
+    # its argument had an entry in DOMAIN_CHECKS
+    fn, args, floats = FLOAT_ARGUMENTS[name]
+    fn(*args)
+    for i in floats:
+        with pytest.raises(DomainError):
+            fn(*args[:i], value, *args[i + 1:])
