@@ -599,8 +599,8 @@ def binary_entropy(x):
     Of a float, or of each element of an array with the float's bits: the
     logs are math's per value, whose bits numpy's do not always give.
     """
-    check_domain({"x": x})
     v = np.asarray(x, dtype=float)
+    check_domain({"x": v})
     h = np.fromiter((0.0 - (y * math.log2(y) if y > 0.0 else 0.0)
                      - ((1.0 - y) * math.log1p(-y) / math.log(2.0) if y < 1.0 else 0.0)
                      for y in v.ravel().tolist()), float, v.size).reshape(v.shape)
@@ -615,8 +615,9 @@ def entanglement_of_formation(concurrence):
     array with the float's bits.  The first C below -1e-12, above 1 + 1e-12
     or nan raises DomainError.
     """
-    check_domain({"concurrence": concurrence})
-    k2 = np.square(np.clip(concurrence, 0.0, 1.0))
+    c = np.asarray(concurrence, dtype=float)
+    check_domain({"concurrence": c})
+    k2 = np.square(np.clip(c, 0.0, 1.0))
     return binary_entropy(k2 / (2.0 * (1.0 + np.sqrt(1.0 - k2))))
 
 

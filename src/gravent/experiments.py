@@ -431,14 +431,14 @@ def frame_comparison(r_grid, q: float, p: float) -> list[FrameRateRow]:
     The static column diverges toward r = 1 and vanishes at r = 3/2; the
     falling-frame column stays finite through the horizon.  Both trends
     are marked in the row flags; where radial_factor masks the static rate
-    it reads nan.  The grid must be non-empty, and the radii pass the
-    entries of DOMAIN_CHECKS for z, q and p those for q.
+    it reads nan.  The grid must be non-empty, the radii pass the entries
+    of DOMAIN_CHECKS for z and q and p their own, and kruskal_rate raises
+    where the falling-frame rate overflows.
     """
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size == 0:
         raise DomainError("the radius grid is empty")
-    check_domain({"z": r_grid, "q": q}, {"z": "r"})
-    check_domain({"q": p}, {"q": "p"})
+    check_domain({"z": r_grid, "q": q, "p": p}, {"z": "r"})
     factor, singular = radial_factor(r_grid, 0.0)
     static = np.where(singular, math.nan, factor) * momentum_factor(q, p)
     rows = []

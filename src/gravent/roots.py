@@ -30,8 +30,9 @@ MAX_MOMENTUM = 1e8
 # it stays finite.
 MAX_RADIUS = 1e100
 
-# (field, where a value is in the domain, message), in the order OrbitParams
-# checks them.  Comparisons, so nan fails each and a sweep masks a grid with them.
+# (field, where a value is in the domain, message), in the order check_domain
+# tries them, every finiteness entry first.  Comparisons, so nan fails each
+# and a sweep masks a grid with them.
 DOMAIN_CHECKS = tuple((key, lambda v: abs(v) < math.inf, "{name} must be finite, got {value}")
                       for key in ("xi2", "z", "q", "p", "beta", "tau_ratio", "theta", "tau_i",
                                   "tau_f")) + (

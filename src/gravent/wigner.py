@@ -29,6 +29,7 @@ from .spacetime import HORIZON_TOL, metric_potentials
 
 TAU_S = 2.0 * math.pi
 
+
 def momentum_factor(q, p):
     """M(q, p), the momentum dependence shared by every rotation-rate formula.
 
@@ -168,6 +169,7 @@ def _charged_prefactor(z: float, xi2: float) -> float:
 
 def _checked_momentum_factor(q, p):
     """momentum_factor(q, p) once the entries of DOMAIN_CHECKS for q and p pass."""
+    p = np.asarray(p, dtype=float)
     check_domain({"q": q, "p": p})
     return momentum_factor(q, p)
 

@@ -174,6 +174,26 @@ def _far_field_coefficient(fixed):
     return (2 * math.pi * fixed.tau_ratio) ** 2 * var / math.log(2)
 
 
+def _far_field_coefficient_from(variable, fixed):
+    # M - <M> = -q^2 gamma (u - <u>), u(p) = p/(sqrt(p^2 + 1) + 1), so
+    # Var[M] = q^4 gamma^2 Var[u]: c_inf through the variance of variable(p)
+    mean = _gaussian_average(variable, fixed.q, fixed.beta)
+    var = _gaussian_average(lambda p: (variable(p) - mean) ** 2, fixed.q, fixed.beta)
+    q2_gamma = fixed.q * fixed.q * math.sqrt(fixed.q * fixed.q + 1.0)
+    return (2 * math.pi * fixed.tau_ratio * q2_gamma) ** 2 * var / math.log(2)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_criterion_06_far_field_coefficient_through_the_variance_of_u(n):
+    fixed = figure_preset(n).fixed
+    c_inf = _far_field_coefficient(fixed)
+    through_u = _far_field_coefficient_from(lambda p: p / (math.sqrt(p * p + 1.0) + 1.0), fixed)
+    assert c_inf == pytest.approx(through_u, rel=1e-9)
+    # negative control: the variance of p in place of that of u misses by far more
+    through_p = _far_field_coefficient_from(lambda p: p, fixed)
+    assert abs(through_p / c_inf - 1.0) > 1.0
+
+
 def test_criterion_06_asymptotics():
     # Far out the prefactor is (1/z)(1 - 1/z + ...), so E recovers as
     # 1 - E = (c_inf / z^2)(1 - 2/z + ...) and first passes 0.999 near z = 129.2

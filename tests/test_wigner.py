@@ -580,3 +580,14 @@ def test_every_float_argument_rejects_non_finite_values(name, value):
     for i in floats:
         with pytest.raises(DomainError):
             fn(*args[:i], value, *args[i + 1:])
+
+
+def test_checked_functions_still_take_sequences():
+    # the checks run on the array a list becomes, as the formulas always did
+    model = ChargedBlackHole(0.16)
+    ps = [-1.0, 0.3, 2.0]
+    assert (wigner_rate_w13(model, 2.0, 0.6, ps) == wigner_rate_w13(model, 2.0, 0.6,
+                                                                    np.array(ps))).all()
+    assert (binary_entropy([0.0, 0.2, 1.0]) == binary_entropy(np.array([0.0, 0.2, 1.0]))).all()
+    with pytest.raises(DomainError, match=r"^p must be finite, got inf$"):
+        kruskal_rate(2.0, 0.6, [0.3, math.inf])
