@@ -19,13 +19,12 @@ _EXPORTS = {
                "GraventError", "HorizonError", "NumericalError"),
     "roots": ("horizons", "outer_horizon", "theta_zeros"),
     "spacetime": ("ChargedBlackHole", "ETA", "KruskalPoint", "Tetrad",
-                  "frame_transform_matrix", "kruskal_map", "kruskal_metric_matrix",
-                  "kruskal_radius", "kruskal_tetrad", "metric_matrix", "metric_potentials",
-                  "tetrad_static"),
+                  "frame_transform_matrix", "kruskal_map", "kruskal_radius", "metric_matrix",
+                  "metric_potentials", "tetrad_static"),
     "wigner": ("CircularOrbitState", "OrbitParams", "circular_orbit_state", "kruskal_rate",
                "lambda_circular", "lambda_radial", "momentum_factor", "product_integral",
-               "rotation_matrix", "schwarzschild_rate", "spin_rep", "theta_amplitude",
-               "theta_circular", "wigner_rate_matrix", "wigner_rate_w13"),
+               "rotation_matrix", "spin_rep", "theta_amplitude", "theta_circular",
+               "wigner_rate", "wigner_rate_matrix", "wigner_rate_w13"),
     "entanglement": ("BELL_STATES", "BellState", "CHI1", "CHI2", "CHI3", "CHI4",
                      "MomentumDistribution", "TrigMoments", "batch_characteristic",
                      "batch_reduced_density_bruteforce", "batch_trig_moments", "bell_state",

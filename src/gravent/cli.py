@@ -237,9 +237,8 @@ def _cmd_minima(args) -> int:
 
 def _cmd_radial_check(args) -> int:
     states = BELL_STATES if args.bell in (None, "all") else (bell_state(args.bell),)
-    for chi in states:
-        report = radial_invariance_check(chi)
-        print(f"{chi.tag}: PASS  (rotation angle {report.rotation_angle:.3e}, "
+    for report in radial_invariance_check(states):
+        print(f"{report.bell_tag}: PASS  (rotation angle {report.rotation_angle:.3e}, "
               f"max deviation {report.max_deviation:.3e})")
     return 0
 

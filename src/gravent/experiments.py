@@ -34,7 +34,6 @@ import numpy as np
 
 from .entanglement import (
     BELL_STATES,
-    BellState,
     CONVERGED,
     NO_CONVERGENCE,
     NOT_FINITE,
@@ -66,6 +65,7 @@ from .wigner import (
     spin_rep,
     theta_amplitude,
     theta_circular,  # not called here; perfbench/layers.py traces it at this module
+    wigner_rate,
     wigner_rate_matrix,
 )
 
@@ -323,38 +323,42 @@ class RadialInvarianceReport:
     max_deviation: float
 
 
-def radial_invariance_check(bell: BellState,
-                            dist: MomentumDistribution | None = None,
-                            rate_fn=None) -> RadialInvarianceReport:
-    """Radial free fall leaves any Bell state's density matrix intact.
+def radial_invariance_check(bells, dist: MomentumDistribution | None = None,
+                            rate_fn=None) -> list[RadialInvarianceReport]:
+    """Radial free fall leaves every Bell state's density matrix intact.
 
-    Accumulates the (identically zero) rotation rate along an infalling
-    radial path over 5 units of proper time in 256 steps, extracts the
-    accumulated angle, pushes it through the brute-force density pipeline
-    and compares against the untouched projector.  A deviation above 1e-10 raises AssertionFailure naming
-    the worst entry.  Supplying `rate_fn` overrides the radial rate; a
-    non-trivial one serves as a negative control.
+    Accumulates, over 5 units of proper time in 256 steps of an infalling
+    radial path, the rate wigner_rate derives from lambda_radial for the
+    packet's centroid momentum along the fall, which is exactly 0.0 (across
+    the fall it would not be).  The path is integrated once; its angle goes
+    through the brute-force density pipeline of each state in bells and is
+    compared against the untouched projector.  A deviation above 1e-10
+    raises AssertionFailure naming the first state at fault and its worst
+    entry.  Supplying `rate_fn` overrides the derived rate; a non-trivial
+    one serves as a negative control.
     """
     model = ChargedBlackHole(0.0)
+    dist = dist or MomentumDistribution(q=0.6, beta=1.0)
     if rate_fn is None:
         def rate_fn(tau):
             # infalling path, z from 6 down to 4
-            z = 6.0 - 0.4 * tau
-            return lambda_radial(model, z, 0.4)[1]
+            return wigner_rate(lambda_radial(model, 6.0 - 0.4 * tau, 0.4), (dist.q, 0.0, 0.0))
 
     accumulated = product_integral(rate_fn, 0.0, 5.0, 256)
     angle = math.atan2(accumulated[0, 2], accumulated[0, 0])
-    dist = dist or MomentumDistribution(q=0.6, beta=1.0)
-    rho = reduced_density_bruteforce(bell, lambda p: angle, dist)
-    deviation = np.abs(rho - bell.projector())
-    worst = np.unravel_index(deviation.argmax(), deviation.shape)
-    max_dev = float(deviation[worst])
-    if max_dev > 1e-10:
-        raise AssertionFailure(
-            f"{bell.tag}: entry {worst} deviates by {max_dev:.3e} "
-            f"(got {rho[worst]:.12f}, expected {bell.projector()[worst]:.12f})"
-        )
-    return RadialInvarianceReport(bell.tag, angle, max_dev)
+    reports = []
+    for bell in bells:
+        rho = reduced_density_bruteforce(bell, lambda p: angle, dist)
+        deviation = np.abs(rho - bell.projector())
+        worst = np.unravel_index(deviation.argmax(), deviation.shape)
+        max_dev = float(deviation[worst])
+        if max_dev > 1e-10:
+            raise AssertionFailure(
+                f"{bell.tag}: entry {worst} deviates by {max_dev:.3e} "
+                f"(got {rho[worst]:.12f}, expected {bell.projector()[worst]:.12f})"
+            )
+        reports.append(RadialInvarianceReport(bell.tag, angle, max_dev))
+    return reports
 
 
 def random_orbit_params(rng: np.random.Generator) -> OrbitParams:
@@ -490,7 +494,7 @@ def validation_checks(report: dict) -> list[tuple[str, bool, str]]:
 
     name = "radial-geodesic invariance (all Bell states)"
     try:
-        dev = max(radial_invariance_check(chi).max_deviation for chi in BELL_STATES)
+        dev = max(each.max_deviation for each in radial_invariance_check(BELL_STATES))
         checks.append((name, True, f"max deviation {dev:.3e}"))
     except GraventError as exc:
         checks.append((name, False, str(exc)))

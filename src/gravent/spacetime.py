@@ -1,4 +1,4 @@
-"""The charged black hole's static metric, tetrads and Kruskal maps.
+"""The charged black hole's static metric, static tetrad and Kruskal maps.
 
 Everything is dimensionless: c = 1 and radii are measured in units of the
 mass radius, z = r / r_s.  The line element handled here is
@@ -175,7 +175,9 @@ def kruskal_radius(T: float, R: float) -> float:
 def frame_transform_matrix(p: KruskalPoint) -> np.ndarray:
     """Local frame map from the static tetrad to the Kruskal tetrad.
 
-    A boost along the radial axis built from the point's (T, R); satisfies
+    The Kruskal tetrad, free-falling and finite at r = 1, has the legs
+    (sqrt(r) e^{r/2}, sqrt(r) e^{r/2}, 1/r, 1/(r sin theta)) in (T, R,
+    theta, phi).  A boost along the radial axis built from the point's (T, R); satisfies
     T eta T^t = eta.  Real only outside the horizon (r > 1).
     """
     if p.r - 1.0 < HORIZON_TOL:
@@ -188,27 +190,3 @@ def frame_transform_matrix(p: KruskalPoint) -> np.ndarray:
     out[1, 1] = a * p.R
     return out
 
-
-def kruskal_tetrad(r: float, theta: float = 0.5 * math.pi) -> Tetrad:
-    """Free-falling frame adapted to the Kruskal chart; finite at r = 1.
-
-    Components (sqrt(r) e^{r/2}, sqrt(r) e^{r/2}, 1/r, 1/(r sin theta)).
-    sqrt(r) e^{r/2} is a finite float for r up to about 1412; a larger
-    r raises DomainError.
-    """
-    check_domain({"r": r, "theta": theta, "off_axis": theta})
-    try:
-        amp = math.sqrt(r) * math.exp(0.5 * r)
-    except OverflowError:
-        amp = math.inf
-    if not math.isfinite(amp):
-        raise DomainError(f"Kruskal tetrad at r={r} is not a finite float")
-    return Tetrad(amp, amp, 1.0 / r, 1.0 / (r * math.sin(theta)))
-
-
-def kruskal_metric_matrix(r: float, theta: float = 0.5 * math.pi) -> np.ndarray:
-    """Kruskal-chart metric diag(-(1/r)e^{-r}, (1/r)e^{-r}, r^2, r^2 sin^2)."""
-    check_domain({"r": r, "theta": theta})
-    f = math.exp(-r) / r
-    s = math.sin(theta)
-    return np.diag([-f, f, r * r, r * r * s * s])

@@ -14,6 +14,8 @@ with the shared momentum factor
 
 tau_s, the period of a photon circling at the mass radius, equals 2 pi in
 these units and is absorbed into the prefactor; callers pass tau/tau_s.
+wigner_rate is the one place a 3x3 rate is formed from a path's 4x4
+generator (lambda_circular, lambda_radial).
 """
 
 from __future__ import annotations
@@ -115,22 +117,37 @@ def lambda_circular(model, z: float, q: float) -> np.ndarray:
     return lam
 
 
-def wigner_rate_w13(model, z: float, q: float, p) -> float | np.ndarray:
-    """The 1-3 rotation-rate element for particle momentum p.
+def wigner_rate(lam, p) -> np.ndarray:
+    """3x3 rotation rate of a particle of spatial momentum p under generator lam.
 
-    w13 = -e^{-B} (A' - 1/z) M(q, p) = R(z) M(q, p); all other independent
-    components vanish for equatorial circular motion.
+    Terashima & Ueda, Phys. Rev. A 69, 032113 (2004):
+        theta^i_k = lam^i_k + (lam^i_0 p^k - lam^k_0 p^i) / (k^0 + 1)
+    for i, k = 1..3, with k^0 = sqrt(1 + |p|^2); lam[a, b] = lam^a_b.  The
+    result is antisymmetric whenever lam @ ETA is.  p passes the entries of
+    DOMAIN_CHECKS for p.
+    """
+    lam, p = np.asarray(lam, dtype=float), np.asarray(p, dtype=float)
+    check_domain({"p": p})
+    boost = lam[1:, 0]
+    return lam[1:, 1:] + (boost[:, None] * p - p[:, None] * boost) / (np.sqrt(1.0 + p @ p) + 1.0)
+
+
+def wigner_rate_w13(model, z: float, q: float, p) -> float | np.ndarray:
+    """The 1-3 rotation-rate element for particle momentum p along the orbit.
+
+    w13 = -e^{-B} (A' - 1/z) M(q, p) = R(z) M(q, p), the closed form of
+    wigner_rate(lambda_circular(model, z, q), (0, 0, p))[0, 2], vectorized
+    over p for the sweeps.  The 2-3 element vanishes identically, the 1-2
+    element lam^1_0 p^2 / (k^0 + 1) only because p lies along the orbit
+    (the 3-axis); a radial fall's rate likewise vanishes only for p along
+    the fall (lambda_radial).
     """
     return _charged_prefactor(z, model.xi2) * _checked_momentum_factor(q, p)
 
 
 def wigner_rate_matrix(model, z: float, q: float, p: float) -> np.ndarray:
-    """3x3 antisymmetric rotation-rate matrix over spatial labels (1,2,3)."""
-    w13 = float(wigner_rate_w13(model, z, q, p))
-    w = np.zeros((3, 3))
-    w[0, 2] = w13
-    w[2, 0] = -w13
-    return w
+    """3x3 rotation rate of a particle of momentum p along the circular orbit."""
+    return wigner_rate(lambda_circular(model, z, q), (0.0, 0.0, p))
 
 
 def radial_factor(z, xi2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -192,19 +209,20 @@ def theta_circular(params: OrbitParams, p) -> float | np.ndarray:
     return theta_amplitude(params) * _checked_momentum_factor(params.q, p)
 
 
-def lambda_radial(model, z: float, v: float) -> tuple[np.ndarray, np.ndarray]:
-    """Generator and rotation rate for radial free fall at local speed v.
+def lambda_radial(model, z: float, v: float) -> np.ndarray:
+    """4x4 generator of radial free fall at local speed v.
 
-    The generator is a pure boost, lam[0,1] = lam[1,0] = -gamma A' e^{-B};
-    the associated 3x3 rotation rate is exactly zero, so the accumulated
-    spin rotation is the identity whatever the elapsed time.
+    A pure boost along the fall, lam[0,1] = lam[1,0] = -gamma A' e^{-B}.
+    Its rate wigner_rate(lam, p) is exactly zero for a momentum p along
+    the fall (the 1-axis), so such a spin never rotates; across the fall
+    theta^1_3 = lam^1_0 p^3 / (k^0 + 1) is not zero.
     """
     check_domain({"v": v})
     _, b, a_prime = metric_potentials(model, z)
     gamma = 1.0 / math.sqrt(1.0 - v * v)
     lam = np.zeros((4, 4))
     lam[0, 1] = lam[1, 0] = -gamma * a_prime * math.exp(-b)
-    return lam, np.zeros((3, 3))
+    return lam
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
@@ -283,16 +301,6 @@ def product_integral(rate_fn, tau_i: float, tau_f: float, steps: int) -> np.ndar
             factors = np.concatenate([paired, factors[-1:]]) if len(factors) % 2 else paired
         acc = factors[0] if acc is None else factors[0] @ acc
     return acc
-
-
-def schwarzschild_rate(r: float, q: float, p) -> float | np.ndarray:
-    """Static-frame rotation rate around the uncharged hole.
-
-    The xi2 = 0 case of Theta's radial factor, (1 - 3/(2r)) / (r sqrt(1 - 1/r)),
-    times M(q, p): zero on the circle r = 3/2, divergent toward the
-    horizon r = 1, HorizonError for r <= 1.
-    """
-    return _charged_prefactor(r, 0.0) * _checked_momentum_factor(q, p)
 
 
 def kruskal_rate(r: float, q: float, p) -> float | np.ndarray:

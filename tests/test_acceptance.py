@@ -31,11 +31,11 @@ from gravent import (
     radial_invariance_check,
     rotation_matrix,
     run_sweep,
-    schwarzschild_rate,
     sweep_point,
     theta_zeros,
     validation_checks,
     wigner_rate_matrix,
+    wigner_rate_w13,
 )
 from gravent.cli import main
 
@@ -277,7 +277,7 @@ def test_criterion_10_product_integral():
               for n in (32, 64, 128)]
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
 
-    boost_fn = lambda t: lambda_radial(model, 5.0 - 0.4 * t, 0.4)[0]
+    boost_fn = lambda t: lambda_radial(model, 5.0 - 0.4 * t, 0.4)
     lam = product_integral(boost_fn, 0.0, 4.0, 2000)
     u, _ = polar(lam[1:, 1:])
     rot_dev = float(np.abs(u - np.eye(3)).max())
@@ -290,10 +290,8 @@ def test_criterion_10_product_integral():
 
 
 def test_criterion_11_radial_invariance():
-    devs = {}
-    for chi in BELL_STATES:
-        report = radial_invariance_check(chi)
-        devs[chi.tag] = report.max_deviation
+    devs = {report.bell_tag: report.max_deviation
+            for report in radial_invariance_check(BELL_STATES)}
     ok = all(d < 1e-10 for d in devs.values())
     verdict(11, ok, "max deviations " +
             ", ".join(f"{k}={v:.2e}" for k, v in devs.items()))
@@ -301,10 +299,11 @@ def test_criterion_11_radial_invariance():
 
 
 def test_criterion_12_frame_comparison():
-    zero_at = brentq(lambda r: schwarzschild_rate(r, 1.0, 0.0), 1.2, 2.0,
+    static = ChargedBlackHole(0.0)  # the static-frame rate of the uncharged hole
+    zero_at = brentq(lambda r: wigner_rate_w13(static, r, 1.0, 0.0), 1.2, 2.0,
                      xtol=1e-14)
-    root_ok = abs(zero_at - 1.5) < 1e-10 and schwarzschild_rate(1.5, 1.0, 0.0) == 0.0
-    diverge = abs(schwarzschild_rate(1.0 + 1e-8, 1.0, 0.0))
+    root_ok = abs(zero_at - 1.5) < 1e-10 and wigner_rate_w13(static, 1.5, 1.0, 0.0) == 0.0
+    diverge = abs(wigner_rate_w13(static, 1.0 + 1e-8, 1.0, 0.0))
     diverge_ok = diverge > 1e3
     q, p = 0.7, 0.2
     kr_dev = abs(kruskal_rate(1.0, q, p)

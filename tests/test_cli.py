@@ -499,8 +499,8 @@ def test_validate_holds_the_sweep_path_to_the_x_oracle(capsys, monkeypatch):
 def test_validate_reports_a_failing_radial_check(capsys, monkeypatch):
     import gravent.experiments as experiments
 
-    def fails(bell, *args, **kwargs):
-        raise AssertionFailure(f"{bell.tag}: entry (0, 0) deviates")
+    def fails(bells, *args, **kwargs):
+        raise AssertionFailure(f"{bells[0].tag}: entry (0, 0) deviates")
 
     monkeypatch.setattr(experiments, "radial_invariance_check", fails)
     code, out, _ = run_cli(capsys, "validate", "--draws", "1")

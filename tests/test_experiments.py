@@ -14,6 +14,7 @@ from gravent.entanglement import TOL, QuadConfig
 from gravent import (
     AssertionFailure,
     BELL_STATES,
+    ChargedBlackHole,
     ConvergenceError,
     CHI2,
     CHI4,
@@ -31,6 +32,7 @@ from gravent import (
     figure_preset,
     find_entanglement_minima,
     frame_comparison,
+    lambda_radial,
     momentum_factor,
     oracle_equivalence_report,
     radial_invariance_check,
@@ -43,6 +45,7 @@ from gravent import (
     theta_amplitude,
     theta_circular,
     trig_moments,
+    wigner_rate,
     wootters_concurrence,
 )
 
@@ -348,24 +351,44 @@ def test_minima_of_a_wide_packet_are_refined_in_their_brackets():
 
 
 def test_radial_invariance_all_bells():
-    for chi in BELL_STATES:
-        report = radial_invariance_check(chi)
-        assert report.bell_tag == chi.tag
-        assert abs(report.rotation_angle) < 1e-14
-        assert report.max_deviation < 1e-10
+    reports = radial_invariance_check(BELL_STATES)
+    assert [report.bell_tag for report in reports] == [chi.tag for chi in BELL_STATES]
+    for report in reports:
+        # the derived rate along the fall is exactly 0.0, and so is the angle
+        assert report.rotation_angle == 0.0 and not math.copysign(1.0, report.rotation_angle) < 0
+        assert report.max_deviation == 0.0
+
+
+def test_radial_invariance_integrates_the_path_once(monkeypatch):
+    calls = []
+    real = experiments.lambda_radial
+    monkeypatch.setattr(experiments, "lambda_radial",
+                        lambda *args: calls.append(args) or real(*args))
+    assert len(radial_invariance_check(BELL_STATES)) == 4
+    assert len(calls) == 256
 
 
 def test_radial_invariance_negative_control():
     spoiled = np.zeros((3, 3))
     spoiled[0, 2] = 0.15
     spoiled[2, 0] = -0.15
-    with pytest.raises(AssertionFailure):
-        radial_invariance_check(CHI2, rate_fn=lambda tau: spoiled)
+    with pytest.raises(AssertionFailure, match="^chi2: "):
+        radial_invariance_check([CHI2], rate_fn=lambda tau: spoiled)
+
+
+def test_radial_invariance_fails_for_a_momentum_across_the_fall():
+    # the same path, the packet's momentum turned onto the 3-axis
+    model = ChargedBlackHole(0.0)
+    across = lambda tau: wigner_rate(lambda_radial(model, 6.0 - 0.4 * tau, 0.4),
+                                     (0.0, 0.0, 0.6))
+    # chi1 is invariant under the same rotation of both spins, chi2 is not
+    with pytest.raises(AssertionFailure, match="^chi2: entry .* deviates by 1.768e-02"):
+        radial_invariance_check(BELL_STATES, rate_fn=across)
 
 
 def test_radial_invariance_respects_distribution():
-    report = radial_invariance_check(
-        CHI4, dist=MomentumDistribution(q=-0.4, beta=2.0))
+    [report] = radial_invariance_check(
+        [CHI4], dist=MomentumDistribution(q=-0.4, beta=2.0))
     assert report.max_deviation < 1e-10
 
 

@@ -1,6 +1,8 @@
 """The package's public names: the same surface, resolved on first use."""
 
+import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -16,13 +18,12 @@ EXPORTS = {
                "GraventError", "HorizonError", "NumericalError"],
     "roots": ["horizons", "outer_horizon", "theta_zeros"],
     "spacetime": ["ChargedBlackHole", "ETA", "KruskalPoint", "Tetrad",
-                  "frame_transform_matrix", "kruskal_map", "kruskal_metric_matrix",
-                  "kruskal_radius", "kruskal_tetrad", "metric_matrix", "metric_potentials",
-                  "tetrad_static"],
+                  "frame_transform_matrix", "kruskal_map", "kruskal_radius", "metric_matrix",
+                  "metric_potentials", "tetrad_static"],
     "wigner": ["CircularOrbitState", "OrbitParams", "circular_orbit_state", "kruskal_rate",
                "lambda_circular", "lambda_radial", "momentum_factor", "product_integral",
-               "rotation_matrix", "schwarzschild_rate", "spin_rep", "theta_amplitude",
-               "theta_circular", "wigner_rate_matrix", "wigner_rate_w13"],
+               "rotation_matrix", "spin_rep", "theta_amplitude", "theta_circular",
+               "wigner_rate", "wigner_rate_matrix", "wigner_rate_w13"],
     "entanglement": ["BELL_STATES", "BellState", "CHI1", "CHI2", "CHI3", "CHI4",
                      "MomentumDistribution", "TrigMoments", "batch_characteristic",
                      "batch_reduced_density_bruteforce", "batch_trig_moments", "bell_state",
@@ -40,7 +41,7 @@ NAMES = [name for names in EXPORTS.values() for name in names]
 
 
 def test_all_lists_every_export_once():
-    assert len(NAMES) == 74
+    assert len(NAMES) == 72
     assert sorted(gravent.__all__) == sorted(NAMES)
 
 
@@ -78,3 +79,33 @@ def test_a_fresh_import_reaches_submodules_as_attributes():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """The names a module reads, as a name or an attribute, outside the def of that name."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in inside:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_exported_geometry_function_is_run_by_the_package_or_a_demo():
+    # a function of spacetime or wigner that no command, check or demo calls
+    # is kept alive by its own tests alone; an import does not count as a use
+    package = Path(gravent.__file__).parent
+    paths = [*package.glob("*.py"), *(package.parents[1] / "demos").glob("*.py")]
+    used = set().union(*(_references(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in paths))
+    exported = {name for module in ("spacetime", "wigner") for name in EXPORTS[module]
+                if inspect.isfunction(getattr(importlib.import_module(f"gravent.{module}"), name))}
+    assert sorted(exported - used) == []

@@ -12,17 +12,13 @@ from gravent import (
     frame_transform_matrix,
     horizons,
     kruskal_map,
-    kruskal_metric_matrix,
     kruskal_radius,
-    kruskal_tetrad,
     lambda_radial,
     metric_matrix,
     metric_potentials,
     outer_horizon,
     tetrad_static,
 )
-
-TWO_E_SQUARED = 14.778112197861301  # 2 e^2, arbitrary-precision value
 
 
 def test_charged_hole_closed_form():
@@ -145,20 +141,17 @@ def test_kruskal_map_basics():
     (kruskal_map, (3.0, 2000.0)),     # sinh(t/2) overflows
     (kruskal_map, (1400.0, 20.0)),    # each factor finite, their product not
     (kruskal_map, (3.0, math.nan)),
-    (kruskal_tetrad, (1500.0,)),      # e^{r/2} overflows
-    (kruskal_tetrad, (1413.0,)),      # sqrt(r) e^{r/2} overflows
-], ids=["map-r", "map-t", "map-product", "map-t-nan", "tetrad-r", "tetrad-product"])
+], ids=["map-r", "map-t", "map-product", "map-t-nan"])
 def test_kruskal_overflow_is_a_domain_error(call, args):
     with pytest.raises(DomainError, match="not (a )?finite float"):
         call(*args)
 
 
 def test_kruskal_map_and_tetrad_near_the_float_limit():
-    # the docstrings' ranges: r + |t| + ln|r - 1| < 1418, and r up to 1412
+    # the docstring's range: r + |t| + ln|r - 1| < 1418
     for r, t in ((1410.0, 0.0), (3.0, 1415.0), (0.5, 1419.0)):
         p = kruskal_map(r, t)
         assert math.isfinite(p.T) and math.isfinite(p.R)
-    assert math.isfinite(kruskal_tetrad(1412.0).e0t)
 
 
 def test_kruskal_roundtrip_grid():
@@ -209,35 +202,10 @@ def test_frame_transform_composes_static_into_kruskal_tetrad():
     columns = jac @ e_static
     tmat = frame_transform_matrix(point)
     transformed = columns @ tmat.T
-    expected = kruskal_tetrad(r, math.pi / 2).as_matrix()
+    # the Kruskal tetrad's legs at theta = pi/2
+    leg = math.sqrt(r) * math.exp(0.5 * r)
+    expected = np.diag([leg, leg, 1.0 / r, 1.0 / r])
     assert np.abs(transformed - expected).max() < 1e-10
-
-
-def test_kruskal_tetrad_values():
-    t = kruskal_tetrad(1.0)
-    assert t.e0t == pytest.approx(math.sqrt(math.e), rel=1e-14)
-    assert math.isfinite(t.e0t)
-    t = kruskal_tetrad(4.0)
-    assert t.e0t == pytest.approx(TWO_E_SQUARED, rel=1e-14)
-    # angular legs diverge as 1/r toward the singularity
-    assert kruskal_tetrad(1e-6).e2theta == pytest.approx(1e6, rel=1e-12)
-    with pytest.raises(DomainError):
-        kruskal_tetrad(0.0)
-    with pytest.raises(DomainError):
-        kruskal_tetrad(-1.0)
-    for theta in (0.0, math.pi):
-        with pytest.raises(DomainError, match="polar axis"):
-            kruskal_tetrad(2.0, theta)
-    for r in (0.0, -1.5):
-        with pytest.raises(DomainError, match="^radius must be positive"):
-            kruskal_metric_matrix(r)
-
-
-def test_kruskal_tetrad_reconstructs_minkowski():
-    for r in (0.3, 1.0, 2.5, 7.0):
-        e = kruskal_tetrad(r).as_matrix()
-        g = kruskal_metric_matrix(r)
-        assert np.abs(e.T @ g @ e - ETA).max() < 1e-12
 
 
 NAN, INF = math.nan, math.inf
@@ -250,14 +218,10 @@ NAN, INF = math.nan, math.inf
     lambda: metric_matrix(ChargedBlackHole(0.5), INF, math.pi / 2),
     lambda: kruskal_map(NAN, 0.0),
     lambda: kruskal_map(INF, 0.0),
-    lambda: kruskal_tetrad(NAN),
-    lambda: kruskal_metric_matrix(INF),
-    lambda: kruskal_metric_matrix(NAN),
     lambda: lambda_radial(ChargedBlackHole(0.0), NAN, 0.3),
     lambda: circular_orbit_state(ChargedBlackHole(0.0), INF, 0.6),
 ], ids=["potentials-nan", "potentials-inf", "tetrad-nan", "metric-inf", "map-nan",
-        "map-inf", "kruskal-tetrad-nan", "kruskal-metric-inf", "kruskal-metric-nan",
-        "radial-fall-nan", "orbit-state-inf"])
+        "map-inf", "radial-fall-nan", "orbit-state-inf"])
 def test_non_finite_radius_rejected(call):
     with pytest.raises(DomainError, match="^radius must be positive"):
         call()

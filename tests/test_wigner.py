@@ -15,9 +15,7 @@ from gravent import (
     binary_entropy,
     circular_orbit_state,
     figure_preset,
-    kruskal_metric_matrix,
     kruskal_rate,
-    kruskal_tetrad,
     lambda_circular,
     lambda_radial,
     metric_matrix,
@@ -25,16 +23,16 @@ from gravent import (
     momentum_factor,
     product_integral,
     rotation_matrix,
-    schwarzschild_rate,
     spin_rep,
     sweep_point,
     tetrad_static,
     theta_circular,
     theta_zeros,
+    wigner_rate,
     wigner_rate_matrix,
     wigner_rate_w13,
 )
-from gravent.roots import MAX_RADIUS, check_domain
+from gravent.roots import MAX_RADIUS, check_domain, outer_horizon
 from gravent.wigner import _STEP_BLOCK, _expm_planar, radial_factor
 
 Z1_016 = 1.2424428900898052          # (3 + sqrt(9 - 32*0.16)) / 4
@@ -226,14 +224,13 @@ METRIC_ORBITS = ((0.16, 1.6, 0.6), (0.265, 2.0, -1.3), (0.5, 0.9, 3.0), (0.0, 4.
 
 @pytest.mark.parametrize("xi2, z, q", METRIC_ORBITS)
 def test_wigner_rate_follows_from_the_metric(xi2, z, q):
-    # the rate theta^1_3 = lambda^1_3 + (lambda^1_0 k_3 - lambda_30 k^1)/(k^0 + 1)
-    # of a particle of momentum k = (sqrt(p^2 + 1), 0, 0, p), where k^1 = 0
+    # the rate theta^1_3 of a particle of momentum k = (sqrt(p^2 + 1), 0, 0, p)
     model = ChargedBlackHole(xi2)
     ps = np.array([-2.0, 0.0, 0.6, 3.0])
     rate = wigner_rate_w13(model, z, q, ps)
 
     def w13(lam):
-        return lam[1, 3] + lam[1, 0] * ps / (np.sqrt(ps * ps + 1.0) + 1.0)
+        return np.array([wigner_rate(lam, (0.0, 0.0, p))[0, 2] for p in ps.tolist()])
 
     lam = _generator_from_the_metric(model, z, q)
     closed = lambda_circular(model, z, q)
@@ -241,6 +238,34 @@ def test_wigner_rate_follows_from_the_metric(xi2, z, q):
     assert np.all(np.abs(w13(lam) - rate) <= 1e-9 * np.abs(rate))
     flipped = w13(_generator_from_the_metric(model, z, q, flip=-1.0))
     assert np.all(np.abs(flipped - rate) > 1e-3 * np.abs(rate))
+
+
+@pytest.mark.parametrize("xi2, z, q", METRIC_ORBITS)
+def test_wigner_rate_matrix_is_the_closed_form_rate(xi2, z, q):
+    # the general formula on the circular generator against R(z) M(q, p)
+    model = ChargedBlackHole(xi2)
+    for p in (-2.0, 0.0, 0.6, 3.0):
+        w = wigner_rate_matrix(model, z, q, p)
+        w13 = wigner_rate_w13(model, z, q, p)
+        assert abs(w[0, 2] - w13) <= 1e-14 * abs(w13)
+        assert np.all(np.delete(w.ravel(), [2, 6]) == 0.0)
+        assert np.all(w == -w.T)
+
+
+def test_radial_rate_vanishes_exactly_along_the_fall():
+    # along the fall the two boost terms of wigner_rate cancel bit for bit;
+    # across it theta^1_3 = lam^1_0 p^3 / (k^0 + 1) remains
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        xi2 = float(rng.uniform(0.0, 0.6))
+        z = (outer_horizon(xi2) or 0.0) + float(rng.uniform(0.05, 20.0))
+        v, p = float(rng.uniform(-0.99, 0.99)), float(rng.uniform(-50.0, 50.0))
+        lam = lambda_radial(ChargedBlackHole(xi2), z, v)
+        along = wigner_rate(lam, (p, 0.0, 0.0))
+        assert np.all(along == 0.0) and not np.signbit(along).any()
+        across = wigner_rate(lam, (0.0, 0.0, p))
+        assert across[0, 2] == lam[1, 0] * p / (math.sqrt(p * p + 1.0) + 1.0) != 0.0
+        assert np.all(across == -across.T)
 
 
 def test_wigner_rate_values():
@@ -252,18 +277,15 @@ def test_wigner_rate_values():
     for q in (-3.0, 0.25, 1.7):
         assert momentum_factor(q, q) == pytest.approx(q * math.hypot(q, 1.0),
                                                       rel=1e-14)
-    # rate matrix is antisymmetric with zero diagonal
-    w = wigner_rate_matrix(model, 1.6, 0.6, 0.3)
-    assert np.abs(w + w.T).max() == 0.0
-    assert np.all(np.diag(w) == 0.0)
 
 
 def test_rate_matches_schwarzschild_closed_form():
+    # the uncharged hole's static-frame rate (1 - 3/(2r)) / (r sqrt(1 - 1/r)) M(q, p)
     model = ChargedBlackHole(0.0)
     for r in (1.2, 1.5, 3.0, 20.0):
         for q, p in ((0.6, 0.0), (1.3, -0.4)):
-            assert wigner_rate_w13(model, r, q, p) == pytest.approx(
-                schwarzschild_rate(r, q, p), rel=1e-12)
+            closed = (1.0 - 1.5 / r) / (r * math.sqrt(1.0 - 1.0 / r)) * momentum_factor(q, p)
+            assert wigner_rate_w13(model, r, q, p) == pytest.approx(closed, rel=1e-12, abs=1e-15)
 
 
 def test_theta_circular_closed_form_vs_rate():
@@ -318,16 +340,15 @@ def test_theta_zeros_are_roots_of_the_quadratic():
 
 def test_lambda_radial_pure_boost():
     model = ChargedBlackHole(0.0)
-    lam, rate = lambda_radial(model, 3.0, 0.5)
+    lam = lambda_radial(model, 3.0, 0.5)
     gamma = 1.0 / math.sqrt(1.0 - 0.25)
     _, b, a_prime = metric_potentials(model, 3.0)
     expected = -gamma * a_prime * math.exp(-b)
     assert lam[0, 1] == pytest.approx(expected, rel=1e-14)
     assert lam[1, 0] == lam[0, 1]
     assert (lam != 0.0).sum() == 2
-    assert np.all(rate == 0.0)
     # v=0 limit
-    lam0, _ = lambda_radial(model, 3.0, 0.0)
+    lam0 = lambda_radial(model, 3.0, 0.0)
     assert lam0[0, 1] == pytest.approx(-a_prime * math.exp(-b), rel=1e-14)
     with pytest.raises(DomainError):
         lambda_radial(model, 3.0, 1.0)
@@ -407,7 +428,7 @@ def test_product_integral_step_matches_scipy_expm(kind):
     gen = {
         "rotation": np.array([[0.0, 0.3, -1.1], [-0.3, 0.0, 0.7], [1.1, -0.7, 0.0]]),
         "w13": wigner_rate_matrix(model, 1.6, 0.6, 0.3),
-        "radial": lambda_radial(model, 2.5, 0.6)[0],
+        "radial": lambda_radial(model, 2.5, 0.6),
         "circular": lambda_circular(model, 2.5, 1.3),
     }[kind]
     for scale in (1e-4, 0.3, 2.0):
@@ -449,7 +470,7 @@ def test_product_integral_rejects_non_planar_generator():
 
 def test_product_integral_radial_path_is_pure_boost():
     model = ChargedBlackHole(0.0)
-    rate_fn = lambda tau: lambda_radial(model, 4.0 - 0.5 * tau, 0.5)[0]
+    rate_fn = lambda tau: lambda_radial(model, 4.0 - 0.5 * tau, 0.5)
     lam = product_integral(rate_fn, 0.0, 3.0, 2000)
     # group element of the Lorentz group
     assert np.abs(lam @ ETA @ lam.T - ETA).max() < 1e-10
@@ -459,12 +480,14 @@ def test_product_integral_radial_path_is_pure_boost():
 
 
 def test_schwarzschild_rate_features():
-    assert schwarzschild_rate(1.5, 0.6, 0.0) == 0.0
-    assert abs(schwarzschild_rate(1.0 + 1e-8, 1.0, 0.0)) > 1e3
+    # the static-frame rate of the uncharged hole
+    model = ChargedBlackHole(0.0)
+    assert wigner_rate_w13(model, 1.5, 0.6, 0.0) == 0.0
+    assert abs(wigner_rate_w13(model, 1.0 + 1e-8, 1.0, 0.0)) > 1e3
     with pytest.raises(HorizonError):
-        schwarzschild_rate(1.0, 0.6, 0.0)
+        wigner_rate_w13(model, 1.0, 0.6, 0.0)
     with pytest.raises(HorizonError):
-        schwarzschild_rate(0.5, 0.6, 0.0)
+        wigner_rate_w13(model, 0.5, 0.6, 0.0)
 
 
 @pytest.mark.parametrize("z", [math.nan, math.inf, -1.0, 0.0, 2 * MAX_RADIUS])
@@ -512,8 +535,8 @@ def test_kruskal_rate_features():
     assert abs(kruskal_rate(40.0, q, p)) < abs(kruskal_rate(10.0, q, p)) < abs(
         kruskal_rate(3.0, q, p))
     assert abs(kruskal_rate(40.0, q, p)) < 1e-6
-    assert abs(schwarzschild_rate(40.0, q, p)) < abs(
-        schwarzschild_rate(10.0, q, p)) < abs(schwarzschild_rate(3.0, q, p))
+    static = [abs(wigner_rate_w13(ChargedBlackHole(0.0), r, q, p)) for r in (40.0, 10.0, 3.0)]
+    assert static == sorted(static)
 
 
 def test_momentum_factor_vectorized():
@@ -554,7 +577,9 @@ FLOAT_ARGUMENTS = {
     "lambda_circular": (lambda_circular, (_MODEL, 2.0, 0.6), (1, 2)),
     "wigner_rate_w13": (wigner_rate_w13, (_MODEL, 2.0, 0.6, 0.3), (1, 2, 3)),
     "wigner_rate_matrix": (wigner_rate_matrix, (_MODEL, 2.0, 0.6, 0.3), (1, 2, 3)),
-    "schwarzschild_rate": (schwarzschild_rate, (2.0, 0.6, 0.3), (0, 1, 2)),
+    # each component of the particle's momentum
+    "wigner_rate": (lambda p1, p2, p3: wigner_rate(lambda_circular(_MODEL, 2.0, 0.6),
+                                                   (p1, p2, p3)), (0.1, -0.2, 0.3), (0, 1, 2)),
     "kruskal_rate": (kruskal_rate, (2.0, 0.6, 0.3), (0, 1, 2)),
     "theta_circular": (theta_circular, (OrbitParams(0.16, 2.0, 0.6, 1.0, 5.0), 0.3), (1,)),
     "lambda_radial": (lambda_radial, (_MODEL, 2.0, 0.4), (1, 2)),
@@ -564,8 +589,6 @@ FLOAT_ARGUMENTS = {
     "spin_rep": (spin_rep, (0.7,), (0,)),
     "tetrad_static": (tetrad_static, (_MODEL, 2.0, 1.0), (1, 2)),
     "metric_matrix": (metric_matrix, (_MODEL, 2.0, 1.0), (1, 2)),
-    "kruskal_tetrad": (kruskal_tetrad, (2.0, 1.0), (0, 1)),
-    "kruskal_metric_matrix": (kruskal_metric_matrix, (2.0, 1.0), (0, 1)),
     "binary_entropy": (binary_entropy, (0.3,), (0,)),
 }
 
