@@ -102,8 +102,9 @@ DEFAULT_QUAD = QuadConfig()
 _HALF_WIDTH = 7.0
 
 # A line in s starts at 32 intervals: there u turns on the unit scale whatever
-# the packet's width, and 1,941 of the presets' 2,398 rows stop at 64.
-# The oracle's rule in x, the reference, keeps its 64.
+# the packet's width.  Of the presets' 2,398 rows, 1,426 stop at 64 and 457
+# are decided without the rule.  The oracle's rule in x, the reference,
+# keeps its 64.
 _FIRST_IN_S = 32
 
 # Temporaries of the batched quadrature hold about this many elements, so a
@@ -129,7 +130,9 @@ class Averages:
     values[i] holds row i's averages (one per integrand component),
     residual[i] the change between its last two levels, nodes[i] the
     interval count it stopped at and status[i] one of CONVERGED,
-    REDUCED_TOLERANCE, NOT_FINITE and NO_CONVERGENCE.
+    REDUCED_TOLERANCE, NOT_FINITE and NO_CONVERGENCE.  A row that
+    batch_characteristic decides from its modulus bound evaluated no node:
+    nodes[i] is 0.
     """
 
     values: np.ndarray
@@ -329,6 +332,12 @@ def _batch_average(integrand, amplitude, factor, q, beta) -> Averages:
 # e^{_DROPPED} ~ 1e-20: even 2048 of them add nothing to the sums.
 _DROPPED = -46.0
 
+# A shifted row whose modulus bound stays this far, in the exponent, below
+# e^{_DROPPED} drops every node, so it is decided without the quadrature
+# (batch_characteristic); the margin covers the rounding of the bound and of
+# the nodes' log modulus.
+_BOUND_MARGIN = 1.0
+
 
 def _exp_asinh(x):
     """e^{asinh x} = x + sqrt(x^2 + 1), without cancellation for x < 0, and sqrt(x^2 + 1)."""
@@ -359,6 +368,56 @@ def _line_table(t, centre, half, cos_2d, e_q, cos_b, lean_b, sin_b, tilt, share,
             twice_cosh * jac_c, (big - small) * jac_s)
 
 
+def _shifted_log(table, k, k_sin, bound):
+    """A shifted row's phase, log modulus and live nodes at the nodes of its line's table.
+
+    A node below e^{_DROPPED - bound} is left at 0 (a non-finite one is
+    kept, for its row's status): most nodes of a fast row are damped away.
+    """
+    du, inv, w_arg, w_log = table[:4]
+    arg = w_arg - k * du
+    log_mod = w_log + k_sin * inv
+    return arg, log_mod, ~((log_mod < _DROPPED - bound) & np.isfinite(arg))
+
+
+def _lines(kappa, q, beta, depth):
+    """batch_characteristic's rows: what fixes each one's line, what it adds, and which are decided.
+
+    kappa and depth are float arrays of one shape.  line_of[i] holds the
+    arguments of _line_table after t, row_of[i] kappa, kappa sin d (e_q +
+    1)/e_q and log_bound; decided[i] is True for a shifted row whose every
+    node would be dropped.
+    """
+    cos_d, sin_d, cos_2d = np.cos(depth), np.sin(depth), np.cos(2.0 * depth)
+    versine, (e_q, gamma) = 2.0 * np.sin(0.5 * depth) ** 2, _exp_asinh(q)  # 1 - cos d
+    # the ends: S = sinh t with (S cos d - q)^2 - (1 + S^2) sin^2 d = 49 beta^2, less q
+    # (lean = q cos d - q cos 2d), and t - asinh q from e^{asinh x} - e_q =
+    # (x - q)(e^{asinh x} + e_q)/(gamma_x + gamma), which takes no difference
+    root = np.sqrt(q * q * sin_d * sin_d + cos_2d * (49.0 * beta * beta + sin_d * sin_d))
+    lean = 2.0 * q * np.sin(1.5 * depth) * np.sin(0.5 * depth)
+    step = np.stack([lean - root, lean + root]) / cos_2d
+    e_x, gamma_x = _exp_asinh(q + step)
+    r = step * (e_x + e_q) / ((gamma_x + gamma) * e_q)
+    lo, hi = np.where(r > -0.5, np.log1p(np.maximum(r, -0.5)), np.log(e_x / e_q))
+    centre, half = 0.5 * (lo + hi), (hi - lo) / (2.0 * _HALF_WIDTH)
+    scale = half / beta  # dt/beta per unit of the rule's variable, times sqrt(pi)
+    # |cosh s| <= cosh t, largest at an end
+    cosh_end = np.maximum(np.cosh(np.log(e_q) + lo), np.cosh(np.log(e_q) + hi))
+    log_bound = np.log(scale * cosh_end)
+    line_of = np.stack(np.broadcast_arrays(
+        centre, half, 2.0 * cos_d, e_q, 0.5 * cos_d / beta, q * versine / beta, 0.5 * sin_d / beta,
+        2.0 * q * versine / (e_q + 1.0), 2.0 * e_q / (e_q + 1.0), 0.5 * cos_d * scale,
+        0.5 * sin_d * scale), axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):  # an infinite kappa: see its status
+        k_sin = kappa * sin_d
+        row_of = np.stack(np.broadcast_arrays(kappa, k_sin * (e_q + 1.0) / e_q, log_bound), axis=1)
+        # batch_characteristic's bound, G + kappa sin d/(cosh x_end + cos d)
+        log_mod_max = (sin_d / beta) ** 2 * (1.0 + q * q / cos_2d) + k_sin / (cosh_end + cos_d)
+        decided = ((log_mod_max < _DROPPED - log_bound - _BOUND_MARGIN) & (depth != 0.0)
+                   & np.isfinite(4.0 * kappa))
+    return line_of, row_of, decided
+
+
 def batch_characteristic(kappa, q, beta, depth) -> Averages:
     """phi(kappa) = <e^{-i kappa (u(p) - u(q))}>, u(p) = p/(sqrt(p^2+1)+1), per row.
 
@@ -377,32 +436,36 @@ def batch_characteristic(kappa, q, beta, depth) -> Averages:
     weight, averaged against e^{-t^2}.  q and beta are each one value per
     row, or one scalar for all; rows on one line share its table per
     level.  values[:, 0] holds Re phi, values[:, 1] Im phi.
+
+    A shifted row drops each node whose log modulus, log_mod, is below
+    _DROPPED - log_bound, log_bound bounding the rest of the integrand
+    (_shifted_log).  On the line s = x + i d, x in [x_lo, x_hi],
+
+        log_mod = w_log + kappa sin d/(cosh x + cos d),
+        w_log = (cosh^2 x sin^2 d - (sinh x cos d - q)^2)/beta^2.
+
+    w_log is a concave quadratic in sinh x (cos 2d > 0), so it is at most
+    its peak G = sin^2 d (1 + q^2/cos 2d)/beta^2.  With depth of the sign
+    of -kappa the second term is -|kappa sin d|/(cosh x + cos d), largest
+    at the end of larger cosh x.  So a row with
+
+        G + kappa sin d/(cosh x_end + cos d) < _DROPPED - log_bound - _BOUND_MARGIN
+
+    drops every node of every level up to the cap, its phase being finite
+    where 4 kappa is.  The rule would return phi = 0 at 64 intervals with
+    residual 0; the row gets those bits, status CONVERGED and nodes 0
+    without entering the rule.  The margin covers the rounding: each term
+    of log_mod is rounded to a few ulps of its size, and where the test is
+    close both sizes are of order |_DROPPED - log_bound| + G (G <= 4 on
+    _s_line's depths), since w_log <= G and the damping is <= 0, so the
+    two never cancel.  A row turned the wrong way (kappa sin d > 0) is
+    never decided, as log_bound >= 0: the support spans at least 14 beta
+    in p, at most its span in x times cosh x_end.  Nor is a row whose
+    4 kappa is not finite.
     """
     kappa, q, beta, depth = (np.asarray(v, dtype=float) for v in (kappa, q, beta, depth))
     kappa, depth = np.broadcast_arrays(kappa, depth)
-    cos_d, sin_d, cos_2d = np.cos(depth), np.sin(depth), np.cos(2.0 * depth)
-    versine, (e_q, gamma) = 2.0 * np.sin(0.5 * depth) ** 2, _exp_asinh(q)  # 1 - cos d
-    # the ends: S = sinh t with (S cos d - q)^2 - (1 + S^2) sin^2 d = 49 beta^2, less q
-    # (lean = q cos d - q cos 2d), and t - asinh q from e^{asinh x} - e_q =
-    # (x - q)(e^{asinh x} + e_q)/(gamma_x + gamma), which takes no difference
-    root = np.sqrt(q * q * sin_d * sin_d + cos_2d * (49.0 * beta * beta + sin_d * sin_d))
-    lean = 2.0 * q * np.sin(1.5 * depth) * np.sin(0.5 * depth)
-    step = np.stack([lean - root, lean + root]) / cos_2d
-    e_x, gamma_x = _exp_asinh(q + step)
-    r = step * (e_x + e_q) / ((gamma_x + gamma) * e_q)
-    lo, hi = np.where(r > -0.5, np.log1p(np.maximum(r, -0.5)), np.log(e_x / e_q))
-    centre, half = 0.5 * (lo + hi), (hi - lo) / (2.0 * _HALF_WIDTH)
-    scale = half / beta  # dt/beta per unit of the rule's variable, times sqrt(pi)
-    # |cosh s| <= cosh t, largest at an end
-    log_bound = np.log(scale * np.maximum(np.cosh(np.log(e_q) + lo), np.cosh(np.log(e_q) + hi)))
-    # per row: what fixes its line, and what the row adds to it
-    line_of = np.stack(np.broadcast_arrays(
-        centre, half, 2.0 * cos_d, e_q, 0.5 * cos_d / beta, q * versine / beta, 0.5 * sin_d / beta,
-        2.0 * q * versine / (e_q + 1.0), 2.0 * e_q / (e_q + 1.0), 0.5 * cos_d * scale,
-        0.5 * sin_d * scale), axis=1)
-    with np.errstate(invalid="ignore"):  # an infinite kappa is reported through its status
-        row_of = np.stack(np.broadcast_arrays(kappa, kappa * sin_d * (e_q + 1.0) / e_q, log_bound),
-                          axis=1)
+    line_of, row_of, decided = _lines(kappa, q, beta, depth)
     shared, tables = q.ndim == 0 and beta.ndim == 0, {}
 
     def line(index, t):
@@ -419,24 +482,21 @@ def batch_characteristic(kappa, q, beta, depth) -> Averages:
         return _cis(angle), angle, np.exp(w_log) * jac_re
 
     def off_the_axis(index, t):
-        du, inv, w_arg, w_log, jac_re, jac_im = line(index, t)
+        table = line(index, t)
         k, k_sin, bound = row_of[index].T[..., None]
-        with np.errstate(invalid="ignore", over="ignore"):
-            arg = w_arg - k * du
-            log_mod = w_log + k_sin * inv
-            # a node the sums cannot hold is left at 0 (a non-finite one is kept,
-            # for its row's status): most nodes of a fast row are damped away
-            live = ~((log_mod < _DROPPED - bound) & np.isfinite(arg))
+        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row: see its status
+            arg, log_mod, live = _shifted_log(table, k, k_sin, bound)
             log_mod += (tt := t * t)  # averaged against e^{-t^2}, the integrand carries e^{t^2}
             term = np.exp(expo := log_mod + 1j * arg, out=np.zeros(arg.shape, complex), where=live)
-            term *= jac_re + 1j * jac_im
+            term *= table[4] + 1j * table[5]
             angle = -1j * (expo + bound)  # arg - i (log_mod + bound)
         return np.stack([term.real, term.imag], axis=1), angle, np.exp(-tt)
 
-    # each kind of row in a pass of its own
-    out = Averages(np.empty((kappa.size, 2)), np.empty(kappa.size),
-                   *np.empty((2, kappa.size), dtype=int))
-    for part, rows in ((depth == 0.0, on_the_axis), (depth != 0.0, off_the_axis)):
+    # each kind of row in a pass of its own; a decided row keeps the zeros,
+    # with status CONVERGED
+    out = Averages(np.zeros((kappa.size, 2)), np.zeros(kappa.size),
+                   *np.zeros((2, kappa.size), dtype=int))
+    for part, rows in ((depth == 0.0, on_the_axis), ((depth != 0.0) & ~decided, off_the_axis)):
         index = np.flatnonzero(part)
         if index.size:
             got = _adaptive_average(lambda i, t: rows(index[i], t), index.size, _FIRST_IN_S)

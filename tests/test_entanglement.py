@@ -169,16 +169,21 @@ def test_momentum_distribution_takes_the_orbit_bounds():
 
 def test_batch_characteristic_rows_match_single_rows():
     # each row stops at its own level; a row's failure stays in its status,
-    # and the real line's rows and a shifted one give the bits they give alone
-    kappa = np.array([0.2, 3.0, np.inf, 1e6, 30.0, 400.0])
-    q = np.array([0.0, 0.3, -0.5, 0.2, 1.0, 2.0])
-    depth = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -0.2])
+    # and the real line's rows and the shifted ones give the bits they give
+    # alone: one averaged, one damped below every node's threshold, decided
+    # without the rule (nodes 0), and one of infinite kappa, never decided
+    kappa = np.array([0.2, 3.0, np.inf, 1e6, 30.0, 400.0, 1e4, -np.inf])
+    q = np.array([0.0, 0.3, -0.5, 0.2, 1.0, 2.0, 2.0, 1.0])
+    depth = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -0.2, -0.2, 0.2])
     out = batch_characteristic(kappa, q, 0.9, depth)
-    assert out.status.tolist() == [CONVERGED, CONVERGED, NOT_FINITE,
-                                   NO_CONVERGENCE, CONVERGED, CONVERGED]
+    assert out.status.tolist() == [CONVERGED, CONVERGED, NOT_FINITE, NO_CONVERGENCE,
+                                   CONVERGED, CONVERGED, CONVERGED, NOT_FINITE]
     assert len(set(out.nodes[out.status == CONVERGED].tolist())) > 1
     assert out.residual[3] > FAIL_RESIDUAL
-    for i in range(6):
+    assert out.nodes[6] == 0 and out.residual[6] == 0.0 and out.values[6].tolist() == [0.0, 0.0]
+    assert np.signbit(out.values[6]).tolist() == [False, False]
+    assert (np.delete(out.nodes, 6) > 0).all()
+    for i in range(len(kappa)):
         single = batch_characteristic(kappa[i:i + 1], q[i:i + 1], 0.9, depth[i:i + 1])
         for name in ("values", "residual", "nodes", "status"):
             assert getattr(out, name)[i].tobytes() == getattr(single, name)[0].tobytes(), (i, name)

@@ -6,7 +6,9 @@ angle and a dense trapezoid rule on the real line in x = (p - q)/beta.
 A reference value counts only where its two step sizes agree.  The rows
 averaged on a line in s = asinh p that such a reference cannot resolve
 are held to Cauchy's theorem instead: their value may not depend on the
-depth of the line.
+depth of the line.  The shifted rows a bound on the integrand's modulus
+decides without the rule are held to the rule itself: it would drop every
+node of theirs at every level.
 """
 
 import functools
@@ -18,6 +20,7 @@ import pytest
 from scipy.special import roots_hermite
 
 import gravent.entanglement as entanglement
+import gravent.experiments as experiments
 from gravent import (
     OrbitParams,
     SweepSpec,
@@ -299,3 +302,68 @@ def test_packets_turning_fast_at_zero_match_a_fine_reference():
         assert max(abs(a - b) for a, b in zip(coarse, fine)) <= REFERENCE_AGREEMENT
         error = max(abs(row.C - fine[0]), abs(row.S - fine[1]))
         assert error <= 1e-10, (spec.fixed, row.x, error)
+
+
+def drawn_shifted_rows(seed, count):
+    """Seeded rows on shifted lines: kappa, q, beta and depth, the depth from _s_line.
+
+    beta runs from 1e-2 to 1e3, |q| up to 1e3 and |kappa| over ten decades,
+    each log-uniform, with both signs of q and kappa.
+    """
+    rng = np.random.default_rng(seed)
+    beta = 10.0 ** rng.uniform(-2.0, 3.0, count)
+    q = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-2.0, 3.0, count)
+    kappa = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-3.0, 7.0, count)
+    kappa, _, depth = _s_line(kappa / (q * q * np.sqrt(q * q + 1.0)), q, beta)
+    shifted = depth != 0.0
+    return kappa[shifted], q[shifted], beta[shifted], depth[shifted]
+
+
+def test_decided_rows_drop_every_node_of_the_finest_rule():
+    # the modulus bound decides a shifted row only if the rule would drop
+    # every node of it at every level up to the cap: at all 2,047 nodes of
+    # the 2,048-interval rule, none may be live.  Leaving the weight's peak
+    # out of the bound decides six of these rows with a live node
+    kappa, q, beta, depth = drawn_shifted_rows(seed=22, count=20000)
+    line_of, row_of, decided = entanglement._lines(kappa, q, beta, depth)
+    assert 0.2 * kappa.size <= decided.sum() <= 0.8 * kappa.size, (decided.sum(), kappa.size)
+    out = batch_characteristic(kappa[decided], q[decided], beta[decided], depth[decided])
+    assert (out.nodes == 0).all() and (out.status == CONVERGED).all()
+    assert (out.residual == 0.0).all() and (out.values == 0.0).all()
+    line_of, row_of = line_of[decided], row_of[decided]
+    cap = entanglement.DEFAULT_QUAD.max_nodes
+    t = (2.0 * HALF_WIDTH / cap) * np.arange(1, cap)[None] - HALF_WIDTH
+    for start in range(0, decided.sum(), 256):
+        rows = slice(start, start + 256)
+        table = entanglement._line_table(t, *line_of[rows].T[..., None])
+        _, _, live = entanglement._shifted_log(table, *row_of[rows].T[..., None])
+        assert not live.any(), np.flatnonzero(live.any(axis=1))[:5] + start
+
+
+@pytest.mark.parametrize("n,decided,evaluated", [(1, 241, 19489), (2, 204, 31996)])
+def test_decided_rows_never_reach_the_line_table(monkeypatch, n, decided, evaluated):
+    # presets 1-2 passed 34,672 and 44,848 rows x nodes to _line_table when
+    # every shifted row went through the rule; a decided row passes none, and
+    # every other row exactly the nodes of its levels, one fewer than its
+    # final interval count
+    real_table, real_characteristic = entanglement._line_table, experiments.batch_characteristic
+    sizes, averages = [], []
+
+    def table(t, *line):
+        out = real_table(t, *line)
+        sizes.append(out[0].size)
+        return out
+
+    def characteristic(*args):
+        averages.append(real_characteristic(*args))
+        return averages[-1]
+
+    monkeypatch.setattr(entanglement, "_line_table", table)
+    monkeypatch.setattr(experiments, "batch_characteristic", characteristic)
+    run_sweep(figure_preset(n))
+    (out,) = averages
+    zero = out.nodes == 0
+    assert zero.sum() == decided
+    assert sum(sizes) == evaluated == (out.nodes[~zero] - 1).sum()
+    assert (out.status[zero] == CONVERGED).all() and (out.residual[zero] == 0.0).all()
+    assert out.values[zero].tobytes() == np.zeros((decided, 2)).tobytes()
