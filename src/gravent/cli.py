@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import math
 import sys
 
 from . import __version__
@@ -118,9 +117,7 @@ def _number(cfg: dict, key: str) -> float:
 
 def _spec_from_config(cfg: dict) -> SweepSpec:
     variable = cfg.get("variable")
-    if variable not in SWEEP_VARIABLES:
-        raise DomainError(f"a sweep needs 'variable', one of {SWEEP_VARIABLES}, "
-                          f"got {variable!r}")
+    check_domain({"variable": variable})  # before cfg.get(variable), which a list would crash
     if cfg.get("lo") is None or cfg.get("hi") is None:
         raise DomainError("a sweep needs 'lo' and 'hi'")
     if cfg.get(variable) is not None:
@@ -244,15 +241,12 @@ def _cmd_radial_check(args) -> int:
 
 
 def _cmd_frame_compare(args) -> int:
-    check_domain({"count": args.samples}, {"count": "samples"})
-    lo, hi = args.r_lo, args.r_hi
-    if math.isfinite(lo) and math.isfinite(hi) and not math.isfinite(hi - lo):
-        raise DomainError(f"the span r_hi - r_lo of [{lo}, {hi}] overflows")
+    check_domain({"count": args.samples, "lo": args.r_lo, "hi": args.r_hi,
+                  "span": args.r_hi - args.r_lo},
+                 {"count": "samples", "lo": "r_lo", "hi": "r_hi", "span": "r_hi - r_lo"})
     import numpy as np
 
-    with np.errstate(invalid="ignore"):  # frame_comparison rejects non-finite ends
-        grid = np.linspace(args.r_lo, args.r_hi, args.samples)
-    rows = frame_comparison(grid, args.q, args.p)
+    rows = frame_comparison(np.linspace(args.r_lo, args.r_hi, args.samples), args.q, args.p)
     meta = {
         "package": f"gravent {__version__}",
         "r_lo": args.r_lo, "r_hi": args.r_hi, "samples": args.samples,

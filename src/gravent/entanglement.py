@@ -38,6 +38,9 @@ class BellState:
     tag: str
     vector: tuple[float, float, float, float]
 
+    def __post_init__(self):
+        check_domain({"bell": self.tag})
+
     def array(self) -> np.ndarray:
         return np.array(self.vector)
 
@@ -55,10 +58,8 @@ BELL_STATES = (CHI1, CHI2, CHI3, CHI4)
 
 
 def bell_state(tag: str) -> BellState:
-    for chi in BELL_STATES:
-        if chi.tag == tag:
-            return chi
-    raise DomainError(f"unknown Bell state {tag!r}; expected chi1..chi4")
+    check_domain({"bell": tag})
+    return BELL_STATES[BELL_TAGS.index(tag)]
 
 
 @dataclass(frozen=True)
@@ -551,7 +552,7 @@ def reduced_density_closed(bell: BellState, m: TrigMoments) -> np.ndarray:
             [0.0, -b, b, 0.0],
             [a, 0.0, 0.0, a],
         ])
-    elif bell.tag in ("chi2", "chi3"):
+    else:  # chi2 or chi3
         sgn = 1.0 if bell.tag == "chi2" else -1.0
         a = 1.0 + sgn * X
         b = 1.0 - sgn * X
@@ -562,8 +563,6 @@ def reduced_density_closed(bell: BellState, m: TrigMoments) -> np.ndarray:
             [y, b, b, -y],
             [-a, -y, -y, a],
         ])
-    else:
-        raise DomainError(f"unknown Bell state {bell.tag!r}")
     return 0.25 * rho.astype(complex)
 
 

@@ -51,7 +51,7 @@ from .entanglement import (
     reduced_density_closed,
 )
 from .errors import AssertionFailure, DomainError, GraventError
-from .roots import DOMAIN_CHECKS, SWEEP_VARIABLES, check_domain, outer_horizon, theta_zeros
+from .roots import DOMAIN_CHECKS, check_domain, outer_horizon, theta_zeros
 from .spacetime import ETA, ChargedBlackHole, frame_transform_matrix, kruskal_map
 from .wigner import (
     TAU_S,
@@ -80,7 +80,8 @@ class SweepSpec:
     `fixed` supplies every orbit parameter; its value for the swept
     variable is a placeholder that the grid overwrites row by row.  No
     Bell state is named: every Bell input has the same concurrence
-    C^2 + S^2, so a sweep's rows hold for all four.
+    C^2 + S^2, so a sweep's rows hold for all four.  variable, the range
+    and samples pass their entries of DOMAIN_CHECKS, and lo < hi.
     """
 
     variable: str
@@ -90,18 +91,10 @@ class SweepSpec:
     fixed: OrbitParams
 
     def __post_init__(self):
-        if self.variable not in SWEEP_VARIABLES:
-            raise DomainError(
-                f"variable must be one of {SWEEP_VARIABLES}, got {self.variable!r}"
-            )
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise DomainError(f"lo and hi must be finite, got [{self.lo}, {self.hi}]")
-        if not math.isfinite(self.hi - self.lo):  # the grid's step would be inf
-            raise DomainError(f"the span hi - lo of [{self.lo}, {self.hi}] overflows")
+        check_domain({"variable": self.variable, "lo": self.lo, "hi": self.hi,
+                      "span": self.hi - self.lo, "samples": self.samples}, {"span": "hi - lo"})
         if not self.lo < self.hi:
             raise DomainError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.samples < 2:
-            raise DomainError(f"samples must be >= 2, got {self.samples}")
 
 
 class SweepRow(NamedTuple):
@@ -435,11 +428,13 @@ def frame_comparison(r_grid, q: float, p: float) -> list[FrameRateRow]:
     The static column diverges toward r = 1 and vanishes at r = 3/2; the
     falling-frame column stays finite through the horizon.  Both trends
     are marked in the row flags; where radial_factor masks the static rate
-    it reads nan.  The grid must be non-empty, the radii pass the entries
-    of DOMAIN_CHECKS for z and q and p their own, and kruskal_rate raises
-    where the falling-frame rate overflows.
+    it reads nan.  The grid must be one-dimensional and non-empty, the
+    radii pass the entries of DOMAIN_CHECKS for z and q and p their own,
+    and kruskal_rate raises where the falling-frame rate overflows.
     """
     r_grid = np.asarray(r_grid, dtype=float)
+    if r_grid.ndim != 1:
+        raise DomainError(f"the radius grid must be one-dimensional, got shape {r_grid.shape}")
     if r_grid.size == 0:
         raise DomainError("the radius grid is empty")
     check_domain({"z": r_grid, "q": q, "p": p}, {"z": "r"})

@@ -3,9 +3,9 @@
 The horizons solve z^2 - z + xi2 = 0 and the rotation-free circles
 2 z^2 - 3 z + 4 xi2 = 0 (z = r / r_s, xi2 the squared charge).  Both are
 quadratics solved with `math` alone, the input rules (DOMAIN_CHECKS) are
-comparisons, and the sweep variables and Bell tags are plain strings, so
-this module imports no numpy: `gravent horizons` and `gravent zeros` run
-on it and the standard library only.
+comparisons and membership tests, and the sweep variables and Bell tags
+are plain strings, so this module imports no numpy: `gravent horizons`
+and `gravent zeros` run on it and the standard library only.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ MAX_RADIUS = 1e100
 # and a sweep masks a grid with them.
 DOMAIN_CHECKS = tuple((key, lambda v: abs(v) < math.inf, "{name} must be finite, got {value}")
                       for key in ("xi2", "z", "q", "p", "beta", "tau_ratio", "theta", "tau_i",
-                                  "tau_f")) + (
+                                  "tau_f", "lo", "hi")) + (
+    # hi - lo of a grid's finite ends, whose step is inf where it overflows
+    ("span", lambda v: abs(v) < math.inf, "the span {name} overflows, got {value}"),
     ("xi2", lambda v: v >= 0, "{name} must be >= 0, got {value}"),
 ) + tuple((key, lambda v: abs(v) <= MAX_MOMENTUM,  # a momentum, of the packet or a particle
            f"|{{name}}| must be <= {MAX_MOMENTUM:g}, got {{name}}={{value}}")
@@ -58,7 +60,13 @@ DOMAIN_CHECKS = tuple((key, lambda v: abs(v) < math.inf, "{name} must be finite,
      "tetrad undefined on the polar axis (theta={value})"),
     ("v", lambda v: abs(v) < 1, "|{name}| must be < 1, got {name}={value}"),
     ("x", lambda v: (v >= 0) & (v <= 1), "{name} must lie in [0, 1], got {value}"),
-    ("count", lambda v: v >= 1, "{name} must be >= 1, got {value}"),  # of steps, draws, samples
+    ("count", lambda v: v >= 1, "{name} must be >= 1, got {value}"),  # of steps, draws, radii
+    ("samples", lambda v: v >= 2, "{name} must be >= 2, got {value}"),  # of a sweep's grid
+) + tuple((key, lambda v: hasattr(type(v), "__index__"),  # an int, or a type that stands for one
+           "{name} must be an integer, got {value}") for key in ("count", "samples")) + (
+    ("variable", lambda v: v in SWEEP_VARIABLES,
+     f"{{name}} must be one of {SWEEP_VARIABLES}, got {{value!r}}"),
+    ("bell", lambda v: v in BELL_TAGS, "unknown Bell state {value!r}; expected chi1..chi4"),
     # a concurrence that rounding has moved past an end of [0, 1] by up to 1e-12
     ("concurrence", lambda v: (v >= -1e-12) & (v <= 1 + 1e-12),
      "{name} must lie in [0, 1], got {value}"),
@@ -68,9 +76,10 @@ DOMAIN_CHECKS = tuple((key, lambda v: abs(v) < math.inf, "{name} must be finite,
 def check_domain(values: dict, names: dict | None = None) -> None:
     """Raise DomainError for the first entry of DOMAIN_CHECKS that fails.
 
-    Only the entries of the fields in values run, each on a number or an
-    array (anything with a non-zero ndim), whose first element at fault
-    the message names.  names renames a field in the messages.
+    Only the entries of the fields in values run, each on a number, a
+    string or an array (anything with a non-zero ndim), whose first
+    element at fault the message names.  names renames a field in the
+    messages.
     """
     for field, valid, message in DOMAIN_CHECKS:
         if field in values:

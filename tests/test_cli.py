@@ -15,8 +15,10 @@ from pathlib import Path
 import pytest
 
 import gravent
-from gravent import AssertionFailure, EmptyDataError, emit_csv, emit_json, emit_svg, figure_preset
+from gravent import (AssertionFailure, DomainError, EmptyDataError, OrbitParams, SweepSpec,
+                     emit_csv, emit_json, emit_svg, figure_preset)
 from gravent.cli import main, preset_config, render_sweep
+from gravent.roots import DOMAIN_CHECKS, check_domain
 
 DEMO_OUT = Path(__file__).resolve().parents[1] / "demos" / "out"
 
@@ -567,6 +569,22 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused <= _TRACED_ONLY
 
 
+def test_every_field_given_to_check_domain_has_a_rule():
+    # check_domain runs only the entries of the fields it is given, so a
+    # misspelt field or name would pass every value silently
+    fields = {field for field, _, _ in DOMAIN_CHECKS}
+    given = set()
+    for path in Path(gravent.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_domain":
+                given |= {(path.stem, key.value)
+                          for arg in [*node.args, *(k.value for k in node.keywords)]
+                          if isinstance(arg, ast.Dict)
+                          for key in arg.keys if isinstance(key, ast.Constant)}
+    assert {"bell", "count", "samples", "span", "variable"} <= {key for _, key in given}
+    assert {(module, key) for module, key in given if key not in fields} == set()
+
+
 def test_import_does_not_load_scipy_xml_sax_or_urllib():
     # counted on top of numpy: its pathlib import loads urllib.parse
     src = str(Path(gravent.__file__).resolve().parents[1])
@@ -679,6 +697,45 @@ def test_commands_reject_out_of_range_input(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: DomainError: ") and err.count("\n") == 1
+
+
+def test_frame_compare_names_the_end_it_was_given(capsys):
+    # linspace made the grid nan from an infinite end, and the message named r and nan
+    code, out, err = run_cli(capsys, "frame-compare", "--r-lo", "inf")
+    assert (code, out, err) == (1, "", "error: DomainError: r_lo must be finite, got inf\n")
+
+
+def _table_message(field, value, name):
+    with pytest.raises(DomainError) as exc:
+        check_domain({field: value}, {field: name})
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("field, value, spec, sweep, frame", [
+    ("variable", "x", dict(variable="x"), {"variable": "x", "lo": 0, "hi": 1}, None),
+    ("hi", math.inf, dict(hi=math.inf), ["--hi", "inf"], ["--r-hi", "inf"]),
+    ("span", math.inf, dict(lo=-1e308, hi=1e308), ["--lo=-1e308", "--hi=1e308"],
+     ["--r-lo=-1e308", "--r-hi=1e308"]),
+], ids=["variable", "non-finite-end", "span-overflows"])
+def test_each_rule_has_one_message(tmp_path, capsys, field, value, spec, sweep, frame):
+    # SweepSpec, `sweep` and `frame-compare` each wrote their own copy of these rules
+    names = {"span": "hi - lo"}
+    message = _table_message(field, value, names.get(field, field))
+    with pytest.raises(DomainError) as exc:
+        SweepSpec(**{"variable": "q", "lo": 0.0, "hi": 1.0, "samples": 3,
+                     "fixed": OrbitParams(0.0, 2.0, 0.6, 1.0, 5.0), **spec})
+    assert str(exc.value) == message
+    if isinstance(sweep, dict):  # --variable takes only the sweep variables
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(sweep))
+        sweep = ["--config", str(path)]
+    else:
+        sweep = ["--variable", "q", "--lo", "0", "--hi", "1", "--samples", "3", *sweep]
+    assert run_cli(capsys, "sweep", *sweep) == (1, "", f"error: DomainError: {message}\n")
+    if frame is not None:
+        message = _table_message(field, value, {"hi": "r_hi", "span": "r_hi - r_lo"}[field])
+        assert run_cli(capsys, "frame-compare", *frame) == (
+            1, "", f"error: DomainError: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -35,6 +35,7 @@ from gravent import (
     lambda_radial,
     momentum_factor,
     oracle_equivalence_report,
+    product_integral,
     radial_invariance_check,
     random_orbit_params,
     resolve_sweep,
@@ -276,6 +277,24 @@ def test_oracle_report_rejects_zero_draws():
         oracle_equivalence_report(draws=0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: product_integral(lambda tau: np.zeros((3, 3)), 0.0, 1.0, 2.5),
+     "steps must be an integer, got 2.5"),
+    (lambda: oracle_equivalence_report(1.5), "draws must be an integer, got 1.5"),
+    (lambda: run_sweep(SweepSpec("q", 0.0, 1.0, 2.5, OrbitParams(0.16, 2.0, 0.6, 1.0, 5.0))),
+     "samples must be an integer, got 2.5"),
+], ids=["steps", "draws", "samples"])
+def test_counts_must_be_integers(call, message):
+    # each passed the table and then raised a bare TypeError from range or np.linspace
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_counts_take_what_stands_for_an_integer():
+    spec = SweepSpec("q", 0.0, 1.0, np.int64(3), OrbitParams(0.16, 2.0, 0.6, 1.0, 5.0))
+    assert [row.x for row in run_sweep(spec)] == [0.0, 0.5, 1.0]
+
+
 def test_find_minima_fig4_like_range():
     spec = small_spec(lo=1.3, hi=3.5, samples=90)
     minima = find_entanglement_minima(spec)
@@ -411,6 +430,15 @@ def test_frame_comparison_rows():
 def test_frame_comparison_rejects_an_empty_grid():
     with pytest.raises(DomainError, match="the radius grid is empty"):
         frame_comparison([], q=1.0, p=0.0)
+
+
+@pytest.mark.parametrize("grid, shape", [([[2.0, 3.0]], "(1, 2)"), (2.0, "()"),
+                                         (np.zeros((0, 2)), "(0, 2)")])
+def test_frame_comparison_rejects_a_grid_that_is_not_one_dimensional(grid, shape):
+    # a nested list raised a bare TypeError from abs() on a row of the grid
+    with pytest.raises(DomainError, match=re.escape(
+            f"the radius grid must be one-dimensional, got shape {shape}")):
+        frame_comparison(grid, q=1.0, p=0.0)
 
 
 def test_frame_comparison_marks_near_horizon_divergence():
