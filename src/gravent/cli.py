@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import sys
 
 from . import __version__
@@ -193,6 +192,8 @@ def _write(text: str, output: str | None) -> None:
 def _load_config(path: str | None, keys: set[str]) -> dict:
     if path is None:
         return {}
+    import json  # only a config is read as JSON; `horizons` and `zeros` need none of it
+
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)

@@ -110,10 +110,11 @@ _FIRST_IN_S = 32
 
 # Temporaries of the batched quadrature hold about this many elements, so a
 # sweep's memory stays flat however many rows it has.  Complex temporaries
-# take 16 bytes per element: at 2**12 each stays at 64 KiB, below the 128 KiB
-# at which glibc malloc switched between reusing heap blocks and mapping
-# fresh pages (~10k page faults and ~25% of a q-sweep, depending on import
-# order).
+# take 16 bytes per element: at 2**12 each stays at 64 KiB, and at 80 KiB
+# where a short last block of a level joins the one before (one call fewer),
+# below the 128 KiB at which glibc malloc switched between reusing heap
+# blocks and mapping fresh pages (~10k page faults and ~25% of a q-sweep,
+# depending on import order).
 _BLOCK_ELEMENTS = 2 ** 12
 
 # Per-row outcome of _adaptive_average.  A REDUCED_TOLERANCE row stopped at
@@ -142,16 +143,19 @@ class Averages:
     status: np.ndarray
 
 
-def _adaptive_average(rows_fn, size: int, n: int = 64) -> Averages:
+def _adaptive_average(rows_fn, size: int, n: int = 64, shared_weight: bool = False,
+                      turn=None) -> Averages:
     """Average an integrand against the weight it comes with, per row.
 
     rows_fn(index, t) gets the indices of a block of rows and a level's
     new nodes t in (-7, 7), of shape (1, nodes).  It returns the
     integrand g, shape (len(index), components, nodes), an angle of
-    shape (len(index), nodes) and the real weight w, with one row for the
-    block or one per row.  g turns with the angle's real part and is no
-    larger than e^{-Im angle}, as e^{i angle} is.  The row's value is the
-    integral of g w over that of w.
+    shape (len(index), nodes), or a function that gives the angle's rows
+    at the positions in the block it is passed, and the real weight w,
+    with one row per row of the block or, where shared_weight says so,
+    one row that is the level's weight for every block.  g turns with the
+    angle's real part and is no larger than e^{-Im angle}, as e^{i angle}
+    is.  The row's value is the integral of g w over that of w.
 
     The rule is the trapezoid rule in t, nested: the first level has n
     intervals, and each level doubles them, evaluating only the new
@@ -160,7 +164,8 @@ def _adaptive_average(rows_fn, size: int, n: int = 64) -> Averages:
     DEFAULT_QUAD.max_nodes.  Each estimate is the running sum of g w over
     that of w, the same product, so a constant integrand averages to
     itself exactly.  Each level evaluates only the rows still active, in
-    blocks of about _BLOCK_ELEMENTS nodes.
+    blocks of about _BLOCK_ELEMENTS nodes; the sum of a shared weight is
+    formed once per level.
 
     Two levels agreeing is no proof on their own: a frequency the finer
     level aliases is aliased by the coarser one too, so a fast, nearly
@@ -170,10 +175,14 @@ def _adaptive_average(rows_fn, size: int, n: int = 64) -> Averages:
     alias frequency 2 pi/h by _SPREAD, or by pi/h (the Nyquist limit)
     where that is less, at every node whose share of the estimate could
     reach TOL.  The new midpoints lie 2h apart, so their own angles tell
-    (_resolved).  Where the angle is unresolved the residual is inf.  A
-    row whose integrand is not finite stops with status NOT_FINITE; one
-    that reaches the cap unconverged stops with NO_CONVERGENCE if its
-    residual is above FAIL_RESIDUAL and with REDUCED_TOLERANCE otherwise.
+    (_resolved).  A caller may vouch for a row instead: turn[i], where
+    given, bounds row i's |d Re angle/dt| on the whole line, and a row
+    whose advance between the midpoints stays within half the limit
+    (_cleared) is resolved without its nodes being looked at.  Where the
+    angle is unresolved the residual is inf.  A row whose integrand is
+    not finite stops with status NOT_FINITE; one that reaches the cap
+    unconverged stops with NO_CONVERGENCE if its residual is above
+    FAIL_RESIDUAL and with REDUCED_TOLERANCE otherwise.
     """
     values = sums = norms = prev = None
     residual = np.full(size, math.inf)
@@ -182,32 +191,45 @@ def _adaptive_average(rows_fn, size: int, n: int = 64) -> Averages:
     active = np.arange(size)
     t = (2.0 * _HALF_WIDTH / n) * np.arange(1, n) - _HALF_WIDTH
     while active.size:
+        h = 2.0 * _HALF_WIDTH / n
         block = max(1, _BLOCK_ELEMENTS // t.size)
         capped = 2 * n > DEFAULT_QUAD.max_nodes
-        est, res = None, np.empty(active.size)
-        for start in range(0, active.size, block):
-            rows = slice(start, start + block)
-            idx = active[rows]
-            integrand, angle, w = rows_fn(idx, t[None])
+        est = total = None
+        res = np.empty(active.size)
+        # sums, norms, estimates and these flags are kept in the order of active
+        vouched = (np.zeros(active.size, dtype=bool) if turn is None
+                   else _cleared(turn[active], h))
+        edges = list(range(0, active.size, block)) + [active.size]
+        if len(edges) > 2 and edges[-1] - edges[-2] <= block // 4:
+            del edges[-2]  # a short last block joins the one before: 5/4 as large at most
+        for start, stop in zip(edges, edges[1:]):
+            rows = slice(start, stop)
+            integrand, angle, w = rows_fn(active[rows], t[None])
             # one gemv per row, the product a lone row gets, so batching moves
             # no bits; the same product on the constant 1 adds up the weights
-            part = (integrand @ w[..., None])[..., 0]
-            total = (np.ones((1,) + integrand.shape[1:]) @ w[..., None])[..., 0]
+            with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row: see its status
+                part = (integrand @ w[..., None])[..., 0]
+            if total is None or not shared_weight:
+                total = (np.ones((1,) + integrand.shape[1:]) @ w[..., None])[..., 0]
             if sums is None:
                 values, sums, norms = np.empty((3, size, part.shape[1]))
-            est = np.empty((active.size, part.shape[1])) if est is None else est
-            sums[idx] = part if prev is None else sums[idx] + part
-            norms[idx] = total if prev is None else norms[idx] + total
-            est[rows] = sums[idx] / norms[idx]
+            if est is None:
+                est = np.empty((active.size, part.shape[1]))
+            if prev is None:
+                sums[rows], norms[rows] = part, total
+            else:
+                sums[rows] += part
+                norms[rows] += total
+            np.divide(sums[rows], norms[rows], out=est[rows])
             if prev is not None:
                 res[rows] = np.abs(est[rows] - prev[rows]).max(axis=1)
-                # only a row that would stop without failing has its angle
-                # checked
-                ask = np.flatnonzero(res[rows] <= FAIL_RESIDUAL if capped
-                                     else res[rows] < TOL)
+                # only a row that would stop without failing, and that no
+                # bound vouches for, has its angle checked
+                ask = np.flatnonzero((res[rows] <= FAIL_RESIDUAL if capped
+                                      else res[rows] < TOL) & ~vouched[rows])
                 if ask.size:
-                    unresolved = ~_resolved(angle[ask], w if len(w) == 1 else w[ask],
-                                            2.0 * _HALF_WIDTH / n)
+                    unresolved = ~_resolved(angle(ask) if callable(angle) else angle[ask],
+                                            w if len(w) == 1 else w[ask], h)
                     res[start + ask[unresolved]] = math.inf
         values[active] = est
         nodes[active] = n
@@ -224,7 +246,7 @@ def _adaptive_average(rows_fn, size: int, n: int = 64) -> Averages:
             else:
                 done |= converged
         keep = ~done
-        active, prev = active[keep], est[keep]
+        active, prev, sums, norms = active[keep], est[keep], sums[keep], norms[keep]
         n *= 2
         t = (2.0 * _HALF_WIDTH / n) * np.arange(1, n, 2) - _HALF_WIDTH
     return Averages(values, residual, nodes, status)
@@ -243,15 +265,30 @@ _NEGLIGIBLE = 1e-12
 _SPREAD = 30.0
 
 
+def _alias_limit(h: float) -> float:
+    """How far Re angle may advance between nodes 2h apart: 2h (2 pi/h - min(_SPREAD, pi/h))."""
+    return 2.0 * (2.0 * math.pi - min(_SPREAD * h, math.pi))
+
+
+def _cleared(turn: np.ndarray, h: float) -> np.ndarray:
+    """Per row: does turn, a bound on |d Re angle/dt|, keep the advance within half the limit?
+
+    Between nodes 2h apart Re angle advances by at most 2h turn; half the
+    limit leaves room for the rounding of the angle.  A non-finite turn
+    clears nothing.
+    """
+    return 2.0 * h * turn < 0.5 * _alias_limit(h)
+
+
 def _resolved(angle: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
     """Per row: does a rule of interval h resolve the angle where it matters?
 
     Between neighbouring nodes, 2h apart, Re angle must advance by less
-    than 2h (2 pi/h - min(_SPREAD, pi/h)) wherever either neighbour's
-    weighted size e^{-Im angle} w is above _NEGLIGIBLE; w has one row, or
-    one per row of the angle.
+    than _alias_limit(h) wherever either neighbour's weighted size
+    e^{-Im angle} w is above _NEGLIGIBLE; w has one row, or one per row of
+    the angle.
     """
-    limit = 2.0 * (2.0 * math.pi - min(_SPREAD * h, math.pi))
+    limit = _alias_limit(h)
     # a non-finite angle is reported through its row's status
     with np.errstate(invalid="ignore"):
         fast = np.abs(np.diff(angle.real, axis=-1)) >= limit
@@ -326,7 +363,7 @@ def _batch_average(integrand, amplitude, factor, q, beta) -> Averages:
         theta = amplitude[index, None] * factor(centre, centre + width * t)
         return integrand(theta), theta, np.exp(-t * t)
 
-    return _adaptive_average(rows, amplitude.size)
+    return _adaptive_average(rows, amplitude.size, shared_weight=True)
 
 
 # batch_characteristic leaves out the nodes whose integrand is below
@@ -357,16 +394,36 @@ def _line_table(t, centre, half, cos_2d, e_q, cos_b, lean_b, sin_b, tilt, share,
     + e^{-t})/2 - q (1 - cos d) and du = inv e_q/(e_q + 1) (E (1 + e^{-t}) +
     2 q (1 - cos d)/(e_q + 1)): no difference of nearby values is taken.
     """
-    tau = centre + half * t
-    e, big = np.expm1(tau), e_q * np.exp(tau)  # E, and e^t without 1 + E's rounding
+    # in place wherever a temporary is read no more: each sum and product is
+    # the one of the formulas above, at most with its operands swapped
+    tau = half * t
+    tau += centre
+    e = np.expm1(tau)
+    big = np.exp(tau, out=tau)  # e^t without 1 + E's rounding
+    big *= e_q
     small = 1.0 / big
     twice_cosh = big + small
-    inv = share / (twice_cosh + cos_2d)
-    e_small = e * small
-    # (sinh s - q)/beta = dev + i im
-    dev, im = e * (e_q + small) * cos_b - lean_b, twice_cosh * sin_b
-    return ((e_small + e + tilt) * inv, inv, -2.0 * dev * im, (im - dev) * (im + dev),
-            twice_cosh * jac_c, (big - small) * jac_s)
+    inv = twice_cosh + cos_2d
+    np.divide(share, inv, out=inv)
+    # (sinh s - q)/beta = dev + i im, dev = E (e_q + e^{-t}) cos_b - lean_b
+    dev = e_q + small
+    dev *= e
+    dev *= cos_b
+    dev -= lean_b
+    im = twice_cosh * sin_b
+    du = e * small  # (E e^{-t} + E + tilt) inv
+    du += e
+    du += tilt
+    du *= inv
+    w_arg = -2.0 * dev  # -2 dev im
+    w_arg *= im
+    w_log = im - dev  # (im - dev) (im + dev)
+    dev += im
+    w_log *= dev
+    twice_cosh *= jac_c  # jac_re
+    big -= small
+    big *= jac_s  # jac_im = (e^t - e^{-t}) jac_s
+    return du, inv, w_arg, w_log, twice_cosh, big
 
 
 def _shifted_log(table, k, k_sin, bound):
@@ -376,9 +433,13 @@ def _shifted_log(table, k, k_sin, bound):
     kept, for its row's status): most nodes of a fast row are damped away.
     """
     du, inv, w_arg, w_log = table[:4]
-    arg = w_arg - k * du
-    log_mod = w_log + k_sin * inv
-    return arg, log_mod, ~((log_mod < _DROPPED - bound) & np.isfinite(arg))
+    arg = k * du
+    np.subtract(w_arg, arg, out=arg)
+    log_mod = k_sin * inv
+    log_mod += w_log
+    dead = log_mod < _DROPPED - bound
+    dead &= np.isfinite(arg)
+    return arg, log_mod, np.logical_not(dead, out=dead)
 
 
 def _lines(kappa, q, beta, depth):
@@ -438,6 +499,17 @@ def batch_characteristic(kappa, q, beta, depth) -> Averages:
     row, or one scalar for all; rows on one line share its table per
     level.  values[:, 0] holds Re phi, values[:, 1] Im phi.
 
+    On the real line the angle -kappa du turns at most at |kappa| half/2
+    per unit of t, half being the line's half-width over 7 (line_of[:, 1]),
+    since u' = 1/(2 cosh^2(s/2)) <= 1/2; so between nodes 2h apart it
+    advances by at most h |kappa| half.  _adaptive_average takes that
+    bound as the rows' turn and checks the nodes of a row only where the
+    bound does not clear it (_cleared): a call with depth 0 and a fast
+    kappa still gets the node test.  A sweep row runs on the real line
+    only with omega = |kappa| beta/2 < _S_TURN (experiments._s_line), and
+    half <= beta since ds <= dp, so its advance stays below 8h <= 1.75
+    from 64 intervals on, within half the limit, which is at least pi.
+
     A shifted row drops each node whose log modulus, log_mod, is below
     _DROPPED - log_bound, log_bound bounding the rest of the integrand
     (_shifted_log).  On the line s = x + i d, x in [x_lo, x_hi],
@@ -480,7 +552,9 @@ def batch_characteristic(kappa, q, beta, depth) -> Averages:
     def on_the_axis(index, t):  # e^{-i kappa du} against the line's real weight
         du, _, _, w_log, jac_re, _ = line(index, t)
         angle = row_of[index, :1] * -du
-        return _cis(angle), angle, np.exp(w_log) * jac_re
+        w = np.exp(w_log)
+        w *= jac_re
+        return _cis(angle), angle, w
 
     def off_the_axis(index, t):
         table = line(index, t)
@@ -488,21 +562,45 @@ def batch_characteristic(kappa, q, beta, depth) -> Averages:
         with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row: see its status
             arg, log_mod, live = _shifted_log(table, k, k_sin, bound)
             log_mod += (tt := t * t)  # averaged against e^{-t^2}, the integrand carries e^{t^2}
-            term = np.exp(expo := log_mod + 1j * arg, out=np.zeros(arg.shape, complex), where=live)
-            term *= table[4] + 1j * table[5]
-            angle = -1j * (expo + bound)  # arg - i (log_mod + bound)
+            expo = _complex(log_mod, arg)
+            term = np.exp(expo, out=np.zeros(arg.shape, complex), where=live)
+            term *= _complex(table[4], table[5])
+
+        def angle(rows):  # arg - i (log_mod + bound), formed only for the rows the alias test reads
+            with np.errstate(invalid="ignore", over="ignore"):
+                return -1j * (expo[rows] + bound[rows])
+
         return np.stack([term.real, term.imag], axis=1), angle, np.exp(-tt)
 
-    # each kind of row in a pass of its own; a decided row keeps the zeros,
-    # with status CONVERGED
+    # each kind of row in a pass of its own, the real line's vouched for by
+    # its turn (above); a decided row keeps the zeros, with status CONVERGED
+    on_axis = depth == 0.0
+    with np.errstate(invalid="ignore", over="ignore"):  # a turn that is not finite clears nothing
+        turn = 0.5 * np.abs(kappa) * line_of[:, 1]
     out = Averages(np.zeros((kappa.size, 2)), np.zeros(kappa.size),
                    *np.zeros((2, kappa.size), dtype=int))
-    for part, rows in ((depth == 0.0, on_the_axis), ((depth != 0.0) & ~decided, off_the_axis)):
+    for part, rows, one_weight, row_turn in ((on_axis, on_the_axis, shared, turn),
+                                             (~on_axis & ~decided, off_the_axis, True, None)):
         index = np.flatnonzero(part)
         if index.size:
-            got = _adaptive_average(lambda i, t: rows(index[i], t), index.size, _FIRST_IN_S)
+            got = _adaptive_average(lambda i, t: rows(index[i], t), index.size, _FIRST_IN_S,
+                                    one_weight, None if row_turn is None else row_turn[index])
             for name in ("values", "residual", "nodes", "status"):
                 getattr(out, name)[index] = getattr(got, name)
+    return out
+
+
+def _complex(re, im):
+    """re + 1j * im, bit for bit, written into its parts: 0 im + re and im + 0.
+
+    The real part of 1j * im is 0 im, nan where im is not finite: e^{re + i
+    inf} is nan, as it must be for its row's status, but e^{-inf + i inf} is
+    0 without it.
+    """
+    out = np.empty(np.broadcast_shapes(re.shape, im.shape), complex)
+    np.multiply(im, 0.0, out=out.real)
+    out.real += re
+    np.add(im, 0.0, out=out.imag)
     return out
 
 
@@ -658,11 +756,13 @@ def binary_entropy(x):
     Of a float, or of each element of an array with the float's bits: the
     logs are math's per value, whose bits numpy's do not always give.
     """
-    v = np.asarray(x, dtype=float)
-    check_domain({"x": v})
-    h = np.fromiter((0.0 - (y * math.log2(y) if y > 0.0 else 0.0)
-                     - ((1.0 - y) * math.log1p(-y) / math.log(2.0) if y < 1.0 else 0.0)
-                     for y in v.ravel().tolist()), float, v.size).reshape(v.shape)
+    y = np.asarray(x, dtype=float)
+    check_domain({"x": y})
+    # log2 y where y > 0 and log1p(-y) where y < 1, else 0, which the terms multiply by 0
+    log2_y, log1p_y, pos, below = np.zeros_like(y), np.zeros_like(y), y > 0.0, y < 1.0
+    log2_y[pos] = list(map(math.log2, y[pos].tolist()))
+    log1p_y[below] = list(map(math.log1p, (-y[below]).tolist()))
+    h = (0.0 - y * log2_y) - (1.0 - y) * log1p_y / math.log(2.0)
     return float(h) if h.ndim == 0 else h
 
 

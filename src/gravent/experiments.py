@@ -91,8 +91,9 @@ class SweepSpec:
     fixed: OrbitParams
 
     def __post_init__(self):
-        check_domain({"variable": self.variable, "lo": self.lo, "hi": self.hi,
-                      "span": self.hi - self.lo, "samples": self.samples}, {"span": "hi - lo"})
+        check_domain({"lo": self.lo, "hi": self.hi})  # numbers, before hi - lo is formed
+        check_domain({"variable": self.variable, "span": self.hi - self.lo,
+                      "samples": self.samples}, {"span": "hi - lo"})
         if not self.lo < self.hi:
             raise DomainError(f"need lo < hi, got [{self.lo}, {self.hi}]")
 
@@ -432,7 +433,10 @@ def frame_comparison(r_grid, q: float, p: float) -> list[FrameRateRow]:
     radii pass the entries of DOMAIN_CHECKS for z and q and p their own,
     and kruskal_rate raises where the falling-frame rate overflows.
     """
-    r_grid = np.asarray(r_grid, dtype=float)
+    try:
+        r_grid = np.asarray(r_grid, dtype=float)
+    except ValueError as exc:  # a ragged nesting, or text that is not a number
+        raise DomainError(f"the radius grid must be one-dimensional, of numbers: {exc}") from None
     if r_grid.ndim != 1:
         raise DomainError(f"the radius grid must be one-dimensional, got shape {r_grid.shape}")
     if r_grid.size == 0:

@@ -78,13 +78,17 @@ def check_domain(values: dict, names: dict | None = None) -> None:
 
     Only the entries of the fields in values run, each on a number, a
     string or an array (anything with a non-zero ndim), whose first
-    element at fault the message names.  names renames a field in the
-    messages.
+    element at fault the message names.  A value that an entry cannot
+    compare (text or None where a number belongs) fails it as not a
+    number.  names renames a field in the messages.
     """
     for field, valid, message in DOMAIN_CHECKS:
         if field in values:
             value = values[field]
-            ok = valid(value)
+            try:
+                ok = valid(value)
+            except TypeError:  # text or None where the entry compares numbers
+                ok, message = False, "{name} must be a number, got {value!r}"
             if getattr(ok, "ndim", 0):  # an array
                 if ok.all():
                     continue

@@ -600,8 +600,9 @@ def test_import_does_not_load_scipy_xml_sax_or_urllib():
 
 # the boot of the `gravent` console script, as perfbench/run.py's CLI_BOOT
 CLI_BOOT = "import sys; from gravent.cli import main; sys.exit(main())"
-# prints whether numpy is loaded as the last line of stdout, at exit
-REPORT_NUMPY = "import atexit, sys; atexit.register(lambda: print('numpy' in sys.modules)); "
+# prints whether numpy and json are loaded as the last line of stdout, at exit
+REPORT_MODULES = ("import atexit, sys; "
+                  "atexit.register(lambda: print('numpy' in sys.modules, 'json' in sys.modules)); ")
 
 
 def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
@@ -624,8 +625,9 @@ def test_import_loads_no_numpy():
     (["zeros", "--xi2", "nan"], 1, ""),
 ], ids=["horizons", "zeros", "horizons-nan", "zeros-nan"])
 def test_horizons_and_zeros_load_no_numpy(argv, code, out):
-    done = run_fresh(REPORT_NUMPY + CLI_BOOT, *argv)
-    assert (done.returncode, done.stdout) == (code, out + "False\n")
+    # nor json, which only --config reads
+    done = run_fresh(REPORT_MODULES + CLI_BOOT, *argv)
+    assert (done.returncode, done.stdout) == (code, out + "False False\n")
     if code:
         assert done.stderr.startswith("error: DomainError: ")
         assert done.stderr.count("\n") == 1

@@ -191,6 +191,44 @@ def test_batch_characteristic_rows_match_single_rows():
     assert empty.status.size == 0 and empty.values.shape == (0, 2)
 
 
+def test_the_real_lines_turn_bound_clears_only_rows_the_node_test_clears(monkeypatch):
+    # on the real line the angle -kappa du turns at most at |kappa| half/2
+    # per unit of t (u' <= 1/2), so a row the bound clears is one whose
+    # nodes _resolved would clear at every level; rows from slow to far
+    # past _S_TURN, the infinite ones included, some cleared and some not
+    rng = np.random.default_rng(11)
+    size = 300
+    beta = 10.0 ** rng.uniform(-2.0, 2.0, size)
+    q = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+    omega = 10.0 ** rng.uniform(-3.0, 5.0, size)  # |kappa| beta/2
+    kappa = rng.choice([-1.0, 1.0], size) * 2.0 * omega / beta
+    kappa[:3] = [math.inf, -math.inf, 0.0]
+    depth = np.zeros(size)
+    real, counts = entanglement._adaptive_average, []
+
+    def checked(rows_fn, size, n=64, shared_weight=False, turn=None):
+        for n_level in (64, 128, 256, 512, 1024, 2048):  # every level the rule checks
+            h = 2.0 * 7.0 / n_level
+            _, angle, w = rows_fn(np.arange(size), (h * np.arange(1, n_level, 2) - 7.0)[None])
+            cleared = entanglement._cleared(turn, h)
+            assert entanglement._resolved(angle[cleared], w[cleared], h).all(), n_level
+            assert not cleared[:2].any()
+            counts.append(int(cleared.sum()))
+        return real(rows_fn, size, n, shared_weight, turn)
+
+    monkeypatch.setattr(entanglement, "_adaptive_average", checked)
+    out = batch_characteristic(kappa, q, beta, depth)
+    assert len(counts) == 6 and 0 < min(counts) and max(counts) < size
+    # and the bound moves no bit: a run with no row vouched for gives the same
+    monkeypatch.setattr(entanglement, "_adaptive_average",
+                        lambda rows_fn, size, n=64, shared_weight=False, turn=None:
+                        real(rows_fn, size, n, shared_weight))
+    plain = batch_characteristic(kappa, q, beta, depth)
+    for name in ("values", "residual", "nodes", "status"):
+        assert getattr(out, name).tobytes() == getattr(plain, name).tobytes(), name
+    assert (out.status == NO_CONVERGENCE).any() and (out.status == CONVERGED).any()
+
+
 def test_constant_integrand_averages_to_itself():
     # each estimate divides by the rule's sum of the weight it sums against
     out = batch_characteristic(np.zeros(3), np.array([0.0, 0.6, 20.0]), 1.0, 0.0)

@@ -290,6 +290,12 @@ def test_counts_must_be_integers(call, message):
         call()
 
 
+def test_sweep_spec_calls_an_end_that_is_not_a_number_a_domain_error():
+    # hi - lo was formed before any rule ran, and raised a bare TypeError
+    with pytest.raises(DomainError, match=r"^lo must be a number, got '0'$"):
+        SweepSpec("q", "0", 1.0, 3, OrbitParams(0.16, 2.0, 0.6, 1.0, 5.0))
+
+
 def test_counts_take_what_stands_for_an_integer():
     spec = SweepSpec("q", 0.0, 1.0, np.int64(3), OrbitParams(0.16, 2.0, 0.6, 1.0, 5.0))
     assert [row.x for row in run_sweep(spec)] == [0.0, 0.5, 1.0]
@@ -439,6 +445,12 @@ def test_frame_comparison_rejects_a_grid_that_is_not_one_dimensional(grid, shape
     with pytest.raises(DomainError, match=re.escape(
             f"the radius grid must be one-dimensional, got shape {shape}")):
         frame_comparison(grid, q=1.0, p=0.0)
+
+
+def test_frame_comparison_rejects_a_ragged_grid():
+    # numpy's bare ValueError, from making an array of the nesting
+    with pytest.raises(DomainError, match="^the radius grid must be one-dimensional, of numbers: "):
+        frame_comparison([[2.0], [3.0, 4.0]], 0.6, 0.3)
 
 
 def test_frame_comparison_marks_near_horizon_divergence():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,17 @@ def test_check_domain_names_the_first_element_at_fault():
         check_domain({"z": np.array([-1.0, math.nan])}, {"z": "r"})
     with pytest.raises(DomainError, match=r"^\|p\| must be <= 1e\+08, got p=1e\+200$"):
         check_domain({"q": 1e200}, {"q": "p"})
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"count": "3"}, "count must be a number, got '3'"),
+    ({"xi2": "0.1"}, "xi2 must be a number, got '0.1'"),
+    ({"z": None}, "z must be a number, got None"),
+], ids=["count", "xi2", "z"])
+def test_check_domain_calls_what_is_not_a_number_a_domain_error(values, message):
+    # each raised a bare TypeError from a comparison or abs()
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        check_domain(values)
 
 
 def test_radial_factor_masks_every_radius_inside_the_outer_horizon():
