@@ -27,6 +27,7 @@ of the presets or of the wide packets the tests sweep needs it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -65,8 +66,8 @@ from .wigner import (
     spin_rep,
     theta_amplitude,
     theta_circular,  # not called here; perfbench/layers.py traces it at this module
-    wigner_rate,
     wigner_rate_matrix,
+    _wigner_rate,
 )
 
 # A z-sweep may not start on the horizon itself; clamp just above it.
@@ -334,9 +335,12 @@ def radial_invariance_check(bells, dist: MomentumDistribution | None = None,
     model = ChargedBlackHole(0.0)
     dist = dist or MomentumDistribution(q=0.6, beta=1.0)
     if rate_fn is None:
+        p = np.array([dist.q, 0.0, 0.0])
+        check_domain({"p": p})  # once, not at every step
+
         def rate_fn(tau):
             # infalling path, z from 6 down to 4
-            return wigner_rate(lambda_radial(model, 6.0 - 0.4 * tau, 0.4), (dist.q, 0.0, 0.0))
+            return _wigner_rate(lambda_radial(model, 6.0 - 0.4 * tau, 0.4), p)
 
     accumulated = product_integral(rate_fn, 0.0, 5.0, 256)
     angle = math.atan2(accumulated[0, 2], accumulated[0, 0])
@@ -355,10 +359,86 @@ def radial_invariance_check(bells, dist: MomentumDistribution | None = None,
     return reports
 
 
-def random_orbit_params(rng: np.random.Generator) -> OrbitParams:
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _Draws:
+    """The doubles np.random.default_rng(seed) gives, without numpy.random.
+
+    That generator is PCG64 (O'Neill, HMC-CS-2014-0905, the 128-bit setseq
+    LCG with XSL-RR output) seeded through numpy's SeedSequence; both are
+    integer algorithms, which Python ints follow bit for bit.  The seed's
+    32-bit words, low first, are hashed into a pool of 4 words, every pool
+    word mixed with every other and with each word past the 4th; the pool
+    cycled through a second hash gives the 8 words of
+    generate_state(4, uint64), low word first, which set the LCG's start
+    and increment.  A double is (x >> 11) 2^-53 of the next 64-bit output
+    x, and uniform(low, high) is low + (high - low) double.  seed must be
+    a non-negative integer (the entries of DOMAIN_CHECKS for seed).
+    """
+
+    def __init__(self, seed: int):
+        seed, words = operator.index(seed), []
+        while True:
+            words.append(seed & _M32)
+            seed >>= 32
+            if not seed:
+                break
+        const = 0x43B0D7E5
+
+        def hashmix(value):
+            nonlocal const
+            value ^= const
+            const = const * 0x931E8875 & _M32
+            value = value * const & _M32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return x ^ x >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        const, state = 0x8B51F9DD, []
+        for i in range(8):
+            value = pool[i % 4] ^ const
+            const = const * 0x58F38DED & _M32
+            value = value * const & _M32
+            state.append(value ^ value >> 16)
+        w = [lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])]
+        self._inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
+        self._state = (self._inc + (w[0] << 64 | w[1])) & _M128  # 0 stepped once, plus the start
+        self._step()
+
+    def _step(self) -> None:
+        self._state = (self._state * _PCG_MULT + self._inc) & _M128
+
+    def random(self) -> float:
+        self._step()
+        hi, rot = self._state >> 64, self._state >> 122
+        x = hi ^ (self._state & _M64)
+        x = (x >> rot | x << (64 - rot)) & _M64
+        return (x >> 11) * 2.0 ** -53
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        low, high = float(low), float(high)
+        return low + (high - low) * self.random()
+
+
+def random_orbit_params(rng) -> OrbitParams:
     """A random configuration kept well clear of horizons and aliasing.
 
-    Charges span both the two-horizon and the naked range; radii start
+    rng is anything with uniform(low, high) and uniform() as numpy's
+    Generator has them: a np.random.Generator, or the _Draws stream that
+    gives its doubles, from which both give equal parameters.  Charges
+    span both the two-horizon and the naked range; radii start
     0.6 above the outer horizon (or 0.6 outright when none exists) and
     momenta, widths and times stay small enough that the default
     quadrature converges on every draw.
@@ -389,8 +469,8 @@ def oracle_equivalence_report(draws: int = 100, seed: int = 20240808) -> dict:
     Wootters and the hygiene checks run on the stacked matrices, each
     matrix with the bits it gives alone.
     """
-    check_domain({"count": draws}, {"count": "draws"})
-    rng = np.random.default_rng(seed)
+    check_domain({"count": draws, "seed": seed}, {"count": "draws"})
+    rng = _Draws(seed)
     params = [random_orbit_params(rng) for _ in range(draws)]
     amplitude = np.array([theta_amplitude(p) for p in params])
     q, beta = np.array([(p.q, p.beta) for p in params]).T
@@ -481,8 +561,10 @@ def validation_checks(report: dict) -> list[tuple[str, bool, str]]:
          f"max C^2+S^2 = {report['max_moment_norm']:.12f}"),
     ]
 
+    draws = _Draws(7)
+    pairs = [(draws.uniform(-6, 6), draws.uniform(-6, 6)) for _ in range(50)]
     dev = max(float(np.abs(spin_rep(a) @ spin_rep(b) - spin_rep(a + b)).max())
-              for a, b in np.random.default_rng(7).uniform(-6, 6, (50, 2)))
+              for a, b in pairs)
     checks.append(("spin_rep homomorphism", dev < 1e-12, f"max deviation {dev:.3e}"))
 
     rate = wigner_rate_matrix(ChargedBlackHole(0.16), 1.6, 0.6, 0.3)

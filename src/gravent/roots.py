@@ -11,6 +11,7 @@ and `gravent zeros` run on it and the standard library only.
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import DomainError
 
@@ -29,6 +30,16 @@ MAX_MOMENTUM = 1e8
 # and overflows from z ~ 5.6e102; up to this radius every intermediate of
 # it stays finite.
 MAX_RADIUS = 1e100
+
+
+def _is_integer(value) -> bool:
+    """An int, or one value of a type that stands for one (numpy's integers)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
 
 # (field, where a value is in the domain, message), in the order check_domain
 # tries them, every finiteness entry first.  Comparisons, so nan fails each
@@ -62,8 +73,9 @@ DOMAIN_CHECKS = tuple((key, lambda v: abs(v) < math.inf, "{name} must be finite,
     ("x", lambda v: (v >= 0) & (v <= 1), "{name} must lie in [0, 1], got {value}"),
     ("count", lambda v: v >= 1, "{name} must be >= 1, got {value}"),  # of steps, draws, radii
     ("samples", lambda v: v >= 2, "{name} must be >= 2, got {value}"),  # of a sweep's grid
-) + tuple((key, lambda v: hasattr(type(v), "__index__"),  # an int, or a type that stands for one
-           "{name} must be an integer, got {value}") for key in ("count", "samples")) + (
+    ("seed", lambda v: v >= 0, "{name} must be >= 0, got {value}"),  # of the oracle's draws
+) + tuple((key, _is_integer, "{name} must be an integer, got {value}")
+          for key in ("count", "samples", "seed")) + (
     ("variable", lambda v: v in SWEEP_VARIABLES,
      f"{{name}} must be one of {SWEEP_VARIABLES}, got {{value!r}}"),
     ("bell", lambda v: v in BELL_TAGS, "unknown Bell state {value!r}; expected chi1..chi4"),

@@ -126,8 +126,13 @@ def wigner_rate(lam, p) -> np.ndarray:
     result is antisymmetric whenever lam @ ETA is.  p passes the entries of
     DOMAIN_CHECKS for p.
     """
-    lam, p = np.asarray(lam, dtype=float), np.asarray(p, dtype=float)
+    p = np.asarray(p, dtype=float)
     check_domain({"p": p})
+    return _wigner_rate(np.asarray(lam, dtype=float), p)
+
+
+def _wigner_rate(lam: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """wigner_rate for float arrays lam and p, p already checked."""
     boost = lam[1:, 0]
     return lam[1:, 1:] + (boost[:, None] * p - p[:, None] * boost) / (np.sqrt(1.0 + p @ p) + 1.0)
 
@@ -282,9 +287,11 @@ def product_integral(rate_fn, tau_i: float, tau_f: float, steps: int) -> np.ndar
     steps are multiplied pairwise, level by level, the later factor of a
     pair on the left and an odd last factor carried up a level; the
     blocks' products are chained in time order.  Within a block, rounding
-    then grows with log(steps), not with steps.  rate_fn must return a square matrix of
-    fixed shape with finite entries, of one of the kinds _expm_planar
-    takes.
+    then grows with log(steps), not with steps.  A block whose rates all
+    have the bits of its first (a constant rate, +0.0 and -0.0 told apart)
+    exponentiates that one rate, with the bits each of its steps would get.
+    rate_fn must return a square matrix of fixed shape with finite entries,
+    of one of the kinds _expm_planar takes.
     """
     check_domain({"tau_i": tau_i, "tau_f": tau_f, "count": steps}, {"count": "steps"})
     dtau = (tau_f - tau_i) / steps
@@ -295,7 +302,11 @@ def product_integral(rate_fn, tau_i: float, tau_f: float, steps: int) -> np.ndar
         finite = np.isfinite(rates).all(axis=(1, 2))
         if not finite.all():
             raise DomainError(f"non-finite rate at step {start + int(finite.argmin())}")
-        factors = _expm_planar(rates * dtau)
+        bits = rates.view(np.uint64).reshape(len(rates), -1)
+        if (bits == bits[0]).all():  # a constant rate: one exponential, per matrix as in a stack
+            factors = np.repeat(_expm_planar(rates[:1] * dtau), len(rates), axis=0)
+        else:
+            factors = _expm_planar(rates * dtau)
         while len(factors) > 1:
             paired = factors[1::2] @ factors[:len(factors) - 1:2]
             factors = np.concatenate([paired, factors[-1:]]) if len(factors) % 2 else paired

@@ -773,7 +773,8 @@ def test_z_range_inside_the_horizon_names_the_range(capsys):
 
 def test_commands_run_without_scipy():
     # numpy is the only runtime dependency: neither the quadrature nor
-    # product_integral may load SciPy
+    # product_integral may load SciPy, and the oracle draws its orbits
+    # without numpy.random
     src = str(Path(gravent.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -781,11 +782,12 @@ def test_commands_run_without_scipy():
             "from gravent.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes = [main(['figure', '1']), main(['minima', '--figure', '5']),\n"
-            "             main(['validate', '--draws', '2'])]\n"
-            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "             main(['validate', '--draws', '2']), main(['radial-check'])]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+            "      'numpy.random' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[0, 0, 0] []"
+    assert out.strip() == "[0, 0, 0, 0] [] False"
 
 
 # SHA-256 of the stdout of `frame-compare --samples 7`, `zeros` and

@@ -516,6 +516,47 @@ def test_oracle_report_keeps_its_bits(draws, seed):
     assert oracle_equivalence_report(draws, seed) == ORACLE_GOLDENS[draws, seed]
 
 
+# 1 to 7 32-bit words of entropy: the seeds past 2^128 mix words beyond the
+# pool's 4 into every pool word
+STREAM_SEEDS = (0, 1, 7, 123, 20240808, 2**32 - 1, 2**32, 2**64 + 3, 2**128, 2**200 + 12345)
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_draws_give_numpys_default_rng_doubles_bit_for_bit(seed):
+    ours, numpys = experiments._Draws(seed), np.random.default_rng(seed)
+    draws = [(rng.random(), rng.uniform(), rng.uniform(-6, 6), rng.uniform(0.05, 1.2),
+              rng.uniform(1.6, 6.6)) for rng in (ours, numpys) for _ in range(120)]
+    got, want = draws[:120], draws[120:]
+    assert [float(x).hex() for row in got for x in row] == \
+        [float(x).hex() for row in want for x in row]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS[:5])
+def test_random_orbit_params_are_equal_from_either_generator(seed):
+    ours, numpys = experiments._Draws(seed), np.random.default_rng(seed)
+    for _ in range(50):
+        assert random_orbit_params(ours) == random_orbit_params(numpys)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (None, "seed must be a number, got None"),
+    (-1, "seed must be >= 0, got -1"),
+    (1.5, "seed must be an integer, got 1.5"),
+    ("7", "seed must be a number, got '7'"),
+    ([1, 2], "seed must be a number, got [1, 2]"),
+    (np.array([1, 2]), "seed must be an integer, got [1 2]"),
+], ids=["none", "negative", "float", "text", "sequence", "array"])
+def test_oracle_seed_is_a_non_negative_integer(seed, message):
+    # None drew from the OS's entropy, so the report could not be reproduced;
+    # the others raised numpy's bare ValueError or TypeError, or were taken
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        oracle_equivalence_report(2, seed)
+
+
+def test_oracle_seed_takes_what_stands_for_an_integer():
+    assert oracle_equivalence_report(2, np.int64(5)) == oracle_equivalence_report(2, 5)
+
+
 # Sweeps off the presets, with their digests of repr(run_sweep(spec, sp)),
 # taken once every row was averaged in s = asinh p, and again once a row's
 # line was chosen by the fastest turn in its packet, each time after the rows

@@ -33,6 +33,7 @@ from gravent import (
     wigner_rate_matrix,
     wigner_rate_w13,
 )
+from gravent import wigner
 from gravent.roots import MAX_RADIUS, check_domain, outer_horizon
 from gravent.wigner import _STEP_BLOCK, _expm_planar, radial_factor
 
@@ -472,12 +473,87 @@ def test_product_integral_orders_non_commuting_factors_in_time(steps):
 
 
 def test_product_integral_rejects_non_planar_generator():
-    # a boost along x with a rotation about x: m^3 != c m, no closed form
+    # a boost along x with a rotation about x: m^3 != c m, no closed form;
+    # the rate is constant, so each block exponentiates it once, and still raises
     gen = np.zeros((4, 4))
     gen[0, 1] = gen[1, 0] = 0.3
     gen[2, 3], gen[3, 2] = 0.5, -0.5
-    with pytest.raises(DomainError, match="not planar"):
-        product_integral(lambda t: gen, 0.0, 1.0, 4)
+    for steps in (1, 4, _STEP_BLOCK + 1):
+        with pytest.raises(DomainError, match="not planar"):
+            product_integral(lambda t: gen, 0.0, 1.0, steps)
+
+
+_PLANAR_KINDS = {
+    "antisymmetric": np.array([[0.0, 0.3, -1.1], [-0.3, 0.0, 0.7], [1.1, -0.7, 0.0]]),
+    "radial": lambda_radial(ChargedBlackHole(0.16), 2.5, 0.6),
+    "circular": lambda_circular(ChargedBlackHole(0.16), 2.5, 1.3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PLANAR_KINDS))
+def test_expm_planar_of_equal_generators_is_the_single_exponential_bit_for_bit(kind):
+    # a constant rate's block exponentiates one generator and repeats it, so
+    # the stack must give every row the bits of that single exponential
+    for scale in (1e-4, 0.3, 2.0):
+        gen = _PLANAR_KINDS[kind] * scale
+        one = _expm_planar(gen[None])[0]
+        for k in (2, 7, _STEP_BLOCK):
+            stack = _expm_planar(np.repeat(gen[None], k, axis=0))
+            assert all(row.tobytes() == one.tobytes() for row in stack), (scale, k)
+
+
+def _per_step_product(rate_fn, tau_i, tau_f, steps):
+    # every step's rate exponentiated in one stack, blocks of _STEP_BLOCK
+    # multiplied pairwise, later factor of a pair on the left
+    dtau = (tau_f - tau_i) / steps
+    acc = None
+    for start in range(0, steps, _STEP_BLOCK):
+        ks = range(start, min(start + _STEP_BLOCK, steps))
+        factors = _expm_planar(np.array([rate_fn(tau_i + (k + 0.5) * dtau) for k in ks]) * dtau)
+        while len(factors) > 1:
+            paired = factors[1::2] @ factors[:len(factors) - 1:2]
+            factors = np.concatenate([paired, factors[-1:]]) if len(factors) % 2 else paired
+        acc = factors[0] if acc is None else factors[0] @ acc
+    return acc
+
+
+def _exponentiated(monkeypatch):
+    # the size of every stack product_integral hands to _expm_planar
+    sizes = []
+
+    def recording(m):
+        sizes.append(len(m))
+        return _expm_planar(m)
+
+    monkeypatch.setattr(wigner, "_expm_planar", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("steps", [1, 2, _STEP_BLOCK - 1, _STEP_BLOCK, _STEP_BLOCK + 1, 10_000])
+def test_product_integral_of_a_constant_rate_keeps_the_per_step_bits(steps, monkeypatch):
+    model = ChargedBlackHole(0.16)
+    rates = [wigner_rate_matrix(model, 1.6, 0.6, 0.3), lambda_circular(model, 2.5, 1.3),
+             lambda_radial(model, 6.0, 0.4)]
+    sizes = _exponentiated(monkeypatch)
+    for rate in rates:
+        got = product_integral(lambda t: rate, 0.0, 2.0, steps)
+        assert got.tobytes() == _per_step_product(lambda t: rate, 0.0, 2.0, steps).tobytes()
+        assert got.flags.writeable  # the caller's own array, as for any other rate
+    assert sizes == [1] * (len(rates) * -(-steps // _STEP_BLOCK))  # one exponential per block
+
+
+@pytest.mark.parametrize("steps", [2, _STEP_BLOCK + 1])
+def test_product_integral_tells_signed_zeros_apart(steps, monkeypatch):
+    # equal in value but not in bits: a block mixing +0.0 and -0.0 is not
+    # constant, so each of its steps is exponentiated from its own zeros
+    def rate_fn(tau):
+        zero = 0.0 if tau < 0.75 else -0.0
+        return np.array([[zero, 0.4, -zero], [-0.4, -zero, zero], [zero, -zero, zero]])
+
+    sizes = _exponentiated(monkeypatch)
+    got = product_integral(rate_fn, 0.0, 1.0, steps)
+    assert sizes == ([steps] if steps == 2 else [_STEP_BLOCK, 1])  # the last block is all -0.0
+    assert got.tobytes() == _per_step_product(rate_fn, 0.0, 1.0, steps).tobytes()
 
 
 def test_product_integral_radial_path_is_pure_boost():
