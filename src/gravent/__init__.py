@@ -34,8 +34,7 @@ _EXPORTS = {
     "experiments": ("FrameRateRow", "RadialInvarianceReport", "SweepRow", "SweepSpec",
                     "figure_preset", "find_entanglement_minima", "frame_comparison",
                     "oracle_equivalence_report", "radial_invariance_check",
-                    "random_orbit_params", "resolve_sweep", "run_sweep", "sweep_point",
-                    "validation_checks"),
+                    "random_orbit_params", "resolve_sweep", "run_sweep", "validation_checks"),
     "output": ("emit_csv", "emit_json", "emit_svg"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

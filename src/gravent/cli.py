@@ -275,11 +275,8 @@ def _add_sweep_flags(sub) -> None:
     sub.add_argument("--lo", type=float)
     sub.add_argument("--hi", type=float)
     sub.add_argument("--samples", type=int)
-    sub.add_argument("--xi2", type=float)
-    sub.add_argument("--z", type=float)
-    sub.add_argument("--q", type=float)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--tau-ratio", dest="tau_ratio", type=float)
+    for key in _FIXED_DEFAULTS:
+        sub.add_argument("--" + key.replace("_", "-"), type=float)
     sub.add_argument("--config", help="JSON file with the same keys as the flags")
 
 

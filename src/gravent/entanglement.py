@@ -143,19 +143,18 @@ class Averages:
     status: np.ndarray
 
 
-def _adaptive_average(rows_fn, size: int, n: int = 64, shared_weight: bool = False,
-                      turn=None) -> Averages:
+def _adaptive_average(rows_fn, size: int, n: int = 64, turn=None) -> Averages:
     """Average an integrand against the weight it comes with, per row.
 
     rows_fn(index, t) gets the indices of a block of rows and a level's
     new nodes t in (-7, 7), of shape (1, nodes).  It returns the
-    integrand g, shape (len(index), components, nodes), an angle of
-    shape (len(index), nodes), or a function that gives the angle's rows
-    at the positions in the block it is passed, and the real weight w,
-    with one row per row of the block or, where shared_weight says so,
-    one row that is the level's weight for every block.  g turns with the
-    angle's real part and is no larger than e^{-Im angle}, as e^{i angle}
-    is.  The row's value is the integral of g w over that of w.
+    integrand g, shape (len(index), components, nodes), a function that
+    gives the angle's rows, shape (rows, nodes), at the positions in the
+    block it is passed, and the real weight w, with one row per row of
+    the block or one row that is the level's weight for every block.
+    g turns with the angle's real part and is no larger than
+    e^{-Im angle}, as e^{i angle} is.  The row's value is the integral
+    of g w over that of w.
 
     The rule is the trapezoid rule in t, nested: the first level has n
     intervals, and each level doubles them, evaluating only the new
@@ -164,8 +163,8 @@ def _adaptive_average(rows_fn, size: int, n: int = 64, shared_weight: bool = Fal
     DEFAULT_QUAD.max_nodes.  Each estimate is the running sum of g w over
     that of w, the same product, so a constant integrand averages to
     itself exactly.  Each level evaluates only the rows still active, in
-    blocks of about _BLOCK_ELEMENTS nodes; the sum of a shared weight is
-    formed once per level.
+    blocks of about _BLOCK_ELEMENTS nodes; the sum of a one-row weight
+    that serves a block of more rows is formed once per level.
 
     Two levels agreeing is no proof on their own: a frequency the finer
     level aliases is aliased by the coarser one too, so a fast, nearly
@@ -209,7 +208,7 @@ def _adaptive_average(rows_fn, size: int, n: int = 64, shared_weight: bool = Fal
             # no bits; the same product on the constant 1 adds up the weights
             with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row: see its status
                 part = (integrand @ w[..., None])[..., 0]
-            if total is None or not shared_weight:
+            if total is None or len(w) == len(integrand):
                 total = (np.ones((1,) + integrand.shape[1:]) @ w[..., None])[..., 0]
             if sums is None:
                 values, sums, norms = np.empty((3, size, part.shape[1]))
@@ -228,8 +227,7 @@ def _adaptive_average(rows_fn, size: int, n: int = 64, shared_weight: bool = Fal
                 ask = np.flatnonzero((res[rows] <= FAIL_RESIDUAL if capped
                                       else res[rows] < TOL) & ~vouched[rows])
                 if ask.size:
-                    unresolved = ~_resolved(angle(ask) if callable(angle) else angle[ask],
-                                            w if len(w) == 1 else w[ask], h)
+                    unresolved = ~_resolved(angle(ask), w if len(w) == 1 else w[ask], h)
                     res[start + ask[unresolved]] = math.inf
         values[active] = est
         nodes[active] = n
@@ -361,9 +359,9 @@ def _batch_average(integrand, amplitude, factor, q, beta) -> Averages:
         centre = q if q.ndim == 0 else q[index, None]
         width = beta if beta.ndim == 0 else beta[index, None]
         theta = amplitude[index, None] * factor(centre, centre + width * t)
-        return integrand(theta), theta, np.exp(-t * t)
+        return integrand(theta), theta.__getitem__, np.exp(-t * t)
 
-    return _adaptive_average(rows, amplitude.size, shared_weight=True)
+    return _adaptive_average(rows, amplitude.size)
 
 
 # batch_characteristic leaves out the nodes whose integrand is below
@@ -554,7 +552,7 @@ def batch_characteristic(kappa, q, beta, depth) -> Averages:
         angle = row_of[index, :1] * -du
         w = np.exp(w_log)
         w *= jac_re
-        return _cis(angle), angle, w
+        return _cis(angle), angle.__getitem__, w
 
     def off_the_axis(index, t):
         table = line(index, t)
@@ -579,12 +577,12 @@ def batch_characteristic(kappa, q, beta, depth) -> Averages:
         turn = 0.5 * np.abs(kappa) * line_of[:, 1]
     out = Averages(np.zeros((kappa.size, 2)), np.zeros(kappa.size),
                    *np.zeros((2, kappa.size), dtype=int))
-    for part, rows, one_weight, row_turn in ((on_axis, on_the_axis, shared, turn),
-                                             (~on_axis & ~decided, off_the_axis, True, None)):
+    for part, rows, row_turn in ((on_axis, on_the_axis, turn),
+                                 (~on_axis & ~decided, off_the_axis, None)):
         index = np.flatnonzero(part)
         if index.size:
             got = _adaptive_average(lambda i, t: rows(index[i], t), index.size, _FIRST_IN_S,
-                                    one_weight, None if row_turn is None else row_turn[index])
+                                    None if row_turn is None else row_turn[index])
             for name in ("values", "residual", "nodes", "status"):
                 getattr(out, name)[index] = getattr(got, name)
     return out

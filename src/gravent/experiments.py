@@ -6,22 +6,23 @@ angle -> moments -> concurrence K = C^2 + S^2 -> entanglement pipeline.
 The rows are computed as arrays over the grid (_sweep_rows): the domain
 and horizon masks, the angle's amplitude, the moments, and K and E over
 the rows computed.  The moments come from a nested trapezoid rule
-batched across rows, each row stopping exactly where it would stop alone
-(sweep_point is the one-row case).  Every row averages
-e^{-i kappa (u(p) - u(q))} in s = asinh p: a slow row on the real line,
-a fast one along a line s = t + i d where the oscillation is damped
-(_s_line).  On a z- or tau-sweep every row has the same q, so the rows
-of one depth share one table of their line per level.  K is the
-concurrence of every Bell input; the reduced density matrices and
-Wootters' concurrence serve only as oracles in oracle_equivalence_report,
-which takes every draw's moments from one batched quadrature pass and
-every draw's brute-force tensor from another, and runs Wootters and the
-density-matrix checks on stacked 4x4 matrices.  Failures are recorded
-per row (horizon, domain, quadrature non-convergence) instead of
-aborting the sweep; with the opt-in stationary-phase convention the
-horizon and non-convergent rows report zero moments and zero
-entanglement, the rapid-oscillation limit.  It is a fallback: no row
-of the presets or of the wide packets the tests sweep needs it.
+batched across rows, each row stopping exactly where it would stop alone,
+so a one-point grid gives the row a single value would.  Every row
+averages e^{-i kappa (u(p) - u(q))} in s = asinh p: a slow row on the
+real line, a fast one along a line s = t + i d where the oscillation is
+damped (_s_line).  On a z- or tau-sweep every row has the same q, so the
+rows of one depth share one table of their line per level.  The six
+figure presets are one table, _PRESETS.  K is the concurrence of every
+Bell input; the reduced density matrices and Wootters' concurrence serve
+only as oracles in oracle_equivalence_report, which takes every draw's
+moments from one batched quadrature pass and every draw's brute-force
+tensor from another, and runs Wootters and the density-matrix checks on
+stacked 4x4 matrices.  Failures are recorded per row (horizon, domain,
+quadrature non-convergence) instead of aborting the sweep, a row whose
+angle overflows being domain; with the opt-in stationary-phase
+convention the horizon and non-convergent rows report zero moments and
+zero entanglement, the rapid-oscillation limit.  It is a fallback: no
+row of the presets or of the wide packets the tests sweep needs it.
 """
 
 from __future__ import annotations
@@ -130,12 +131,6 @@ def resolve_sweep(spec: SweepSpec) -> tuple[SweepSpec, tuple[str, ...]]:
     return replace(spec, lo=lo), (note,)
 
 
-def sweep_point(spec: SweepSpec, x: float,
-                stationary_phase: bool = False) -> SweepRow:
-    """Run the full pipeline at a single value of the swept variable."""
-    return _sweep_rows(spec, [x], stationary_phase)[0]
-
-
 def run_sweep(spec: SweepSpec, stationary_phase: bool = False) -> list[SweepRow]:
     """Evaluate the sweep over its grid; rows come back in ascending x."""
     spec, _ = resolve_sweep(spec)
@@ -161,9 +156,10 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
     Theta = amplitude * M(q, p), the amplitude 2 pi tau R(z) one array
     expression over the grid, so one batch_characteristic call gives the
     moments of every row left: C + iS = e^{i phase} phi(kappa), on lines
-    in s = asinh p (_s_line).  Over the rows computed, the concurrence
-    C^2 + S^2, clipped to 1 where rounding lifts it above, and E are one
-    array each; _refused_row gives the others.
+    in s = asinh p (_s_line).  A row whose phase or phi is not finite is
+    domain too, so no nan reaches E.  Over the rows computed, the
+    concurrence C^2 + S^2, clipped to 1 where rounding lifts it above,
+    and E are one array each; _refused_row gives the others.
     """
     fixed, grid = spec.fixed, np.asarray(xs, dtype=float)
     z, tau, q = (grid if spec.variable == name else getattr(fixed, name)
@@ -173,14 +169,16 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
     radial, horizon = radial_factor(z, fixed.xi2)
     outcome = np.where(domain, _DOMAIN, np.where(horizon, _HORIZON, CONVERGED))
     live = np.flatnonzero(outcome == CONVERGED)
-    with np.errstate(all="ignore"):  # refused rows may hold inf or nan
-        amplitude = np.broadcast_to(TAU_S * tau * radial, grid.shape)[live]
     q = grid[live] if spec.variable == "q" else q
-    kappa, phase, depth = _s_line(amplitude, q, fixed.beta)
-    phi = batch_characteristic(kappa, q, fixed.beta, depth)
-    (c, s), (re, im) = (np.cos(phase), np.sin(phase)), phi.values.T
-    outcome[live], values = phi.status, np.full((4, grid.size), math.nan)  # C, S, K, E
-    values[:2, live] = c * re - s * im, s * re + c * im  # C + iS = e^{i phase} phi
+    values = np.full((4, grid.size), math.nan)  # C, S, K, E
+    with np.errstate(all="ignore"):  # a row's inf or nan is reported through its status
+        amplitude = np.broadcast_to(TAU_S * tau * radial, grid.shape)[live]
+        kappa, phase, depth = _s_line(amplitude, q, fixed.beta)
+        phi = batch_characteristic(kappa, q, fixed.beta, depth)
+        (c, s), (re, im) = (np.cos(phase), np.sin(phase)), phi.values.T
+        values[:2, live] = c * re - s * im, s * re + c * im  # C + iS = e^{i phase} phi
+    # phi is finite where its status is computed; a phase that overflows is domain
+    outcome[live] = np.where(np.isfinite(phase), phi.status, NOT_FINITE)
     done = (outcome == CONVERGED) | (outcome == REDUCED_TOLERANCE)
     values[2, done] = np.minimum(np.square(values[:2, done]).sum(axis=0), 1.0)
     values[3, done] = entanglement_of_formation(values[2, done])
@@ -237,34 +235,29 @@ def _refused_row(x: float, flag: str, stationary_phase: bool) -> SweepRow:
     return SweepRow(x, math.nan, math.nan, math.nan, math.nan, (flag,))
 
 
-def figure_preset(n: int) -> SweepSpec:
-    """The six built-in sweeps.
+# The built-in sweeps, 400 rows each, as (variable, lo, hi, fixed orbit); the
+# swept variable's value in the orbit is a placeholder the grid overwrites.
+_PRESETS = (
+    ("q", 0.0, 20.0, {"xi2": 0.265, "z": 1.6, "q": 0.0, "beta": 1.0, "tau_ratio": 5.0}),
+    ("q", 0.0, 20.0, {"xi2": 0.265, "z": 1.6, "q": 0.0, "beta": 4.0, "tau_ratio": 5.0}),
+    ("tau_ratio", 0.0, 30.0, {"xi2": 0.265, "z": 1.6, "q": 0.6, "beta": 1.0, "tau_ratio": 0.0}),
+    ("z", 0.8, 6.0, {"xi2": 0.16, "z": 2.0, "q": 0.6, "beta": 1.0, "tau_ratio": 5.0}),
+    ("z", 0.0, 6.0, {"xi2": 0.265, "z": 2.0, "q": 0.6, "beta": 1.0, "tau_ratio": 5.0}),
+    ("z", 0.0, 6.0, {"xi2": 0.5, "z": 2.0, "q": 0.6, "beta": 1.0, "tau_ratio": 5.0}),
+)
 
-    1: E vs q (xi2=0.265, z=1.6, beta=1, tau/tau_s=5, q in [0, 20])
-    2: same as 1 with beta=4 (wide packet, oscillatory descent)
-    3: E vs tau/tau_s in [0, 30] at the preset-1 orbit with q=0.6
-    4: E vs z (xi2=0.16, two horizons; z from the outer horizon to 6)
-    5: E vs z (xi2=0.265, naked singularity, two angle zeros)
-    6: E vs z (xi2=0.5, naked singularity, no angle zeros)
+
+def figure_preset(n: int) -> SweepSpec:
+    """Built-in sweep n of _PRESETS, for n in 1..6.
+
+    1 and 2 sweep E over q, 2 with the wide packet of the oscillatory
+    descent; 3 sweeps it over tau/tau_s at preset 1's orbit; 4 to 6 over
+    z, 4 from the outer of two horizons, 5 and 6 around naked
+    singularities with two angle zeros and with none.
     """
-    if n == 1:
-        fixed = OrbitParams(xi2=0.265, z=1.6, q=0.0, beta=1.0, tau_ratio=5.0)
-        return SweepSpec("q", 0.0, 20.0, 400, fixed)
-    if n == 2:
-        fixed = OrbitParams(xi2=0.265, z=1.6, q=0.0, beta=4.0, tau_ratio=5.0)
-        return SweepSpec("q", 0.0, 20.0, 400, fixed)
-    if n == 3:
-        fixed = OrbitParams(xi2=0.265, z=1.6, q=0.6, beta=1.0, tau_ratio=0.0)
-        return SweepSpec("tau_ratio", 0.0, 30.0, 400, fixed)
-    if n == 4:
-        fixed = OrbitParams(xi2=0.16, z=2.0, q=0.6, beta=1.0, tau_ratio=5.0)
-        return SweepSpec("z", 0.8, 6.0, 400, fixed)
-    if n == 5:
-        fixed = OrbitParams(xi2=0.265, z=2.0, q=0.6, beta=1.0, tau_ratio=5.0)
-        return SweepSpec("z", 0.0, 6.0, 400, fixed)
-    if n == 6:
-        fixed = OrbitParams(xi2=0.5, z=2.0, q=0.6, beta=1.0, tau_ratio=5.0)
-        return SweepSpec("z", 0.0, 6.0, 400, fixed)
+    for key, (variable, lo, hi, fixed) in enumerate(_PRESETS, 1):
+        if key == n:
+            return SweepSpec(variable, lo, hi, 400, OrbitParams(**fixed))
     raise DomainError(f"figure number must be 1..6, got {n}")
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 
 from .errors import EmptyDataError
@@ -47,6 +46,8 @@ def _jsonable(value):
 
 def emit_json(columns: list[str], records: list[tuple], meta: dict) -> str:
     """{"meta": ..., "rows": [...]} with NaN rendered as null."""
+    import json  # here and in emit_svg only, so a CSV run never loads it
+
     rows = [{c: _jsonable(v) for c, v in zip(columns, rec)} for rec in records]
     return json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
 
@@ -88,6 +89,8 @@ def emit_svg(series: dict[str, list[tuple[float, float]]],
     `series` maps a label to (x, y) points in grid order; NaN values open
     a gap in the corresponding polyline.  Needs at least two rows.
     """
+    import json
+
     npoints = max((len(pts) for pts in series.values()), default=0)
     if npoints < 2:
         raise EmptyDataError("need at least 2 rows to plot")

@@ -31,12 +31,12 @@ from gravent import (
     radial_invariance_check,
     rotation_matrix,
     run_sweep,
-    sweep_point,
     theta_zeros,
     validation_checks,
     wigner_rate_matrix,
     wigner_rate_w13,
 )
+from gravent.experiments import _sweep_rows
 from gravent.cli import main
 
 
@@ -98,7 +98,7 @@ def test_criterion_03_peak_property():
             fixed = OrbitParams(xi2=xi2, z=2.0, q=q, beta=beta, tau_ratio=tau)
             spec = replace(figure_preset(4 if xi2 == 0.16 else 5), fixed=fixed)
             for z in zeros:
-                worst = min(worst, sweep_point(spec, z).E)
+                worst = min(worst, _sweep_rows(spec, [z], False)[0].E)
     ok = worst > 1.0 - 1e-6
     verdict(3, ok, f"min E over 5 random (q, beta, tau) draws at every "
                    f"accessible angle zero: {worst:.9f}")
@@ -201,7 +201,7 @@ def test_criterion_06_asymptotics():
     details, asym_fails = [], []
     for n in (4, 5, 6):
         spec = figure_preset(n)
-        es = {z: sweep_point(spec, z).E for z in radii}
+        es = {z: _sweep_rows(spec, [z], False)[0].E for z in radii}
         e_ref = _reference_entanglement(spec.fixed, 50.0)
         c_inf = _far_field_coefficient(spec.fixed)
         ratios = {z: (1.0 - e) * z * z / c_inf for z, e in es.items()}

@@ -625,7 +625,7 @@ def test_import_loads_no_numpy():
     (["zeros", "--xi2", "nan"], 1, ""),
 ], ids=["horizons", "zeros", "horizons-nan", "zeros-nan"])
 def test_horizons_and_zeros_load_no_numpy(argv, code, out):
-    # nor json, which only --config reads
+    # nor json, which only --config and JSON or SVG output load
     done = run_fresh(REPORT_MODULES + CLI_BOOT, *argv)
     assert (done.returncode, done.stdout) == (code, out + "False False\n")
     if code:
@@ -824,3 +824,85 @@ def test_small_commands_keep_their_bytes(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SMALL_COMMAND_DIGESTS[argv]
+
+
+# SHA-256 of the stdout of `sweep` where the amplitude, the phase or kappa
+# overflows; every row those inputs cannot compute prints nan, flagged domain
+OVERFLOW_SWEEP_DIGESTS = {
+    ("--variable", "q", "--lo", "0", "--hi", "1", "--samples", "3", "--xi2", "0.5",
+     "--z", "1e-160"):
+        "4aba2a64ed0ecfcbb709ef9e518cd53213de782e8ab5ed1c6787f521ef1d6a64",
+    ("--variable", "q", "--lo", "0", "--hi", "1", "--samples", "3", "--tau-ratio", "1e308"):
+        "e753faa83b192e0ed3738205b67d237566d4f177092b935efb5d1c98fdb13e8c",
+    ("--variable", "tau_ratio", "--lo", "0", "--hi", "1e308", "--samples", "3"):
+        "576b18135917d5bf10929bd323c7606f3184440639d00aab3c0c83d243794219",
+    # a finite amplitude whose kappa overflows
+    ("--variable", "q", "--lo", "0", "--hi", "1e8", "--samples", "3", "--tau-ratio", "1e290"):
+        "b195c1205214ba02eca1459298ee8268fdd7edce302b87ae5456478a2c8117f7",
+}
+
+
+def assert_nan_rows_are_flagged(out: str) -> list[list[str]]:
+    rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+    assert rows
+    for row in rows:
+        assert ("nan" in row) == bool(row[-1]), row
+    return rows
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", sorted(OVERFLOW_SWEEP_DIGESTS),
+                         ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_an_overflowing_sweep_warns_nothing_and_keeps_its_bytes(capsys, argv):
+    code, out, err = run_cli(capsys, "sweep", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == OVERFLOW_SWEEP_DIGESTS[argv]
+    assert_nan_rows_are_flagged(out)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_row_whose_phase_overflows_is_domain(capsys):
+    # at q ~ 0.79, q gamma > 1 lifts the phase amplitude q gamma past the
+    # largest double while kappa = phase q stays finite and phi converges
+    # to 0, so C = cos(phase) phi would be nan: the row is domain
+    code, out, err = run_cli(capsys, "sweep", "--variable", "q", "--lo", "0.786",
+                             "--hi", "0.8", "--samples", "15", "--xi2", "0.5", "--z", "0.5",
+                             "--tau-ratio", "7.14e306")
+    assert (code, err) == (0, "")
+    flags = [row[-1] for row in assert_nan_rows_are_flagged(out)]
+    assert flags == [""] * 2 + ["domain"] * 13
+
+
+# SHA-256 of `gravent --help` and of each subcommand's --help at 80 columns
+HELP_DIGESTS = {
+    (): "5dfe070bbfa4ad63bb4a2a1b506ca7a62486f6df2734c222cf3f87b08e71213a",
+    ("figure",): "0f1cf1bced1641611bee7dca60dbedb54f885100b731ec2afaa0838b742a1b95",
+    ("sweep",): "e6d029b95fd2e98d046beb414b4618d306efd9ef567b5875aaa059c897b1297d",
+    ("zeros",): "a0fb23855bce05727ad597f4eaeb678497a8edaef587ea103d0648e060800409",
+    ("horizons",): "f3c820f9c5c93beb8e81eb800b04f73cc728e37e04854530bf577b1ccee8b3e3",
+    ("minima",): "53bdeabe9d30b9c94cb19d050cdc70e5b389175887e6d3b6142f5f3cc63a0881",
+    ("radial-check",): "02bb97d89b413c8dc8a5150df2ca01a0498fbb04618feb0be6c8446e79eb12ad",
+    ("frame-compare",): "05388e86a5b67916a1baecb7d88ee4a2accd28eebc4f59215064859966422487",
+    ("validate",): "a753126b656027a6fe5b26d168c72b15c4276ca8e221227f29cb6fa92cbedf71",
+}
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13),
+                    reason="argparse lays out an option's short and long forms "
+                           "differently from Python 3.13 on")
+@pytest.mark.parametrize("argv", sorted(HELP_DIGESTS),
+                         ids=lambda argv: "-".join(argv) or "gravent")
+def test_help_keeps_its_bytes(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    code, out, err = run_cli(capsys, *argv, "--help")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HELP_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("fmt, json_loaded", [("csv", "False"), ("svg", "True")])
+def test_only_json_and_svg_output_load_json(fmt, json_loaded):
+    done = run_fresh(REPORT_MODULES + CLI_BOOT, "figure", "1", "--samples", "3", "--format", fmt)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == f"True {json_loaded}"
+    if fmt == "svg":
+        assert '<desc>{"beta": 1.0, ' in done.stdout  # the configuration, as JSON

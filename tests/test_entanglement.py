@@ -206,23 +206,22 @@ def test_the_real_lines_turn_bound_clears_only_rows_the_node_test_clears(monkeyp
     depth = np.zeros(size)
     real, counts = entanglement._adaptive_average, []
 
-    def checked(rows_fn, size, n=64, shared_weight=False, turn=None):
+    def checked(rows_fn, size, n=64, turn=None):
         for n_level in (64, 128, 256, 512, 1024, 2048):  # every level the rule checks
             h = 2.0 * 7.0 / n_level
             _, angle, w = rows_fn(np.arange(size), (h * np.arange(1, n_level, 2) - 7.0)[None])
             cleared = entanglement._cleared(turn, h)
-            assert entanglement._resolved(angle[cleared], w[cleared], h).all(), n_level
+            assert entanglement._resolved(angle(cleared), w[cleared], h).all(), n_level
             assert not cleared[:2].any()
             counts.append(int(cleared.sum()))
-        return real(rows_fn, size, n, shared_weight, turn)
+        return real(rows_fn, size, n, turn)
 
     monkeypatch.setattr(entanglement, "_adaptive_average", checked)
     out = batch_characteristic(kappa, q, beta, depth)
     assert len(counts) == 6 and 0 < min(counts) and max(counts) < size
     # and the bound moves no bit: a run with no row vouched for gives the same
     monkeypatch.setattr(entanglement, "_adaptive_average",
-                        lambda rows_fn, size, n=64, shared_weight=False, turn=None:
-                        real(rows_fn, size, n, shared_weight))
+                        lambda rows_fn, size, n=64, turn=None: real(rows_fn, size, n))
     plain = batch_characteristic(kappa, q, beta, depth)
     for name in ("values", "residual", "nodes", "status"):
         assert getattr(out, name).tobytes() == getattr(plain, name).tobytes(), name
@@ -233,6 +232,43 @@ def test_constant_integrand_averages_to_itself():
     # each estimate divides by the rule's sum of the weight it sums against
     out = batch_characteristic(np.zeros(3), np.array([0.0, 0.6, 20.0]), 1.0, 0.0)
     assert out.values.tolist() == [[1.0, 0.0]] * 3
+
+
+def test_a_one_row_weight_gives_the_bits_of_a_weight_per_row_and_is_summed_once_per_level():
+    # _adaptive_average reads the weight's shape: a one-row weight serves
+    # every row of a block and is summed once per level, a weight per row
+    # is summed per block, and both give the same Averages, bit for bit
+    freq = np.linspace(0.5, 30.0, 300)[:, None]  # rows that stop at different levels
+    blocks, sums = {}, {}
+
+    class Counted(np.ndarray):
+        # the weight sums are the products of the constant 1 with w
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            left = inputs[0]
+            if ufunc is np.matmul and not isinstance(left, Counted) and (left == 1).all():
+                sums[left.shape[-1]] = sums.get(left.shape[-1], 0) + 1
+            inputs = [np.asarray(x) if isinstance(x, Counted) else x for x in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def average(per_row):
+        def rows(index, t):
+            blocks[t.size] = blocks.get(t.size, 0) + 1
+            theta = freq[index] * np.sin(t)
+            w = np.exp(-t * t)
+            w = np.repeat(w, index.size, axis=0) if per_row else w
+            return entanglement._cis(theta), theta.__getitem__, w.view(Counted)
+
+        blocks.clear()
+        sums.clear()
+        return entanglement._adaptive_average(rows, freq.size)
+
+    shared = average(False)
+    assert sums == dict.fromkeys(blocks, 1) and max(blocks.values()) > 1
+    per_row = average(True)
+    assert sums == blocks
+    for name in ("values", "residual", "nodes", "status"):
+        assert getattr(shared, name).tobytes() == getattr(per_row, name).tobytes(), name
+    assert len(set(shared.nodes.tolist())) > 1 and (shared.status == CONVERGED).all()
 
 
 @pytest.mark.parametrize("shifted", [False, True], ids=["real-line", "shifted"])

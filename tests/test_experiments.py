@@ -42,13 +42,13 @@ from gravent import (
     reduced_density_bruteforce,
     reduced_density_closed,
     run_sweep,
-    sweep_point,
     theta_amplitude,
     theta_circular,
     trig_moments,
     wigner_rate,
     wootters_concurrence,
 )
+from gravent.experiments import _sweep_rows
 
 
 def small_spec(**overrides):
@@ -83,7 +83,7 @@ EVERY_FLAG_SPECS = tuple(SweepSpec("z", 0.0, 1.0, 401, OrbitParams(0.25 + 1e-12,
 @pytest.mark.parametrize("stationary_phase", [False, True])
 def test_batched_sweep_equals_row_by_row(monkeypatch, quad, stationary_phase):
     # run_sweep's one batched quadrature gives every row bit for bit what
-    # sweep_point gives it alone; at the default cap every row outside
+    # a one-point grid gives it alone; at the default cap every row outside
     # domain and horizon is computed, and the lower cap brings rows to it
     monkeypatch.setattr(entanglement, "DEFAULT_QUAD", quad)
     flags_seen = set()
@@ -91,7 +91,7 @@ def test_batched_sweep_equals_row_by_row(monkeypatch, quad, stationary_phase):
         spec, _ = resolve_sweep(spec)
         rows = run_sweep(spec, stationary_phase)
         grid = np.linspace(spec.lo, spec.hi, spec.samples)
-        assert rows == [sweep_point(spec, float(x), stationary_phase) for x in grid]
+        assert rows == [_sweep_rows(spec, [float(x)], stationary_phase)[0] for x in grid]
         flags_seen.update(f for row in rows for f in row.flags)
     at_cap = {"no-convergence", "reduced-tolerance"}
     assert {"horizon", "domain"} <= flags_seen
@@ -164,27 +164,27 @@ def test_zero_angle_row_is_exactly_pure():
 
 def test_sweep_point_flags(monkeypatch):
     spec = small_spec()
-    row = sweep_point(spec, 0.5)  # between the horizons
+    row = _sweep_rows(spec, [0.5], False)[0]  # between the horizons
     assert row.flags == ("horizon",)
     assert math.isnan(row.E)
-    row = sweep_point(spec, 0.5, stationary_phase=True)
+    row = _sweep_rows(spec, [0.5], True)[0]
     assert row.flags == ("horizon", "stationary-phase")
     assert row.E == 0.0 and row.C == 0.0 and row.S == 0.0
-    row = sweep_point(spec, -1.0)
+    row = _sweep_rows(spec, [-1.0], False)[0]
     assert row.flags == ("domain",)
     # the rapid oscillation near the outer horizon is damped on the line in
     # s = asinh p and computed, in a wide packet too
     for beta in (1.0, 50.0):
         wide = replace(spec, fixed=replace(spec.fixed, beta=beta))
-        row = sweep_point(wide, 0.8 + 1e-6)
+        row = _sweep_rows(wide, [0.8 + 1e-6], False)[0]
         assert row.flags == () and 0.0 <= row.E < 1e-12
     # a slow row of a very wide packet is computed; a cap of 128 intervals
     # leaves it unconverged
-    assert sweep_point(EVERY_FLAG_SPECS[1], 0.99).flags == ()
+    assert _sweep_rows(EVERY_FLAG_SPECS[1], [0.99], False)[0].flags == ()
     monkeypatch.setattr(entanglement, "DEFAULT_QUAD", QuadConfig(128))
-    row = sweep_point(EVERY_FLAG_SPECS[1], 0.99)
+    row = _sweep_rows(EVERY_FLAG_SPECS[1], [0.99], False)[0]
     assert row.flags == ("no-convergence",)
-    row = sweep_point(EVERY_FLAG_SPECS[1], 0.99, stationary_phase=True)
+    row = _sweep_rows(EVERY_FLAG_SPECS[1], [0.99], True)[0]
     assert row.flags == ("no-convergence", "stationary-phase")
     assert row.E == 0.0
 
@@ -213,14 +213,14 @@ def test_sweep_tail_is_one_array_pass(monkeypatch):
         rows = run_sweep(SweepSpec("z", 1e200, 1e201, 7, spec.fixed), stationary_phase)
         assert [row.flags for row in rows] == [("domain",)] * 7
         assert all(math.isnan(v) for row in rows for v in row[1:5])
-        row = sweep_point(spec, 0.0, stationary_phase)
+        row = _sweep_rows(spec, [0.0], stationary_phase)[0]
         assert row.flags == ("domain",) and math.isnan(row.E)
     rows = run_sweep(spec)
     # preset 5's z = 0 row is refused in place
     assert len(rows) == 400 and rows[0].x == 0.0 and rows[0].flags == ("domain",)
     assert all(row.flags == () for row in rows[1:])
     assert all(type(v) is float for row in rows for v in row[:5])
-    assert sweep_point(spec, rows[200].x) == rows[200]
+    assert _sweep_rows(spec, [rows[200].x], False)[0] == rows[200]
     assert calls == [(0,), (0,), (0,), (0,), (399,), (1,)]
 
 
@@ -264,7 +264,8 @@ def test_z_and_tau_rows_of_equal_amplitude_collapse():
     for row in run_sweep(z_spec)[::7]:
         if row.flags:  # z = 0
             continue
-        tau_row = sweep_point(tau_spec, tau * radial(row.x, xi2) / radial(1.6, xi2))
+        tau_x = tau * radial(row.x, xi2) / radial(1.6, xi2)
+        tau_row = _sweep_rows(tau_spec, [tau_x], False)[0]
         if tau_row.flags:  # tau < 0: A < 0 between the angle's zeros
             continue
         assert abs(tau_row.concurrence - row.concurrence) <= 1e-12, row.x
@@ -336,7 +337,7 @@ def _assert_refined(spec, minima, dips):
     assert len(minima) == len(dips)
     for (z, e), (left, mid, right) in zip(minima, dips):
         assert left.x < z < right.x
-        assert e == sweep_point(spec, z).E
+        assert e == _sweep_rows(spec, [z], False)[0].E
         assert e <= mid.E
 
 
@@ -469,7 +470,7 @@ def test_random_orbit_params_always_valid():
 
 def test_far_field_recovery():
     # entanglement climbs back toward 1 as the orbit recedes
-    values = [sweep_point(figure_preset(4), z).E for z in (6.0, 50.0, 500.0)]
+    values = [_sweep_rows(figure_preset(4), [z], False)[0].E for z in (6.0, 50.0, 500.0)]
     assert values[0] < values[1] < values[2]
     assert values[2] > 0.999
 
@@ -770,7 +771,7 @@ def test_small_kappa_law(tau):
     var = quad(lambda p: weight(p) * (u(p) - mean) ** 2, lo, hi,
                epsabs=0.0, epsrel=1e-13)[0]
     kappa = theta_amplitude(replace(spec.fixed, tau_ratio=tau)) * q * q * math.sqrt(q * q + 1.0)
-    row = sweep_point(spec, tau)
+    row = _sweep_rows(spec, [tau], False)[0]
     assert row.flags == ()
     assert abs((1.0 - row.concurrence) / (kappa * kappa * var) - 1.0) < 1e-5
 

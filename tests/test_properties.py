@@ -29,12 +29,12 @@ from gravent import (
     outer_horizon,
     reduced_density_bruteforce,
     reduced_density_closed,
-    sweep_point,
     theta_amplitude,
     theta_circular,
     theta_zeros,
     trig_moments,
 )
+from gravent.experiments import _sweep_rows
 from gravent.cli import render_sweep
 from gravent.entanglement import Averages
 from gravent.roots import MAX_MOMENTUM, MAX_RADIUS
@@ -61,9 +61,9 @@ def moments(params: OrbitParams):
 
 
 def row_at(params: OrbitParams):
-    """sweep_point at the orbit, swept in tau so every other value is fixed."""
+    """The sweep row at the orbit, swept in tau so every other value is fixed."""
     spec = SweepSpec("tau_ratio", 0.0, 1.0, 2, params)
-    return sweep_point(spec, params.tau_ratio)
+    return _sweep_rows(spec, [params.tau_ratio], False)[0]
 
 
 @PROPERTY

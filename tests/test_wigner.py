@@ -25,7 +25,6 @@ from gravent import (
     product_integral,
     rotation_matrix,
     spin_rep,
-    sweep_point,
     tetrad_static,
     theta_circular,
     theta_zeros,
@@ -33,6 +32,7 @@ from gravent import (
     wigner_rate_matrix,
     wigner_rate_w13,
 )
+from gravent.experiments import _sweep_rows
 from gravent import wigner
 from gravent.roots import MAX_RADIUS, check_domain, outer_horizon
 from gravent.wigner import _STEP_BLOCK, _expm_planar, radial_factor
@@ -75,7 +75,7 @@ def test_orbit_params_bound_the_momentum():
         with pytest.raises(DomainError, match=r"\|q\| must be <= 1e\+08"):
             OrbitParams(0.0, 2.0, q, 1.0, 5.0)
     spec = SweepSpec("q", 0.0, 1e17, 2, OrbitParams(0.0, 2.0, 0.0, 1.0, 5.0))
-    assert sweep_point(spec, 1e17).flags == ("domain",)
+    assert _sweep_rows(spec, [1e17], False)[0].flags == ("domain",)
 
 
 def test_orbit_params_bound_the_radius():
@@ -85,8 +85,8 @@ def test_orbit_params_bound_the_radius():
     for z in (1.0000001e100, 1e103, 1e160):
         with pytest.raises(DomainError, match=r"orbit radius must be <= 1e\+100"):
             OrbitParams(0.16, z, 0.6, 1.0, 5.0)
-    assert sweep_point(figure_preset(4), 1e160).flags == ("domain",)
-    row = sweep_point(figure_preset(4), 1e99)
+    assert _sweep_rows(figure_preset(4), [1e160], False)[0].flags == ("domain",)
+    row = _sweep_rows(figure_preset(4), [1e99], False)[0]
     assert row.flags == () and row.E == 1.0
 
 
