@@ -23,6 +23,7 @@ a brute-force average of rotated projectors, the reference implementation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,12 +110,13 @@ _HALF_WIDTH = 7.0
 _FIRST_IN_S = 32
 
 # Temporaries of the batched quadrature hold about this many elements, so a
-# sweep's memory stays flat however many rows it has.  Complex temporaries
-# take 16 bytes per element: at 2**12 each stays at 64 KiB, and at 80 KiB
+# sweep's memory stays flat however many rows it has.  Complex temporaries,
+# and the (rows, 2, nodes) integrands written from them or from cos and sin,
+# take 16 bytes per node: at 2**12 each stays at 64 KiB, and at 80 KiB
 # where a short last block of a level joins the one before (one call fewer),
 # below the 128 KiB at which glibc malloc switched between reusing heap
 # blocks and mapping fresh pages (~10k page faults and ~25% of a q-sweep,
-# depending on import order).
+# depending on import order).  Tables that a level's blocks share have one row.
 _BLOCK_ELEMENTS = 2 ** 12
 
 # Per-row outcome of _adaptive_average.  A REDUCED_TOLERANCE row stopped at
@@ -146,25 +148,28 @@ class Averages:
 def _adaptive_average(rows_fn, size: int, n: int = 64, turn=None) -> Averages:
     """Average an integrand against the weight it comes with, per row.
 
-    rows_fn(index, t) gets the indices of a block of rows and a level's
-    new nodes t in (-7, 7), of shape (1, nodes).  It returns the
-    integrand g, shape (len(index), components, nodes), a function that
-    gives the angle's rows, shape (rows, nodes), at the positions in the
-    block it is passed, and the real weight w, with one row per row of
-    the block or one row that is the level's weight for every block.
-    g turns with the angle's real part and is no larger than
-    e^{-Im angle}, as e^{i angle} is.  The row's value is the integral
-    of g w over that of w.
+    rows_fn(index, t) gets the indices of a block of rows, ascending, and
+    a level's new nodes t in (-7, 7), of shape (1, nodes), under an
+    errstate that lets a non-finite row pass without a warning (its
+    status reports it).  It returns the integrand g, shape (len(index),
+    components, nodes), a function that gives the angle's rows, shape
+    (rows, nodes), at the positions in the block it is passed, and the
+    real weight w, with one row per row of the block or one row that is
+    the level's weight for every block.  g turns with the angle's real
+    part and is no larger than e^{-Im angle}, as e^{i angle} is.  The
+    row's value is the integral of g w over that of w.
 
     The rule is the trapezoid rule in t, nested: the first level has n
     intervals, and each level doubles them, evaluating only the new
-    midpoints, until the row's
-    estimates agree to TOL or the next level would pass the cap,
-    DEFAULT_QUAD.max_nodes.  Each estimate is the running sum of g w over
+    midpoints, until the row's estimates agree to TOL or the next level
+    would pass the cap, DEFAULT_QUAD.max_nodes.  Each estimate is the running sum of g w over
     that of w, the same product, so a constant integrand averages to
     itself exactly.  Each level evaluates only the rows still active, in
     blocks of about _BLOCK_ELEMENTS nodes; the sum of a one-row weight
-    that serves a block of more rows is formed once per level.
+    that serves a block of more rows is formed once per level.  A row's
+    value, nodes and residual are written once, at the level where it
+    stops, and the active rows are compacted only at a level where some
+    stop.
 
     Two levels agreeing is no proof on their own: a frequency the finer
     level aliases is aliased by the coarser one too, so a fast, nearly
@@ -189,64 +194,64 @@ def _adaptive_average(rows_fn, size: int, n: int = 64, turn=None) -> Averages:
     status = np.zeros(size, dtype=int)  # CONVERGED
     active = np.arange(size)
     t = (2.0 * _HALF_WIDTH / n) * np.arange(1, n) - _HALF_WIDTH
-    while active.size:
-        h = 2.0 * _HALF_WIDTH / n
-        block = max(1, _BLOCK_ELEMENTS // t.size)
-        capped = 2 * n > DEFAULT_QUAD.max_nodes
-        est = total = None
-        res = np.empty(active.size)
-        # sums, norms, estimates and these flags are kept in the order of active
-        vouched = (np.zeros(active.size, dtype=bool) if turn is None
-                   else _cleared(turn[active], h))
-        edges = list(range(0, active.size, block)) + [active.size]
-        if len(edges) > 2 and edges[-1] - edges[-2] <= block // 4:
-            del edges[-2]  # a short last block joins the one before: 5/4 as large at most
-        for start, stop in zip(edges, edges[1:]):
-            rows = slice(start, stop)
-            integrand, angle, w = rows_fn(active[rows], t[None])
-            # one gemv per row, the product a lone row gets, so batching moves
-            # no bits; the same product on the constant 1 adds up the weights
-            with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row: see its status
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row: see its status
+        while active.size:
+            h = 2.0 * _HALF_WIDTH / n
+            block = max(1, _BLOCK_ELEMENTS // t.size)
+            capped = prev is not None and 2 * n > DEFAULT_QUAD.max_nodes
+            est = total = None
+            res = np.empty(active.size)
+            # sums, norms, estimates, turn and these flags are kept in the order of active
+            unvouched = None if turn is None else ~_cleared(turn, h)
+            edges = list(range(0, active.size, block)) + [active.size]
+            if len(edges) > 2 and edges[-1] - edges[-2] <= block // 4:
+                del edges[-2]  # a short last block joins the one before: 5/4 as large at most
+            for start, stop in zip(edges, edges[1:]):
+                rows = slice(start, stop)
+                integrand, angle, w = rows_fn(active[rows], t[None])
+                # one gemv per row, the product a lone row gets, so batching moves
+                # no bits; the same product on the constant 1 adds up the weights
                 part = (integrand @ w[..., None])[..., 0]
-            if total is None or len(w) == len(integrand):
-                total = (np.ones((1,) + integrand.shape[1:]) @ w[..., None])[..., 0]
-            if sums is None:
-                values, sums, norms = np.empty((3, size, part.shape[1]))
-            if est is None:
-                est = np.empty((active.size, part.shape[1]))
-            if prev is None:
-                sums[rows], norms[rows] = part, total
-            else:
-                sums[rows] += part
-                norms[rows] += total
-            np.divide(sums[rows], norms[rows], out=est[rows])
-            if prev is not None:
-                res[rows] = np.abs(est[rows] - prev[rows]).max(axis=1)
-                # only a row that would stop without failing, and that no
-                # bound vouches for, has its angle checked
-                ask = np.flatnonzero((res[rows] <= FAIL_RESIDUAL if capped
-                                      else res[rows] < TOL) & ~vouched[rows])
-                if ask.size:
-                    unresolved = ~_resolved(angle(ask), w if len(w) == 1 else w[ask], h)
-                    res[start + ask[unresolved]] = math.inf
-        values[active] = est
-        nodes[active] = n
-        done = ~np.isfinite(est).all(axis=1)
-        status[active[done]] = NOT_FINITE
-        if prev is not None:
-            residual[active] = res
-            converged = res < TOL
-            if capped:
-                failed = ~done & ~converged
-                status[active[failed]] = np.where(res[failed] > FAIL_RESIDUAL,
-                                                  NO_CONVERGENCE, REDUCED_TOLERANCE)
-                done[:] = True
-            else:
-                done |= converged
-        keep = ~done
-        active, prev, sums, norms = active[keep], est[keep], sums[keep], norms[keep]
-        n *= 2
-        t = (2.0 * _HALF_WIDTH / n) * np.arange(1, n, 2) - _HALF_WIDTH
+                if total is None or len(w) == len(integrand):
+                    total = (np.ones((1,) + integrand.shape[1:]) @ w[..., None])[..., 0]
+                if sums is None:
+                    values, sums, norms = np.empty((3, size, part.shape[1]))
+                if est is None:
+                    est = np.empty((active.size, part.shape[1]))
+                if prev is None:
+                    sums[rows], norms[rows] = part, total
+                else:
+                    sums[rows] += part
+                    norms[rows] += total
+                np.divide(sums[rows], norms[rows], out=est[rows])
+                if prev is not None:
+                    change = np.abs(est[rows] - prev[rows]).max(axis=1, out=res[rows])
+                    # only a row that would stop without failing, and that no
+                    # bound vouches for, has its angle checked
+                    ask = change <= FAIL_RESIDUAL if capped else change < TOL
+                    ask = np.flatnonzero(ask if unvouched is None else ask & unvouched[rows])
+                    if ask.size:
+                        unresolved = ~_resolved(angle(ask), w if len(w) == 1 else w[ask], h)
+                        res[start + ask[unresolved]] = math.inf
+            # a row stops where its estimate is not finite, where it converged, and
+            # at the cap; only then are its results written and the active rows compacted
+            bad = ~np.isfinite(est).all(axis=1)
+            stop = np.ones_like(bad) if capped else bad if prev is None else bad | (res < TOL)
+            if stop.any():
+                done = active[stop]
+                values[done], nodes[done] = est[stop], n
+                if prev is not None:
+                    residual[done] = res[stop]
+                    if capped:  # every row stops: the unconverged ones fail or lose digits
+                        status[done] = np.where(res < TOL, CONVERGED, np.where(
+                            res > FAIL_RESIDUAL, NO_CONVERGENCE, REDUCED_TOLERANCE))
+                status[done[bad[stop]]] = NOT_FINITE
+                keep = ~stop
+                active, est, sums, norms = active[keep], est[keep], sums[keep], norms[keep]
+                turn = None if turn is None else turn[keep]
+            prev = est
+            n *= 2
+            t = (2.0 * _HALF_WIDTH / n) * np.arange(1, n, 2) - _HALF_WIDTH
     return Averages(values, residual, nodes, status)
 
 
@@ -286,10 +291,8 @@ def _resolved(angle: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
     e^{-Im angle} w is above _NEGLIGIBLE; w has one row, or one per row of
     the angle.
     """
-    limit = _alias_limit(h)
-    # a non-finite angle is reported through its row's status
-    with np.errstate(invalid="ignore"):
-        fast = np.abs(np.diff(angle.real, axis=-1)) >= limit
+    real = angle.real  # not finite in a row the status reports, under the driver's errstate
+    fast = np.abs(real[..., 1:] - real[..., :-1]) >= _alias_limit(h)
     resolved = ~fast.any(axis=-1)
     rows = np.flatnonzero(~resolved)
     if rows.size:
@@ -320,10 +323,9 @@ def _raise_failed_rows(out: Averages) -> Averages:
 def _cis(theta: np.ndarray) -> np.ndarray:
     """cos theta and sin theta, stacked on a new axis before the nodes axis."""
     out = np.empty(theta.shape[:-1] + (2, theta.shape[-1]))
-    # a non-finite angle is reported through its row's status, not a warning
-    with np.errstate(invalid="ignore"):
-        np.cos(theta, out=out[..., 0, :])
-        np.sin(theta, out=out[..., 1, :])
+    # under _adaptive_average's errstate: a non-finite angle is reported through its row's status
+    np.cos(theta, out=out[..., 0, :])
+    np.sin(theta, out=out[..., 1, :])
     return out
 
 
@@ -381,7 +383,8 @@ def _exp_asinh(x):
     return np.where(x >= 0.0, root + x, 1.0 / (root + np.abs(x))), root
 
 
-def _line_table(t, centre, half, cos_2d, e_q, cos_b, lean_b, sin_b, tilt, share, jac_c, jac_s):
+def _line_table(t, centre, half, cos_2d, e_q, cos_b, lean_b, sin_b, tilt, share, jac_c, jac_s,
+                shifted=True):
     """What a line s = asinh q + centre + half t + i d fixes of the integrand, at nodes t.
 
     With tanh(s/2) - tanh(asinh(q)/2) = du + i sin d inv and -((sinh s -
@@ -391,6 +394,7 @@ def _line_table(t, centre, half, cos_2d, e_q, cos_b, lean_b, sin_b, tilt, share,
     expm1(centre + half t), e^t = e_q (1 + E), Re sinh s - q = cos d E (e_q
     + e^{-t})/2 - q (1 - cos d) and du = inv e_q/(e_q + 1) (E (1 + e^{-t}) +
     2 q (1 - cos d)/(e_q + 1)): no difference of nearby values is taken.
+    On the real line (shifted false) w_arg and jac_im are 0.0, not formed.
     """
     # in place wherever a temporary is read no more: each sum and product is
     # the one of the formulas above, at most with its operands swapped
@@ -413,12 +417,13 @@ def _line_table(t, centre, half, cos_2d, e_q, cos_b, lean_b, sin_b, tilt, share,
     du += e
     du += tilt
     du *= inv
+    w_log = im - dev  # (im - dev) (im + dev)
+    w_log *= dev + im
+    twice_cosh *= jac_c  # jac_re
+    if not shifted:
+        return du, inv, 0.0, w_log, twice_cosh, 0.0
     w_arg = -2.0 * dev  # -2 dev im
     w_arg *= im
-    w_log = im - dev  # (im - dev) (im + dev)
-    dev += im
-    w_log *= dev
-    twice_cosh *= jac_c  # jac_re
     big -= small
     big *= jac_s  # jac_im = (e^t - e^{-t}) jac_s
     return du, inv, w_arg, w_log, twice_cosh, big
@@ -464,13 +469,16 @@ def _lines(kappa, q, beta, depth):
     # |cosh s| <= cosh t, largest at an end
     cosh_end = np.maximum(np.cosh(np.log(e_q) + lo), np.cosh(np.log(e_q) + hi))
     log_bound = np.log(scale * cosh_end)
-    line_of = np.stack(np.broadcast_arrays(
-        centre, half, 2.0 * cos_d, e_q, 0.5 * cos_d / beta, q * versine / beta, 0.5 * sin_d / beta,
-        2.0 * q * versine / (e_q + 1.0), 2.0 * e_q / (e_q + 1.0), 0.5 * cos_d * scale,
-        0.5 * sin_d * scale), axis=1)
+    line_of, row_of = np.empty(kappa.shape + (11,)), np.empty(kappa.shape + (3,))
+    for column, value in enumerate((
+            centre, half, 2.0 * cos_d, e_q, 0.5 * cos_d / beta, q * versine / beta,
+            0.5 * sin_d / beta, 2.0 * q * versine / (e_q + 1.0), 2.0 * e_q / (e_q + 1.0),
+            0.5 * cos_d * scale, 0.5 * sin_d * scale)):
+        line_of[..., column] = value
     with np.errstate(invalid="ignore", over="ignore"):  # an infinite kappa: see its status
         k_sin = kappa * sin_d
-        row_of = np.stack(np.broadcast_arrays(kappa, k_sin * (e_q + 1.0) / e_q, log_bound), axis=1)
+        row_of[..., 0], row_of[..., 2] = kappa, log_bound
+        row_of[..., 1] = k_sin * (e_q + 1.0) / e_q
         # batch_characteristic's bound, G + kappa sin d/(cosh x_end + cos d)
         log_mod_max = (sin_d / beta) ** 2 * (1.0 + q * q / cos_2d) + k_sin / (cosh_end + cos_d)
         decided = ((log_mod_max < _DROPPED - log_bound - _BOUND_MARGIN) & (depth != 0.0)
@@ -494,8 +502,8 @@ def batch_characteristic(kappa, q, beta, depth) -> Averages:
     through the depth.  On the real line (depth 0) a row is averaged
     against the line's real weight; a shifted row carries its complex
     weight, averaged against e^{-t^2}.  q and beta are each one value per
-    row, or one scalar for all; rows on one line share its table per
-    level.  values[:, 0] holds Re phi, values[:, 1] Im phi.
+    row, or one scalar for all; rows on one line share its tables, formed
+    once per level of the call.  values[:, 0] holds Re phi, values[:, 1] Im phi.
 
     On the real line the angle -kappa du turns at most at |kappa| half/2
     per unit of t, half being the line's half-width over 7 (line_of[:, 1]),
@@ -537,54 +545,77 @@ def batch_characteristic(kappa, q, beta, depth) -> Averages:
     kappa, q, beta, depth = (np.asarray(v, dtype=float) for v in (kappa, q, beta, depth))
     kappa, depth = np.broadcast_arrays(kappa, depth)
     line_of, row_of, decided = _lines(kappa, q, beta, depth)
-    shared, tables = q.ndim == 0 and beta.ndim == 0, {}
+    shared = q.ndim == 0 and beta.ndim == 0
 
-    def line(index, t):
-        if shared and (depth[index] == depth[index[0]]).all():
-            key = (t.shape[-1], depth[index[0]])  # one line, one level
+    def blocks(index, form, integrand):
+        # the rows_fn of the rows index: integrand(rows, form(t, their line)).
+        # Rows of one depth, with q and beta scalar, share a line and its tables,
+        # formed once per level of this call; the blocks ascend, so a block is on
+        # one line where no change of depth lies between its ends
+        lines, tables = depth[index], {}
+        changes = np.flatnonzero(lines[1:] != lines[:-1]).tolist()
+
+        def rows_fn(i, t):
+            rows = index[i]
+            if not shared or changes and bisect_left(changes, i[0]) != bisect_left(changes, i[-1]):
+                return integrand(rows, form(t, line_of[rows].T[..., None]))
+            key = (t.shape[-1], lines[i[0]])  # one level, one line
             if key not in tables:
-                tables[key] = _line_table(t, *line_of[index[:1]].T[..., None])
-            return tables[key]
-        return _line_table(t, *line_of[index].T[..., None])
+                tables[key] = form(t, line_of[rows[:1]].T[..., None])
+            return integrand(rows, tables[key])
 
-    def on_the_axis(index, t):  # e^{-i kappa du} against the line's real weight
-        du, _, _, w_log, jac_re, _ = line(index, t)
-        angle = row_of[index, :1] * -du
+        return rows_fn
+
+    def real_line(t, line):  # -du and the line's real weight
+        du, _, _, w_log, jac_re, _ = _line_table(t, *line, False)
         w = np.exp(w_log)
         w *= jac_re
+        return np.negative(du, out=du), w
+
+    def shifted_line(t, line):  # the table, the complex Jacobian, t^2 and e^{-t^2}
+        *table, jac_re, jac_im = _line_table(t, *line)
+        tt = t * t
+        return table, _complex(jac_re, jac_im), tt, np.exp(-tt)
+
+    def on_the_axis(rows, line):  # e^{-i kappa du} against the line's real weight
+        minus_du, w = line
+        angle = row_of[rows, :1] * minus_du
         return _cis(angle), angle.__getitem__, w
 
-    def off_the_axis(index, t):
-        table = line(index, t)
-        k, k_sin, bound = row_of[index].T[..., None]
-        with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row: see its status
-            arg, log_mod, live = _shifted_log(table, k, k_sin, bound)
-            log_mod += (tt := t * t)  # averaged against e^{-t^2}, the integrand carries e^{t^2}
-            expo = _complex(log_mod, arg)
-            term = np.exp(expo, out=np.zeros(arg.shape, complex), where=live)
-            term *= _complex(table[4], table[5])
+    def off_the_axis(rows, line):
+        table, jac, tt, weight = line
+        k, k_sin, bound = row_of[rows].T[..., None]
+        arg, log_mod, live = _shifted_log(table, k, k_sin, bound)
+        log_mod += tt  # averaged against e^{-t^2}, the integrand carries e^{t^2}
+        expo = _complex(log_mod, arg)
+        term = np.exp(expo, out=np.zeros(arg.shape, complex), where=live)
+        term *= jac
+        integrand = np.empty((len(term), 2, term.shape[1]))
+        integrand[:, 0], integrand[:, 1] = term.real, term.imag
 
-        def angle(rows):  # arg - i (log_mod + bound), formed only for the rows the alias test reads
-            with np.errstate(invalid="ignore", over="ignore"):
-                return -1j * (expo[rows] + bound[rows])
+        def angle(ask):  # arg - i (log_mod + bound), formed only for the rows the alias test reads
+            return -1j * (expo[ask] + bound[ask])
 
-        return np.stack([term.real, term.imag], axis=1), angle, np.exp(-tt)
+        return integrand, angle, weight
 
     # each kind of row in a pass of its own, the real line's vouched for by
     # its turn (above); a decided row keeps the zeros, with status CONVERGED
     on_axis = depth == 0.0
-    with np.errstate(invalid="ignore", over="ignore"):  # a turn that is not finite clears nothing
-        turn = 0.5 * np.abs(kappa) * line_of[:, 1]
     out = Averages(np.zeros((kappa.size, 2)), np.zeros(kappa.size),
                    *np.zeros((2, kappa.size), dtype=int))
-    for part, rows, row_turn in ((on_axis, on_the_axis, turn),
-                                 (~on_axis & ~decided, off_the_axis, None)):
-        index = np.flatnonzero(part)
-        if index.size:
-            got = _adaptive_average(lambda i, t: rows(index[i], t), index.size, _FIRST_IN_S,
-                                    None if row_turn is None else row_turn[index])
-            for name in ("values", "residual", "nodes", "status"):
-                getattr(out, name)[index] = getattr(got, name)
+    # one errstate for both passes: a turn that is not finite clears nothing,
+    # and a non-finite row is reported through its status
+    with np.errstate(invalid="ignore", over="ignore"):
+        turn = 0.5 * np.abs(kappa) * line_of[:, 1]
+        for part, form, integrand, row_turn in (
+                (on_axis, real_line, on_the_axis, turn),
+                (~on_axis & ~decided, shifted_line, off_the_axis, None)):
+            index = np.flatnonzero(part)
+            if index.size:
+                got = _adaptive_average(blocks(index, form, integrand), index.size, _FIRST_IN_S,
+                                        None if row_turn is None else row_turn[index])
+                for name in ("values", "residual", "nodes", "status"):
+                    getattr(out, name)[index] = getattr(got, name)
     return out
 
 
@@ -595,7 +626,7 @@ def _complex(re, im):
     inf} is nan, as it must be for its row's status, but e^{-inf + i inf} is
     0 without it.
     """
-    out = np.empty(np.broadcast_shapes(re.shape, im.shape), complex)
+    out = np.empty(np.broadcast(re, im).shape, complex)
     np.multiply(im, 0.0, out=out.real)
     out.real += re
     np.add(im, 0.0, out=out.imag)

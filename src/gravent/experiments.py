@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -182,8 +183,9 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
     done = (outcome == CONVERGED) | (outcome == REDUCED_TOLERANCE)
     values[2, done] = np.minimum(np.square(values[:2, done]).sum(axis=0), 1.0)
     values[3, done] = entanglement_of_formation(values[2, done])
-    out = list(map(SweepRow._make, zip(xs, *values.tolist(),
-                                       map(_COMPUTED.get, outcome.tolist()))))
+    # tuple.__new__ is SweepRow._make without its length check
+    out = list(map(tuple.__new__, repeat(SweepRow), zip(xs, *values.tolist(),
+                                                        map(_COMPUTED.get, outcome.tolist()))))
     for i in np.flatnonzero(~done).tolist():
         out[i] = _refused_row(xs[i], _REFUSALS[int(outcome[i])], stationary_phase)
     return out

@@ -85,29 +85,34 @@ DOMAIN_CHECKS = tuple((key, lambda v: abs(v) < math.inf, "{name} must be finite,
 )
 
 
+# Each field's entries with their places in DOMAIN_CHECKS, so that a check
+# looks up the entries of its fields instead of walking the whole table.
+_ENTRIES = {field: [(place, entry) for place, entry in enumerate(DOMAIN_CHECKS)
+                    if entry[0] == field] for field, _, _ in DOMAIN_CHECKS}
+
+
 def check_domain(values: dict, names: dict | None = None) -> None:
     """Raise DomainError for the first entry of DOMAIN_CHECKS that fails.
 
-    Only the entries of the fields in values run, each on a number, a
-    string or an array (anything with a non-zero ndim), whose first
-    element at fault the message names.  A value that an entry cannot
-    compare (text or None where a number belongs) fails it as not a
-    number.  names renames a field in the messages.
+    Only the entries of the fields in values run, in the table's order,
+    each on a number, a string or an array (anything with a non-zero
+    ndim), whose first element at fault the message names.  A value that
+    an entry cannot compare (text or None where a number belongs) fails
+    it as not a number.  names renames a field in the messages.
     """
-    for field, valid, message in DOMAIN_CHECKS:
-        if field in values:
-            value = values[field]
-            try:
-                ok = valid(value)
-            except TypeError:  # text or None where the entry compares numbers
-                ok, message = False, "{name} must be a number, got {value!r}"
-            if getattr(ok, "ndim", 0):  # an array
-                if ok.all():
-                    continue
-                ok, value = False, value.flat[ok.argmin()]
-            if not ok:
-                name = (names or {}).get(field, field)
-                raise DomainError(message.format(name=name, value=value))
+    for _, (field, valid, message) in sorted(e for f in values for e in _ENTRIES.get(f, ())):
+        value = values[field]
+        try:
+            ok = valid(value)
+        except TypeError:  # text or None where the entry compares numbers
+            ok, message = False, "{name} must be a number, got {value!r}"
+        if getattr(ok, "ndim", 0):  # an array
+            if ok.all():
+                continue
+            ok, value = False, value.flat[ok.argmin()]
+        if not ok:
+            name = (names or {}).get(field, field)
+            raise DomainError(message.format(name=name, value=value))
 
 
 def horizons(xi2: float) -> list[float]:

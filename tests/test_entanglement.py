@@ -317,6 +317,25 @@ def test_shared_centre_gives_the_bits_of_a_column(monkeypatch, shifted):
         assert set(rows) == {1}
 
 
+def test_shared_line_tables_live_for_one_call():
+    # rows with a scalar centre and width share their line's tables, formed
+    # once per level of a call; two calls on different lines of the same
+    # depths, in either order, each give the bits of a column of their own
+    # centres, which forms a table per block
+    kappa = np.linspace(-60.0, 80.0, 200)
+    depth = np.where(np.abs(kappa) < 4.0, 0.0, -0.25 * np.sign(kappa))
+    lines = [(0.6, 1.0), (2.5, 0.7)]
+    alone = [batch_characteristic(kappa, np.full(200, q), np.full(200, beta), depth)
+             for q, beta in lines]
+    for order in ([0, 1, 0], [1, 0, 1]):
+        for i in order:
+            got = batch_characteristic(kappa, *lines[i], depth)
+            for name in ("values", "residual", "nodes", "status"):
+                assert getattr(got, name).tobytes() == getattr(alone[i], name).tobytes(), (i, name)
+    assert (alone[0].values != alone[1].values).all()
+    assert {64, 128} <= set(alone[0].nodes.tolist()) and (depth == 0.0).any()
+
+
 def test_capped_rows_with_small_residual_have_reduced_tolerance(monkeypatch):
     # at a 256-interval cap, kappa = 255 and 265 on the real line in s stop
     # with residuals between TOL and FAIL_RESIDUAL, kappa = 280 above it; in

@@ -5,9 +5,12 @@ output bit.  These digests hold the rows of 300 perturbed sweeps over
 all six presets, and the Averages of batch_characteristic batches that
 mix the real line, shifted lines, decided rows and non-finite kappa, as
 the quadrature computed them when each level still formed all of its
-temporaries in full.  A change that moves one bit of one row changes a
-digest; one that means to must say which numbers moved and pin the new
-digests.
+temporaries in full.  The large batches, 1,200 rows each, run several
+blocks per level, a short last block joining the one before, as only the
+presets do among the sweeps; their digest was taken before a shared
+line's tables were formed once per level and line of a call.  A change
+that moves one bit of one row changes a digest; one that means to must
+say which numbers moved and pin the new digests.
 """
 
 import hashlib
@@ -23,6 +26,7 @@ SAMPLES = 60
 
 SWEEP_DIGEST = "aaae65ed8a1242d20cfe0e3adaf40d883c75e9958e34dd517e9d47445d493cf7"
 BATCH_DIGEST = "f2662bc1b3202054f68ed8a52eb655c4d400e7e0e7b3d50b0dead72f20f59280"
+LARGE_BATCH_DIGEST = "6f5f9c45dce97e38875278250e927f65abd96d81a05ec8562c9e564f32293ef1"
 
 
 def corpus_sweeps(seed: int = 24):
@@ -55,6 +59,19 @@ def corpus_batches(seed: int = 24):
     yield kappa, 0.6, 1.3, np.where(depth == 0.0, 0.0, np.where(depth < 0.0, -0.25, 0.2))
 
 
+def corpus_large_batches(seed: int = 27):
+    """Two batches of 1,200 rows, one with a centre per row, one with a shared centre."""
+    rng = np.random.default_rng(seed)
+    size = 1200
+    kappa = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-2.0, 4.0, size)
+    depth = np.where(rng.uniform(size=size) < 0.5, 0.0, -np.sign(kappa) * rng.uniform(0.05, 0.3, size))
+    q = rng.uniform(-20.0, 20.0, size)
+    beta = 10.0 ** rng.uniform(-1.0, 1.0, size)
+    yield kappa, q, beta, depth
+    kappa = np.sort(kappa)  # one line per sign of kappa, so most blocks share one
+    yield kappa, 0.6, 1.0, np.where(depth == 0.0, 0.0, -np.sign(kappa) * 0.3)
+
+
 def digest_of_sweeps() -> str:
     h = hashlib.sha256()
     for spec, stationary_phase in corpus_sweeps():
@@ -62,9 +79,9 @@ def digest_of_sweeps() -> str:
     return h.hexdigest()
 
 
-def digest_of_batches() -> str:
+def digest_of_batches(batches=corpus_batches) -> str:
     h = hashlib.sha256()
-    for kappa, q, beta, depth in corpus_batches():
+    for kappa, q, beta, depth in batches():
         out = batch_characteristic(kappa, q, beta, depth)
         for array in (out.values, out.residual, out.nodes.astype("<i8"), out.status.astype("<i8")):
             h.update(np.ascontiguousarray(array).tobytes())
@@ -77,3 +94,7 @@ def test_off_preset_sweeps_keep_their_bits():
 
 def test_batch_characteristic_keeps_its_bits():
     assert digest_of_batches() == BATCH_DIGEST
+
+
+def test_large_batch_characteristic_batches_keep_their_bits():
+    assert digest_of_batches(corpus_large_batches) == LARGE_BATCH_DIGEST

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -34,7 +35,7 @@ from gravent import (
 )
 from gravent.experiments import _sweep_rows
 from gravent import wigner
-from gravent.roots import MAX_RADIUS, check_domain, outer_horizon
+from gravent.roots import DOMAIN_CHECKS, MAX_RADIUS, check_domain, outer_horizon
 from gravent.wigner import _STEP_BLOCK, _expm_planar, radial_factor
 
 Z1_016 = 1.2424428900898052          # (3 + sqrt(9 - 32*0.16)) / 4
@@ -126,6 +127,52 @@ def test_check_domain_names_the_first_element_at_fault():
         check_domain({"z": np.array([-1.0, math.nan])}, {"z": "r"})
     with pytest.raises(DomainError, match=r"^\|p\| must be <= 1e\+08, got p=1e\+200$"):
         check_domain({"q": 1e200}, {"q": "p"})
+
+
+def _walk_the_whole_table(values, names=None):
+    """The reference: every entry of DOMAIN_CHECKS, in order, run for the fields given."""
+    for field, valid, message in DOMAIN_CHECKS:
+        if field in values:
+            value = values[field]
+            try:
+                ok = valid(value)
+            except TypeError:
+                ok, message = False, "{name} must be a number, got {value!r}"
+            if getattr(ok, "ndim", 0):
+                if ok.all():
+                    continue
+                ok, value = False, value.flat[ok.argmin()]
+            if not ok:
+                raise DomainError(message.format(name=(names or {}).get(field, field), value=value))
+
+
+def _message(check, values, names=None):
+    try:
+        check(values, names)
+    except Exception as exc:  # an array where text belongs raises ValueError from both
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def test_check_domain_raises_what_a_walk_of_the_whole_table_raises():
+    # check_domain looks up the entries of the fields it is given; for every
+    # pair of fields, each given values that fail some of its entries, in
+    # either order, the first failing entry and its message are the walk's
+    failing = [math.nan, math.inf, -1.0, 0.0, 0.5, 1.5, 1e-200, 1e200, 3, "text", None,
+               np.array([1.0, -2.0, math.nan])]
+    fields = list(dict.fromkeys(field for field, _, _ in DOMAIN_CHECKS))
+    compared = 0
+    for first, second in itertools.permutations(fields, 2):
+        for a, b in itertools.product(failing, repeat=2):
+            values = {first: a, second: b}
+            expected = _message(_walk_the_whole_table, values)
+            assert _message(check_domain, values) == expected, values
+            compared += expected is not None
+    assert compared > 0.8 * len(fields) * (len(fields) - 1) * len(failing) ** 2
+    # a field no entry knows is passed over, and names renames in the message
+    values, names = {"nothing": math.nan, "beta": -1.0, "z": 0.5}, {"beta": "width"}
+    assert _message(check_domain, values, names) == _message(_walk_the_whole_table, values, names)
+    assert _message(check_domain, values, names) == "DomainError: width must be positive, got -1.0"
 
 
 @pytest.mark.parametrize("values, message", [
