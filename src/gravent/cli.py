@@ -41,6 +41,9 @@ _PIPELINE = {
 }
 # the commands that run on roots and the standard library alone
 _LIGHT_COMMANDS = ("horizons", "zeros")
+# every command, in the order `gravent -h` lists them
+_COMMANDS = ("figure", "sweep", "zeros", "horizons", "minima", "radial-check", "frame-compare",
+             "validate")
 
 
 def _load_pipeline() -> None:
@@ -280,76 +283,79 @@ def _add_sweep_flags(sub) -> None:
     sub.add_argument("--config", help="JSON file with the same keys as the flags")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand's parser, or only `command`'s where it names one, under a
+    usage that lists them all, so the help and usage errors are the same."""
     parser = argparse.ArgumentParser(
         prog="gravent",
         description="Spin entanglement of orbiting two-particle wave packets "
                     "around charged black holes.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    one = command in _COMMANDS
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{%s}" % ",".join(_COMMANDS) if one else None)
 
-    p = sub.add_parser("figure", help="run one of the six built-in sweeps")
-    p.add_argument("figure", metavar="n", type=int, choices=range(1, 7))
-    p.add_argument("--samples", type=int)
-    p.add_argument("--format", choices=_FORMATS, default="csv")
-    p.add_argument("-o", "--output")
-    p.add_argument("--stationary-phase", dest="stationary_phase",
-                   action="store_true")
-    p.set_defaults(fn=_cmd_sweep)
+    def add(name, text):  # None for a subcommand not asked for
+        return sub.add_parser(name, help=text) if name == command or not one else None
 
-    p = sub.add_parser("sweep", help="run a custom parameter sweep")
-    _add_sweep_flags(p)
-    # default None, not False, so that an absent flag leaves the config's value
-    p.add_argument("--stationary-phase", dest="stationary_phase",
-                   action="store_true", default=None,
-                   help="report E=0 for rows whose moments oscillate too "
-                        "fast to converge (horizon limit convention)")
-    p.add_argument("--format", choices=_FORMATS)
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_sweep)
+    if p := add("figure", "run one of the six built-in sweeps"):
+        p.add_argument("figure", metavar="n", type=int, choices=range(1, 7))
+        p.add_argument("--samples", type=int)
+        p.add_argument("--format", choices=_FORMATS, default="csv")
+        p.add_argument("-o", "--output")
+        p.add_argument("--stationary-phase", dest="stationary_phase", action="store_true")
+        p.set_defaults(fn=_cmd_sweep)
 
-    p = sub.add_parser("zeros", help="orbit radii where the rotation angle vanishes")
-    p.add_argument("--xi2", type=float, required=True)
-    p.set_defaults(fn=lambda args: _print_roots(theta_zeros(args.xi2), "no zeros"))
+    if p := add("sweep", "run a custom parameter sweep"):
+        _add_sweep_flags(p)
+        # default None, not False, so that an absent flag leaves the config's value
+        p.add_argument("--stationary-phase", dest="stationary_phase",
+                       action="store_true", default=None,
+                       help="report E=0 for rows whose moments oscillate too "
+                            "fast to converge (horizon limit convention)")
+        p.add_argument("--format", choices=_FORMATS)
+        p.add_argument("-o", "--output")
+        p.set_defaults(fn=_cmd_sweep)
 
-    p = sub.add_parser("horizons", help="event horizon radii for a given charge")
-    p.add_argument("--xi2", type=float, required=True)
-    p.set_defaults(fn=lambda args: _print_roots(horizons(args.xi2),
-                                                "no horizons (naked singularity)"))
+    if p := add("zeros", "orbit radii where the rotation angle vanishes"):
+        p.add_argument("--xi2", type=float, required=True)
+        p.set_defaults(fn=lambda args: _print_roots(theta_zeros(args.xi2), "no zeros"))
 
-    p = sub.add_parser("minima", help="locate entanglement minima of a z-sweep")
-    p.add_argument("--figure", type=int, choices=range(1, 7))
-    _add_sweep_flags(p)
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_minima)
+    if p := add("horizons", "event horizon radii for a given charge"):
+        p.add_argument("--xi2", type=float, required=True)
+        p.set_defaults(fn=lambda args: _print_roots(horizons(args.xi2),
+                                                    "no horizons (naked singularity)"))
 
-    p = sub.add_parser("radial-check",
-                       help="verify radial free fall leaves Bell states intact")
-    p.add_argument("--bell", choices=list(BELL_TAGS) + ["all"],
-                   default="all")
-    p.set_defaults(fn=_cmd_radial_check)
+    if p := add("minima", "locate entanglement minima of a z-sweep"):
+        p.add_argument("--figure", type=int, choices=range(1, 7))
+        _add_sweep_flags(p)
+        p.add_argument("-o", "--output")
+        p.set_defaults(fn=_cmd_minima)
 
-    p = sub.add_parser("frame-compare",
-                       help="static versus falling-frame rotation rates")
-    p.add_argument("--r-lo", dest="r_lo", type=float, default=1.01)
-    p.add_argument("--r-hi", dest="r_hi", type=float, default=10.0)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--format", choices=_FORMATS, default="csv")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_frame_compare)
+    if p := add("radial-check", "verify radial free fall leaves Bell states intact"):
+        p.add_argument("--bell", choices=list(BELL_TAGS) + ["all"], default="all")
+        p.set_defaults(fn=_cmd_radial_check)
 
-    p = sub.add_parser("validate",
-                       help="run the oracle-equivalence and invariant suites")
-    p.add_argument("--draws", type=int, default=100)
-    p.set_defaults(fn=_cmd_validate)
+    if p := add("frame-compare", "static versus falling-frame rotation rates"):
+        p.add_argument("--r-lo", dest="r_lo", type=float, default=1.01)
+        p.add_argument("--r-hi", dest="r_hi", type=float, default=10.0)
+        p.add_argument("--samples", type=int, default=50)
+        p.add_argument("--q", type=float, default=1.0)
+        p.add_argument("--p", type=float, default=0.0)
+        p.add_argument("--format", choices=_FORMATS, default="csv")
+        p.add_argument("-o", "--output")
+        p.set_defaults(fn=_cmd_frame_compare)
+
+    if p := add("validate", "run the oracle-equivalence and invariant suites"):
+        p.add_argument("--draws", type=int, default=100)
+        p.set_defaults(fn=_cmd_validate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -664,33 +664,20 @@ def reduced_density_closed(bell: BellState, m: TrigMoments) -> np.ndarray:
     Built from K = C^2 + S^2, X = C^2 - S^2 and Y = 2 C S; the sign of the
     Y cross terms follows from direct integration of the rotated Bell
     projectors.  All four outputs share the eigenvalue pair (1 +- K)/2 on
-    a two-dimensional support, hence equal concurrence K.
+    a two-dimensional support, hence equal concurrence K.  Of arrays C
+    and S, the stack (..., 4, 4) of the matrices each pair gives alone.
     """
-    K = m.C * m.C + m.S * m.S
-    X = m.C * m.C - m.S * m.S
-    Y = 2.0 * m.C * m.S
+    c, s = np.asarray(m.C, dtype=float), np.asarray(m.S, dtype=float)
+    sgn, zero = (1.0 if bell.tag in ("chi1", "chi2") else -1.0), np.zeros_like(c)
     if bell.tag in ("chi1", "chi4"):
-        sgn = 1.0 if bell.tag == "chi1" else -1.0
-        a = 1.0 + sgn * K
-        b = 1.0 - sgn * K
-        rho = np.array([
-            [a, 0.0, 0.0, a],
-            [0.0, b, -b, 0.0],
-            [0.0, -b, b, 0.0],
-            [a, 0.0, 0.0, a],
-        ])
+        K = c * c + s * s
+        a, b = 1.0 + sgn * K, 1.0 - sgn * K
+        rho = [[a, zero, zero, a], [zero, b, -b, zero], [zero, -b, b, zero], [a, zero, zero, a]]
     else:  # chi2 or chi3
-        sgn = 1.0 if bell.tag == "chi2" else -1.0
-        a = 1.0 + sgn * X
-        b = 1.0 - sgn * X
-        y = sgn * Y
-        rho = np.array([
-            [a, y, y, -a],
-            [y, b, b, -y],
-            [y, b, b, -y],
-            [-a, -y, -y, a],
-        ])
-    return 0.25 * rho.astype(complex)
+        X = c * c - s * s
+        a, b, y = 1.0 + sgn * X, 1.0 - sgn * X, sgn * (2.0 * c * s)
+        rho = [[a, y, y, -a], [y, b, b, -y], [y, b, b, -y], [-a, -y, -y, a]]
+    return 0.25 * np.moveaxis(np.array(rho), (0, 1), (-2, -1)).astype(complex)
 
 
 def _rotation_products(theta: np.ndarray) -> np.ndarray:
@@ -702,25 +689,34 @@ def _rotation_products(theta: np.ndarray) -> np.ndarray:
 
 
 def _bell_densities(moments: np.ndarray, bells) -> np.ndarray:
-    """rho[..., chi, ij, kl] = sum m[i,a,k,c] m[j,b,l,d] chi[a,b] chi[c,d], chi in bells."""
-    m = moments.reshape(moments.shape[:-1] + (1, 2, 2, 2, 2))
-    chi = np.array([bell.vector for bell in bells]).reshape(-1, 2, 2)
-    rho = np.einsum("...iakc,...jbld,...ab,...cd->...ijkl", m, m, chi, chi)
+    """rho[..., chi, ij, kl] = sum m[i,a,k,c] m[j,b,l,d] chi[a,b] chi[c,d], chi in bells.
+
+    The terms ((m m) chi) chi are added into zeros a outermost, then c, b,
+    d: np.einsum's order, and so its bits.
+    """
+    m = moments.reshape(moments.shape[:-1] + (1, 2, 2, 2, 2))  # [..., 1, i, a, k, c]
+    chi = np.array([bell.vector for bell in bells]).reshape(-1, 2, 2, 1, 1, 1, 1)
+    rho = np.zeros(m.shape[:-5] + (len(chi), 2, 2, 2, 2))  # [..., chi, i, j, k, l]
+    for a, c, b, d in np.ndindex(2, 2, 2, 2):
+        rho += ((m[..., :, None, a, :, None, c] * m[..., None, :, b, None, :, d])
+                * chi[:, a, b]) * chi[:, c, d]
     return rho.reshape(rho.shape[:-4] + (4, 4)).astype(complex)
 
 
-def reduced_density_bruteforce(bell: BellState, theta_fn,
-                               dist: MomentumDistribution) -> np.ndarray:
+def reduced_density_bruteforce(bell, theta_fn, dist: MomentumDistribution) -> np.ndarray:
     """Reference reduced density matrix from the component integrals.
 
-    The one-row, one-state case of batch_reduced_density_bruteforce.  Both
-    particles carry the same distribution, so a single 2x2x2x2 tensor
-    m[i,a,k,c] = <D[i,a] D[k,c]> of the half-angle rotation D feeds the
-    whole contraction.
+    The one-row case of batch_reduced_density_bruteforce, for one state,
+    or, from the same pass, for each of a sequence of states (len, 4, 4).
+    Both particles carry the same distribution, so a single 2x2x2x2
+    tensor m[i,a,k,c] = <D[i,a] D[k,c]> of the half-angle rotation D
+    feeds the whole contraction.
     """
     out = _raise_failed_rows(_batch_average(_rotation_products, [1.0], _as_factor(theta_fn),
                                             dist.q, dist.beta))
-    return _bell_densities(out.values[0], [bell])[0]
+    one = isinstance(bell, BellState)
+    rho = _bell_densities(out.values[0], [bell] if one else bell)
+    return rho[0] if one else rho
 
 
 def batch_reduced_density_bruteforce(amplitude, factor, q, beta) -> np.ndarray:

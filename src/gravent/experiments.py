@@ -68,8 +68,10 @@ from .wigner import (
     spin_rep,
     theta_amplitude,
     theta_circular,  # not called here; perfbench/layers.py traces it at this module
+    wigner_rate,
     wigner_rate_matrix,
-    _wigner_rate,
+    _charged_prefactor,
+    _midpoints,
 )
 
 # A z-sweep may not start on the horizon itself; clamp just above it.
@@ -318,30 +320,24 @@ def radial_invariance_check(bells, dist: MomentumDistribution | None = None,
     """Radial free fall leaves every Bell state's density matrix intact.
 
     Accumulates, over 5 units of proper time in 256 steps of an infalling
-    radial path, the rate wigner_rate derives from lambda_radial for the
-    packet's centroid momentum along the fall, which is exactly 0.0 (across
-    the fall it would not be).  The path is integrated once; its angle goes
-    through the brute-force density pipeline of each state in bells and is
-    compared against the untouched projector.  A deviation above 1e-10
-    raises AssertionFailure naming the first state at fault and its worst
-    entry.  Supplying `rate_fn` overrides the derived rate; a non-trivial
-    one serves as a negative control.
+    radial path, the rate wigner_rate derives from lambda_radial (one call
+    for every step's midpoint) for the packet's centroid momentum along the
+    fall, which is exactly 0.0 (across the fall it would not be).  The path
+    is integrated once; one brute-force pass gives each state in bells its
+    density matrix, compared against the untouched projector.  A deviation
+    above 1e-10 raises AssertionFailure naming the first state at fault and
+    its worst entry.  Supplying `rate_fn` overrides the derived rate; a
+    non-trivial one serves as a negative control.
     """
-    model = ChargedBlackHole(0.0)
     dist = dist or MomentumDistribution(q=0.6, beta=1.0)
-    if rate_fn is None:
-        p = np.array([dist.q, 0.0, 0.0])
-        check_domain({"p": p})  # once, not at every step
-
-        def rate_fn(tau):
-            # infalling path, z from 6 down to 4
-            return _wigner_rate(lambda_radial(model, 6.0 - 0.4 * tau, 0.4), p)
-
+    if rate_fn is None:  # infalling path, z from 6 down to 4
+        radii = 6.0 - 0.4 * _midpoints(0.0, 5.0, 256)
+        rate_fn = wigner_rate(lambda_radial(ChargedBlackHole(0.0), radii, 0.4), (dist.q, 0.0, 0.0))
     accumulated = product_integral(rate_fn, 0.0, 5.0, 256)
     angle = math.atan2(accumulated[0, 2], accumulated[0, 0])
     reports = []
-    for bell in bells:
-        rho = reduced_density_bruteforce(bell, lambda p: angle, dist)
+    rhos = reduced_density_bruteforce(bells, lambda p: angle, dist)
+    for bell, rho in zip(bells, rhos):
         deviation = np.abs(rho - bell.projector())
         worst = np.unravel_index(deviation.argmax(), deviation.shape)
         max_dev = float(deviation[worst])
@@ -427,7 +423,7 @@ class _Draws:
         return low + (high - low) * self.random()
 
 
-def random_orbit_params(rng) -> OrbitParams:
+def random_orbit_params(rng, size: int | None = None):
     """A random configuration kept well clear of horizons and aliasing.
 
     rng is anything with uniform(low, high) and uniform() as numpy's
@@ -436,16 +432,18 @@ def random_orbit_params(rng) -> OrbitParams:
     span both the two-horizon and the naked range; radii start
     0.6 above the outer horizon (or 0.6 outright when none exists) and
     momenta, widths and times stay small enough that the default
-    quadrature converges on every draw.
+    quadrature converges on every draw.  Given a size, the fields
+    (xi2, z, q, beta, tau_ratio) of that many draws as arrays, unchecked.
     """
-    xi2 = float(rng.uniform(0.0, 0.29))
-    zp = outer_horizon(xi2)
-    floor = (zp if zp is not None else 0.0) + 0.6
-    z = float(rng.uniform(floor, floor + 5.0))
-    q = float(rng.uniform(0.05, 1.2)) * (1.0 if rng.uniform() < 0.5 else -1.0)
-    beta = float(rng.uniform(0.3, 1.5))
-    tau_ratio = float(rng.uniform(0.2, 3.0))
-    return OrbitParams(xi2=xi2, z=z, q=q, beta=beta, tau_ratio=tau_ratio)
+    draws = []
+    for _ in range(size or 1):
+        xi2 = float(rng.uniform(0.0, 0.29))
+        zp = outer_horizon(xi2)
+        floor = (zp if zp is not None else 0.0) + 0.6
+        z = float(rng.uniform(floor, floor + 5.0))
+        q = float(rng.uniform(0.05, 1.2)) * (1.0 if rng.uniform() < 0.5 else -1.0)
+        draws.append((xi2, z, q, float(rng.uniform(0.3, 1.5)), float(rng.uniform(0.2, 3.0))))
+    return OrbitParams(*draws[0]) if size is None else np.array(draws).T
 
 
 def oracle_equivalence_report(draws: int = 100, seed: int = 20240808) -> dict:
@@ -455,8 +453,9 @@ def oracle_equivalence_report(draws: int = 100, seed: int = 20240808) -> dict:
     matrix both ways, then aggregates worst-case deviations: entrywise
     closed-vs-brute-force distance, concurrence against C^2+S^2, spread
     of the concurrence across Bell states, and the density-matrix
-    hygiene numbers (hermiticity, trace, smallest eigenvalue).  Each draw
-    gets its amplitude once.  One batched pass gives every draw's
+    hygiene numbers (hermiticity, trace, smallest eigenvalue).  The draws
+    are checked, and their amplitudes and closed forms formed, as arrays.
+    One batched pass gives every draw's
     moments, and another every draw's brute-force tensor, which does not
     depend on the Bell state, contracted with all four states; each draw
     gets the bits its own trig_moments and reduced_density_bruteforce
@@ -466,14 +465,12 @@ def oracle_equivalence_report(draws: int = 100, seed: int = 20240808) -> dict:
     """
     check_domain({"count": draws, "seed": seed}, {"count": "draws"})
     rng = _Draws(seed)
-    params = [random_orbit_params(rng) for _ in range(draws)]
-    amplitude = np.array([theta_amplitude(p) for p in params])
-    q, beta = np.array([(p.q, p.beta) for p in params]).T
-    moments = [TrigMoments(c, s) for c, s in
-               batch_trig_moments(amplitude, momentum_factor, q, beta).values.tolist()]
-    norms = np.array([m.C ** 2 + m.S ** 2 for m in moments])
-    closed = np.array([[reduced_density_closed(chi, m) for chi in BELL_STATES]
-                       for m in moments])
+    xi2, z, q, beta, tau = random_orbit_params(rng, draws)
+    check_domain({"xi2": xi2, "z": z, "q": q, "beta": beta, "tau_ratio": tau})
+    amplitude = TAU_S * tau * _charged_prefactor(z, xi2)  # HorizonError wherever z <= z+ too
+    cs = batch_trig_moments(amplitude, momentum_factor, q, beta).values  # each draw's C, S
+    norms = np.array([c ** 2 + s ** 2 for c, s in cs.tolist()])
+    closed = np.stack([reduced_density_closed(chi, TrigMoments(*cs.T)) for chi in BELL_STATES], 1)
     brute = batch_reduced_density_bruteforce(amplitude, momentum_factor, q, beta)
     conc = wootters_concurrence(closed)
     diag = density_matrix_diagnostics(np.stack([closed, brute]))
@@ -563,7 +560,7 @@ def validation_checks(report: dict) -> list[tuple[str, bool, str]]:
     checks.append(("spin_rep homomorphism", dev < 1e-12, f"max deviation {dev:.3e}"))
 
     rate = wigner_rate_matrix(ChargedBlackHole(0.16), 1.6, 0.6, 0.3)
-    accum = product_integral(lambda tau: rate, 0.0, 2.0, 10_000)
+    accum = product_integral(rate, 0.0, 2.0, 10_000)
     dev = float(np.abs(accum - rotation_matrix(rate[0, 2] * 2.0)).max())
     checks.append(("product integral vs closed-form rotation", dev < 1e-8,
                    f"max deviation {dev:.3e}"))

@@ -43,22 +43,29 @@ class ChargedBlackHole:
         check_domain(vars(self))
 
 
-def metric_potentials(model: ChargedBlackHole, z: float) -> tuple[float, float, float]:
+def metric_potentials(model: ChargedBlackHole, z):
     """(A, B, dA/dz) at radius z: (1/2) log g, -(1/2) log g and (1/2) g'/g.
 
-    g = e^{2A} = 1 - 1/z + xi2/z^2 is formed once.  Raises DomainError
-    unless z is finite and positive, and HorizonError when g falls below
-    HORIZON_TOL (on or inside a horizon, where the Wigner angle turns
-    imaginary).
+    g = e^{2A} = 1 - 1/z + xi2/z^2 is formed once.  Of a float, floats;
+    of an array of radii, arrays, the logs math's per value as for a
+    float.  Raises DomainError unless z is finite and positive, or where
+    a potential is no finite float (g' overflows from z ~ 1e-103 at
+    xi2 > 0), and HorizonError where g falls below HORIZON_TOL (on or
+    inside a horizon, where the Wigner angle turns imaginary).
     """
     check_domain({"r": z}, {"r": "z"})
-    g = 1.0 - 1.0 / z + model.xi2 / (z * z)
-    if g < HORIZON_TOL:
-        raise HorizonError(f"z={z} is on or inside a horizon of charged black hole "
-                           f"(xi2={model.xi2}) (e^{{2A}}={g:.3e})")
-    a = 0.5 * math.log(g)
-    gp = 1.0 / (z * z) - 2.0 * model.xi2 / (z * z * z)
-    return a, -a, 0.5 * gp / g
+    z = np.asarray(z, dtype=float)
+    with np.errstate(all="ignore"):  # an overflow is reported below; xi2 = 0 adds no 0/0
+        g = 1.0 - 1.0 / z + (model.xi2 / (z * z) if model.xi2 else 0.0)
+        a_prime = 0.5 * (1.0 / (z * z) - 2.0 * model.xi2 / (z * z * z)) / g
+    overflow = ~np.isfinite([g, a_prime]).all(0)
+    for bad, error, text in ((g < HORIZON_TOL, HorizonError, "on or inside a horizon"),
+                             (overflow, DomainError, "too near the singularity")):
+        if bad.any():
+            raise error(f"z={z.flat[bad.argmax()]} is {text} of charged black hole "
+                        f"(xi2={model.xi2}) (e^{{2A}}={g.flat[bad.argmax()]:.3e})")
+    a = 0.5 * np.vectorize(math.log, otypes=[float])(g)
+    return (float(a), float(-a), float(a_prime)) if z.ndim == 0 else (a, -a, a_prime)
 
 
 @dataclass(frozen=True)

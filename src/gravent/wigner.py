@@ -122,9 +122,9 @@ def wigner_rate(lam, p) -> np.ndarray:
 
     Terashima & Ueda, Phys. Rev. A 69, 032113 (2004):
         theta^i_k = lam^i_k + (lam^i_0 p^k - lam^k_0 p^i) / (k^0 + 1)
-    for i, k = 1..3, with k^0 = sqrt(1 + |p|^2); lam[a, b] = lam^a_b.  The
-    result is antisymmetric whenever lam @ ETA is.  p passes the entries of
-    DOMAIN_CHECKS for p.
+    for i, k = 1..3, with k^0 = sqrt(1 + |p|^2); lam[a, b] = lam^a_b, or
+    a stack (..., 4, 4) of generators.  The result is antisymmetric
+    whenever lam @ ETA is.  p passes the entries of DOMAIN_CHECKS for p.
     """
     p = np.asarray(p, dtype=float)
     check_domain({"p": p})
@@ -133,8 +133,8 @@ def wigner_rate(lam, p) -> np.ndarray:
 
 def _wigner_rate(lam: np.ndarray, p: np.ndarray) -> np.ndarray:
     """wigner_rate for float arrays lam and p, p already checked."""
-    boost = lam[1:, 0]
-    return lam[1:, 1:] + (boost[:, None] * p - p[:, None] * boost) / (np.sqrt(1.0 + p @ p) + 1.0)
+    col, row = lam[..., 1:, :1], lam[..., None, 1:, 0]  # lam^i_0 as a column and as a row
+    return lam[..., 1:, 1:] + (col * p - p[:, None] * row) / (np.sqrt(1.0 + p @ p) + 1.0)
 
 
 def wigner_rate_w13(model, z: float, q: float, p) -> float | np.ndarray:
@@ -155,10 +155,10 @@ def wigner_rate_matrix(model, z: float, q: float, p: float) -> np.ndarray:
     return wigner_rate(lambda_circular(model, z, q), (0.0, 0.0, p))
 
 
-def radial_factor(z, xi2: float) -> tuple[np.ndarray, np.ndarray]:
+def radial_factor(z, xi2) -> tuple[np.ndarray, np.ndarray]:
     """(2z^2 - 3z + 4 xi2) / (2 z^2 sqrt(z^2 - z + xi2)), the radial factor of Theta.
 
-    Elementwise over an array of radii; returns the factor and a mask of
+    Elementwise over arrays of radii and charges; returns the factor and a mask of
     the radii where no orbit has it: z <= 0, z on or inside the outer
     horizon (below the inner one z^2 - z + xi2 > 0 again and the factor
     is finite, but no circle there lies outside the hole) and z where
@@ -168,8 +168,8 @@ def radial_factor(z, xi2: float) -> tuple[np.ndarray, np.ndarray]:
     masks its grid with DOMAIN_CHECKS.
     """
     z = np.asarray(z, dtype=float)[()]  # a float becomes a numpy scalar
-    zp = outer_horizon(xi2)
-    floor = zp if zp is not None else 0.0
+    floor = np.reshape([zp or 0.0 for zp in map(outer_horizon, np.ravel(xi2).tolist())],
+                       np.shape(xi2))  # 0.0 where no horizon exists
     with np.errstate(all="ignore"):  # the singular entries are masked
         s = z * z - z + xi2
         singular = (z <= floor) | (s / (z * z) < HORIZON_TOL)
@@ -177,16 +177,16 @@ def radial_factor(z, xi2: float) -> tuple[np.ndarray, np.ndarray]:
     return factor, singular
 
 
-def _charged_prefactor(z: float, xi2: float) -> float:
-    """radial_factor at one radius; DomainError where the entries of
-    DOMAIN_CHECKS for z fail, HorizonError where the factor is singular."""
+def _charged_prefactor(z, xi2):
+    """radial_factor at one radius, a float, or over arrays; DomainError where the
+    entries of DOMAIN_CHECKS for z fail, HorizonError where the factor is singular."""
     check_domain({"z": z})
     factor, singular = radial_factor(z, xi2)
-    if singular:
-        raise HorizonError(
-            f"radial factor singular on or inside the horizons (z={z}, xi2={xi2})"
-        )
-    return float(factor)
+    if singular.any():
+        z, xi2 = np.broadcast_arrays(z, xi2)
+        raise HorizonError(f"radial factor singular on or inside the horizons "
+                           f"(z={z.flat[singular.argmax()]}, xi2={xi2.flat[singular.argmax()]})")
+    return float(factor) if factor.ndim == 0 else factor
 
 
 def _checked_momentum_factor(q, p):
@@ -214,19 +214,20 @@ def theta_circular(params: OrbitParams, p) -> float | np.ndarray:
     return theta_amplitude(params) * _checked_momentum_factor(params.q, p)
 
 
-def lambda_radial(model, z: float, v: float) -> np.ndarray:
+def lambda_radial(model, z, v: float) -> np.ndarray:
     """4x4 generator of radial free fall at local speed v.
 
     A pure boost along the fall, lam[0,1] = lam[1,0] = -gamma A' e^{-B}.
     Its rate wigner_rate(lam, p) is exactly zero for a momentum p along
     the fall (the 1-axis), so such a spin never rotates; across the fall
-    theta^1_3 = lam^1_0 p^3 / (k^0 + 1) is not zero.
+    theta^1_3 = lam^1_0 p^3 / (k^0 + 1) is not zero.  Of an array of
+    radii, the stack (..., 4, 4) of their generators, e^{-B} math's each.
     """
     check_domain({"v": v})
     _, b, a_prime = metric_potentials(model, z)
     gamma = 1.0 / math.sqrt(1.0 - v * v)
-    lam = np.zeros((4, 4))
-    lam[0, 1] = lam[1, 0] = -gamma * a_prime * math.exp(-b)
+    lam = np.zeros(np.shape(b) + (4, 4))
+    lam[..., 0, 1] = lam[..., 1, 0] = -gamma * a_prime * np.vectorize(math.exp, otypes=[float])(-b)
     return lam
 
 
@@ -278,40 +279,61 @@ def _expm_planar(m: np.ndarray) -> np.ndarray:
 _STEP_BLOCK = 4096
 
 
+def _midpoints(tau_i: float, tau_f: float, steps: int) -> np.ndarray:
+    """The midpoints tau_i + (k + 1/2) dtau, dtau = (tau_f - tau_i)/steps, of product_integral."""
+    return tau_i + (np.arange(steps) + 0.5) * ((tau_f - tau_i) / steps)
+
+
 def product_integral(rate_fn, tau_i: float, tau_f: float, steps: int) -> np.ndarray:
     """Time-ordered product of exp(rate * dtau) factors, later times leftmost.
 
-    Each step exponentiates the rate at the step midpoint in closed form
-    (_expm_planar), so every factor is an exact group element and the
-    global error is O(dtau^2).  The factors of each block of _STEP_BLOCK
-    steps are multiplied pairwise, level by level, the later factor of a
-    pair on the left and an odd last factor carried up a level; the
-    blocks' products are chained in time order.  Within a block, rounding
-    then grows with log(steps), not with steps.  A block whose rates all
-    have the bits of its first (a constant rate, +0.0 and -0.0 told apart)
-    exponentiates that one rate, with the bits each of its steps would get.
-    rate_fn must return a square matrix of fixed shape with finite entries,
-    of one of the kinds _expm_planar takes.
+    The rates come as a callable, called at each step's midpoint
+    (_midpoints), as one (d, d) matrix, a constant rate, or as a
+    (steps, d, d) stack of the midpoints' rates.  Each step exponentiates
+    its rate in closed form (_expm_planar), so every factor is an exact
+    group element and the global error is O(dtau^2).  The factors of each
+    block of _STEP_BLOCK steps are multiplied pairwise, level by level
+    (_pairwise_product), and the blocks' products chained in time order;
+    rounding then grows with log(steps), not with steps.  A block whose
+    rates all have the bits of its first (+0.0 and -0.0 told apart), as a
+    matrix's always do, exponentiates that one rate and forms one product
+    per level, with the bits the tree of its equal factors gets.  The
+    rates must be square, finite and of a kind _expm_planar takes.
     """
     check_domain({"tau_i": tau_i, "tau_f": tau_f, "count": steps}, {"count": "steps"})
     dtau = (tau_f - tau_i) / steps
+    rates = None if callable(rate_fn) else np.asarray(rate_fn, dtype=float)
+    if rates is None:
+        taus = _midpoints(tau_i, tau_f, steps).tolist()
+    elif rates.ndim < 2 or rates.shape not in ((square := rates.shape[-1:] * 2), (steps,) + square):
+        raise DomainError(f"rates must be a square matrix or one per step, "
+                          f"got shape {rates.shape} for {steps} steps")
     acc = None
     for start in range(0, steps, _STEP_BLOCK):
-        ks = range(start, min(start + _STEP_BLOCK, steps))
-        rates = np.array([rate_fn(tau_i + (k + 0.5) * dtau) for k in ks], dtype=float)
-        finite = np.isfinite(rates).all(axis=(1, 2))
+        stop = min(start + _STEP_BLOCK, steps)
+        block = (np.array([rate_fn(tau) for tau in taus[start:stop]], dtype=float)
+                 if rates is None else rates[start:stop] if rates.ndim == 3 else rates[None])
+        finite = np.isfinite(block).all(axis=(1, 2))
         if not finite.all():
             raise DomainError(f"non-finite rate at step {start + int(finite.argmin())}")
-        bits = rates.view(np.uint64).reshape(len(rates), -1)
-        if (bits == bits[0]).all():  # a constant rate: one exponential, per matrix as in a stack
-            factors = np.repeat(_expm_planar(rates[:1] * dtau), len(rates), axis=0)
-        else:
-            factors = _expm_planar(rates * dtau)
-        while len(factors) > 1:
-            paired = factors[1::2] @ factors[:len(factors) - 1:2]
-            factors = np.concatenate([paired, factors[-1:]]) if len(factors) % 2 else paired
-        acc = factors[0] if acc is None else factors[0] @ acc
+        bits = block.view(np.uint64).reshape(len(block), -1)
+        block = block[:1] if (bits == bits[0]).all() else block  # a constant rate: one exponential
+        factor = _pairwise_product(_expm_planar(block * dtau), stop - start)
+        acc = factor if acc is None else factor @ acc
     return acc
+
+
+def _pairwise_product(factors: np.ndarray, count: int) -> np.ndarray:
+    """product_integral's tree over count factors, or count copies of one: a level pairs
+    them, later on the left, and an odd last one with the carry (a later factor) or becomes it."""
+    carry = None
+    while count + (carry is not None) > 1:
+        if count % 2:
+            carry = factors[-1:] if carry is None else carry @ factors[-1:]
+            factors = factors[:-1] if len(factors) > 1 else factors
+        count //= 2
+        factors = factors[1::2] @ factors[::2] if len(factors) > 1 else factors @ factors
+    return (factors if count else carry)[0]
 
 
 def kruskal_rate(r: float, q: float, p) -> float | np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import json
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import gravent
+import gravent.cli as cli
 from gravent import (AssertionFailure, DomainError, EmptyDataError, OrbitParams, SweepSpec,
                      emit_csv, emit_json, emit_svg, figure_preset)
 from gravent.cli import main, preset_config, render_sweep
@@ -790,8 +792,10 @@ def test_commands_run_without_scipy():
     assert out.strip() == "[0, 0, 0, 0] [] False"
 
 
-# SHA-256 of the stdout of `frame-compare --samples 7`, `zeros` and
-# `horizons`, as each command printed it with its own printer
+# SHA-256 of the stdout of `frame-compare --samples 7`, `zeros`, `horizons`,
+# `validate` and `radial-check`, as each command printed it with its own
+# printer; the validate and radial-check bytes were taken from the scalar
+# rates, closed forms and einsum contraction the array forms replaced
 SMALL_COMMAND_DIGESTS = {
     ("frame-compare", "--samples", "7", "--format", "csv"):
         "5517a74685091bf7da52027c342166982d29d115e08b4590feffde71ab7c1377",
@@ -815,6 +819,22 @@ SMALL_COMMAND_DIGESTS = {
         "64693d5e130e38bb14c65966d47b16b80e7bb825404a2a7a9587720a383c1a29",
     ("horizons", "--xi2", "0.5"):
         "64693d5e130e38bb14c65966d47b16b80e7bb825404a2a7a9587720a383c1a29",
+    ("validate",):
+        "97036dfcf3b1310cef550d6ad899980a7766e7ff159c262d62db894b7d44c2fc",
+    ("validate", "--draws", "5"):
+        "ad528888d222377466feb6f2619c92b5ec963e24d32c7b9c8797a61d796609c6",
+    ("validate", "--draws", "1"):
+        "1de930e7f25eb81a750bf8d4d41e9ac6ff7cb3940fcebf3c7b9f66ef410390be",
+    ("radial-check",):
+        "0f1b883767d79a79f0d141b163d751ace0d181accb9f9ed3d5fe87b6119f350b",
+    ("radial-check", "--bell", "chi1"):
+        "9e12138e0cbfc8fb19eebafd9ab9a5ec9706e5e138a7ebaf86df48231d4a8f1a",
+    ("radial-check", "--bell", "chi2"):
+        "32406200d3a3f67aad92187b40d2fce1dbc2d1811c102d8b58dfbae356576428",
+    ("radial-check", "--bell", "chi3"):
+        "8d46d34835df7ea1fde5fd28bfe52889cccf221ba509ecfac31c053b79484da2",
+    ("radial-check", "--bell", "chi4"):
+        "098f6af18253d5bcbf120e99ecf7cee36db7913b3d10b3820b2ea59766698bf3",
 }
 
 
@@ -906,3 +926,33 @@ def test_only_json_and_svg_output_load_json(fmt, json_loaded):
     assert done.stdout.splitlines()[-1] == f"True {json_loaded}"
     if fmt == "svg":
         assert '<desc>{"beta": 1.0, ' in done.stdout  # the configuration, as JSON
+
+
+def _subcommands(parser):
+    return [name for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction) for name in action.choices]
+
+
+def test_a_named_subcommand_builds_only_its_own_parser():
+    everything = _subcommands(cli._build_parser())
+    assert everything == ["figure", "sweep", "zeros", "horizons", "minima", "radial-check",
+                          "frame-compare", "validate"] == list(cli._COMMANDS)
+    for name in everything:
+        assert _subcommands(cli._build_parser(name)) == [name]
+    for other in ("-h", "--help", "bogus", "--draws", "validate2"):
+        assert _subcommands(cli._build_parser(other)) == everything
+
+
+# argument lists argparse refuses, each with its own usage error
+USAGE_ERRORS = [(), ("bogus",), ("-x",), ("figure",), ("figure", "9"), ("figure", "1", "--x"),
+                ("sweep", "--lo", "a"), ("zeros",), ("horizons", "--xi2"), ("minima", "--figure"),
+                ("radial-check", "--bell", "chi9"), ("frame-compare", "--q", "q"),
+                ("validate", "--draws", "x"), ("validate", "5")]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: "-".join(argv) or "none")
+def test_usage_errors_keep_the_bytes_of_the_full_parser(capsys, monkeypatch, argv):
+    got = run_cli(capsys, *argv)
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+    assert got[0] == 2 and got[1] == "" and got == run_cli(capsys, *argv)

@@ -577,3 +577,67 @@ def test_entanglement_of_formation_keeps_relative_digits_at_small_concurrence():
 def test_array_concurrence_outside_its_domain_names_the_first_fault(values, fault):
     with pytest.raises(DomainError, match=rf"got {fault}$"):
         entanglement_of_formation(np.array(values))
+
+
+def _seeded_moments(rows, seed=28):
+    # 16 components per row over six decades, a fifth of them +0.0 and a fifth -0.0
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((rows, 16)) * 10.0 ** rng.integers(-3, 3, (rows, 16))
+    m[rng.random((rows, 16)) < 0.2] = 0.0
+    m[rng.random((rows, 16)) < 0.2] = -0.0
+    return m
+
+
+def _einsum_densities(moments, bells):
+    m = moments.reshape(moments.shape[:-1] + (1, 2, 2, 2, 2))
+    chi = np.array([bell.vector for bell in bells]).reshape(-1, 2, 2)
+    rho = np.einsum("...iakc,...jbld,...ab,...cd->...ijkl", m, m, chi, chi)
+    return rho.reshape(rho.shape[:-4] + (4, 4)).astype(complex)
+
+
+def _densities_in_order(moments, bells, order):
+    # the same terms as _bell_densities, added into zeros in another order
+    m = moments.reshape(moments.shape[:-1] + (1, 2, 2, 2, 2))
+    chi = np.array([bell.vector for bell in bells]).reshape(-1, 1, 1, 1, 1, 2, 2)
+    rho = np.zeros(m.shape[:-5] + (len(bells), 2, 2, 2, 2))
+    for idx in np.ndindex(2, 2, 2, 2):
+        a, b, c, d = (idx[order.index(name)] for name in "abcd")
+        pair = m[..., :, None, a, :, None, c] * m[..., None, :, b, None, :, d]
+        rho += (pair * chi[..., a, b]) * chi[..., c, d]
+    return rho.reshape(rho.shape[:-4] + (4, 4)).astype(complex)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 100])
+def test_bell_densities_keep_the_bits_of_einsum(rows):
+    moments = _seeded_moments(rows)
+    for bells in (BELL_STATES, BELL_STATES[1:2], BELL_STATES[::-1]):
+        want = _einsum_densities(moments, bells)
+        assert entanglement._bell_densities(moments, bells).tobytes() == want.tobytes()
+        assert _densities_in_order(moments, bells, "acbd").tobytes() == want.tobytes()
+    if rows == 100:  # the negative control: another order of the same terms moves bits
+        assert _densities_in_order(moments, BELL_STATES, "cabd").tobytes() != \
+            _einsum_densities(moments, BELL_STATES).tobytes()
+
+
+def test_closed_density_of_arrays_gives_each_matrix_its_own_bits():
+    moments = _seeded_moments(1)[0].reshape(2, 8) * 0.1
+    c, s = moments
+    for chi in BELL_STATES:
+        stack = reduced_density_closed(chi, TrigMoments(c, s))
+        assert stack.shape == (8, 4, 4)
+        for k in range(8):
+            one = reduced_density_closed(chi, TrigMoments(float(c[k]), float(s[k])))
+            assert stack[k].tobytes() == one.tobytes()
+
+
+def test_bruteforce_density_of_several_states_is_one_pass(monkeypatch):
+    theta_fn = lambda p: 0.3 * p
+    dist = MomentumDistribution(0.6, 1.0)
+    calls = []
+    real = entanglement._batch_average
+    monkeypatch.setattr(entanglement, "_batch_average",
+                        lambda *args: calls.append(args) or real(*args))
+    stack = reduced_density_bruteforce(BELL_STATES, theta_fn, dist)
+    assert len(calls) == 1 and stack.shape == (4, 4, 4)
+    for chi, rho in zip(BELL_STATES, stack):
+        assert rho.tobytes() == reduced_density_bruteforce(chi, theta_fn, dist).tobytes()

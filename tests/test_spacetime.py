@@ -81,6 +81,41 @@ def test_horizon_errors_on_and_inside():
         metric_potentials(ChargedBlackHole(0.16), 0.5)
 
 
+# Radii below which 1/z^2 - 2 xi2/z^3 (xi2 > 0) or 1/z^2 (xi2 = 0) is no finite
+# float, down to the smallest subnormal; inside e^{2A} = 1 - 1/z + xi2/z^2 is
+# positive and huge for xi2 > 0 (no horizon, but no finite A') and negative
+# for xi2 = 0 (inside the horizon)
+_TINY_RADII = (1e-103, 1e-108, 1e-155, 1e-165, 1e-200, 1e-300, 5e-324)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z", _TINY_RADII)
+def test_metric_potentials_at_tiny_radii_raise_what_the_value_dictates(z):
+    with pytest.raises(DomainError, match=r"too near the singularity of charged black hole "
+                                          r"\(xi2=0\.16\)"):
+        metric_potentials(ChargedBlackHole(0.16), z)
+    with pytest.raises(HorizonError, match=r"on or inside a horizon of charged black hole "
+                                           r"\(xi2=0\.0\)"):
+        metric_potentials(ChargedBlackHole(0.0), z)
+    # the same from an array, whose first radius at fault is named
+    for xi2, error in ((0.16, DomainError), (0.0, HorizonError)):
+        with pytest.raises(error, match=f"^z={z!r} is "):
+            metric_potentials(ChargedBlackHole(xi2), np.array([2.0, z, 1e-50]))
+        with pytest.raises(error):
+            lambda_radial(ChargedBlackHole(xi2), np.array([3.0, z]), 0.4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_metric_potentials_stay_finite_down_to_the_overflow():
+    # A' ~ -1/z near z = 0 for xi2 > 0, while g' = 1/z^2 - 2 xi2/z^3 is finite
+    for z in (1e-50, 1e-100):
+        a, b, a_prime = metric_potentials(ChargedBlackHole(0.16), z)
+        assert all(map(math.isfinite, (a, b, a_prime))) and a == -b
+        assert a_prime == pytest.approx(-1.0 / z, rel=1e-6)
+        arrays = metric_potentials(ChargedBlackHole(0.16), np.array([z]))
+        assert [float(x[0]) for x in arrays] == [a, b, a_prime]
+
+
 def test_asymptotic_flatness_of_builtin_models():
     for xi2 in (0.0, 0.16, 0.25, 0.5):
         a, b, _ = metric_potentials(ChargedBlackHole(xi2), 1e6)

@@ -603,6 +603,71 @@ def test_product_integral_tells_signed_zeros_apart(steps, monkeypatch):
     assert got.tobytes() == _per_step_product(rate_fn, 0.0, 1.0, steps).tobytes()
 
 
+def _signed_zero_rate(tau):
+    # the rate of test_product_integral_tells_signed_zeros_apart: +0.0 entries
+    # before tau = 0.75 and -0.0 after, so a block that straddles it is not constant
+    zero = 0.0 if tau < 0.75 else -0.0
+    return np.array([[zero, 0.4, -zero], [-0.4, -zero, zero], [zero, -zero, zero]])
+
+
+_RATE_FNS = {
+    "w13": lambda tau: wigner_rate_matrix(ChargedBlackHole(0.16), 1.6, 0.6, 0.3),
+    "signed-zero": _signed_zero_rate,
+    "circular-swept": lambda tau: lambda_circular(ChargedBlackHole(0.16), 2.5, 0.2 + 0.8 * tau),
+}
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 5, _STEP_BLOCK - 1, _STEP_BLOCK, _STEP_BLOCK + 1,
+                                   10_000])
+@pytest.mark.parametrize("kind", sorted(_RATE_FNS))
+def test_product_integral_of_a_matrix_or_a_stack_keeps_the_callables_bits(kind, steps):
+    # the callable, and the stack of its rates at the midpoints _per_step_product takes
+    rate_fn = _RATE_FNS[kind]
+    want = _per_step_product(rate_fn, 0.0, 1.0, steps)
+    stack = np.array([rate_fn(0.0 + (k + 0.5) * (1.0 / steps)) for k in range(steps)])
+    assert product_integral(rate_fn, 0.0, 1.0, steps).tobytes() == want.tobytes()
+    assert product_integral(stack, 0.0, 1.0, steps).tobytes() == want.tobytes()
+    for rate in (rate_fn(0.0), rate_fn(1.0)):  # a constant rate given once, -0.0 entries too
+        assert product_integral(rate, 0.0, 1.0, steps).tobytes() == \
+            _per_step_product(lambda tau: rate, 0.0, 1.0, steps).tobytes()
+
+
+def test_product_integral_exponentiates_a_matrix_once_per_block(monkeypatch):
+    sizes = _exponentiated(monkeypatch)
+    rate = wigner_rate_matrix(ChargedBlackHole(0.16), 1.6, 0.6, 0.3)
+    product_integral(rate, 0.0, 2.0, 10_000)
+    assert sizes == [1, 1, 1]
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (3, 4), (4, 3, 3), (2, 5, 3, 3)])
+def test_product_integral_rejects_rates_of_another_shape(shape):
+    with pytest.raises(DomainError, match="rates must be a square matrix or one per step"):
+        product_integral(np.zeros(shape), 0.0, 1.0, 5)
+
+
+def test_product_integral_names_the_first_non_finite_rate_of_a_stack():
+    stack = np.zeros((_STEP_BLOCK + 10, 3, 3))
+    stack[_STEP_BLOCK + 3, 0, 2] = math.inf
+    with pytest.raises(DomainError, match=f"^non-finite rate at step {_STEP_BLOCK + 3}$"):
+        product_integral(stack, 0.0, 1.0, len(stack))
+
+
+def test_radial_rates_of_an_array_of_radii_keep_the_scalar_bits():
+    # the radial check's 256 midpoints, and a momentum across the fall so
+    # that the rates are not all zero
+    model = ChargedBlackHole(0.0)
+    radii = 6.0 - 0.4 * wigner._midpoints(0.0, 5.0, 256)
+    assert radii.tolist() == [6.0 - 0.4 * (0.0 + (k + 0.5) * (5.0 / 256)) for k in range(256)]
+    for p in ((0.6, 0.0, 0.0), (0.0, 0.0, 0.6), (0.3, -0.2, 0.5)):
+        stack = wigner_rate(lambda_radial(model, radii, 0.4), p)
+        one = np.array([wigner_rate(lambda_radial(model, r, 0.4), p) for r in radii.tolist()])
+        assert stack.shape == (256, 3, 3) and stack.tobytes() == one.tobytes()
+    for xi2 in (0.0, 0.16, 0.5):  # the potentials too, log and all
+        model = ChargedBlackHole(xi2)
+        arrays = np.array(metric_potentials(model, radii))
+        assert arrays.T.tolist() == [list(metric_potentials(model, r)) for r in radii.tolist()]
+
+
 def test_product_integral_radial_path_is_pure_boost():
     model = ChargedBlackHole(0.0)
     rate_fn = lambda tau: lambda_radial(model, 4.0 - 0.5 * tau, 0.5)
