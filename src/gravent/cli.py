@@ -19,6 +19,9 @@ every other command loads the numpy pipeline before it runs.
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import importlib
 import sys
 
@@ -44,6 +47,8 @@ _LIGHT_COMMANDS = ("horizons", "zeros")
 # every command, in the order `gravent -h` lists them
 _COMMANDS = ("figure", "sweep", "zeros", "horizons", "minima", "radial-check", "frame-compare",
              "validate")
+# atexit.register(gc.freeze) on the first call only: see main
+_freeze_at_exit = functools.cache(lambda: atexit.register(gc.freeze))
 
 
 def _load_pipeline() -> None:
@@ -354,6 +359,11 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Finalization's full collections walk every tracked object, some 20k once
+    # numpy is loaded (about 15 ms); frozen at exit, they are left to refcounting
+    # alone.  Registered first, so a usage error exits frozen too, and not on
+    # import, so that a caller that only imports this module keeps its collector.
+    _freeze_at_exit()
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser(argv[0] if argv else None)
     try:

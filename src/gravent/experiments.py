@@ -554,9 +554,8 @@ def validation_checks(report: dict) -> list[tuple[str, bool, str]]:
     ]
 
     draws = _Draws(7)
-    pairs = [(draws.uniform(-6, 6), draws.uniform(-6, 6)) for _ in range(50)]
-    dev = max(float(np.abs(spin_rep(a) @ spin_rep(b) - spin_rep(a + b)).max())
-              for a, b in pairs)
+    a, b = np.array([(draws.uniform(-6, 6), draws.uniform(-6, 6)) for _ in range(50)]).T
+    dev = float(np.abs(spin_rep(a) @ spin_rep(b) - spin_rep(a + b)).max())
     checks.append(("spin_rep homomorphism", dev < 1e-12, f"max deviation {dev:.3e}"))
 
     rate = wigner_rate_matrix(ChargedBlackHole(0.16), 1.6, 0.6, 0.3)

@@ -238,15 +238,17 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
-def spin_rep(theta: float) -> np.ndarray:
+def spin_rep(theta) -> np.ndarray:
     """Spin-1/2 representation of rotation_matrix(theta); unitary, det 1.
 
     spin_rep(a) @ spin_rep(b) == spin_rep(a + b) and the half angle makes
-    it double-cover the rotation.
+    it double-cover the rotation.  Of an array of angles, the stack
+    (..., 2, 2) of their matrices, cos and sin math's each, as one angle's.
     """
+    theta = np.asarray(theta, dtype=float)
     check_domain({"theta": theta})
-    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    c, s = (np.vectorize(f, otypes=[float])(0.5 * theta) for f in (math.cos, math.sin))
+    return np.stack([c, -s, s, c], axis=-1).reshape(theta.shape + (2, 2)).astype(complex)
 
 
 def _expm_planar(m: np.ndarray) -> np.ndarray:

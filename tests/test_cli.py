@@ -1,5 +1,8 @@
 import argparse
 import ast
+import atexit
+import functools
+import gc
 import hashlib
 import json
 import math
@@ -605,19 +608,29 @@ CLI_BOOT = "import sys; from gravent.cli import main; sys.exit(main())"
 # prints whether numpy and json are loaded as the last line of stdout, at exit
 REPORT_MODULES = ("import atexit, sys; "
                   "atexit.register(lambda: print('numpy' in sys.modules, 'json' in sys.modules)); ")
+# prints, at exit, whether the collector's objects are frozen by then
+REPORT_FROZEN = ("import atexit, gc; "
+                 "atexit.register(lambda: print(gc.get_freeze_count() > 0)); ")
 
 
-def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with args, importing gravent from this tree."""
     src = str(Path(gravent.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
 
 
+def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    return run_python("-c", code, *argv)
+
+
 def test_import_loads_no_numpy():
-    done = run_fresh("import sys, gravent, gravent.cli; print('numpy' in sys.modules)")
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    # the collector too is left as it was: only main registers the freeze at exit
+    done = run_fresh(REPORT_FROZEN + "import sys, gravent, gravent.cli; "
+                                     "print('numpy' in sys.modules)")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\nFalse\n", "")
 
 
 @pytest.mark.parametrize("argv, code, out", [
@@ -635,6 +648,54 @@ def test_horizons_and_zeros_load_no_numpy(argv, code, out):
         assert done.stderr.count("\n") == 1
     else:
         assert done.stderr == ""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["horizons", "--xi2", "0.16"], 0),
+    (["figure", "1", "--samples", "3"], 0),
+    (["figure", "7"], 2),
+    (["validate", "--draws", "0"], 1),
+], ids=["horizons", "figure", "usage-error", "domain-error"])
+def test_main_freezes_the_collector_at_exit(argv, code):
+    # registered after the reporter, the freeze runs before it (atexit is
+    # LIFO); the usage error, which parsing raises before the pipeline
+    # loads, shows the hook is registered first
+    done = run_fresh(REPORT_FROZEN + CLI_BOOT, *argv)
+    assert done.returncode == code
+    assert done.stdout.endswith("True\n")
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys, monkeypatch):
+    hooks = []
+    monkeypatch.setattr(atexit, "register", hooks.append)
+    # a fresh cache, as in a process that has not called main yet
+    monkeypatch.setattr(cli, "_freeze_at_exit", functools.cache(cli._freeze_at_exit.__wrapped__))
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert run_cli(capsys, "horizons", "--xi2", "0.16")[0] == 0
+    assert run_cli(capsys, "figure", "7")[0] == 2
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+    assert hooks == [gc.freeze]
+
+
+@pytest.mark.parametrize("argv", [
+    ["horizons", "--xi2", "0.16"],
+    ["figure", "1", "--samples", "3"],
+    ["figure", "7"],
+], ids=["horizons", "figure", "usage-error"])
+def test_python_m_gravent_is_the_command(argv):
+    done = run_python("-m", "gravent", *argv)
+    booted = run_fresh(CLI_BOOT, *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        booted.returncode, booted.stdout, booted.stderr)
+
+
+def test_python_m_gravent_horizons_loads_no_numpy():
+    done = run_python("-X", "importtime", "-m", "gravent", "horizons", "--xi2", "0.16")
+    # one line per module imported: "import time: self | cumulative | name"
+    imported = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line}
+    assert (done.returncode, done.stdout) == (0, "0.2\n0.8\n")
+    assert "gravent.cli" in imported and "numpy" not in imported
 
 
 def test_a_name_set_on_cli_before_the_pipeline_loads_is_the_one_called():

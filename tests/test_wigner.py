@@ -433,6 +433,19 @@ def test_spin_rep_homomorphism():
         assert np.abs(spin_rep(a) @ spin_rep(b) - spin_rep(a + b)).max() < 1e-12
 
 
+def test_spin_rep_of_an_array_is_the_stack_of_its_scalar_calls():
+    angles = np.concatenate([np.random.default_rng(11).uniform(-8, 8, 40),
+                             [0.0, -0.0, 4 * math.pi, -4 * math.pi, 1e6]])
+    stack = spin_rep(angles.reshape(5, 9))
+    assert stack.shape == (5, 9, 2, 2) and stack.dtype == complex
+    for theta, d in zip(angles.tolist(), stack.reshape(-1, 2, 2)):
+        c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)  # the scalar formula
+        assert d.tobytes() == spin_rep(theta).tobytes()
+        assert d.tobytes() == np.array([[c, -s], [s, c]], dtype=complex).tobytes()
+    with pytest.raises(DomainError, match=r"^theta must be finite, got nan$"):
+        spin_rep(np.array([0.3, math.nan]))
+
+
 def test_spin_rep_covers_rotation_matrix():
     # adjoint action of the half-angle representation reproduces the SO(3) map
     theta = 0.7
