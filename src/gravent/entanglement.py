@@ -458,7 +458,8 @@ def _lines(kappa, q, beta, depth):
     # the ends: S = sinh t with (S cos d - q)^2 - (1 + S^2) sin^2 d = 49 beta^2, less q
     # (lean = q cos d - q cos 2d), and t - asinh q from e^{asinh x} - e_q =
     # (x - q)(e^{asinh x} + e_q)/(gamma_x + gamma), which takes no difference
-    root = np.sqrt(q * q * sin_d * sin_d + cos_2d * (49.0 * beta * beta + sin_d * sin_d))
+    root = np.sqrt(q * q * sin_d * sin_d
+                   + cos_2d * (_HALF_WIDTH ** 2 * beta * beta + sin_d * sin_d))
     lean = 2.0 * q * np.sin(1.5 * depth) * np.sin(0.5 * depth)
     step = np.stack([lean - root, lean + root]) / cos_2d
     e_x, gamma_x = _exp_asinh(q + step)

@@ -2,10 +2,10 @@
 
 The horizons solve z^2 - z + xi2 = 0 and the rotation-free circles
 2 z^2 - 3 z + 4 xi2 = 0 (z = r / r_s, xi2 the squared charge).  Both are
-quadratics solved with `math` alone, the input rules (DOMAIN_CHECKS) are
-comparisons and membership tests, and the sweep variables and Bell tags
-are plain strings, so this module imports no numpy: `gravent horizons`
-and `gravent zeros` run on it and the standard library only.
+quadratics solved with `math` alone, the input rules (DOMAIN_CHECKS) and
+the orbit rule (no_orbit) are comparisons and arithmetic, the sweep
+variables and Bell tags plain strings, so this module imports no numpy:
+`gravent horizons` and `gravent zeros` run on it and the stdlib only.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ MAX_MOMENTUM = 1e8
 # and overflows from z ~ 5.6e102; up to this radius every intermediate of
 # it stays finite.
 MAX_RADIUS = 1e100
+
+# z^2 - z + xi2 below this times z^2 (|e^{2A}| below it) counts as sitting on a horizon.
+HORIZON_TOL = 1e-9
 
 
 def _is_integer(value) -> bool:
@@ -139,21 +142,31 @@ def outer_horizon(xi2: float) -> float | None:
     return roots[-1] if roots else None
 
 
+def no_orbit(z, xi2):
+    """True where no circular orbit of radius z exists around the hole of charge xi2.
+
+    That is z <= 0; z < 1/2 at xi2 <= 1/4, inside the outer horizon (which
+    never lies below 1/2): below the inner one z^2 - z + xi2 > 0 again and
+    the radial factor is finite, but no circle there lies outside the hole;
+    and z^2 - z + xi2 < HORIZON_TOL z^2: on, between or next to the
+    horizons, or next to the near-zero at z = 1/2 of xi2 just above 1/4,
+    where the radial factor diverges.  Comparisons and arithmetic, so a
+    float and an array get the same answer.
+    """
+    return (z <= 0) | ((xi2 <= 0.25) & (z < 0.5)) | (z * z - z + xi2 < HORIZON_TOL * z * z)
+
+
 def theta_zeros(xi2: float) -> list[float]:
     """Orbit radii where the rotation angle vanishes for every momentum.
 
     The real roots (3 -+ sqrt(9 - 32 xi2)) / 4 of 2z^2 - 3z + 4 xi2 = 0
-    (empty for xi2 > 9/32), keeping only radii outside the outer horizon.
-    The closed form is returned as is; no root-finder refines it.
+    (empty for xi2 > 9/32), keeping only radii where an orbit exists
+    (no_orbit).  The closed form is returned as is; no root-finder refines it.
     """
-    zp = outer_horizon(xi2)  # checks xi2
+    check_domain({"xi2": xi2})
     disc = 9.0 - 32.0 * xi2
     if disc < 0:
         return []
-    if disc == 0:
-        roots = [0.75]
-    else:
-        d = math.sqrt(disc)
-        roots = [(3.0 - d) / 4.0, (3.0 + d) / 4.0]
-    floor = zp if zp is not None else 0.0
-    return [r for r in roots if r > floor]
+    d = math.sqrt(disc)
+    roots = sorted({(3.0 - d) / 4.0, (3.0 + d) / 4.0})  # the one root 0.75 where disc = 0
+    return [r for r in roots if not no_orbit(r, xi2)]

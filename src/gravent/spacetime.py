@@ -18,13 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HorizonError
-from .roots import check_domain
+from .roots import HORIZON_TOL, check_domain, no_orbit
 
 # Minkowski metric in the local inertial frame, signature (-, +, +, +).
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
-
-# |e^{2A}| below this counts as sitting on a horizon.
-HORIZON_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,8 @@ def metric_potentials(model: ChargedBlackHole, z):
     float.  Raises DomainError unless z is finite and positive, or where
     a potential is no finite float (g' overflows from z ~ 1e-103 at
     xi2 > 0), and HorizonError where g falls below HORIZON_TOL (on or
-    inside a horizon, where the Wigner angle turns imaginary).
+    inside a horizon, where the Wigner angle turns imaginary), not where
+    roots.no_orbit holds: g > 0 and the metric is real below the inner horizon.
     """
     check_domain({"r": z}, {"r": "z"})
     z = np.asarray(z, dtype=float)
@@ -185,9 +183,9 @@ def frame_transform_matrix(p: KruskalPoint) -> np.ndarray:
     The Kruskal tetrad, free-falling and finite at r = 1, has the legs
     (sqrt(r) e^{r/2}, sqrt(r) e^{r/2}, 1/r, 1/(r sin theta)) in (T, R,
     theta, phi).  A boost along the radial axis built from the point's (T, R); satisfies
-    T eta T^t = eta.  Real only outside the horizon (r > 1).
+    T eta T^t = eta.  Real only outside the horizon, where an orbit exists (no_orbit).
     """
-    if p.r - 1.0 < HORIZON_TOL:
+    if no_orbit(p.r, 0.0):
         raise HorizonError(f"frame transform singular at the horizon (r={p.r})")
     a = 0.5 * math.sqrt(math.exp(-p.r) / (p.r - 1.0))
     out = np.eye(4)

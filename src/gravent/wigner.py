@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, HorizonError
-from .roots import check_domain, outer_horizon
-from .spacetime import HORIZON_TOL, metric_potentials
+from .roots import check_domain, no_orbit
+from .spacetime import metric_potentials
 
 TAU_S = 2.0 * math.pi
 
@@ -55,7 +55,7 @@ class OrbitParams:
     q: centroid momentum; beta: width of the Gaussian momentum
     distribution; tau_ratio: elapsed proper time in units of tau_s.
     The first entry of DOMAIN_CHECKS that fails raises DomainError; a
-    radius on or inside the outer horizon then raises HorizonError.
+    radius with no orbit (roots.no_orbit) then raises HorizonError.
     """
 
     xi2: float
@@ -66,11 +66,7 @@ class OrbitParams:
 
     def __post_init__(self):
         check_domain(vars(self))
-        zp = outer_horizon(self.xi2)
-        if zp is not None and self.z <= zp:
-            raise HorizonError(
-                f"orbit at z={self.z} is not outside the outer horizon z+={zp}"
-            )
+        _charged_prefactor(self.z, self.xi2)
 
 
 @dataclass(frozen=True)
@@ -158,34 +154,26 @@ def wigner_rate_matrix(model, z: float, q: float, p: float) -> np.ndarray:
 def radial_factor(z, xi2) -> tuple[np.ndarray, np.ndarray]:
     """(2z^2 - 3z + 4 xi2) / (2 z^2 sqrt(z^2 - z + xi2)), the radial factor of Theta.
 
-    Elementwise over arrays of radii and charges; returns the factor and a mask of
-    the radii where no orbit has it: z <= 0, z on or inside the outer
-    horizon (below the inner one z^2 - z + xi2 > 0 again and the factor
-    is finite, but no circle there lies outside the hole) and z where
-    z^2 - z + xi2 -> 0 and the factor diverges, with no horizon near
-    z = 1/2 at xi2 ~ 1/4.  IEEE + - * / and sqrt round alike in numpy
-    and math, so a float gives the bits math would.  Unchecked: a sweep
-    masks its grid with DOMAIN_CHECKS.
+    Elementwise over arrays of radii and charges; returns the factor and
+    roots.no_orbit's mask of the radii where no orbit has it.  IEEE + - *
+    / and sqrt round alike in numpy and math, so a float gives the bits
+    math would.  Unchecked: a sweep masks its grid with DOMAIN_CHECKS.
     """
     z = np.asarray(z, dtype=float)[()]  # a float becomes a numpy scalar
-    floor = np.reshape([zp or 0.0 for zp in map(outer_horizon, np.ravel(xi2).tolist())],
-                       np.shape(xi2))  # 0.0 where no horizon exists
-    with np.errstate(all="ignore"):  # the singular entries are masked
-        s = z * z - z + xi2
-        singular = (z <= floor) | (s / (z * z) < HORIZON_TOL)
-        factor = (2 * z * z - 3 * z + 4 * xi2) / (2 * z * z * np.sqrt(s))
-    return factor, singular
+    with np.errstate(all="ignore"):  # the entries with no orbit are masked
+        factor = (2 * z * z - 3 * z + 4 * xi2) / (2 * z * z * np.sqrt(z * z - z + xi2))
+        return factor, no_orbit(z, xi2)
 
 
 def _charged_prefactor(z, xi2):
     """radial_factor at one radius, a float, or over arrays; DomainError where the
-    entries of DOMAIN_CHECKS for z fail, HorizonError where the factor is singular."""
+    entries of DOMAIN_CHECKS for z fail, HorizonError where no orbit exists."""
     check_domain({"z": z})
     factor, singular = radial_factor(z, xi2)
     if singular.any():
-        z, xi2 = np.broadcast_arrays(z, xi2)
-        raise HorizonError(f"radial factor singular on or inside the horizons "
-                           f"(z={z.flat[singular.argmax()]}, xi2={xi2.flat[singular.argmax()]})")
+        z, xi2 = (v.flat[singular.argmax()] for v in np.broadcast_arrays(z, xi2))
+        raise HorizonError(f"orbit at z={z} is not outside the outer horizon "
+                           f"or too near a zero of z^2 - z + xi2 (xi2={xi2})")
     return float(factor) if factor.ndim == 0 else factor
 
 

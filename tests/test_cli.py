@@ -834,6 +834,22 @@ def test_z_range_inside_the_horizon_names_the_range(capsys):
                    "the horizon z+=0.8\n")
 
 
+@pytest.mark.parametrize("xi2, z", [("0", "1.000000000001"), ("0.25", "0.50001"), ("0", "0.9")],
+                         ids=["next-to-the-horizon", "degenerate-band", "inside"])
+def test_a_fixed_orbit_with_no_circle_is_refused(capsys, xi2, z):
+    # the radius radial_factor masks is refused before any row is printed
+    code, out, err = run_cli(capsys, "sweep", "--variable", "q", "--lo", "0", "--hi", "1",
+                             "--samples", "3", "--xi2", xi2, "--z", z)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: HorizonError: orbit at z={z} is not outside the outer horizon")
+    assert err.count("\n") == 1
+
+
+def test_zeros_just_above_a_quarter_prints_only_the_orbit(capsys):
+    # the other root, 0.500000000004, lies next to the near-zero of z^2 - z + xi2
+    assert run_cli(capsys, "zeros", "--xi2", "0.250000000001") == (0, "1\n", "")
+
+
 def test_commands_run_without_scipy():
     # numpy is the only runtime dependency: neither the quadrature nor
     # product_integral may load SciPy, and the oracle draws its orbits
