@@ -104,9 +104,9 @@ DEFAULT_QUAD = QuadConfig()
 _HALF_WIDTH = 7.0
 
 # A line in s starts at 32 intervals: there u turns on the unit scale whatever
-# the packet's width.  Of the presets' 2,398 rows, 1,426 stop at 64 and 457
-# are decided without the rule.  The oracle's rule in x, the reference,
-# keeps its 64.
+# the packet's width.  Of the presets' 2,398 rows, 1,374 stop at 64, 52 at 32
+# and 457 are decided without the rule.  The oracle's rule in x, the
+# reference, keeps its 64.
 _FIRST_IN_S = 32
 
 # Temporaries of the batched quadrature hold about this many elements, so a
@@ -136,7 +136,8 @@ class Averages:
     interval count it stopped at and status[i] one of CONVERGED,
     REDUCED_TOLERANCE, NOT_FINITE and NO_CONVERGENCE.  A row that
     batch_characteristic decides from its modulus bound evaluated no node:
-    nodes[i] is 0.
+    nodes[i] is 0.  A row that its strip bound stopped (_adaptive_average)
+    reports that bound, below 1e-13, as its residual.
     """
 
     values: np.ndarray
@@ -145,7 +146,7 @@ class Averages:
     status: np.ndarray
 
 
-def _adaptive_average(rows_fn, size: int, n: int = 64, turn=None) -> Averages:
+def _adaptive_average(rows_fn, size: int, n: int = 64, turn=None, strip=None) -> Averages:
     """Average an integrand against the weight it comes with, per row.
 
     rows_fn(index, t) gets the indices of a block of rows, ascending, and
@@ -187,12 +188,19 @@ def _adaptive_average(rows_fn, size: int, n: int = 64, turn=None) -> Averages:
     not finite stops with status NOT_FINITE; one that reaches the cap
     unconverged stops with NO_CONVERGENCE if its residual is above
     FAIL_RESIDUAL and with REDUCED_TOLERANCE otherwise.
+
+    A caller may also certify a row: strip[i], where given, holds a level
+    and a bound on row i's error there (_lines).  The row stops at that
+    level, if nothing stopped it before, with status CONVERGED and the
+    bound as its residual, unless its estimate is not finite.
     """
     values = sums = norms = prev = None
     residual = np.full(size, math.inf)
     nodes = np.zeros(size, dtype=int)
     status = np.zeros(size, dtype=int)  # CONVERGED
     active = np.arange(size)
+    certified = set() if strip is None else set(strip[:, 0].tolist()) - {math.inf}
+    strip = strip if certified else None  # the levels where some row stops on its bound
     t = (2.0 * _HALF_WIDTH / n) * np.arange(1, n) - _HALF_WIDTH
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite row: see its status
         while active.size:
@@ -233,10 +241,14 @@ def _adaptive_average(rows_fn, size: int, n: int = 64, turn=None) -> Averages:
                     if ask.size:
                         unresolved = ~_resolved(angle(ask), w if len(w) == 1 else w[ask], h)
                         res[start + ask[unresolved]] = math.inf
-            # a row stops where its estimate is not finite, where it converged, and
-            # at the cap; only then are its results written and the active rows compacted
+            # a row stops where its estimate is not finite, where it converged or its
+            # strip bound certifies it, and at the cap; only then are its results
+            # written and the active rows compacted
             bad = ~np.isfinite(est).all(axis=1)
             stop = np.ones_like(bad) if capped else bad if prev is None else bad | (res < TOL)
+            sure = (strip[:, 0] == n) & ~bad if n in certified else None
+            if sure is not None:
+                stop |= sure
             if stop.any():
                 done = active[stop]
                 values[done], nodes[done] = est[stop], n
@@ -246,9 +258,12 @@ def _adaptive_average(rows_fn, size: int, n: int = 64, turn=None) -> Averages:
                         status[done] = np.where(res < TOL, CONVERGED, np.where(
                             res > FAIL_RESIDUAL, NO_CONVERGENCE, REDUCED_TOLERANCE))
                 status[done[bad[stop]]] = NOT_FINITE
+                if sure is not None:
+                    residual[active[sure]], status[active[sure]] = strip[sure, 1], CONVERGED
                 keep = ~stop
                 active, est, sums, norms = active[keep], est[keep], sums[keep], norms[keep]
                 turn = None if turn is None else turn[keep]
+                strip = None if strip is None else strip[keep]
             prev = est
             n *= 2
             t = (2.0 * _HALF_WIDTH / n) * np.arange(1, n, 2) - _HALF_WIDTH
@@ -445,13 +460,26 @@ def _shifted_log(table, k, k_sin, bound):
     return arg, log_mod, np.logical_not(dead, out=dead)
 
 
-def _lines(kappa, q, beta, depth):
+def _weight_peak(sin_d, cos_2d, q, beta):
+    """G = sin^2 d (1 + q^2/cos 2d)/beta^2, the weight's largest log modulus at depth d."""
+    return (sin_d / beta) ** 2 * (1.0 + q * q / cos_2d)
+
+
+def _damping(kappa, sin_d, cos_d, cosh_x):
+    """kappa sin d/(cosh x + cos d), the log modulus of e^{-i kappa tanh(s/2)} at s = x + i d."""
+    return kappa * sin_d / (cosh_x + cos_d)
+
+
+def _lines(kappa, q, beta, depth, certify=True):
     """batch_characteristic's rows: what fixes each one's line, what it adds, and which are decided.
 
     kappa and depth are float arrays of one shape.  line_of[i] holds the
     arguments of _line_table after t, row_of[i] kappa, kappa sin d (e_q +
     1)/e_q and log_bound; decided[i] is True for a shifted row whose every
-    node would be dropped.
+    node would be dropped.  strip[i] holds the first level 32 * 2^k up to
+    the cap at which the strip bound is below strip._STRIP_TARGET and the
+    bound there, for a shifted row not decided, and inf where there is
+    none (strip._strip_levels); strip is None unless certify.
     """
     cos_d, sin_d, cos_2d = np.cos(depth), np.sin(depth), np.cos(2.0 * depth)
     versine, (e_q, gamma) = 2.0 * np.sin(0.5 * depth) ** 2, _exp_asinh(q)  # 1 - cos d
@@ -469,25 +497,36 @@ def _lines(kappa, q, beta, depth):
     scale = half / beta  # dt/beta per unit of the rule's variable, times sqrt(pi)
     # |cosh s| <= cosh t, largest at an end
     cosh_end = np.maximum(np.cosh(np.log(e_q) + lo), np.cosh(np.log(e_q) + hi))
-    log_bound = np.log(scale * cosh_end)
+    at_end = scale * cosh_end
+    log_bound = np.log(at_end)
     line_of, row_of = np.empty(kappa.shape + (11,)), np.empty(kappa.shape + (3,))
     for column, value in enumerate((
             centre, half, 2.0 * cos_d, e_q, 0.5 * cos_d / beta, q * versine / beta,
             0.5 * sin_d / beta, 2.0 * q * versine / (e_q + 1.0), 2.0 * e_q / (e_q + 1.0),
             0.5 * cos_d * scale, 0.5 * sin_d * scale)):
         line_of[..., column] = value
-    with np.errstate(invalid="ignore", over="ignore"):  # an infinite kappa: see its status
+    # an infinite kappa: see its status; a strip that reaches pi/4: see strip._strip_terms
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         k_sin = kappa * sin_d
         row_of[..., 0], row_of[..., 2] = kappa, log_bound
         row_of[..., 1] = k_sin * (e_q + 1.0) / e_q
         # batch_characteristic's bound, G + kappa sin d/(cosh x_end + cos d)
-        log_mod_max = (sin_d / beta) ** 2 * (1.0 + q * q / cos_2d) + k_sin / (cosh_end + cos_d)
+        log_mod_max = _weight_peak(sin_d, cos_2d, q, beta) + _damping(kappa, sin_d, cos_d, cosh_end)
         decided = ((log_mod_max < _DROPPED - log_bound - _BOUND_MARGIN) & (depth != 0.0)
                    & np.isfinite(4.0 * kappa))
-    return line_of, row_of, decided
+        strip = np.full(kappa.shape + (2,), math.inf) if certify else None
+        rows = np.flatnonzero((depth != 0.0) & ~decided) if certify else ()
+        if len(rows):
+            # here, not at the top: strip reads this module, and a call that
+            # certifies no row does not load it
+            from .strip import _strip_levels, _strip_terms
+
+            at = [v if v.ndim == 0 else v[rows] for v in (kappa, q, beta, depth, half, at_end)]
+            strip[rows] = _strip_levels(*_strip_terms(*at), DEFAULT_QUAD.max_nodes)
+    return line_of, row_of, decided, strip
 
 
-def batch_characteristic(kappa, q, beta, depth) -> Averages:
+def batch_characteristic(kappa, q, beta, depth, certify=True) -> Averages:
     """phi(kappa) = <e^{-i kappa (u(p) - u(q))}>, u(p) = p/(sqrt(p^2+1)+1), per row.
 
     The average is over the Gaussian of centre q_i and width beta_i, taken
@@ -542,10 +581,19 @@ def batch_characteristic(kappa, q, beta, depth) -> Averages:
     never decided, as log_bound >= 0: the support spans at least 14 beta
     in p, at most its span in x times cosh x_end.  Nor is a row whose
     4 kappa is not finite.
+
+    A shifted row stops where two levels agree, as every row does, or
+    earlier, at the first level where its strip bound (gravent.strip) is
+    below 1e-13: there the rule's error is bounded over strips around its
+    line, and the row reports that bound as its residual.
+    certify false forms no bound: rows that share their line, as a z- or
+    tau-sweep's do, nearly all stop at 64 intervals, where no strip inside
+    |Im s| < pi/4 certifies them earlier, and there forming the bound cost
+    more than the levels it saved.
     """
     kappa, q, beta, depth = (np.asarray(v, dtype=float) for v in (kappa, q, beta, depth))
     kappa, depth = np.broadcast_arrays(kappa, depth)
-    line_of, row_of, decided = _lines(kappa, q, beta, depth)
+    line_of, row_of, decided, strip = _lines(kappa, q, beta, depth, certify)
     shared = q.ndim == 0 and beta.ndim == 0
 
     def blocks(index, form, integrand):
@@ -608,13 +656,14 @@ def batch_characteristic(kappa, q, beta, depth) -> Averages:
     # and a non-finite row is reported through its status
     with np.errstate(invalid="ignore", over="ignore"):
         turn = 0.5 * np.abs(kappa) * line_of[:, 1]
-        for part, form, integrand, row_turn in (
-                (on_axis, real_line, on_the_axis, turn),
-                (~on_axis & ~decided, shifted_line, off_the_axis, None)):
+        for part, form, integrand, vouch in (
+                (on_axis, real_line, on_the_axis, {"turn": turn}),
+                (~on_axis & ~decided, shifted_line, off_the_axis, {"strip": strip})):
             index = np.flatnonzero(part)
             if index.size:
                 got = _adaptive_average(blocks(index, form, integrand), index.size, _FIRST_IN_S,
-                                        None if row_turn is None else row_turn[index])
+                                        **{name: None if rows is None else rows[index]
+                                           for name, rows in vouch.items()})
                 for name in ("values", "residual", "nodes", "status"):
                     getattr(out, name)[index] = getattr(got, name)
     return out

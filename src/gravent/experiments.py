@@ -159,8 +159,9 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
     Theta = amplitude * M(q, p), the amplitude 2 pi tau R(z) one array
     expression over the grid, so one batch_characteristic call gives the
     moments of every row left: C + iS = e^{i phase} phi(kappa), on lines
-    in s = asinh p (_s_line).  A row whose phase or phi is not finite is
-    domain too, so no nan reaches E.  Over the rows computed, the
+    in s = asinh p (_s_line); only a q-sweep's rows, each on a line of its
+    own, stop on their strip bounds.  A row whose phase or phi is not
+    finite is domain too, so no nan reaches E.  Over the rows computed, the
     concurrence C^2 + S^2, clipped to 1 where rounding lifts it above,
     and E are one array each; _refused_row gives the others.
     """
@@ -177,7 +178,7 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
     with np.errstate(all="ignore"):  # a row's inf or nan is reported through its status
         amplitude = np.broadcast_to(TAU_S * tau * radial, grid.shape)[live]
         kappa, phase, depth = _s_line(amplitude, q, fixed.beta)
-        phi = batch_characteristic(kappa, q, fixed.beta, depth)
+        phi = batch_characteristic(kappa, q, fixed.beta, depth, spec.variable == "q")
         (c, s), (re, im) = (np.cos(phase), np.sin(phase)), phi.values.T
         values[:2, live] = c * re - s * im, s * re + c * im  # C + iS = e^{i phase} phi
     # phi is finite where its status is computed; a phase that overflows is domain

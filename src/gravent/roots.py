@@ -149,9 +149,13 @@ def no_orbit(z, xi2):
     never lies below 1/2): below the inner one z^2 - z + xi2 > 0 again and
     the radial factor is finite, but no circle there lies outside the hole;
     and z^2 - z + xi2 < HORIZON_TOL z^2: on, between or next to the
-    horizons, or next to the near-zero at z = 1/2 of xi2 just above 1/4,
-    where the radial factor diverges.  Comparisons and arithmetic, so a
-    float and an array get the same answer.
+    horizons, where the radial factor diverges, or next to the near-zero at
+    z = 1/2 of xi2 just above 1/4.  There it does not diverge: for xi2 - 1/4
+    up to 1e-10 it stays below 2.0005 within 4e-5 of z = 1/2, both z^2 - z
+    + xi2 and 2z^2 - 3z + 4 xi2 vanishing together.  The band stays only
+    until the rule and the radial factor are written in factored form,
+    (z - 1/2)^2 + (xi2 - 1/4), which can tell the two apart.  Comparisons
+    and arithmetic, so a float and an array get the same answer.
     """
     return (z <= 0) | ((xi2 <= 0.25) & (z < 0.5)) | (z * z - z + xi2 < HORIZON_TOL * z * z)
 

@@ -331,11 +331,15 @@ def kruskal_rate(r: float, q: float, p) -> float | np.ndarray:
 
     (1/(4r)) sqrt(e^{-r}/r) (3 + r) M(q, p), where q and p are the momenta
     the falling observer assigns, for all r > 0 down to the singularity.
-    The prefactor grows like 0.75 r^{-3/2}, so below r ~ 4e-206 |M|^{2/3}
-    the rate is no finite float and raises DomainError.
+    The root is formed as e^{-r/2}/sqrt(r) and multiplied by (3 + r)/(4r)
+    next, so every intermediate stays a normal float up to r ~ 1,400;
+    e^{-r}/r would go subnormal past r ~ 702.  The prefactor grows like
+    0.75 r^{-3/2}, so below r ~ 4e-206 |M|^{2/3} the rate is no finite
+    float and raises DomainError.
     """
     check_domain({"r": r})
-    rate = 0.25 / r * math.sqrt(math.exp(-r) / r) * (3.0 + r) * _checked_momentum_factor(q, p)
+    root = math.exp(-0.5 * r) / math.sqrt(r)
+    rate = root * (0.25 / r * (3.0 + r)) * _checked_momentum_factor(q, p)
     if not np.isfinite(rate).all():
         raise DomainError(f"falling-frame rate at r={r} is not a finite float")
     return rate

@@ -875,9 +875,9 @@ def test_commands_run_without_scipy():
 # rates, closed forms and einsum contraction the array forms replaced
 SMALL_COMMAND_DIGESTS = {
     ("frame-compare", "--samples", "7", "--format", "csv"):
-        "5517a74685091bf7da52027c342166982d29d115e08b4590feffde71ab7c1377",
+        "02783e236dc81ce685b8f853d55027f7297fb4572a48635ed23e6d60452b5da7",
     ("frame-compare", "--samples", "7", "--format", "json"):
-        "22ce9b79478564817c1447854f0cae992fbf6d8f64c9059d7844dd58aa44b3e6",
+        "c30dc98d492c9cfaea9ff395698833223811933ced177db821d6c54371f6068f",
     ("frame-compare", "--samples", "7", "--format", "svg"):
         "03edd689fef93e982a0287b5a54daffde4241d40b79419e87d2d2d9fb7282583",
     ("zeros", "--xi2", "0.16"):

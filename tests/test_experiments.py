@@ -602,8 +602,8 @@ SEEDED_DIGESTS = {
     ("tau-negative-start", True): "1a3c9ac461fca72578edccc957e543ab42683a1b7c30443588ac7c8afda79e5b",
     ("tau-near-horizon", False): "9c3de87769e45c2fb6ca65cd25f2b908bad430f177732799857bb7ece458fda3",
     ("tau-near-horizon", True): "9c3de87769e45c2fb6ca65cd25f2b908bad430f177732799857bb7ece458fda3",
-    ("q-both-signs", False): "9bcda6e223ecba3a1807284822960a39fd258dd8ea816e3ffa390a48fb670b1b",
-    ("q-both-signs", True): "9bcda6e223ecba3a1807284822960a39fd258dd8ea816e3ffa390a48fb670b1b",
+    ("q-both-signs", False): "225202d24bf1aac378b701e65c9c590352d15b5430641ef1b76c9ba9f962ae9c",
+    ("q-both-signs", True): "225202d24bf1aac378b701e65c9c590352d15b5430641ef1b76c9ba9f962ae9c",
     ("q-past-max", False): "5e31edf3b279cd872cbd912f8d6c1944b7ac6624487e477d916885fc3ef11a86",
     ("q-past-max", True): "5e31edf3b279cd872cbd912f8d6c1944b7ac6624487e477d916885fc3ef11a86",
 }

@@ -24,9 +24,9 @@ from gravent import batch_characteristic, figure_preset, run_sweep
 SWEEPS_PER_PRESET = 50
 SAMPLES = 60
 
-SWEEP_DIGEST = "aaae65ed8a1242d20cfe0e3adaf40d883c75e9958e34dd517e9d47445d493cf7"
-BATCH_DIGEST = "f2662bc1b3202054f68ed8a52eb655c4d400e7e0e7b3d50b0dead72f20f59280"
-LARGE_BATCH_DIGEST = "6f5f9c45dce97e38875278250e927f65abd96d81a05ec8562c9e564f32293ef1"
+SWEEP_DIGEST = "ea4d10ecff7f26873a88c9455a183d61efb97b9c772b39e47c9ebe0a7761caad"
+BATCH_DIGEST = "7c23defc9095bd65d27c3d4888d76960997102dee6f5234811c5f90bef6cbe97"
+LARGE_BATCH_DIGEST = "c3fcf5900002c9b8443ea7a17a52339909dff1f9d5e6d455ffad26ec732563c2"
 
 
 def corpus_sweeps(seed: int = 24):

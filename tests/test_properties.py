@@ -176,7 +176,7 @@ def test_sweep_masks_match_orbit_params(sweep):
     spec, xs = sweep
     seen = []
 
-    def stub(kappa, q, beta, depth):
+    def stub(kappa, q, beta, depth, certify):
         n = kappa.size
         seen.extend(zip(kappa.tolist(), np.broadcast_to(q, n).tolist()))
         values = np.tile([1.0, 0.0], (n, 1))

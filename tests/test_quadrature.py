@@ -325,7 +325,7 @@ def test_decided_rows_drop_every_node_of_the_finest_rule():
     # the 2,048-interval rule, none may be live.  Leaving the weight's peak
     # out of the bound decides six of these rows with a live node
     kappa, q, beta, depth = drawn_shifted_rows(seed=22, count=20000)
-    line_of, row_of, decided = entanglement._lines(kappa, q, beta, depth)
+    line_of, row_of, decided, _ = entanglement._lines(kappa, q, beta, depth)
     assert 0.2 * kappa.size <= decided.sum() <= 0.8 * kappa.size, (decided.sum(), kappa.size)
     out = batch_characteristic(kappa[decided], q[decided], beta[decided], depth[decided])
     assert (out.nodes == 0).all() and (out.status == CONVERGED).all()
@@ -340,12 +340,13 @@ def test_decided_rows_drop_every_node_of_the_finest_rule():
         assert not live.any(), np.flatnonzero(live.any(axis=1))[:5] + start
 
 
-@pytest.mark.parametrize("n,decided,evaluated", [(1, 241, 19489), (2, 204, 31996)])
+@pytest.mark.parametrize("n,decided,evaluated", [(1, 241, 14433), (2, 204, 25660)])
 def test_decided_rows_never_reach_the_line_table(monkeypatch, n, decided, evaluated):
     # presets 1-2 passed 34,672 and 44,848 rows x nodes to _line_table when
-    # every shifted row went through the rule; a decided row passes none, and
-    # every other row exactly the nodes of its levels, one fewer than its
-    # final interval count
+    # every shifted row went through the rule, and 19,489 and 31,996 before
+    # the strip bound stopped rows; a decided row passes none, and every
+    # other row exactly the nodes of its levels, one fewer than its final
+    # interval count
     real_table, real_characteristic = entanglement._line_table, experiments.batch_characteristic
     sizes, averages = [], []
 

@@ -752,6 +752,27 @@ def test_kruskal_rate_features():
     assert static == sorted(static)
 
 
+def test_kruskal_rate_keeps_its_digits_at_large_radii():
+    # sqrt(e^{-r}/r) went subnormal from r ~ 702 and was exactly 0.0 from
+    # r ~ 739; e^{-r/2}/sqrt(r) times (3 + r)/(4r) stays normal up to
+    # r ~ 1,400, where the rate matches 60-digit decimal to a few ulps
+    from decimal import Decimal, localcontext
+
+    assert kruskal_rate(740.0, 1.0, 0.0) == pytest.approx(3.777e-163, rel=1e-3)
+    rng = np.random.default_rng(5)
+    radii = np.concatenate([[700.0, 737.0, 740.0, 1000.0, 1400.0], rng.uniform(1.0, 1400.0, 40),
+                            10.0 ** rng.uniform(-3.0, 2.0, 20)])
+    for r in radii.tolist():
+        q, p = 1.0, 0.3
+        factor = Decimal(float(momentum_factor(q, p)))  # the same factor, exactly
+        with localcontext() as ctx:
+            ctx.prec = 60
+            big = Decimal(r)
+            exact = Decimal("0.25") / big * ((-big).exp() / big).sqrt() * (3 + big) * factor
+        got = kruskal_rate(r, q, p)
+        assert abs(Decimal(got) - exact) <= 8 * Decimal(math.ulp(float(exact))), r
+
+
 def test_momentum_factor_vectorized():
     p = np.linspace(-3, 3, 7)
     vals = momentum_factor(0.6, p)
