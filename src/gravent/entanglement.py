@@ -104,7 +104,7 @@ DEFAULT_QUAD = QuadConfig()
 _HALF_WIDTH = 7.0
 
 # A line in s starts at 32 intervals: there u turns on the unit scale whatever
-# the packet's width.  Of the presets' 2,398 rows, 1,374 stop at 64, 52 at 32
+# the packet's width.  Of the presets' 2,398 rows, 1,652 stop at 64, 52 at 32
 # and 457 are decided without the rule.  The oracle's rule in x, the
 # reference, keeps its 64.
 _FIRST_IN_S = 32
@@ -552,9 +552,9 @@ def batch_characteristic(kappa, q, beta, depth, certify=True) -> Averages:
     bound as the rows' turn and checks the nodes of a row only where the
     bound does not clear it (_cleared): a call with depth 0 and a fast
     kappa still gets the node test.  A sweep row runs on the real line
-    only with omega = |kappa| beta/2 < _S_TURN (experiments._s_line), and
-    half <= beta since ds <= dp, so its advance stays below 8h <= 1.75
-    from 64 intervals on, within half the limit, which is at least pi.
+    only where _cleared clears omega = |kappa| beta/2 at 128 intervals
+    (experiments._s_line), and half <= beta since ds <= dp, so its turn
+    is cleared from 128 intervals on; a coarser level tests its nodes.
 
     A shifted row drops each node whose log modulus, log_mod, is below
     _DROPPED - log_bound, log_bound bounding the rest of the integrand

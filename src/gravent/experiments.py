@@ -8,9 +8,9 @@ and horizon masks, the angle's amplitude, the moments, and K and E over
 the rows computed.  The moments come from a nested trapezoid rule
 batched across rows, each row stopping exactly where it would stop alone,
 so a one-point grid gives the row a single value would.  Every row
-averages e^{-i kappa (u(p) - u(q))} in s = asinh p: a slow row on the
-real line, a fast one along a line s = t + i d where the oscillation is
-damped (_s_line).  On a z- or tau-sweep every row has the same q, so the
+averages e^{-i kappa (u(p) - u(q))} in s = asinh p: on the real line where
+its 128-interval rule clears the row's turn, else on a line s = t + i d
+damping it (_s_line).  On a z- or tau-sweep every row has the same q, so the
 rows of one depth share one table of their line per level.  The six
 figure presets are one table, _PRESETS.  K is the concurrence of every
 Bell input; the reduced density matrices and Wootters' concurrence serve
@@ -43,6 +43,7 @@ from .entanglement import (
     REDUCED_TOLERANCE,
     MomentumDistribution,
     TrigMoments,
+    _cleared,
     batch_characteristic,
     batch_reduced_density_bruteforce,
     batch_trig_moments,
@@ -194,10 +195,9 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
     return out
 
 
-# The s-line's depth: 0 for a row whose angle turns slower than _S_TURN per
-# unit of x = (p - q)/beta; otherwise at most _S_DEPTH, and no deeper than
-# lets the weight grow by e^{_S_GROWTH} on the line.
-_S_TURN = 4.0
+# The s-line's depth: 0 for a row whose turn the real line's 128-interval
+# rule clears (_s_line); otherwise at most _S_DEPTH, and no deeper than lets
+# the weight grow by e^{_S_GROWTH} on the line.
 _S_DEPTH = 0.3
 _S_GROWTH = 4.0
 
@@ -209,9 +209,10 @@ def _s_line(amplitude: np.ndarray, q, beta: float):
     angle at p = q, kappa = amplitude q^2 gamma and u(p) = tanh(s/2), whose
     slope 1/(gamma_p (gamma_p + 1)) peaks at 1/2 at p = 0: anywhere in the
     packet the angle turns at most at omega = |kappa| beta / 2 per unit of
-    x = (p - q)/beta.  A row with omega < _S_TURN has little to damp
-    wherever its packet reaches and runs on the real line (depth 0), where
-    its weight is real and a z- or tau-sweep's rows share it.
+    x = (p - q)/beta.  A row whose omega the real line's 128-interval rule
+    clears (entanglement._cleared: omega < pi 128/28 ~ 14.4) runs there
+    (depth 0), where its weight is real, a z- or tau-sweep's rows share it
+    and a node costs cos and sin, not a complex exp.
     The others run at depth of the sign of -kappa.  There the weight's
     modulus peaks near p = q at e^{G}, G = sin^2 d (1 + q^2/cos 2d)/beta^2,
     costing digits to cancellation before the damping sets in, so the
@@ -230,7 +231,7 @@ def _s_line(amplitude: np.ndarray, q, beta: float):
     # b^2 - 8 g, written as a sum of squares
     y = 2.0 * g / (b + np.sqrt((1.0 + q * q - 2.0 * g) ** 2 + 8.0 * g * q * q))
     depth = np.minimum(np.arcsin(np.sqrt(y)), _S_DEPTH)
-    return kappa, phase, np.where(omega < _S_TURN, 0.0, -np.sign(kappa) * depth)
+    return kappa, phase, np.where(_cleared(omega, 14.0 / 128), 0.0, -np.sign(kappa) * depth)
 
 
 def _refused_row(x: float, flag: str, stationary_phase: bool) -> SweepRow:

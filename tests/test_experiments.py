@@ -48,7 +48,7 @@ from gravent import (
     wigner_rate,
     wootters_concurrence,
 )
-from gravent.experiments import _sweep_rows
+from gravent.experiments import _FAST_ROWS, _s_line, _sweep_rows
 
 
 def small_spec(**overrides):
@@ -178,15 +178,27 @@ def test_sweep_point_flags(monkeypatch):
         wide = replace(spec, fixed=replace(spec.fixed, beta=beta))
         row = _sweep_rows(wide, [0.8 + 1e-6], False)[0]
         assert row.flags == () and 0.0 <= row.E < 1e-12
-    # a slow row of a very wide packet is computed; a cap of 128 intervals
-    # leaves it unconverged
-    assert _sweep_rows(EVERY_FLAG_SPECS[1], [0.99], False)[0].flags == ()
+    # a shifted row of a very wide packet is computed; a cap of 128 intervals
+    # leaves it unconverged (at z = 0.99 the row turns slowly enough for the
+    # real line, where 128 intervals resolve it)
+    assert _sweep_rows(EVERY_FLAG_SPECS[1], [0.98], False)[0].flags == ()
     monkeypatch.setattr(entanglement, "DEFAULT_QUAD", QuadConfig(128))
-    row = _sweep_rows(EVERY_FLAG_SPECS[1], [0.99], False)[0]
+    row = _sweep_rows(EVERY_FLAG_SPECS[1], [0.98], False)[0]
     assert row.flags == ("no-convergence",)
-    row = _sweep_rows(EVERY_FLAG_SPECS[1], [0.99], True)[0]
+    row = _sweep_rows(EVERY_FLAG_SPECS[1], [0.98], True)[0]
     assert row.flags == ("no-convergence", "stationary-phase")
     assert row.E == 0.0
+
+
+def test_validates_fast_rows_run_on_shifted_lines():
+    # validate's "fast sweep rows in s" check holds rows on a shifted line to
+    # the oracle in x; a line rule that moved one to the real line would turn
+    # it into a check of the real line
+    for n, qs in _FAST_ROWS.items():
+        spec = figure_preset(n)
+        amplitude = np.array([theta_amplitude(replace(spec.fixed, q=q)) for q in qs])
+        _, _, depth = _s_line(amplitude, np.array(qs), spec.fixed.beta)
+        assert (depth != 0.0).all(), (n, depth)
 
 
 def test_sweep_row_is_an_immutable_record():
@@ -566,7 +578,10 @@ def test_oracle_seed_takes_what_stands_for_an_integer():
 # were held to the x oracle (test_sweep_rows_match_the_x_oracle) and to the
 # references of test_quadrature; the goldens in demos/out cover only the six
 # presets.  Taken again once E was formed from the smaller eigenvalue
-# K^2/(2 (1 + sqrt(1 - K^2))): only E moved, by at most 4.5e-15.
+# K^2/(2 (1 + sqrt(1 - K^2))): only E moved, by at most 4.5e-15.  Taken
+# again once a row ran on the real line wherever that line's 128-interval
+# rule clears its turn (_s_line): 72 rows moved, C and S by at most 2.8e-16,
+# K and E by at most 6.7e-16 and 8.9e-16, and no flag.
 SEEDED_SPECS = {
     # two horizons: the lower edge is clamped just above z+ = 0.8
     "z-two-horizons": SweepSpec("z", 0.3, 3.1, 71, OrbitParams(0.16, 2.0, 0.45, 0.8, 4.2)),
@@ -590,20 +605,20 @@ SEEDED_SPECS = {
     "q-past-max": SweepSpec("q", -2.5e8, 2.5e8, 9, OrbitParams(0.1, 3.0, 0.0, 0.7, 2.0)),
 }
 SEEDED_DIGESTS = {
-    ("z-two-horizons", False): "3629cf26516659dd94c79929f043362dc91c9112d70dcfac2bc0efff8713ab8d",
-    ("z-two-horizons", True): "3629cf26516659dd94c79929f043362dc91c9112d70dcfac2bc0efff8713ab8d",
-    ("z-near-degenerate", False): "4d30d8fb39bac8a85830569e3cfbf36b0d7d302dba9948e84ec2893041af1be5",
-    ("z-near-degenerate", True): "7eb3358f3e14bd6767395c72a5f932da803b94211145df64885e2c9de14f0442",
-    ("z-naked-zeros", False): "716646eae8bf688099cdd7fa5be286d4502e15060d2eade8ef1cc96360017350",
-    ("z-naked-zeros", True): "716646eae8bf688099cdd7fa5be286d4502e15060d2eade8ef1cc96360017350",
-    ("z-naked-far", False): "4f964c5ccb04527eac54f12aedb97aaeaaae63a2386e1e4d23a6bf1756cea1b6",
-    ("z-naked-far", True): "4f964c5ccb04527eac54f12aedb97aaeaaae63a2386e1e4d23a6bf1756cea1b6",
-    ("tau-negative-start", False): "1a3c9ac461fca72578edccc957e543ab42683a1b7c30443588ac7c8afda79e5b",
-    ("tau-negative-start", True): "1a3c9ac461fca72578edccc957e543ab42683a1b7c30443588ac7c8afda79e5b",
-    ("tau-near-horizon", False): "9c3de87769e45c2fb6ca65cd25f2b908bad430f177732799857bb7ece458fda3",
-    ("tau-near-horizon", True): "9c3de87769e45c2fb6ca65cd25f2b908bad430f177732799857bb7ece458fda3",
-    ("q-both-signs", False): "225202d24bf1aac378b701e65c9c590352d15b5430641ef1b76c9ba9f962ae9c",
-    ("q-both-signs", True): "225202d24bf1aac378b701e65c9c590352d15b5430641ef1b76c9ba9f962ae9c",
+    ("z-two-horizons", False): "897e9505d81a13daec93b6ab2175eb63b595ce68b8ae8b2fa4e20b4904b7063b",
+    ("z-two-horizons", True): "897e9505d81a13daec93b6ab2175eb63b595ce68b8ae8b2fa4e20b4904b7063b",
+    ("z-near-degenerate", False): "368c9f03c3957de06af84aed2354d64b9d806918cf871635e875161d039f25e0",
+    ("z-near-degenerate", True): "f46792f4973833f323657decd2f994aa91dbd0e696187c38f593f56e758727f0",
+    ("z-naked-zeros", False): "729f3799e15777ffc9a0e828711f1908e6bf7acbc8712968131937cec48d0de1",
+    ("z-naked-zeros", True): "729f3799e15777ffc9a0e828711f1908e6bf7acbc8712968131937cec48d0de1",
+    ("z-naked-far", False): "8836157f83fe909ae5f345ced8336050a959b88218e1d1e34257540f6c1d3254",
+    ("z-naked-far", True): "8836157f83fe909ae5f345ced8336050a959b88218e1d1e34257540f6c1d3254",
+    ("tau-negative-start", False): "a6b8ad45566e16d5801766d54092f59fbecad64670af7b8a7954dca724d4cb93",
+    ("tau-negative-start", True): "a6b8ad45566e16d5801766d54092f59fbecad64670af7b8a7954dca724d4cb93",
+    ("tau-near-horizon", False): "0bb9409a714a648c7c63e2b47c450552b5214ea1f9efc6e77aefdcd8b91ce1ae",
+    ("tau-near-horizon", True): "0bb9409a714a648c7c63e2b47c450552b5214ea1f9efc6e77aefdcd8b91ce1ae",
+    ("q-both-signs", False): "d50f4ce32ca8c87282d40b057543d00019570d2b87e998955ed3c02463c9204a",
+    ("q-both-signs", True): "d50f4ce32ca8c87282d40b057543d00019570d2b87e998955ed3c02463c9204a",
     ("q-past-max", False): "5e31edf3b279cd872cbd912f8d6c1944b7ac6624487e477d916885fc3ef11a86",
     ("q-past-max", True): "5e31edf3b279cd872cbd912f8d6c1944b7ac6624487e477d916885fc3ef11a86",
 }

@@ -8,7 +8,10 @@ the quadrature computed them when each level still formed all of its
 temporaries in full.  The large batches, 1,200 rows each, run several
 blocks per level, a short last block joining the one before, as only the
 presets do among the sweeps; their digest was taken before a shared
-line's tables were formed once per level and line of a call.  A change
+line's tables were formed once per level and line of a call.  The sweep
+digest was taken again once a row ran on the real line wherever that
+line's 128-interval rule clears its turn: 2,019 of its 18,000 rows moved,
+C and S by at most 3.0e-16, K and E by at most 8.3e-17, and no flag.  A change
 that moves one bit of one row changes a digest; one that means to must
 say which numbers moved and pin the new digests.
 """
@@ -24,7 +27,7 @@ from gravent import batch_characteristic, figure_preset, run_sweep
 SWEEPS_PER_PRESET = 50
 SAMPLES = 60
 
-SWEEP_DIGEST = "ea4d10ecff7f26873a88c9455a183d61efb97b9c772b39e47c9ebe0a7761caad"
+SWEEP_DIGEST = "a0f7b73357551a7a837d378667ab0799f507c65d9f9fd4f2c33a3832661993ea"
 BATCH_DIGEST = "7c23defc9095bd65d27c3d4888d76960997102dee6f5234811c5f90bef6cbe97"
 LARGE_BATCH_DIGEST = "c3fcf5900002c9b8443ea7a17a52339909dff1f9d5e6d455ffad26ec732563c2"
 

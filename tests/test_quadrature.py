@@ -29,7 +29,7 @@ from gravent import (
     run_sweep,
     theta_amplitude,
 )
-from gravent.entanglement import CONVERGED
+from gravent.entanglement import CONVERGED, TOL
 from gravent.experiments import _s_line
 
 HALF_WIDTH = 7.0
@@ -178,15 +178,68 @@ def half_depth_moments(spec):
     return printed, np.stack([c * re - s * im, s * re + c * im], axis=1), half.status
 
 
-@pytest.mark.parametrize("n,count", [(1, 382), (2, 390), (3, 234), (4, 13)])
-def test_shifted_rows_do_not_depend_on_the_depth(n, count):
+# Sweeps with shifted rows: presets 1, 2 and 4, and preset 3's orbit out to
+# tau = 120, since every row of preset 3 itself runs on the real line.
+DEPTH_SPECS = {"preset-1": figure_preset(1), "preset-2": figure_preset(2),
+               "tau-120": replace(figure_preset(3), hi=120.0), "preset-4": figure_preset(4)}
+
+
+@pytest.mark.parametrize("name,count", [("preset-1", 370), ("preset-2", 383), ("tau-120", 251),
+                                        ("preset-4", 3)])
+def test_shifted_rows_do_not_depend_on_the_depth(name, count):
     # the integrand e^{-i kappa tanh(s/2)} e^{-(sinh s - q)^2/beta^2} cosh s is
     # analytic between the two lines and the real axis, so by Cauchy's
     # theorem both lines give the printed row
-    printed, half, status = half_depth_moments(figure_preset(n))
-    assert len(printed) == count
+    printed, half, status = half_depth_moments(DEPTH_SPECS[name])
+    assert len(printed) == count > 0
     assert (status == CONVERGED).all()
     assert np.abs(printed - half).max() <= 1e-10
+
+
+def cleared_rows(seed=33, size=600):
+    """(amplitude, q, beta) of rows that turn at omega = |kappa| beta/2 from 4 to 14.4.
+
+    beta 1e-2..1e8, |q| 1e-3..1e2: rows that a shifted line took below
+    the real line's 128-interval bound, omega < pi 128/28 ~ 14.36, and a
+    few just past it.
+    """
+    rng = np.random.default_rng(seed)
+    beta = 10.0 ** rng.uniform(-2.0, 8.0, size)
+    q = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-3.0, 2.0, size)
+    omega = rng.uniform(4.0, 14.4, size)
+    kappa = rng.choice([-1.0, 1.0], size) * 2.0 * omega / beta
+    return kappa / (q * q * np.sqrt(q * q + 1.0)), q, beta
+
+
+def real_line_reference(kappa, q, beta, n=16384):
+    """Each row's phi by the n-interval rule on its real line in s."""
+    line_of = entanglement._lines(kappa, q, beta, np.zeros_like(kappa), False)[0]
+    t = ((2.0 * HALF_WIDTH / n) * np.arange(1, n) - HALF_WIDTH)[None]
+    out = np.empty((len(kappa), 2))
+    for i, (k, line) in enumerate(zip(kappa, line_of)):
+        du, _, _, w_log, jac, _ = entanglement._line_table(t, *line[:, None], False)
+        w = np.exp(w_log) * jac
+        out[i] = (w * np.cos(k * du)).sum() / w.sum(), -(w * np.sin(k * du)).sum() / w.sum()
+    return out
+
+
+def test_rows_the_real_line_clears_keep_their_status_and_accuracy_there():
+    amplitude, q, beta = cleared_rows()
+    kappa, _, depth = _s_line(amplitude, q, beta)
+    # the former rule: the real line below omega = 4, otherwise the depth
+    # _s_line gives a row too fast for the real line, which q and beta fix
+    deep = _s_line(np.sign(amplitude) * math.inf, q, beta)[2]
+    old = np.where(0.5 * np.abs(kappa) * beta < 4.0, 0.0, deep)
+    moved = (depth == 0.0) & (old != 0.0)
+    assert moved.sum() > 0.9 * q.size
+    assert (depth[~moved] == old[~moved]).all()  # no row leaves the real line
+    for certify in (False, True):
+        before, after = (batch_characteristic(kappa, q, beta, d, certify) for d in (old, depth))
+        assert after.status.tolist() == before.status.tolist()
+    error = np.abs(after.values[moved]
+                   - real_line_reference(kappa[moved], q[moved], beta[moved])).max(axis=1)
+    assert error.max() <= TOL
+    assert error[beta[moved] <= 10.0].max() <= 1e-14
 
 
 def test_depth_independence_fails_with_the_real_lines_jacobian(monkeypatch):
@@ -340,13 +393,14 @@ def test_decided_rows_drop_every_node_of_the_finest_rule():
         assert not live.any(), np.flatnonzero(live.any(axis=1))[:5] + start
 
 
-@pytest.mark.parametrize("n,decided,evaluated", [(1, 241, 14433), (2, 204, 25660)])
+@pytest.mark.parametrize("n,decided,evaluated", [(1, 241, 14305), (2, 204, 25660)])
 def test_decided_rows_never_reach_the_line_table(monkeypatch, n, decided, evaluated):
     # presets 1-2 passed 34,672 and 44,848 rows x nodes to _line_table when
-    # every shifted row went through the rule, and 19,489 and 31,996 before
-    # the strip bound stopped rows; a decided row passes none, and every
-    # other row exactly the nodes of its levels, one fewer than its final
-    # interval count
+    # every shifted row went through the rule, 19,489 and 31,996 before the
+    # strip bound stopped rows, and preset 1 passed 14,433 before the real
+    # line took the rows its 128-interval rule clears; a decided row passes
+    # none, and every other row exactly the nodes of its levels, one fewer
+    # than its final interval count
     real_table, real_characteristic = entanglement._line_table, experiments.batch_characteristic
     sizes, averages = [], []
 

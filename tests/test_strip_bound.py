@@ -41,7 +41,7 @@ def shifted_corpus(seed=31, size=240):
                                                  10.0 ** rng.uniform(-1.0, 3.0, size))
     beta = 10.0 ** rng.uniform(-1.0, 1.0, size)
     kappa = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(0.0, 4.0, size)
-    fast = np.sign(kappa) * 1e9 / (q * q * np.sqrt(q * q + 1.0))  # an amplitude past _S_TURN
+    fast = np.sign(kappa) * 1e9 / (q * q * np.sqrt(q * q + 1.0))  # too fast for the real line
     _, _, depth = _s_line(fast, q, beta)
     depth *= rng.uniform(0.2, 1.0, size)
     depth[rng.uniform(size=size) < 1.0 / 6.0] *= -1.0
@@ -187,14 +187,17 @@ def test_a_row_stops_at_the_first_level_its_bound_certifies(corpus):
 # strip bound stopped rows, presets 1 and 2 evaluated 19,489 and 31,996
 # nodes, with 36 and 98 rows at 256 intervals.  The z- and tau-sweeps of
 # presets 3-6 form no bound (certify is false for rows that share their
-# line) and keep their {64: 1258, 128: 315, 256: 13}, 122,574 nodes.
+# line).  They had {64: 1258, 128: 315, 256: 13} and 122,574 nodes, and
+# preset 1 14,433, before the real line took every row its 128-interval rule
+# clears (_s_line): the rows at 128 intervals fell from 234 to none in
+# preset 3 and from 81 to 39 in presets 4-6, to 64 on the real line.
 PRESET_LEVELS = {
-    1: ({0: 241, 32: 14, 64: 69, 128: 76}, 14433),
+    1: ({0: 241, 32: 14, 64: 71, 128: 74}, 14305),
     2: ({0: 204, 32: 38, 64: 47, 128: 53, 256: 58}, 25660),
-    3: ({64: 166, 128: 234}, 40176),
-    4: ({64: 387, 128: 12, 256: 1}, 26160),
-    5: ({0: 5, 64: 371, 128: 18, 256: 5}, 26934),
-    6: ({0: 7, 64: 334, 128: 51, 256: 7}, 29304),
+    3: ({64: 400}, 25200),
+    4: ({64: 396, 128: 3, 256: 1}, 25584),
+    5: ({0: 5, 64: 375, 128: 14, 256: 5}, 26678),
+    6: ({0: 7, 64: 363, 128: 22, 256: 7}, 27448),
 }
 
 

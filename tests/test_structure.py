@@ -3,7 +3,9 @@
 Whether a circular orbit of radius z exists is decided in one function,
 roots.no_orbit.  The metric's own horizon test (metric_potentials) is
 the one other reader of HORIZON_TOL, because the metric is real below
-the inner horizon, where no orbit exists.
+the inner horizon, where no orbit exists.  Whether a sweep row runs on
+the real line is decided by the bound that clears its nodes of the alias
+test, entanglement._cleared.
 """
 
 import ast
@@ -39,6 +41,20 @@ def _modules() -> list[str]:
 def test_horizon_tol_is_read_by_the_orbit_rule_and_the_metric_only():
     readers = set().union(*(_reads(module, {"HORIZON_TOL"}) for module in _modules()))
     assert readers == {("roots", "no_orbit"), ("spacetime", "metric_potentials")}
+
+
+def test_a_rows_line_is_chosen_by_the_real_lines_alias_bound():
+    # _s_line puts a row on the real line where entanglement._cleared clears
+    # its turn at 128 intervals, the bound that also spares the row's nodes
+    # the alias test; a threshold of experiments' own would be a second rule
+    tree = ast.parse((PACKAGE / "experiments.py").read_text(encoding="utf-8"))
+    s_line = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_s_line")
+    assert _reads("experiments", {"_cleared"}) == {("experiments", "_s_line")}
+    assert not any(isinstance(node, ast.Compare) for node in ast.walk(s_line))
+    constants = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)}
+    assert not {name for name in constants if "TURN" in name}
 
 
 def test_wigner_and_spacetime_take_no_horizon_radius():
