@@ -586,10 +586,12 @@ def batch_characteristic(kappa, q, beta, depth, certify=True) -> Averages:
     earlier, at the first level where its strip bound (gravent.strip) is
     below 1e-13: there the rule's error is bounded over strips around its
     line, and the row reports that bound as its residual.
-    certify false forms no bound: rows that share their line, as a z- or
-    tau-sweep's do, nearly all stop at 64 intervals, where no strip inside
-    |Im s| < pi/4 certifies them earlier, and there forming the bound cost
-    more than the levels it saved.
+    certify false forms no bound.  A z- or tau-sweep's rows share their
+    line and nearly all run on the real line, stopping at 64 intervals;
+    its few shifted rows (74 of presets 3-6's 1,600) are rarely stopped
+    earlier by a strip inside |Im s| < pi/4.  Forming the bound saved 1.7%
+    of presets 3-6's node evaluations and no time, and on preset 3's
+    orbit out to tau = 120 (251 shifted rows) no node and 8% of the time.
     """
     kappa, q, beta, depth = (np.asarray(v, dtype=float) for v in (kappa, q, beta, depth))
     kappa, depth = np.broadcast_arrays(kappa, depth)

@@ -184,10 +184,13 @@ def frame_transform_matrix(p: KruskalPoint) -> np.ndarray:
     (sqrt(r) e^{r/2}, sqrt(r) e^{r/2}, 1/r, 1/(r sin theta)) in (T, R,
     theta, phi).  A boost along the radial axis built from the point's (T, R); satisfies
     T eta T^t = eta.  Real only outside the horizon, where an orbit exists (no_orbit).
+    The scale 1/(2 sqrt(r - 1) e^{r/2}) is formed from e^{-r/2}, which stays
+    a normal float wherever kruskal_map gives a point; e^{-r}/(r - 1) goes
+    subnormal from r ~ 708 and to 0 from r ~ 739.
     """
     if no_orbit(p.r, 0.0):
         raise HorizonError(f"frame transform singular at the horizon (r={p.r})")
-    a = 0.5 * math.sqrt(math.exp(-p.r) / (p.r - 1.0))
+    a = 0.5 * math.exp(-0.5 * p.r) / math.sqrt(p.r - 1.0)
     out = np.eye(4)
     out[0, 0] = a * p.R
     out[0, 1] = -a * p.T

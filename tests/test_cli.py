@@ -448,16 +448,17 @@ def test_validate_command(capsys):
     assert 0.0 <= float(line.split("max deviation ")[1].rstrip(")")) <= 1e-10
 
 
-# `validate --draws 5` as the oracle printed it one draw and one matrix at a time;
-# only the product integral's deviation moved since, from 3.170e-13 when its
-# factors were multiplied one at a time to 1.937e-13 multiplied pairwise
+# `validate --draws 5`: the oracle's lines are the report of its random.Random
+# draws taken one draw and one matrix at a time (tests/test_experiments.py);
+# the product integral's deviation moved from 3.170e-13 when its factors
+# were multiplied one at a time to 1.937e-13 multiplied pairwise
 VALIDATE_5 = """\
-PASS  oracle equivalence (closed vs brute force)  (max entry deviation 3.331e-16)
-PASS  concurrence equals C^2+S^2  (max |conc - (C^2+S^2)| 1.887e-15)
-PASS  concurrence identical across Bell states  (max spread 2.220e-15)
-PASS  density matrices Hermitian, unit trace, PSD  (herm 5.6e-17, trace 4.4e-16, min eig -1.6e-16)
-PASS  moment bound C^2+S^2 <= 1  (max C^2+S^2 = 0.997043653597)
-PASS  spin_rep homomorphism  (max deviation 3.886e-16)
+PASS  oracle equivalence (closed vs brute force)  (max entry deviation 3.886e-16)
+PASS  concurrence equals C^2+S^2  (max |conc - (C^2+S^2)| 1.443e-15)
+PASS  concurrence identical across Bell states  (max spread 1.776e-15)
+PASS  density matrices Hermitian, unit trace, PSD  (herm 5.6e-17, trace 4.4e-16, min eig -1.2e-16)
+PASS  moment bound C^2+S^2 <= 1  (max C^2+S^2 = 0.999173848278)
+PASS  spin_rep homomorphism  (max deviation 4.441e-16)
 PASS  product integral vs closed-form rotation  (max deviation 1.937e-13)
 PASS  radial-geodesic invariance (all Bell states)  (max deviation 0.000e+00)
 PASS  frame transform preserves the Minkowski metric  (max deviation 9.770e-15)
@@ -872,7 +873,8 @@ def test_commands_run_without_scipy():
 # SHA-256 of the stdout of `frame-compare --samples 7`, `zeros`, `horizons`,
 # `validate` and `radial-check`, as each command printed it with its own
 # printer; the validate and radial-check bytes were taken from the scalar
-# rates, closed forms and einsum contraction the array forms replaced
+# rates, closed forms and einsum contraction the array forms replaced, and
+# validate's again when the oracle's draws moved to random.Random
 SMALL_COMMAND_DIGESTS = {
     ("frame-compare", "--samples", "7", "--format", "csv"):
         "02783e236dc81ce685b8f853d55027f7297fb4572a48635ed23e6d60452b5da7",
@@ -897,11 +899,11 @@ SMALL_COMMAND_DIGESTS = {
     ("horizons", "--xi2", "0.5"):
         "64693d5e130e38bb14c65966d47b16b80e7bb825404a2a7a9587720a383c1a29",
     ("validate",):
-        "97036dfcf3b1310cef550d6ad899980a7766e7ff159c262d62db894b7d44c2fc",
+        "3f547aa14913c4d3ff4c9ca9e2f23d399a1759b0247569ea91470b6f9f8029ba",
     ("validate", "--draws", "5"):
-        "ad528888d222377466feb6f2619c92b5ec963e24d32c7b9c8797a61d796609c6",
+        "6e6e3674884a3f45ecf6013c10f8d94d9ada4d7247e4146d6c4f83bf1ba7a528",
     ("validate", "--draws", "1"):
-        "1de930e7f25eb81a750bf8d4d41e9ac6ff7cb3940fcebf3c7b9f66ef410390be",
+        "44836602d310e3c54f7403da466ac743526cb7847ed2125dd9fc2b9af36a420f",
     ("radial-check",):
         "0f1b883767d79a79f0d141b163d751ace0d181accb9f9ed3d5fe87b6119f350b",
     ("radial-check", "--bell", "chi1"):

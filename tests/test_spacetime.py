@@ -214,6 +214,19 @@ def test_frame_transform_is_lorentz():
             assert np.abs(tmat @ ETA @ tmat.T - ETA).max() < 1e-10
 
 
+@pytest.mark.parametrize("r", [745.0, 760.0, 800.0, 1300.0, 1400.0, 1410.0])
+def test_frame_transform_is_lorentz_out_to_where_kruskal_map_ends(r):
+    # a scale formed from e^{-r}/(r - 1) reads 0 here, making the map
+    # diag(0, 0, 1, 1); the boost's entries are cosh(t/2) and -sinh(t/2)
+    for t in (-8.0, -3.0, 0.0, 2.0, 5.0, 8.0):
+        if r + abs(t) + math.log(r - 1.0) >= 1418.0:  # beyond kruskal_map's range
+            continue
+        tmat = frame_transform_matrix(kruskal_map(r, t))
+        boost = [[math.cosh(t / 2), -math.sinh(t / 2)], [-math.sinh(t / 2), math.cosh(t / 2)]]
+        assert np.abs(tmat[:2, :2] - boost).max() <= 4e-16 * math.cosh(t / 2)
+        assert np.abs(tmat @ ETA @ tmat.T - ETA).max() <= 1e-15 * math.cosh(t)
+
+
 def test_frame_transform_identity_at_t0():
     tmat = frame_transform_matrix(kruskal_map(2.0, 0.0))
     assert np.abs(tmat - np.eye(4)).max() < 1e-10
