@@ -556,13 +556,23 @@ def _report_one_orbit_at_a_time(orbits) -> dict:
     }
 
 
-@pytest.mark.parametrize("draws,seed", [(8, 123), (5, 20240808), (3, 0)])
+# seeds past 2^32 and 2^64 fill more than one 32-bit word of the stream's
+# initial key
+@pytest.mark.parametrize("draws,seed", [(8, 123), (5, 20240808), (3, 0),
+                                        (2, 2**64 + 3), (2, 2**200 + 12345)])
 def test_oracle_reports_the_orbits_a_stdlib_stream_of_its_seed_gives(draws, seed):
     orbits = random_orbit_params(random.Random(seed), draws)
     assert oracle_equivalence_report(draws, seed) == _report_one_orbit_at_a_time(orbits)
 
 
-@pytest.mark.parametrize("seed", [0, 7, 20240808])
+def test_oracle_draws_depend_on_every_word_of_the_seed():
+    # seeds equal in their low 64 bits give different samples
+    seeds = (3, 2**64 + 3, 2**128 + 3, 2**200 + 3)
+    norms = {oracle_equivalence_report(2, seed)["max_moment_norm"] for seed in seeds}
+    assert len(norms) == len(seeds)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20240808, 2**32 - 1, 2**128])
 def test_random_orbit_params_one_draw_at_a_time_gives_the_columns_of_size(seed):
     columns, singles = random.Random(seed), random.Random(seed)
     batch = random_orbit_params(columns, 50)
