@@ -465,13 +465,28 @@ def _weight_peak(sin_d, cos_2d, q, beta):
     return (sin_d / beta) ** 2 * (1.0 + q * q / cos_2d)
 
 
+_S_DEPTH = 0.3
+_S_GROWTH = 4.0
+
+
+def _line_depth(kappa, q, beta):
+    """Per row: the depth d of its line s = t + i d, by batch_characteristic's rule."""
+    omega = 0.5 * np.abs(kappa) * beta
+    g = _S_GROWTH * beta * beta
+    b = 1.0 + q * q + 2.0 * g
+    # b^2 - 8 g, written as a sum of squares
+    y = 2.0 * g / (b + np.sqrt((1.0 + q * q - 2.0 * g) ** 2 + 8.0 * g * q * q))
+    depth = np.minimum(np.arcsin(np.sqrt(y)), _S_DEPTH)
+    return np.where(_cleared(omega, 14.0 / 128), 0.0, -np.sign(kappa) * depth)
+
+
 def _damping(kappa, sin_d, cos_d, cosh_x):
     """kappa sin d/(cosh x + cos d), the log modulus of e^{-i kappa tanh(s/2)} at s = x + i d."""
     return kappa * sin_d / (cosh_x + cos_d)
 
 
 def _lines(kappa, q, beta, depth, certify=True):
-    """batch_characteristic's rows: what fixes each one's line, what it adds, and which are decided.
+    """_characteristic's rows: what fixes each one's line, what it adds, and which are decided.
 
     kappa and depth are float arrays of one shape.  line_of[i] holds the
     arguments of _line_table after t, row_of[i] kappa, kappa sin d (e_q +
@@ -526,35 +541,63 @@ def _lines(kappa, q, beta, depth, certify=True):
     return line_of, row_of, decided, strip
 
 
-def batch_characteristic(kappa, q, beta, depth, certify=True) -> Averages:
+def batch_characteristic(kappa, q, beta) -> Averages:
     """phi(kappa) = <e^{-i kappa (u(p) - u(q))}>, u(p) = p/(sqrt(p^2+1)+1), per row.
 
-    The average is over the Gaussian of centre q_i and width beta_i, taken
-    in s = asinh p, where u = tanh(s/2) is analytic in the strip |Im s| <
-    pi and the weight e^{-(sinh s - q)^2/beta^2} cosh s/(sqrt(pi) beta)
-    decays along every line |Im s| < pi/4.  Row i runs along the line
-    s = t + i depth[i], written about t = asinh q (_line_table); by
-    Cauchy's theorem its value is the real line's, and with depth of the
-    sign of -kappa the oscillation is damped by e^{-|kappa| sin|depth| /
-    (cosh t + cos depth)}.  The ends of t are where the weight's modulus
-    falls to e^{-49}, as on the real line at p = q +- 7 beta; inside, it
-    peaks at e^{sin^2 d (1 + q^2/cos 2d)/beta^2}, which the caller bounds
-    through the depth.  On the real line (depth 0) a row is averaged
-    against the line's real weight; a shifted row carries its complex
-    weight, averaged against e^{-t^2}.  q and beta are each one value per
-    row, or one scalar for all; rows on one line share its tables, formed
-    once per level of the call.  values[:, 0] holds Re phi, values[:, 1] Im phi.
+    The average is over the Gaussian of centre q_i and width beta_i, q and
+    beta each one value per row or one scalar for all; values[:, 0] holds
+    Re phi, values[:, 1] Im phi.  It is taken along a line s = t + i d in
+    s = asinh p (_characteristic), whose depth d Cauchy's theorem leaves
+    free; this function picks it per row (_line_depth).  u = tanh(s/2) has
+    slope 1/(2 cosh^2(s/2)) <= 1/2, so anywhere in the packet the angle
+    turns at most at omega = |kappa| beta/2 per unit of x = (p - q)/beta.
+    A row whose omega the real line's 128-interval rule clears (_cleared:
+    omega < pi 128/28 ~ 14.4) runs there (d = 0), where its weight is real,
+    rows with scalar q and beta share it and a node costs cos and sin, not
+    a complex exp; as the line's half <= beta (ds <= dp), its turn is
+    cleared from 128 intervals on, and a coarser level tests its nodes.
+    The others run at d of the sign of -kappa.  There the weight's modulus
+    peaks near p = q at e^G, G = _weight_peak, costing digits to
+    cancellation before the damping sets in, so |d| is capped where G =
+    _S_GROWTH, and at _S_DEPTH, inside the strip |Im s| < pi/4 where the
+    weight decays.  For y = sin^2 d, G = _S_GROWTH is 2 y^2 - b y +
+    _S_GROWTH beta^2 = 0, b = 1 + q^2 + 2 _S_GROWTH beta^2, whose smaller
+    root is taken.
+
+    Rows with lines of their own (q or beta per row) stop on their strip
+    bounds (gravent.strip); rows that share one form none.  A z- or
+    tau-sweep's rows nearly all run on the real line, stopping at 64
+    intervals, and its few shifted rows (74 of presets 3-6's 1,600) are
+    rarely stopped earlier by a strip: the bound saved 1.7% of presets
+    3-6's node evaluations and no time, and on preset 3's orbit out to
+    tau = 120 (251 shifted rows) no node, at 8% more time.
+    """
+    kappa, q, beta = (np.asarray(v, dtype=float) for v in (kappa, q, beta))
+    return _characteristic(kappa, q, beta, _line_depth(kappa, q, beta), q.ndim + beta.ndim > 0)
+
+
+def _characteristic(kappa, q, beta, depth, certify=True) -> Averages:
+    """batch_characteristic along given lines: row i runs on s = t + i depth[i].
+
+    In s = asinh p, u = tanh(s/2) is analytic in the strip |Im s| < pi
+    and the weight e^{-(sinh s - q)^2/beta^2} cosh s/(sqrt(pi) beta)
+    decays along every line |Im s| < pi/4.  The line is written about
+    t = asinh q (_line_table); by Cauchy's theorem its value is the real
+    line's, and with depth of the sign of -kappa the oscillation is damped
+    by e^{-|kappa| sin|depth| / (cosh t + cos depth)}.  The ends of t are
+    where the weight's modulus falls to e^{-49}, as on the real line at
+    p = q +- 7 beta; inside, it peaks at e^{sin^2 d (1 + q^2/cos 2d)/beta^2},
+    which the caller bounds through the depth.  On the real line (depth 0)
+    a row is averaged against the line's real weight; a shifted row carries
+    its complex weight, averaged against e^{-t^2}.  Rows on one line share
+    its tables, formed once per level of the call.
 
     On the real line the angle -kappa du turns at most at |kappa| half/2
     per unit of t, half being the line's half-width over 7 (line_of[:, 1]),
-    since u' = 1/(2 cosh^2(s/2)) <= 1/2; so between nodes 2h apart it
-    advances by at most h |kappa| half.  _adaptive_average takes that
-    bound as the rows' turn and checks the nodes of a row only where the
-    bound does not clear it (_cleared): a call with depth 0 and a fast
-    kappa still gets the node test.  A sweep row runs on the real line
-    only where _cleared clears omega = |kappa| beta/2 at 128 intervals
-    (experiments._s_line), and half <= beta since ds <= dp, so its turn
-    is cleared from 128 intervals on; a coarser level tests its nodes.
+    since u' <= 1/2; so between nodes 2h apart it advances by at most
+    h |kappa| half.  _adaptive_average takes that bound as the rows' turn
+    and checks the nodes of a row only where the bound does not clear it
+    (_cleared): a call with depth 0 and a fast kappa still gets the node test.
 
     A shifted row drops each node whose log modulus, log_mod, is below
     _DROPPED - log_bound, log_bound bounding the rest of the integrand
@@ -576,22 +619,17 @@ def batch_characteristic(kappa, q, beta, depth, certify=True) -> Averages:
     without entering the rule.  The margin covers the rounding: each term
     of log_mod is rounded to a few ulps of its size, and where the test is
     close both sizes are of order |_DROPPED - log_bound| + G (G <= 4 on
-    _s_line's depths), since w_log <= G and the damping is <= 0, so the
-    two never cancel.  A row turned the wrong way (kappa sin d > 0) is
-    never decided, as log_bound >= 0: the support spans at least 14 beta
-    in p, at most its span in x times cosh x_end.  Nor is a row whose
-    4 kappa is not finite.
+    batch_characteristic's depths), since w_log <= G and the damping is
+    <= 0, so the two never cancel.  A row turned the wrong way (kappa sin
+    d > 0) is never decided, as log_bound >= 0: the support spans at least
+    14 beta in p, at most its span in x times cosh x_end.  Nor is a row
+    whose 4 kappa is not finite.
 
     A shifted row stops where two levels agree, as every row does, or
     earlier, at the first level where its strip bound (gravent.strip) is
     below 1e-13: there the rule's error is bounded over strips around its
     line, and the row reports that bound as its residual.
-    certify false forms no bound.  A z- or tau-sweep's rows share their
-    line and nearly all run on the real line, stopping at 64 intervals;
-    its few shifted rows (74 of presets 3-6's 1,600) are rarely stopped
-    earlier by a strip inside |Im s| < pi/4.  Forming the bound saved 1.7%
-    of presets 3-6's node evaluations and no time, and on preset 3's
-    orbit out to tau = 120 (251 shifted rows) no node and 8% of the time.
+    certify false forms no bound.
     """
     kappa, q, beta, depth = (np.asarray(v, dtype=float) for v in (kappa, q, beta, depth))
     kappa, depth = np.broadcast_arrays(kappa, depth)

@@ -8,21 +8,19 @@ and horizon masks, the angle's amplitude, the moments, and K and E over
 the rows computed.  The moments come from a nested trapezoid rule
 batched across rows, each row stopping exactly where it would stop alone,
 so a one-point grid gives the row a single value would.  Every row
-averages e^{-i kappa (u(p) - u(q))} in s = asinh p: on the real line where
-its 128-interval rule clears the row's turn, else on a line s = t + i d
-damping it (_s_line).  On a z- or tau-sweep every row has the same q, so the
-rows of one depth share one table of their line per level.  The six
-figure presets are one table, _PRESETS.  K is the concurrence of every
-Bell input; the reduced density matrices and Wootters' concurrence serve
-only as oracles in oracle_equivalence_report, which takes every draw's
-moments from one batched quadrature pass and every draw's brute-force
-tensor from another, and runs Wootters and the density-matrix checks on
-stacked 4x4 matrices.  Failures are recorded per row (horizon, domain,
-quadrature non-convergence) instead of aborting the sweep, a row whose
-angle overflows being domain; with the opt-in stationary-phase
-convention the horizon and non-convergent rows report zero moments and
-zero entanglement, the rapid-oscillation limit.  It is a fallback: no
-row of the presets or of the wide packets the tests sweep needs it.
+averages e^{-i kappa (u(p) - u(q))} along the line in s = asinh p that
+batch_characteristic picks for it.  The six figure presets are one table,
+_PRESETS.  K is the concurrence of every Bell input; the reduced density
+matrices and Wootters' concurrence serve only as oracles in
+oracle_equivalence_report, which takes every draw's moments from one
+batched quadrature pass and every draw's brute-force tensor from another,
+and runs Wootters and the density-matrix checks on stacked 4x4 matrices.
+Failures are recorded per row (horizon, domain, quadrature
+non-convergence) instead of aborting the sweep, a row whose angle
+overflows being domain; with the opt-in stationary-phase convention the
+horizon and non-convergent rows report zero moments and zero
+entanglement, the rapid-oscillation limit.  It is a fallback: no row of
+the presets or of the wide packets the tests sweep needs it.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from .entanglement import (
     REDUCED_TOLERANCE,
     MomentumDistribution,
     TrigMoments,
-    _cleared,
     batch_characteristic,
     batch_reduced_density_bruteforce,
     batch_trig_moments,
@@ -160,11 +157,11 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
     horizon where radial_factor's mask holds.  Each row's angle is
     Theta = amplitude * M(q, p), the amplitude 2 pi tau R(z) one array
     expression over the grid, so one batch_characteristic call gives the
-    moments of every row left: C + iS = e^{i phase} phi(kappa), on lines
-    in s = asinh p (_s_line); only a q-sweep's rows, each on a line of its
-    own, stop on their strip bounds.  A row whose phase or phi is not
-    finite is domain too, so no nan reaches E.  Over the rows computed, the
-    concurrence C^2 + S^2, clipped to 1 where rounding lifts it above,
+    moments of every row left: Theta = phase - kappa (u(p) - u(q)), with
+    phase = amplitude q gamma the angle at p = q and kappa = amplitude q^2
+    gamma, so C + iS = e^{i phase} phi(kappa).  A row whose phase or phi is
+    not finite is domain too, so no nan reaches E.  Over the rows computed,
+    the concurrence C^2 + S^2, clipped to 1 where rounding lifts it above,
     and E are one array each; _refused_row gives the others.
     """
     fixed, grid = spec.fixed, np.asarray(xs, dtype=float)
@@ -179,8 +176,9 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
     values = np.full((4, grid.size), math.nan)  # C, S, K, E
     with np.errstate(all="ignore"):  # a row's inf or nan is reported through its status
         amplitude = np.broadcast_to(TAU_S * tau * radial, grid.shape)[live]
-        kappa, phase, depth = _s_line(amplitude, q, fixed.beta)
-        phi = batch_characteristic(kappa, q, fixed.beta, depth, spec.variable == "q")
+        gamma = np.sqrt(q * q + 1.0)
+        kappa, phase = amplitude * q * q * gamma, amplitude * q * gamma
+        phi = batch_characteristic(kappa, q, fixed.beta)
         (c, s), (re, im) = (np.cos(phase), np.sin(phase)), phi.values.T
         values[:2, live] = c * re - s * im, s * re + c * im  # C + iS = e^{i phase} phi
     # phi is finite where its status is computed; a phase that overflows is domain
@@ -194,45 +192,6 @@ def _sweep_rows(spec: SweepSpec, xs: list[float],
     for i in np.flatnonzero(~done).tolist():
         out[i] = _refused_row(xs[i], _REFUSALS[int(outcome[i])], stationary_phase)
     return out
-
-
-# The s-line's depth: 0 for a row whose turn the real line's 128-interval
-# rule clears (_s_line); otherwise at most _S_DEPTH, and no deeper than lets
-# the weight grow by e^{_S_GROWTH} on the line.
-_S_DEPTH = 0.3
-_S_GROWTH = 4.0
-
-
-def _s_line(amplitude: np.ndarray, q, beta: float):
-    """Per row: kappa, the constant phase and the depth of the line in s = asinh p.
-
-    Theta = phase - kappa (u(p) - u(q)) with phase = amplitude q gamma, the
-    angle at p = q, kappa = amplitude q^2 gamma and u(p) = tanh(s/2), whose
-    slope 1/(gamma_p (gamma_p + 1)) peaks at 1/2 at p = 0: anywhere in the
-    packet the angle turns at most at omega = |kappa| beta / 2 per unit of
-    x = (p - q)/beta.  A row whose omega the real line's 128-interval rule
-    clears (entanglement._cleared: omega < pi 128/28 ~ 14.4) runs there
-    (depth 0), where its weight is real, a z- or tau-sweep's rows share it
-    and a node costs cos and sin, not a complex exp.
-    The others run at depth of the sign of -kappa.  There the weight's
-    modulus peaks near p = q at e^{G}, G = sin^2 d (1 + q^2/cos 2d)/beta^2,
-    costing digits to cancellation before the damping sets in, so the
-    depth is capped where G = _S_GROWTH (as e^{depth^2} was capped at e^4
-    on the former line in x), and at _S_DEPTH, inside the strip |Im s| <
-    pi/4 where the weight decays.  For y = sin^2 d, G = _S_GROWTH is
-    2 y^2 - b y + _S_GROWTH beta^2 = 0, b = 1 + q^2 + 2 _S_GROWTH beta^2,
-    whose smaller root is taken.
-    """
-    gamma = np.sqrt(q * q + 1.0)
-    kappa = amplitude * q * q * gamma
-    phase = amplitude * q * gamma
-    omega = 0.5 * np.abs(kappa) * beta
-    g = _S_GROWTH * beta * beta
-    b = 1.0 + q * q + 2.0 * g
-    # b^2 - 8 g, written as a sum of squares
-    y = 2.0 * g / (b + np.sqrt((1.0 + q * q - 2.0 * g) ** 2 + 8.0 * g * q * q))
-    depth = np.minimum(np.arcsin(np.sqrt(y)), _S_DEPTH)
-    return kappa, phase, np.where(_cleared(omega, 14.0 / 128), 0.0, -np.sign(kappa) * depth)
 
 
 def _refused_row(x: float, flag: str, stationary_phase: bool) -> SweepRow:

@@ -34,6 +34,10 @@ MAX_RADIUS = 1e100
 # z^2 - z + xi2 below this times z^2 (|e^{2A}| below it) counts as sitting on a horizon.
 HORIZON_TOL = 1e-9
 
+# The most steps, draws, radii or grid points a call takes: at it `validate`
+# peaks at 888 MB (~9 KB a draw), a sweep or `frame-compare` near 100 MB.
+MAX_COUNT = 10 ** 5
+
 
 def _is_integer(value) -> bool:
     """An int, or one value of a type that stands for one (numpy's integers)."""
@@ -78,7 +82,9 @@ DOMAIN_CHECKS = tuple((key, lambda v: abs(v) < math.inf, "{name} must be finite,
     ("samples", lambda v: v >= 2, "{name} must be >= 2, got {value}"),  # of a sweep's grid
     ("seed", lambda v: v >= 0, "{name} must be >= 0, got {value}"),  # of the oracle's draws
 ) + tuple((key, _is_integer, "{name} must be an integer, got {value}")
-          for key in ("count", "samples", "seed")) + (
+          for key in ("count", "samples", "seed")) + tuple(
+    (key, lambda v: v <= MAX_COUNT, f"{{name}} must be <= {MAX_COUNT}, got {{value}}")
+    for key in ("count", "samples")) + (
     ("variable", lambda v: v in SWEEP_VARIABLES,
      f"{{name}} must be one of {SWEEP_VARIABLES}, got {{value!r}}"),
     ("bell", lambda v: v in BELL_TAGS, "unknown Bell state {value!r}; expected chi1..chi4"),

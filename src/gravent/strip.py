@@ -7,8 +7,8 @@ size on the strip's edges (Trefethen & Weideman, SIAM Review 56, 2014,
 Thm 5.1).  _strip_terms forms that bound in closed form from the row's
 kappa, q, beta and line; _strip_levels finds the first level of the rule
 at which it is below _STRIP_TARGET, where the row may stop without a
-second level to agree with.  entanglement._lines loads this module only
-for a call that certifies rows.
+second level to agree with.  entanglement._lines loads it on the first
+call whose rows have lines of their own (batch_characteristic).
 """
 
 from __future__ import annotations
@@ -94,7 +94,8 @@ def _strip_terms(kappa, q, beta, depth, half, at_end):
     32 intervals, the widest; the dropped nodes, each below e^{_DROPPED};
     and rounding, which no strip bounds, taken as _ROUNDING_ULPS + |kappa|
     ulps of the line's own integral of |F|, which the pieces next to it
-    bound.  A piece that reaches |D| >= pi/4 leaves its strips nan.
+    bound.  A piece that reaches |D| >= pi/4 leaves its strips nan; on
+    batch_characteristic's lines, |d| <= _S_DEPTH, none does.
     Called under an errstate that ignores invalid, overflowing and zero
     divisions.
     """

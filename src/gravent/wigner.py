@@ -124,11 +124,7 @@ def wigner_rate(lam, p) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     check_domain({"p": p})
-    return _wigner_rate(np.asarray(lam, dtype=float), p)
-
-
-def _wigner_rate(lam: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """wigner_rate for float arrays lam and p, p already checked."""
+    lam = np.asarray(lam, dtype=float)
     col, row = lam[..., 1:, :1], lam[..., None, 1:, 0]  # lam^i_0 as a column and as a row
     return lam[..., 1:, 1:] + (col * p - p[:, None] * row) / (np.sqrt(1.0 + p @ p) + 1.0)
 

@@ -23,7 +23,7 @@ import gravent.cli as cli
 from gravent import (AssertionFailure, DomainError, EmptyDataError, OrbitParams, SweepSpec,
                      emit_csv, emit_json, emit_svg, figure_preset)
 from gravent.cli import main, preset_config, render_sweep
-from gravent.roots import DOMAIN_CHECKS, check_domain
+from gravent.roots import DOMAIN_CHECKS, MAX_COUNT, check_domain
 
 DEMO_OUT = Path(__file__).resolve().parents[1] / "demos" / "out"
 
@@ -763,6 +763,18 @@ def test_commands_reject_out_of_range_input(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: DomainError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["sweep", "--variable", "q", "--lo", "0", "--hi", "1", "--samples"], "samples"),
+    (["frame-compare", "--samples"], "samples"),
+    (["validate", "--draws"], "draws"),
+], ids=["sweep", "frame-compare", "validate"])
+def test_counts_above_the_bound_are_domain_errors(capsys, argv, name):
+    # --samples 1000000000000 asked numpy for 7.28 TiB and ended in a traceback
+    code, out, err = run_cli(capsys, *argv, str(MAX_COUNT + 1))
+    assert (code, out) == (1, "")
+    assert err == f"error: DomainError: {name} must be <= {MAX_COUNT}, got {MAX_COUNT + 1}\n"
 
 
 def test_frame_compare_names_the_end_it_was_given(capsys):

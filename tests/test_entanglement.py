@@ -12,6 +12,7 @@ from gravent.entanglement import (
     NOT_FINITE,
     REDUCED_TOLERANCE,
     QuadConfig,
+    _characteristic,
 )
 
 from gravent import (
@@ -175,7 +176,7 @@ def test_batch_characteristic_rows_match_single_rows():
     kappa = np.array([0.2, 3.0, np.inf, 1e6, 30.0, 400.0, 1e4, -np.inf])
     q = np.array([0.0, 0.3, -0.5, 0.2, 1.0, 2.0, 2.0, 1.0])
     depth = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -0.2, -0.2, 0.2])
-    out = batch_characteristic(kappa, q, 0.9, depth)
+    out = _characteristic(kappa, q, 0.9, depth)
     assert out.status.tolist() == [CONVERGED, CONVERGED, NOT_FINITE, NO_CONVERGENCE,
                                    CONVERGED, CONVERGED, CONVERGED, NOT_FINITE]
     assert len(set(out.nodes[out.status == CONVERGED].tolist())) > 1
@@ -184,11 +185,26 @@ def test_batch_characteristic_rows_match_single_rows():
     assert np.signbit(out.values[6]).tolist() == [False, False]
     assert (np.delete(out.nodes, 6) > 0).all()
     for i in range(len(kappa)):
-        single = batch_characteristic(kappa[i:i + 1], q[i:i + 1], 0.9, depth[i:i + 1])
+        single = _characteristic(kappa[i:i + 1], q[i:i + 1], 0.9, depth[i:i + 1])
         for name in ("values", "residual", "nodes", "status"):
             assert getattr(out, name)[i].tobytes() == getattr(single, name)[0].tobytes(), (i, name)
-    empty = batch_characteristic(np.array([]), np.array([]), 1.0, np.array([]))
+    empty = _characteristic(np.array([]), np.array([]), 1.0, np.array([]))
     assert empty.status.size == 0 and empty.values.shape == (0, 2)
+
+
+def test_batch_characteristic_picks_the_lines_and_bounds_rows_on_lines_of_their_own():
+    # the lines are _line_depth's, on and off the real line; a strip bound is
+    # formed where q or beta is given per row, and it moves these rows' levels
+    kappa = np.linspace(-60.0, 80.0, 200)
+    for q, beta, certify in ((2.5, 0.7, False), (np.full(200, 2.5), 0.7, True),
+                             (2.5, np.full(200, 0.7), True)):
+        depth = entanglement._line_depth(kappa, q, beta)
+        assert (depth == 0.0).any() and (depth != 0.0).any()
+        got = batch_characteristic(kappa, q, beta)
+        for name in ("values", "residual", "nodes", "status"):
+            want = getattr(_characteristic(kappa, q, beta, depth, certify), name)
+            assert getattr(got, name).tobytes() == want.tobytes(), (certify, name)
+        assert (got.nodes != _characteristic(kappa, q, beta, depth, not certify).nodes).any()
 
 
 def test_the_real_lines_turn_bound_clears_only_rows_the_node_test_clears(monkeypatch):
@@ -217,12 +233,12 @@ def test_the_real_lines_turn_bound_clears_only_rows_the_node_test_clears(monkeyp
         return real(rows_fn, size, n, turn)
 
     monkeypatch.setattr(entanglement, "_adaptive_average", checked)
-    out = batch_characteristic(kappa, q, beta, depth)
+    out = _characteristic(kappa, q, beta, depth)
     assert len(counts) == 6 and 0 < min(counts) and max(counts) < size
     # and the bound moves no bit: a run with no row vouched for gives the same
     monkeypatch.setattr(entanglement, "_adaptive_average",
                         lambda rows_fn, size, n=64, turn=None: real(rows_fn, size, n))
-    plain = batch_characteristic(kappa, q, beta, depth)
+    plain = _characteristic(kappa, q, beta, depth)
     for name in ("values", "residual", "nodes", "status"):
         assert getattr(out, name).tobytes() == getattr(plain, name).tobytes(), name
     assert (out.status == NO_CONVERGENCE).any() and (out.status == CONVERGED).any()
@@ -230,7 +246,7 @@ def test_the_real_lines_turn_bound_clears_only_rows_the_node_test_clears(monkeyp
 
 def test_constant_integrand_averages_to_itself():
     # each estimate divides by the rule's sum of the weight it sums against
-    out = batch_characteristic(np.zeros(3), np.array([0.0, 0.6, 20.0]), 1.0, 0.0)
+    out = _characteristic(np.zeros(3), np.array([0.0, 0.6, 20.0]), 1.0, 0.0)
     assert out.values.tolist() == [[1.0, 0.0]] * 3
 
 
@@ -291,9 +307,9 @@ def test_shared_centre_gives_the_bits_of_a_column(monkeypatch, shifted):
             return out
 
         monkeypatch.setattr(entanglement, "_line_table", table)
-        shared = batch_characteristic(kappa, 0.6, 1.0, depth)
+        shared = _characteristic(kappa, 0.6, 1.0, depth)
         tables = shapes[:]
-        column = batch_characteristic(kappa, np.full(300, 0.6), 1.0, depth)
+        column = _characteristic(kappa, np.full(300, 0.6), 1.0, depth)
     else:  # the oracle's rule in x, through its batch of density matrices
         def factor(q, p):
             shapes.append(p.shape)
@@ -325,11 +341,11 @@ def test_shared_line_tables_live_for_one_call():
     kappa = np.linspace(-60.0, 80.0, 200)
     depth = np.where(np.abs(kappa) < 4.0, 0.0, -0.25 * np.sign(kappa))
     lines = [(0.6, 1.0), (2.5, 0.7)]
-    alone = [batch_characteristic(kappa, np.full(200, q), np.full(200, beta), depth)
+    alone = [_characteristic(kappa, np.full(200, q), np.full(200, beta), depth)
              for q, beta in lines]
     for order in ([0, 1, 0], [1, 0, 1]):
         for i in order:
-            got = batch_characteristic(kappa, *lines[i], depth)
+            got = _characteristic(kappa, *lines[i], depth)
             for name in ("values", "residual", "nodes", "status"):
                 assert getattr(got, name).tobytes() == getattr(alone[i], name).tobytes(), (i, name)
     assert (alone[0].values != alone[1].values).all()
@@ -342,11 +358,11 @@ def test_capped_rows_with_small_residual_have_reduced_tolerance(monkeypatch):
     # x, slopes 54 and 55 stop between them and slope 56 above
     monkeypatch.setattr(entanglement, "DEFAULT_QUAD", QuadConfig(256))
     kappa = np.array([255.0, 265.0, 280.0])
-    out = batch_characteristic(kappa, 0.0, 0.9, 0.0)
+    out = _characteristic(kappa, 0.0, 0.9, 0.0)
     assert out.status.tolist() == [REDUCED_TOLERANCE, REDUCED_TOLERANCE, NO_CONVERGENCE]
     assert (out.nodes == 256).all()
     for i in (0, 1):
-        single = batch_characteristic(kappa[i:i + 1], 0.0, 0.9, 0.0)
+        single = _characteristic(kappa[i:i + 1], 0.0, 0.9, 0.0)
         assert single.values.tobytes() == out.values[i].tobytes()
         assert 1e-10 <= single.residual[0] <= FAIL_RESIDUAL
     for slope in (54.0, 55.0):

@@ -11,7 +11,8 @@ from scipy.integrate import quad
 import gravent.entanglement as entanglement
 import gravent.experiments as experiments
 from gravent.cli import main
-from gravent.entanglement import TOL, QuadConfig
+from gravent.entanglement import TOL, QuadConfig, _line_depth
+from gravent.roots import MAX_COUNT
 from gravent import (
     AssertionFailure,
     BELL_STATES,
@@ -49,7 +50,7 @@ from gravent import (
     wigner_rate,
     wootters_concurrence,
 )
-from gravent.experiments import _FAST_ROWS, _s_line, _sweep_rows
+from gravent.experiments import _FAST_ROWS, _sweep_rows
 
 
 def small_spec(**overrides):
@@ -197,8 +198,9 @@ def test_validates_fast_rows_run_on_shifted_lines():
     # it into a check of the real line
     for n, qs in _FAST_ROWS.items():
         spec = figure_preset(n)
-        amplitude = np.array([theta_amplitude(replace(spec.fixed, q=q)) for q in qs])
-        _, _, depth = _s_line(amplitude, np.array(qs), spec.fixed.beta)
+        q = np.array(qs)
+        amplitude = np.array([theta_amplitude(replace(spec.fixed, q=x)) for x in qs])
+        depth = _line_depth(amplitude * q * q * np.sqrt(q * q + 1.0), q, spec.fixed.beta)
         assert (depth != 0.0).all(), (n, depth)
 
 
@@ -302,6 +304,17 @@ def test_counts_must_be_integers(call, message):
     # each passed the table and then raised a bare TypeError from range or np.linspace
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda n: product_integral(lambda tau: np.zeros((3, 3)), 0.0, 1.0, n), "steps"),
+    (lambda n: oracle_equivalence_report(n), "draws"),
+    (lambda n: SweepSpec("q", 0.0, 1.0, n, OrbitParams(0.16, 2.0, 0.6, 1.0, 5.0)), "samples"),
+], ids=["steps", "draws", "samples"])
+def test_counts_are_bounded_above(call, name):
+    # past the bound, arrays of the count's length ran out of memory
+    with pytest.raises(DomainError, match=f"^{name} must be <= {MAX_COUNT}, got {MAX_COUNT + 1}$"):
+        call(MAX_COUNT + 1)
 
 
 def test_sweep_spec_calls_an_end_that_is_not_a_number_a_domain_error():
@@ -610,7 +623,7 @@ def test_oracle_seed_takes_what_stands_for_an_integer():
 # presets.  Taken again once E was formed from the smaller eigenvalue
 # K^2/(2 (1 + sqrt(1 - K^2))): only E moved, by at most 4.5e-15.  Taken
 # again once a row ran on the real line wherever that line's 128-interval
-# rule clears its turn (_s_line): 72 rows moved, C and S by at most 2.8e-16,
+# rule clears its turn (_line_depth): 72 rows moved, C and S by at most 2.8e-16,
 # K and E by at most 6.7e-16 and 8.9e-16, and no flag.
 SEEDED_SPECS = {
     # two horizons: the lower edge is clamped just above z+ = 0.8

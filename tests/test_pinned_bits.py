@@ -22,7 +22,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from gravent import batch_characteristic, figure_preset, run_sweep
+from gravent import figure_preset, run_sweep
+from gravent.entanglement import _characteristic
 
 SWEEPS_PER_PRESET = 50
 SAMPLES = 60
@@ -85,7 +86,7 @@ def digest_of_sweeps() -> str:
 def digest_of_batches(batches=corpus_batches) -> str:
     h = hashlib.sha256()
     for kappa, q, beta, depth in batches():
-        out = batch_characteristic(kappa, q, beta, depth)
+        out = _characteristic(kappa, q, beta, depth)
         for array in (out.values, out.residual, out.nodes.astype("<i8"), out.status.astype("<i8")):
             h.update(np.ascontiguousarray(array).tobytes())
     return h.hexdigest()

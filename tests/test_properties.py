@@ -176,7 +176,7 @@ def test_sweep_masks_match_orbit_params(sweep):
     spec, xs = sweep
     seen = []
 
-    def stub(kappa, q, beta, depth, certify):
+    def stub(kappa, q, beta):
         n = kappa.size
         seen.extend(zip(kappa.tolist(), np.broadcast_to(q, n).tolist()))
         values = np.tile([1.0, 0.0], (n, 1))
@@ -195,7 +195,7 @@ def test_sweep_masks_match_orbit_params(sweep):
             assert row.flags == (expected,), (x, row)
         else:
             amplitude, q = map(np.float64, expected)
-            kappa = amplitude * q * q * np.sqrt(q * q + 1.0)  # as _s_line forms it
+            kappa = amplitude * q * q * np.sqrt(q * q + 1.0)  # as _sweep_rows forms it
             got = next(computed)
             assert row.flags == () and np.array_equal(got, (kappa, q), equal_nan=True), (
                 x, row, got, expected)

@@ -24,13 +24,11 @@ import gravent.experiments as experiments
 from gravent import (
     OrbitParams,
     SweepSpec,
-    batch_characteristic,
     figure_preset,
     run_sweep,
     theta_amplitude,
 )
-from gravent.entanglement import CONVERGED, TOL
-from gravent.experiments import _s_line
+from gravent.entanglement import CONVERGED, TOL, _characteristic, _line_depth
 
 HALF_WIDTH = 7.0
 REFERENCE_AGREEMENT = 1e-12
@@ -160,7 +158,9 @@ def shifted_rows(spec):
     params = [replace(spec.fixed, **{spec.variable: row.x}) for row in rows]
     amplitude = np.array([theta_amplitude(p) for p in params])
     q = np.array([p.q for p in params])
-    kappa, phase, depth = _s_line(amplitude, q, spec.fixed.beta)
+    gamma = np.sqrt(q * q + 1.0)
+    kappa, phase = amplitude * q * q * gamma, amplitude * q * gamma  # as _sweep_rows forms them
+    depth = _line_depth(kappa, q, spec.fixed.beta)
     shifted = np.flatnonzero(depth != 0.0)
     return ([rows[i] for i in shifted],) + tuple(v[shifted] for v in (kappa, phase, q, depth))
 
@@ -171,7 +171,7 @@ def half_depth_moments(spec):
     Also returns the statuses at delta/2.
     """
     rows, kappa, phase, q, depth = shifted_rows(spec)
-    half = batch_characteristic(kappa, q, spec.fixed.beta, 0.5 * depth)
+    half = _characteristic(kappa, q, spec.fixed.beta, 0.5 * depth)
     re, im = half.values.reshape(-1, 2).T
     c, s = np.cos(phase), np.sin(phase)
     printed = np.array([(row.C, row.S) for row in rows]).reshape(-1, 2)
@@ -225,16 +225,17 @@ def real_line_reference(kappa, q, beta, n=16384):
 
 def test_rows_the_real_line_clears_keep_their_status_and_accuracy_there():
     amplitude, q, beta = cleared_rows()
-    kappa, _, depth = _s_line(amplitude, q, beta)
+    kappa = amplitude * q * q * np.sqrt(q * q + 1.0)  # as _sweep_rows forms it
+    depth = _line_depth(kappa, q, beta)
     # the former rule: the real line below omega = 4, otherwise the depth
-    # _s_line gives a row too fast for the real line, which q and beta fix
-    deep = _s_line(np.sign(amplitude) * math.inf, q, beta)[2]
+    # _line_depth gives a row too fast for the real line, which q and beta fix
+    deep = _line_depth(np.sign(kappa) * math.inf, q, beta)
     old = np.where(0.5 * np.abs(kappa) * beta < 4.0, 0.0, deep)
     moved = (depth == 0.0) & (old != 0.0)
     assert moved.sum() > 0.9 * q.size
     assert (depth[~moved] == old[~moved]).all()  # no row leaves the real line
     for certify in (False, True):
-        before, after = (batch_characteristic(kappa, q, beta, d, certify) for d in (old, depth))
+        before, after = (_characteristic(kappa, q, beta, d, certify) for d in (old, depth))
         assert after.status.tolist() == before.status.tolist()
     error = np.abs(after.values[moved]
                    - real_line_reference(kappa[moved], q[moved], beta[moved])).max(axis=1)
@@ -358,7 +359,7 @@ def test_packets_turning_fast_at_zero_match_a_fine_reference():
 
 
 def drawn_shifted_rows(seed, count):
-    """Seeded rows on shifted lines: kappa, q, beta and depth, the depth from _s_line.
+    """Seeded rows on shifted lines: kappa, q, beta and depth, the depth from _line_depth.
 
     beta runs from 1e-2 to 1e3, |q| up to 1e3 and |kappa| over ten decades,
     each log-uniform, with both signs of q and kappa.
@@ -367,7 +368,9 @@ def drawn_shifted_rows(seed, count):
     beta = 10.0 ** rng.uniform(-2.0, 3.0, count)
     q = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-2.0, 3.0, count)
     kappa = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-3.0, 7.0, count)
-    kappa, _, depth = _s_line(kappa / (q * q * np.sqrt(q * q + 1.0)), q, beta)
+    amplitude = kappa / (q * q * np.sqrt(q * q + 1.0))
+    kappa = amplitude * q * q * np.sqrt(q * q + 1.0)  # as _sweep_rows forms it
+    depth = _line_depth(kappa, q, beta)
     shifted = depth != 0.0
     return kappa[shifted], q[shifted], beta[shifted], depth[shifted]
 
@@ -380,7 +383,7 @@ def test_decided_rows_drop_every_node_of_the_finest_rule():
     kappa, q, beta, depth = drawn_shifted_rows(seed=22, count=20000)
     line_of, row_of, decided, _ = entanglement._lines(kappa, q, beta, depth)
     assert 0.2 * kappa.size <= decided.sum() <= 0.8 * kappa.size, (decided.sum(), kappa.size)
-    out = batch_characteristic(kappa[decided], q[decided], beta[decided], depth[decided])
+    out = _characteristic(kappa[decided], q[decided], beta[decided], depth[decided])
     assert (out.nodes == 0).all() and (out.status == CONVERGED).all()
     assert (out.residual == 0.0).all() and (out.values == 0.0).all()
     line_of, row_of = line_of[decided], row_of[decided]

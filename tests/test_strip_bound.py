@@ -19,9 +19,8 @@ import pytest
 import gravent.entanglement as entanglement
 import gravent.experiments as experiments
 import gravent.strip as strips
-from gravent import batch_characteristic, figure_preset, run_sweep
-from gravent.entanglement import CONVERGED
-from gravent.experiments import _S_DEPTH, _s_line
+from gravent import figure_preset, run_sweep
+from gravent.entanglement import CONVERGED, _S_DEPTH, _characteristic, _line_depth
 from gravent.wigner import TAU_S, radial_factor
 
 HALF_WIDTH = 7.0
@@ -32,7 +31,7 @@ REFERENCE = 4096
 def shifted_corpus(seed=31, size=240):
     """Shifted rows: |q| up to 1e3, beta 0.1..10, both signs of kappa, depths up to _S_DEPTH.
 
-    The depth is _s_line's for the row's q and beta, scaled down at
+    The depth is _line_depth's for the row's q and beta, scaled down at
     random; one row in six is turned the wrong way (kappa sin d > 0).
     """
     rng = np.random.default_rng(seed)
@@ -41,12 +40,16 @@ def shifted_corpus(seed=31, size=240):
                                                  10.0 ** rng.uniform(-1.0, 3.0, size))
     beta = 10.0 ** rng.uniform(-1.0, 1.0, size)
     kappa = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(0.0, 4.0, size)
-    fast = np.sign(kappa) * 1e9 / (q * q * np.sqrt(q * q + 1.0))  # too fast for the real line
-    _, _, depth = _s_line(fast, q, beta)
+    depth = _line_depth(np.sign(kappa) * 1e9, q, beta)  # too fast for the real line
     depth *= rng.uniform(0.2, 1.0, size)
     depth[rng.uniform(size=size) < 1.0 / 6.0] *= -1.0
     assert 0.0 < np.abs(depth).min() and np.abs(depth).max() <= _S_DEPTH
     return kappa, q, beta, depth
+
+
+def test_the_strips_of_the_deepest_line_stay_inside_pi_over_4():
+    # a piece at |Im s| >= pi/4 silently leaves its strips nan (_strip_terms)
+    assert strips._STRIP_DEPTHS.max() * _S_DEPTH < math.pi / 4
 
 
 def rule(line_of, row_of, n):
@@ -109,7 +112,8 @@ def test_the_bound_certifies_most_damped_rows(corpus):
 def wide_packet_rows(beta):
     """The shifted rows of a z-sweep next to the angle's zero at z = 1, packet width beta."""
     radial, horizon = radial_factor(np.linspace(0.0, 1.0, 401)[1:], 0.25 + 1e-12)
-    kappa, _, depth = _s_line(TAU_S * 5.0 * radial[~horizon], 0.6, beta)
+    kappa = TAU_S * 5.0 * radial[~horizon] * 0.6 * 0.6 * np.sqrt(0.6 * 0.6 + 1.0)
+    depth = _line_depth(kappa, 0.6, beta)
     shifted = depth != 0.0
     return kappa[shifted], np.full(shifted.sum(), 0.6), np.full(shifted.sum(), beta), depth[shifted]
 
@@ -124,7 +128,7 @@ def test_rows_the_bound_stops_on_two_lines_agree_within_both_bounds(corpus, rows
     kappa, q, beta, depth = corpus if rows == "corpus" else wide_packet_rows(1e5)
     values, bounds, stopped = [], [], []
     for line in (depth, 0.6 * depth):
-        out = batch_characteristic(kappa, q, beta, line)
+        out = _characteristic(kappa, q, beta, line)
         with np.errstate(all="ignore"):
             strip = entanglement._lines(kappa, q, beta, line)[3]
         values.append(out.values)
@@ -173,7 +177,7 @@ def test_a_row_stops_at_the_first_level_its_bound_certifies(corpus):
     at_first = bounds[certified, below[certified].argmax(axis=1)]
     assert strip[certified, 1].tolist() == at_first.tolist()
     assert np.isinf(strip[~certified, 1]).all()
-    out = batch_characteristic(kappa, q, beta, depth)
+    out = _characteristic(kappa, q, beta, depth)
     assert (out.nodes[certified] <= first[certified]).all()
     by_bound = certified & (out.nodes == first)
     assert by_bound.sum() > 50
@@ -189,7 +193,7 @@ def test_a_row_stops_at_the_first_level_its_bound_certifies(corpus):
 # presets 3-6 form no bound (certify is false for rows that share their
 # line).  They had {64: 1258, 128: 315, 256: 13} and 122,574 nodes, and
 # preset 1 14,433, before the real line took every row its 128-interval rule
-# clears (_s_line): the rows at 128 intervals fell from 234 to none in
+# clears (_line_depth): the rows at 128 intervals fell from 234 to none in
 # preset 3 and from 81 to 39 in presets 4-6, to 64 on the real line.
 PRESET_LEVELS = {
     1: ({0: 241, 32: 14, 64: 71, 128: 74}, 14305),

@@ -3,12 +3,13 @@
 Whether a circular orbit of radius z exists is decided in one function,
 roots.no_orbit.  The metric's own horizon test (metric_potentials) is
 the one other reader of HORIZON_TOL, because the metric is real below
-the inner horizon, where no orbit exists.  Whether a sweep row runs on
-the real line is decided by the bound that clears its nodes of the alias
-test, entanglement._cleared.
+the inner horizon, where no orbit exists.  The quadrature picks each
+row's line (entanglement._line_depth), by the bound that clears its nodes
+of the alias test, entanglement._cleared; the sweeps pass it physics only.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import gravent
@@ -44,17 +45,32 @@ def test_horizon_tol_is_read_by_the_orbit_rule_and_the_metric_only():
 
 
 def test_a_rows_line_is_chosen_by_the_real_lines_alias_bound():
-    # _s_line puts a row on the real line where entanglement._cleared clears
-    # its turn at 128 intervals, the bound that also spares the row's nodes
-    # the alias test; a threshold of experiments' own would be a second rule
+    # _line_depth puts a row on the real line where _cleared clears its
+    # turn at 128 intervals, the bound that also spares the row's nodes the
+    # alias test; a threshold of its own would be a second rule
+    tree = ast.parse((PACKAGE / "entanglement.py").read_text(encoding="utf-8"))
+    line_depth = next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "_line_depth")
+    assert _reads("entanglement", {"_cleared"}) == {("entanglement", "_adaptive_average"),
+                                                    ("entanglement", "_line_depth")}
+    assert not any(isinstance(node, ast.Compare) for node in ast.walk(line_depth))
+    for module in _modules():
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        constants = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                     for target in node.targets if isinstance(target, ast.Name)}
+        assert not {name for name in constants if "TURN" in name}, module
+
+
+def test_the_sweeps_leave_the_contour_to_the_quadrature():
+    # batch_characteristic takes the physics only, and experiments reaches
+    # none of the quadrature's private rules
+    assert list(inspect.signature(gravent.batch_characteristic).parameters) == [
+        "kappa", "q", "beta"]
     tree = ast.parse((PACKAGE / "experiments.py").read_text(encoding="utf-8"))
-    s_line = next(node for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "_s_line")
-    assert _reads("experiments", {"_cleared"}) == {("experiments", "_s_line")}
-    assert not any(isinstance(node, ast.Compare) for node in ast.walk(s_line))
-    constants = {target.id for node in tree.body if isinstance(node, ast.Assign)
-                 for target in node.targets if isinstance(target, ast.Name)}
-    assert not {name for name in constants if "TURN" in name}
+    private = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module == "entanglement" for alias in node.names
+               if alias.name.startswith("_")}
+    assert private == set()
 
 
 def test_wigner_and_spacetime_take_no_horizon_radius():
